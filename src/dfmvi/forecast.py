@@ -40,7 +40,7 @@ def _draw_variational_theta(state: vi.VariationalState, n_draws: int, rng):
         * loadings.noise_scale
         / rng.chisquare(loadings.noise_df, size=(n_draws, n))
     )
-    roots = np.stack([_psd_sqrt(loadings.cov[i]) for i in range(n)])
+    roots = _psd_sqrt(loadings.cov)
     z = rng.standard_normal((n_draws, n, s))
     lam = loadings.mean[None] + np.sqrt(sigma2)[:, :, None] * np.einsum(
         "iab,dib->dia", roots, z
@@ -293,9 +293,7 @@ def compare_posteriors(
     for start in range(0, T, time_block):
         block = slice(start, min(start + time_block, T))
         nb = block.stop - block.start
-        roots = np.stack(
-            [_psd_sqrt(moments.cov[t]) for t in range(block.start + 1, block.stop + 1)]
-        )
+        roots = _psd_sqrt(moments.cov[block.start + 1 : block.stop + 1])
         zf = rng.standard_normal((n_smf_draws, nb, s))
         f_blk = moments.mean[block.start + 1 : block.stop + 1][None] + np.einsum(
             "tab,dtb->dta", roots, zf

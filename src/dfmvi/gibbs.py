@@ -1,10 +1,11 @@
 """Gibbs-sampling benchmark: exact posterior draws for comparison runs.
 
 One sweep draws the full state path given the parameters (forward filter,
-backward sampling) and then the parameters given the states (conjugate
-per-equation regressions and a matrix-normal transition draw).  Missing
-data enter only through row selection; identification is enforced by
-zero restrictions and sign rejection on anchor loadings.
+backward sampling; for s > 1 on the shared kernel of ``statespace``) and
+then the parameters given the states (conjugate per-equation regressions
+and a matrix-normal transition draw).  Missing data enter only through row
+selection; identification is enforced by zero restrictions and sign
+rejection on anchor loadings.
 
 Draw storage is columnar: arrays ``lambda`` (D, n, s), ``sigma2`` (D, n),
 ``phi`` (D, r, s) and ``states`` (D, T+1, s) in draw order, serialized
@@ -22,7 +23,15 @@ from . import vi
 from .errors import DomainError, NumericalError
 from .model import ModelSpec, PriorSpec, Restrictions, identification_restrictions
 from .panel import TimeSeriesPanel
-from .statespace import chol_factor, chol_inverse, chol_solve, companion, state_noise_cov
+from .statespace import (
+    chol_factor,
+    chol_inverse,
+    chol_solve,
+    companion,
+    backward_conditionals,
+    information_filter,
+    state_noise_cov,
+)
 
 
 @dataclass(frozen=True)
@@ -98,17 +107,20 @@ def load_draws(path) -> DrawStore:
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Square root of a PSD matrix tolerant of exact degeneracy."""
+    """Root R with R R' = a of a PSD matrix or stack, tolerant of exact degeneracy."""
     w, v = np.linalg.eigh(a)
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def _filter_fixed_theta(values, mask, lambdas, sigma2, phi, init_cov):
     """Forward filter of the plain model at one parameter draw.
 
-    Information-form measurement updates keep every step at s x s cost
-    regardless of how many series are observed.  Returns filtered means
-    (T+1, s) and covariances (T+1, s, s); index 0 is the origin state.
+    The data at time t enter in information form, with precision
+    Lambda' A_t Sigma^-1 Lambda and information Lambda' A_t Sigma^-1 y_t, so
+    every step costs s x s whatever the number of series observed and a
+    step without data is a pure prediction.  Returns the filtered means
+    (T+1, s) and covariances (T+1, s, s), index 0 being the origin state,
+    and the one-step predicted covariances (T, s, s).
     """
     T = values.shape[0]
     r, s = phi.shape
@@ -119,14 +131,12 @@ def _filter_fixed_theta(values, mask, lambdas, sigma2, phi, init_cov):
     obs_prec = np.einsum("ti,iab->tab", maskf, weighted_outer)
     obs_rhs = (maskf * filled * w) @ lambdas
 
-    trans = companion(phi)
-    q = state_noise_cov(r, s)
-    filt_mean = np.zeros((T + 1, s))
-    filt_cov = np.zeros((T + 1, s, s))
-    filt_cov[0] = init_cov
     if s == 1:
         # Scalar recursion; avoids per-step linear algebra overhead.
-        ph = float(trans[0, 0])
+        filt_mean = np.zeros((T + 1, 1))
+        filt_cov = np.zeros((T + 1, 1, 1))
+        filt_cov[0] = init_cov
+        ph = float(phi[0, 0])
         m, pv = 0.0, float(init_cov[0, 0])
         op = obs_prec[:, 0, 0]
         ob = obs_rhs[:, 0]
@@ -138,56 +148,43 @@ def _filter_fixed_theta(values, mask, lambdas, sigma2, phi, init_cov):
             m = pv * (a / pp + ob[t - 1])
             filt_mean[t, 0] = m
             filt_cov[t, 0, 0] = pv
-        return filt_mean, filt_cov
+        return filt_mean, filt_cov, ph * ph * filt_cov[:-1] + 1.0
 
-    for t in range(1, T + 1):
-        a = trans @ filt_mean[t - 1]
-        pp = trans @ filt_cov[t - 1] @ trans.T + q
-        pp = 0.5 * (pp + pp.T)
-        chol_pp = chol_factor(pp, context=f"state prediction at time step {t}")
-        pp_inv = chol_inverse(chol_pp)
-        post_prec = pp_inv + obs_prec[t - 1]
-        chol_post = chol_factor(post_prec, context=f"state update at time step {t}")
-        cov = chol_inverse(chol_post)
-        filt_cov[t] = 0.5 * (cov + cov.T)
-        filt_mean[t] = cov @ (pp_inv @ a + obs_rhs[t - 1])
-    return filt_mean, filt_cov
+    filt_mean, filt_cov, _, pred_cov = information_filter(
+        companion(phi), state_noise_cov(r, s), init_cov, obs_prec, obs_rhs
+    )
+    return filt_mean, filt_cov, pred_cov
 
 
 def backward_sample_paths(
     filt_mean: np.ndarray,
     filt_cov: np.ndarray,
+    pred_cov: np.ndarray,
     trans: np.ndarray,
     r: int,
     rng: np.random.Generator,
-    n_paths: int = 1,
 ) -> np.ndarray:
-    """Joint state-path draws from filtered moments, vectorized over paths.
+    """One joint state-path draw from the filtered moments.
 
-    Works backward conditioning each state on the drawn successor.  The
+    Works backward conditioning each state on the drawn successor, with
+    the backward conditionals and their PSD roots computed for all t at
+    once and one (T+1, s) normal block whose row k serves time T - k.  The
     companion structure makes part of each conditional degenerate; the
     lagged coordinates are overwritten with exact copies after drawing.
     """
     T = filt_mean.shape[0] - 1
     s = trans.shape[0]
-    q = state_noise_cov(r, s)
-    out = np.empty((n_paths, T + 1, s))
-    out[:, T] = filt_mean[T] + rng.standard_normal((n_paths, s)) @ _psd_sqrt(
-        filt_cov[T]
-    ).T
+    gains, offsets, covs = backward_conditionals(trans, filt_mean, filt_cov, pred_cov)
+    roots = _psd_sqrt(np.concatenate([covs, filt_cov[T:]]))
+    z = rng.standard_normal((T + 1, s))[::-1]
+    shocks = np.einsum("tab,tb->ta", roots, z)
+    path = np.empty((T + 1, s))
+    path[T] = filt_mean[T] + shocks[T]
     for t in range(T - 1, -1, -1):
-        p = filt_cov[t]
-        pp = trans @ p @ trans.T + q
-        pp = 0.5 * (pp + pp.T)
-        gain = np.linalg.solve(pp, trans @ p).T
-        resid = out[:, t + 1] - filt_mean[t] @ trans.T
-        mean_c = filt_mean[t] + resid @ gain.T
-        cov_c = p - gain @ trans @ p
-        cov_c = 0.5 * (cov_c + cov_c.T)
-        out[:, t] = mean_c + rng.standard_normal((n_paths, s)) @ _psd_sqrt(cov_c).T
+        path[t] = offsets[t] + gains[t] @ path[t + 1] + shocks[t]
         if s > r:
-            out[:, t, : s - r] = out[:, t + 1, r:]
-    return out
+            path[t, : s - r] = path[t + 1, r:]
+    return path
 
 
 def sample_states_ffbs(
@@ -203,7 +200,7 @@ def sample_states_ffbs(
     With no available data the draw comes from the prior state process.
     Returns a (T+1, s) path including the origin state.
     """
-    filt_mean, filt_cov = _filter_fixed_theta(
+    filt_mean, filt_cov, pred_cov = _filter_fixed_theta(
         panel.values, panel.mask, lambdas, sigma2, phi, prior.init_state_cov
     )
     r, s = phi.shape
@@ -214,15 +211,15 @@ def sample_states_ffbs(
         path = np.empty(T + 1)
         m = filt_mean[:, 0]
         pv = filt_cov[:, 0, 0]
+        pp = pred_cov[:, 0, 0]
         path[T] = m[T] + math.sqrt(pv[T]) * z[T]
         for t in range(T - 1, -1, -1):
-            pp = ph * ph * pv[t] + 1.0
-            gain = pv[t] * ph / pp
+            gain = pv[t] * ph / pp[t]
             mean_c = m[t] + gain * (path[t + 1] - ph * m[t])
             var_c = pv[t] - gain * ph * pv[t]
             path[t] = mean_c + math.sqrt(max(var_c, 0.0)) * z[t]
         return path[:, None]
-    return backward_sample_paths(filt_mean, filt_cov, companion(phi), r, rng, 1)[0]
+    return backward_sample_paths(filt_mean, filt_cov, pred_cov, companion(phi), r, rng)
 
 
 def sample_parameters(

@@ -42,8 +42,13 @@ class TimeSeriesPanel:
             raise DomainError("mask shape does not match values shape")
         if len(self.names) != values.shape[1]:
             raise DomainError("number of names does not match number of columns")
-        if np.any(np.isnan(values[mask])):
-            raise DomainError("available cells must hold finite values, not NaN")
+        bad = np.argwhere(mask & ~np.isfinite(values))
+        if bad.size:
+            t, j = bad[0]
+            raise DomainError(
+                f"available cell at time step {t + 1}, column {str(self.names[j])!r} "
+                f"holds {values[t, j]}; available cells must be finite"
+            )
         if np.any(~np.isnan(values[~mask])):
             raise DomainError("missing cells must hold the NaN marker")
         values = values.copy()
@@ -103,6 +108,9 @@ def load_csv(path, missing_token: str = "") -> TimeSeriesPanel:
     PanelFormatError
         On an empty file, ragged rows, or cells that parse as neither a
         number nor the missing token (the error names the row and column).
+    DomainError
+        On a cell that parses to an infinite value (names the time step and
+        column).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

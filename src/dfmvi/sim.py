@@ -1,9 +1,11 @@
 """Synthetic panel generation and independent brute-force test oracles.
 
 The oracles here deliberately avoid the production filter code: state
-moments come from conditioning an explicitly assembled joint Gaussian, and
-the objective is cross-checked by plain Monte Carlo averaging over the
-variational densities.  Desk-scale only; hard size caps keep the dense
+moments come from conditioning an explicitly assembled joint Gaussian or
+from a covariance-form filter over the uncollapsed augmented system, the
+collapse is redone one time step at a time, and the objective is
+cross-checked by plain Monte Carlo averaging over the variational
+densities.  Desk-scale only; hard size caps keep the dense
 constructions honest.
 """
 
@@ -16,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln, logsumexp
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .model import ModelSpec
 from .panel import TimeSeriesPanel
 
@@ -319,6 +321,211 @@ def dense_fixed_moments(
 def dense_gaussian_oracle(panel, state, prior) -> DenseMoments:
     """Exact posterior state moments for a variational state (desk scale)."""
     return dense_variational_moments(panel, state.loadings, state.transition, prior)
+
+
+# ---------------------------------------------------------------------------
+# per-step collapse and the uncollapsed reference filter
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _chol(a: np.ndarray, context: str) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"matrix not positive definite: {context}") from None
+
+
+def _chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return scipy.linalg.cho_solve((chol_lower, True), b, check_finite=False)
+
+
+@dataclass(frozen=True)
+class CollapsedObservation:
+    """One collapsed observation: GLS state summary and its noise covariance."""
+
+    y_star: np.ndarray
+    H_star: np.ndarray
+
+
+def collapsed(params, t: int) -> CollapsedObservation:
+    """Collapsed observation for time t (1-based) of a collapsed system."""
+    return CollapsedObservation(params.y_star[t - 1], params.H_star[t - 1])
+
+
+def build_sigma_theta(
+    mask_t: np.ndarray,
+    loading_covs: np.ndarray,
+    trans_cov: np.ndarray,
+    r: int,
+    is_last: bool,
+) -> np.ndarray:
+    """Parameter-uncertainty precision attached to the zero pseudo-observations.
+
+    Sums the loading covariances of the variables available at time t and,
+    for every step but the last, adds r times the transition covariance.
+    The final step omits the transition term: its contribution is carried
+    by the origin state covariance instead.
+    """
+    out = np.einsum("i,iab->ab", mask_t.astype(float), loading_covs)
+    if not is_last:
+        out = out + r * trans_cov
+    return _sym(out)
+
+
+def collapse_observation(
+    y_t: np.ndarray,
+    mask_t: np.ndarray,
+    loading_mean: np.ndarray,
+    noise_prec: np.ndarray,
+    sigma_theta_t: np.ndarray,
+) -> CollapsedObservation:
+    """Collapse one augmented observation to its s-dimensional GLS summary.
+
+    Masked-out entries of ``y_t`` are ignored regardless of content.  The
+    returned covariance is the inverse of the total observation precision
+    M' A Psi^-1 M + Sigma_theta, symmetrized.
+
+    Raises
+    ------
+    NumericalError
+        If the precision sum is singular, which can only happen when
+        sigma_theta_t is singular and no data row is available.
+    """
+    w = np.where(mask_t, noise_prec, 0.0)
+    gram = (loading_mean * w[:, None]).T @ loading_mean
+    prec = gram + sigma_theta_t
+    try:
+        chol = np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            "singular collapsed observation precision; use positive definite "
+            "priors or trim trailing all-missing time steps"
+        ) from None
+    rhs = loading_mean.T @ (w * np.where(mask_t, y_t, 0.0))
+    y_star = _chol_solve(chol, rhs)
+    h_star = _sym(_chol_solve(chol, np.eye(chol.shape[0])))
+    return CollapsedObservation(y_star=y_star, H_star=h_star)
+
+
+def remainder_loglik_terms(
+    y_t: np.ndarray,
+    mask_t: np.ndarray,
+    loading_mean: np.ndarray,
+    noise_var: np.ndarray,
+    sigma_theta_t: np.ndarray,
+    y_star_t: np.ndarray,
+) -> float:
+    """Quadratic form of the residual left over after collapsing time t.
+
+    The residual stacks the available data rows net of their fitted values
+    at the GLS summary, and the negated summary itself against the zero
+    pseudo-observations; the weights are the corresponding precisions.
+    """
+    avail = mask_t.astype(bool)
+    resid = y_t[avail] - loading_mean[avail] @ y_star_t
+    quad = float(np.sum(resid**2 / noise_var[avail]))
+    quad += float(y_star_t @ sigma_theta_t @ y_star_t)
+    return quad
+
+
+def decomposed_loglik(params, filt, mask: np.ndarray, noise_var: np.ndarray) -> float:
+    """Full-system log-likelihood recovered from collapsed quantities.
+
+    Combines the collapsed-filter log-likelihood with the remainder
+    residual part and the change-of-variables determinants of the
+    collapse, all read from a collapsed system ``params`` and its filter
+    pass ``filt``.  Matches the log-likelihood of the uncollapsed augmented
+    filter exactly.
+    """
+    counts = mask.sum(axis=0).astype(float)
+    obs_total = float(counts.sum())
+    return (
+        filt.loglik
+        - 0.5 * obs_total * _LN2PI
+        - 0.5 * float(params.remainder_quads.sum())
+        + 0.5 * float(params.h_star_logdet.sum())
+        - 0.5 * float(np.dot(counts, np.log(noise_var)))
+        + 0.5 * float(params.sigma_theta_logdet.sum())
+    )
+
+
+def augmented_moments(
+    values: np.ndarray,
+    mask: np.ndarray,
+    loading_mean: np.ndarray,
+    loading_covs: np.ndarray,
+    noise_var: np.ndarray,
+    trans_mean: np.ndarray,
+    trans_cov: np.ndarray,
+    init_state_cov: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Reference path: filter and smooth the uncollapsed augmented system.
+
+    Stacks, at each time step, the available data rows on the s zero
+    pseudo-observations with covariance blockdiag(noise, inverse of the
+    parameter-uncertainty precision), and runs a standard covariance-form
+    filter/smoother.  Returns (smoothed means, smoothed covariances,
+    lag-one top-r cross moments, log-likelihood).  Intended for
+    validation; cost grows with n.
+    """
+    T, n = values.shape
+    r, s = trans_mean.shape
+    trans = _companion(trans_mean)
+    q = np.zeros((s, s))
+    q[:r, :r] = np.eye(r)
+
+    init_prec = np.linalg.inv(init_state_cov) + r * trans_cov
+    p0 = _sym(np.linalg.inv(_sym(init_prec)))
+
+    filt_mean = np.zeros((T + 1, s))
+    filt_cov = np.zeros((T + 1, s, s))
+    pred_mean = np.zeros((T, s))
+    pred_cov = np.zeros((T, s, s))
+    filt_cov[0] = p0
+    loglik = 0.0
+    for t in range(1, T + 1):
+        a = trans @ filt_mean[t - 1]
+        p = _sym(trans @ filt_cov[t - 1] @ trans.T + q)
+        pred_mean[t - 1] = a
+        pred_cov[t - 1] = p
+
+        avail = mask[t - 1]
+        sigma_theta = build_sigma_theta(avail, loading_covs, trans_cov, r, t == T)
+        c = np.vstack([loading_mean[avail], np.eye(s)])
+        robs = scipy.linalg.block_diag(
+            np.diag(noise_var[avail]), np.linalg.inv(sigma_theta)
+        )
+        z = np.concatenate([values[t - 1][avail], np.zeros(s)])
+
+        innov = z - c @ a
+        g = c @ p @ c.T + robs
+        chol = _chol(_sym(g), f"augmented system at time step {t}")
+        gain = _chol_solve(chol, c @ p).T
+        filt_mean[t] = a + gain @ innov
+        imkc = np.eye(s) - gain @ c
+        filt_cov[t] = _sym(imkc @ p @ imkc.T + gain @ robs @ gain.T)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        loglik += -0.5 * (
+            z.shape[0] * _LN2PI + logdet + float(innov @ _chol_solve(chol, innov))
+        )
+
+    mean = filt_mean.copy()
+    cov = filt_cov.copy()
+    lag_one = np.zeros((T, r, s))
+    gains = np.zeros((T, s, s))
+    for t in range(T - 1, -1, -1):
+        chol = _chol(pred_cov[t], f"augmented smoother at time step {t + 1}")
+        j = _chol_solve(chol, trans @ filt_cov[t]).T
+        gains[t] = j
+        mean[t] = filt_mean[t] + j @ (mean[t + 1] - pred_mean[t])
+        cov[t] = _sym(filt_cov[t] + j @ (cov[t + 1] - pred_cov[t]) @ j.T)
+    for t in range(1, T + 1):
+        cross = cov[t] @ gains[t - 1].T + np.outer(mean[t], mean[t - 1])
+        lag_one[t - 1] = cross[:r, :]
+    return mean, cov, lag_one, loglik
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Kalman filtering and smoothing over the collapsed factor state space.
+"""One state-space kernel for the collapsed factor system and the Gibbs sampler.
 
 The factor density targeted by the variational state update is the
 smoothing law of a linear-Gaussian system whose observation vector stacks
@@ -8,10 +8,22 @@ parameter densities shrink the state toward its unconditional mean.
 
 Collapsing projects that (n_t + s)-dimensional observation onto the
 s-dimensional GLS summary of the state, which is sufficient for filtering
-and much cheaper when n >> s.  This module implements the collapse, the
-filter/smoother over the collapsed system, an uncollapsed reference path,
-and the decomposition that recovers the full-system log-likelihood from
-collapsed quantities.
+and much cheaper when n >> s.  The collapsed system observes the state
+through the identity, so one forward loop in information form serves
+every consumer: step t takes an observation precision O_t and an
+information vector b_t, and a step with O_t = 0 is a pure prediction.
+
+- The variational smoother (:func:`kalman_filter`, :func:`kalman_smoother`)
+  feeds O_t = H_star_t^-1 and b_t = O_t y_star_t, then forms the
+  innovation covariances, their log-determinants and quadratic forms in
+  one batched pass over time and all smoother gains in one batched solve.
+- The Gibbs forward-filter backward-sampler feeds the plain model's
+  precision at a parameter draw and reuses the batched gains for its
+  backward draws.
+
+The per-step collapse, the uncollapsed reference filter and the
+log-likelihood decomposition that validate this module live with the test
+oracles in ``dfmvi.sim``.
 
 Conventions: time-major arrays; index t = 0 is the pre-sample state, data
 run t = 1..T.  ``y_star[t-1]`` and friends refer to time t.
@@ -63,10 +75,6 @@ def chol_inverse(chol_lower: np.ndarray) -> np.ndarray:
     return chol_solve(chol_lower, np.eye(chol_lower.shape[0]))
 
 
-def chol_logdet(chol_lower: np.ndarray) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
-
-
 def companion(trans_mean: np.ndarray) -> np.ndarray:
     """Companion-form transition: the r x s block on top, shifted identity below."""
     r, s = trans_mean.shape
@@ -82,14 +90,6 @@ def state_noise_cov(r: int, s: int) -> np.ndarray:
     q = np.zeros((s, s))
     q[:r, :r] = np.eye(r)
     return q
-
-
-@dataclass(frozen=True)
-class CollapsedObservation:
-    """One collapsed observation: GLS state summary and its noise covariance."""
-
-    y_star: np.ndarray
-    H_star: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,6 @@ class SsmParams:
     @property
     def s(self) -> int:
         return self.transition.shape[0]
-
-    def collapsed(self, t: int) -> CollapsedObservation:
-        """Collapsed observation for time t (1-based)."""
-        return CollapsedObservation(self.y_star[t - 1], self.H_star[t - 1])
 
 
 @dataclass(frozen=True)
@@ -159,82 +155,6 @@ class StateMoments:
     loglik: float
 
 
-def build_sigma_theta(
-    mask_t: np.ndarray,
-    loading_covs: np.ndarray,
-    trans_cov: np.ndarray,
-    r: int,
-    is_last: bool,
-) -> np.ndarray:
-    """Parameter-uncertainty precision attached to the zero pseudo-observations.
-
-    Sums the loading covariances of the variables available at time t and,
-    for every step but the last, adds r times the transition covariance.
-    The final step omits the transition term: its contribution is carried
-    by the origin state covariance instead.
-    """
-    out = np.einsum("i,iab->ab", mask_t.astype(float), loading_covs)
-    if not is_last:
-        out = out + r * trans_cov
-    return symmetrize(out)
-
-
-def collapse_observation(
-    y_t: np.ndarray,
-    mask_t: np.ndarray,
-    loading_mean: np.ndarray,
-    noise_prec: np.ndarray,
-    sigma_theta_t: np.ndarray,
-) -> CollapsedObservation:
-    """Collapse one augmented observation to its s-dimensional GLS summary.
-
-    Masked-out entries of ``y_t`` are ignored regardless of content.  The
-    returned covariance is the inverse of the total observation precision
-    M' A Psi^-1 M + Sigma_theta, symmetrized.
-
-    Raises
-    ------
-    NumericalError
-        If the precision sum is singular, which can only happen when
-        sigma_theta_t is singular and no data row is available.
-    """
-    w = np.where(mask_t, noise_prec, 0.0)
-    gram = (loading_mean * w[:, None]).T @ loading_mean
-    prec = gram + sigma_theta_t
-    try:
-        chol = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            "singular collapsed observation precision; use positive definite "
-            "priors or trim trailing all-missing time steps"
-        ) from None
-    rhs = loading_mean.T @ (w * np.where(mask_t, y_t, 0.0))
-    y_star = chol_solve(chol, rhs)
-    h_star = symmetrize(chol_inverse(chol))
-    return CollapsedObservation(y_star=y_star, H_star=h_star)
-
-
-def remainder_loglik_terms(
-    y_t: np.ndarray,
-    mask_t: np.ndarray,
-    loading_mean: np.ndarray,
-    noise_var: np.ndarray,
-    sigma_theta_t: np.ndarray,
-    y_star_t: np.ndarray,
-) -> float:
-    """Quadratic form of the residual left over after collapsing time t.
-
-    The residual stacks the available data rows net of their fitted values
-    at the GLS summary, and the negated summary itself against the zero
-    pseudo-observations; the weights are the corresponding precisions.
-    """
-    avail = mask_t.astype(bool)
-    resid = y_t[avail] - loading_mean[avail] @ y_star_t
-    quad = float(np.sum(resid**2 / noise_var[avail]))
-    quad += float(y_star_t @ sigma_theta_t @ y_star_t)
-    return quad
-
-
 def build_collapsed_system(
     values: np.ndarray,
     mask: np.ndarray,
@@ -247,9 +167,12 @@ def build_collapsed_system(
 ) -> SsmParams:
     """Assemble the collapsed system for a full panel in vectorized form.
 
-    Equivalent to calling :func:`build_sigma_theta` and
-    :func:`collapse_observation` per time step, with the collapse
-    byproducts (logdets and remainder quadratics) computed along the way.
+    The sigma_theta_t precision sums the loading covariances of the
+    variables available at time t and, for every step but the last, r
+    times the transition covariance; the final step's transition term is
+    carried by the origin state covariance instead.  The collapse
+    byproducts (logdets and remainder quadratics) are computed along the
+    way.  ``dfmvi.sim`` holds the per-step reference construction.
     """
     T, n = values.shape
     r, s = trans_mean.shape
@@ -298,52 +221,136 @@ def build_collapsed_system(
     )
 
 
+def information_filter(
+    transition: np.ndarray,
+    noise_cov: np.ndarray,
+    init_cov: np.ndarray,
+    obs_prec: np.ndarray,
+    obs_info: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Forward filter with an identity observation matrix, in information form.
+
+    Time t (1-based) contributes precision ``obs_prec[t-1]`` and information
+    vector ``obs_info[t-1]``; a zero precision makes the step a pure
+    prediction.  Each step predicts a = F m and P = F C F' + Q, then updates
+    C = (I + P O)^-1 P, the inverse of P^-1 + O, and m = a + C (b - O a).
+
+    Returns the filtered means (T+1, s) and covariances (T+1, s, s), index 0
+    being the origin state, and the one-step predicted means (T, s) and
+    covariances (T, s, s) of states 1..T.
+
+    Raises
+    ------
+    NumericalError
+        If an update matrix I + P O is singular (names the time step).
+    """
+    T, s = obs_info.shape
+    trans_t = transition.T
+    eye = np.eye(s)
+    filt_mean = np.zeros((T + 1, s))
+    filt_cov = np.empty((T + 1, s, s))
+    pred_mean = np.empty((T, s))
+    pred_cov = np.empty((T, s, s))
+    filt_cov[0] = init_cov
+    m, c = filt_mean[0], init_cov
+    try:
+        for t in range(T):
+            a = transition @ m
+            p = transition @ c @ trans_t + noise_cov
+            p = 0.5 * (p + p.T)
+            o = obs_prec[t]
+            c = np.linalg.solve(eye + p @ o, p)
+            c = 0.5 * (c + c.T)
+            m = a + c @ (obs_info[t] - o @ a)
+            pred_mean[t] = a
+            pred_cov[t] = p
+            filt_mean[t + 1] = m
+            filt_cov[t + 1] = c
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"singular state update at time step {t + 1}") from None
+    return filt_mean, filt_cov, pred_mean, pred_cov
+
+
+def backward_conditionals(
+    transition: np.ndarray,
+    filt_mean: np.ndarray,
+    filt_cov: np.ndarray,
+    pred_cov: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Law of state t given state t+1 and the data up to t, for t = 0..T-1.
+
+    State t given state t+1 = x is normal with mean offset_t + J_t x and
+    covariance C_t - J_t F C_t, where J_t = C_t F' P_{t+1}^-1 and
+    offset_t = m_t - J_t F m_t.  Returns (gains, offsets, covariances),
+    all gains from one batched solve; the smoother and the backward
+    sampler share them.
+
+    Raises
+    ------
+    NumericalError
+        If a predicted state covariance is singular.
+    """
+    try:
+        gains = np.linalg.solve(pred_cov, transition @ filt_cov[:-1]).swapaxes(-1, -2)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            "singular predicted state covariance in the backward pass"
+        ) from None
+    gain_trans = gains @ transition
+    offsets = filt_mean[:-1] - np.einsum("tab,tb->ta", gain_trans, filt_mean[:-1])
+    covs = symmetrize(filt_cov[:-1] - gain_trans @ filt_cov[:-1])
+    return gains, offsets, covs
+
+
+def _batched_cholesky(a: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factors of a (T, s, s) stack whose entry t-1 belongs to time t.
+
+    Falls back to :func:`chol_factor` step by step when the stack holds a
+    matrix that is not positive definite, so the jitter retries apply and
+    the error names the first failing time step.
+    """
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return np.stack(
+            [
+                chol_factor(m, context=f"{what} at time step {t}")
+                for t, m in enumerate(a, start=1)
+            ]
+        )
+
+
 def kalman_filter(params: SsmParams) -> FilterResult:
     """Forward pass over the collapsed system.
 
-    The observation matrix is the identity, so the innovation at time t is
-    y_star_t minus the one-step state prediction and its covariance is the
-    predicted state covariance plus H_star_t.  Covariances are kept
-    symmetric with a Joseph-form update.  The returned log-likelihood is
-    the standard Gaussian filter expression over the collapsed sequence.
+    The observation matrix is the identity, so :func:`information_filter`
+    runs with precision H_star_t^-1 and information H_star_t^-1 y_star_t.
+    The innovations y_star_t minus the one-step state prediction, their
+    covariances P_t + H_star_t, the log-determinants, the quadratic forms
+    and the Gaussian log-likelihood of the collapsed sequence then follow
+    in one batched pass over time.
     """
-    T, s = params.y_star.shape
-    trans = params.transition
-    q = state_noise_cov(params.r, s)
+    s = params.s
+    try:
+        obs_prec = np.linalg.inv(params.H_star)
+    except np.linalg.LinAlgError:
+        raise NumericalError("singular collapsed observation covariance") from None
+    obs_info = np.einsum("tab,tb->ta", obs_prec, params.y_star)
+    filt_mean, filt_cov, pred_mean, pred_cov = information_filter(
+        params.transition,
+        state_noise_cov(params.r, s),
+        symmetrize(params.init_cov),
+        obs_prec,
+        obs_info,
+    )
 
-    filt_mean = np.zeros((T + 1, s))
-    filt_cov = np.zeros((T + 1, s, s))
-    pred_mean = np.zeros((T, s))
-    pred_cov = np.zeros((T, s, s))
-    innovations = np.zeros((T, s))
-    innovation_cov = np.zeros((T, s, s))
-    quads = np.zeros(T)
-    logdets = np.zeros(T)
-
-    filt_cov[0] = symmetrize(params.init_cov)
-    eye = np.eye(s)
-    loglik = 0.0
-    for t in range(1, T + 1):
-        a = trans @ filt_mean[t - 1]
-        p = symmetrize(trans @ filt_cov[t - 1] @ trans.T + q)
-        pred_mean[t - 1] = a
-        pred_cov[t - 1] = p
-
-        h = params.H_star[t - 1]
-        g = symmetrize(p + h)
-        chol = chol_factor(g, context=f"innovation covariance at time step {t}")
-        eps = params.y_star[t - 1] - a
-        ginv_eps = chol_solve(chol, eps)
-        gain = chol_solve(chol, p).T  # K = P G^-1
-        filt_mean[t] = a + gain @ eps
-        imk = eye - gain
-        filt_cov[t] = symmetrize(imk @ p @ imk.T + gain @ h @ gain.T)
-
-        innovations[t - 1] = eps
-        innovation_cov[t - 1] = g
-        quads[t - 1] = float(eps @ ginv_eps)
-        logdets[t - 1] = chol_logdet(chol)
-        loglik += -0.5 * (s * _LN2PI + logdets[t - 1] + quads[t - 1])
+    innovations = params.y_star - pred_mean
+    innovation_cov = symmetrize(pred_cov + params.H_star)
+    chol = _batched_cholesky(innovation_cov, "innovation covariance")
+    whitened = np.linalg.solve(chol, innovations[:, :, None])[:, :, 0]
+    quads = np.einsum("ta,ta->t", whitened, whitened)
+    logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    loglik = -0.5 * float(np.sum(s * _LN2PI + logdets + quads))
 
     return FilterResult(
         filt_mean=filt_mean,
@@ -361,41 +368,36 @@ def kalman_filter(params: SsmParams) -> FilterResult:
 def kalman_smoother(filt: FilterResult, params: SsmParams) -> StateMoments:
     """Fixed-interval smoother with lag-one cross second moments.
 
+    With the backward conditionals of :func:`backward_conditionals`, the
+    smoothed mean at t is offset_t + J_t times the smoothed mean at t+1 and
+    the smoothed covariance adds J_t (smoothed covariance at t+1) J_t' to
+    the conditional covariance; the loop carries only these recursions.
     The lag-one covariance Cov[F_t, F_{t-1} | data] equals the smoothed
-    covariance at t times the transpose of the smoothing gain at t-1, an
-    identity that follows from the backward conditional mean being linear
-    in the next state; it is validated against a dense joint-Gaussian
-    oracle in the tests.
+    covariance at t times the transpose of the gain at t-1, an identity
+    that follows from the backward conditional mean being linear in the
+    next state; it is validated against a dense joint-Gaussian oracle in
+    the tests.
     """
-    T, s = params.y_star.shape
-    trans = params.transition
-    r = params.r
+    gains, offsets, cond_covs = backward_conditionals(
+        params.transition, filt.filt_mean, filt.filt_cov, filt.pred_cov
+    )
+    gains_t = gains.swapaxes(-1, -2)
 
     mean = filt.filt_mean.copy()
     cov = filt.filt_cov.copy()
-    lag_one = np.zeros((T, r, s))
-
-    gains = np.zeros((T, s, s))  # gains[t] smooths state t given state t+1
-    for t in range(T - 1, -1, -1):
-        p_pred = filt.pred_cov[t]
-        chol = chol_factor(p_pred, context=f"predicted covariance at time step {t + 1}")
-        j = chol_solve(chol, trans @ filt.filt_cov[t]).T
-        gains[t] = j
-        mean[t] = filt.filt_mean[t] + j @ (mean[t + 1] - filt.pred_mean[t])
-        cov[t] = symmetrize(
-            filt.filt_cov[t] + j @ (cov[t + 1] - p_pred) @ j.T
-        )
+    for t in range(params.T - 1, -1, -1):
+        mean[t] = offsets[t] + gains[t] @ mean[t + 1]
+        cov[t] = cond_covs[t] + gains[t] @ cov[t + 1] @ gains_t[t]
+    cov = symmetrize(cov)
 
     second = symmetrize(cov + mean[:, :, None] * mean[:, None, :])
-    for t in range(1, T + 1):
-        cross = cov[t] @ gains[t - 1].T + np.outer(mean[t], mean[t - 1])
-        lag_one[t - 1] = cross[:r, :]
+    cross = cov[1:] @ gains_t + mean[1:, :, None] * mean[:-1, None, :]
 
     return StateMoments(
         mean=mean,
         cov=cov,
         second_moment=second,
-        lag_one=lag_one,
+        lag_one=cross[:, : params.r, :],
         innovations=filt.innovations,
         innovation_cov=filt.innovation_cov,
         innovation_quads=filt.innovation_quads,
@@ -407,98 +409,3 @@ def kalman_smoother(filt: FilterResult, params: SsmParams) -> StateMoments:
 def smooth_collapsed(params: SsmParams) -> StateMoments:
     """Filter and smooth in one call."""
     return kalman_smoother(kalman_filter(params), params)
-
-
-def decomposed_loglik(
-    params: SsmParams, filt: FilterResult, mask: np.ndarray, noise_var: np.ndarray
-) -> float:
-    """Full-system log-likelihood recovered from collapsed quantities.
-
-    Combines the collapsed-filter log-likelihood with the remainder
-    residual part and the change-of-variables determinants of the
-    collapse.  Matches the log-likelihood of the uncollapsed augmented
-    filter exactly.
-    """
-    counts = mask.sum(axis=0).astype(float)
-    obs_total = float(counts.sum())
-    return (
-        filt.loglik
-        - 0.5 * obs_total * _LN2PI
-        - 0.5 * float(params.remainder_quads.sum())
-        + 0.5 * float(params.h_star_logdet.sum())
-        - 0.5 * float(np.dot(counts, np.log(noise_var)))
-        + 0.5 * float(params.sigma_theta_logdet.sum())
-    )
-
-
-def augmented_moments(
-    values: np.ndarray,
-    mask: np.ndarray,
-    loading_mean: np.ndarray,
-    loading_covs: np.ndarray,
-    noise_var: np.ndarray,
-    trans_mean: np.ndarray,
-    trans_cov: np.ndarray,
-    init_state_cov: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Reference path: filter and smooth the uncollapsed augmented system.
-
-    Stacks, at each time step, the available data rows on the s zero
-    pseudo-observations with covariance blockdiag(noise, inverse of the
-    parameter-uncertainty precision), and runs a standard filter/smoother.
-    Returns (smoothed means, smoothed covariances, lag-one top-r cross
-    moments, log-likelihood).  Intended for validation; cost grows with n.
-    """
-    T, n = values.shape
-    r, s = trans_mean.shape
-    trans = companion(trans_mean)
-    q = state_noise_cov(r, s)
-
-    init_prec = np.linalg.inv(init_state_cov) + r * trans_cov
-    p0 = symmetrize(np.linalg.inv(symmetrize(init_prec)))
-
-    filt_mean = np.zeros((T + 1, s))
-    filt_cov = np.zeros((T + 1, s, s))
-    pred_mean = np.zeros((T, s))
-    pred_cov = np.zeros((T, s, s))
-    filt_cov[0] = p0
-    loglik = 0.0
-    for t in range(1, T + 1):
-        a = trans @ filt_mean[t - 1]
-        p = symmetrize(trans @ filt_cov[t - 1] @ trans.T + q)
-        pred_mean[t - 1] = a
-        pred_cov[t - 1] = p
-
-        avail = mask[t - 1]
-        sigma_theta = build_sigma_theta(avail, loading_covs, trans_cov, r, t == T)
-        c = np.vstack([loading_mean[avail], np.eye(s)])
-        robs = scipy.linalg.block_diag(
-            np.diag(noise_var[avail]), np.linalg.inv(sigma_theta)
-        )
-        z = np.concatenate([values[t - 1][avail], np.zeros(s)])
-
-        innov = z - c @ a
-        g = c @ p @ c.T + robs
-        chol = chol_factor(symmetrize(g), context=f"augmented system at time step {t}")
-        gain = chol_solve(chol, c @ p).T
-        filt_mean[t] = a + gain @ innov
-        imkc = np.eye(s) - gain @ c
-        filt_cov[t] = symmetrize(imkc @ p @ imkc.T + gain @ robs @ gain.T)
-        loglik += -0.5 * (
-            z.shape[0] * _LN2PI + chol_logdet(chol) + float(innov @ chol_solve(chol, innov))
-        )
-
-    mean = filt_mean.copy()
-    cov = filt_cov.copy()
-    lag_one = np.zeros((T, r, s))
-    gains = np.zeros((T, s, s))
-    for t in range(T - 1, -1, -1):
-        chol = chol_factor(pred_cov[t], context=f"augmented smoother at time step {t + 1}")
-        j = chol_solve(chol, trans @ filt_cov[t]).T
-        gains[t] = j
-        mean[t] = filt_mean[t] + j @ (mean[t + 1] - pred_mean[t])
-        cov[t] = symmetrize(filt_cov[t] + j @ (cov[t + 1] - pred_cov[t]) @ j.T)
-    for t in range(1, T + 1):
-        cross = cov[t] @ gains[t - 1].T + np.outer(mean[t], mean[t - 1])
-        lag_one[t - 1] = cross[:r, :]
-    return mean, cov, lag_one, loglik

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dfmvi import cli, gibbs, statespace, vi
+from dfmvi import cli, gibbs, sim, statespace, vi
 from dfmvi.model import ModelSpec, PriorSpec, default_prior
 from dfmvi.panel import from_arrays, load_csv, standardize
 from dfmvi.sim import (
@@ -160,7 +160,7 @@ def test_criterion_03_collapse_equivalence():
     for pan, spec, prior, state in _random_instances(50):
         loadings, transition = state.loadings, state.transition
         moments, params = vi.update_states(pan, loadings, transition, prior)
-        aug_mean, aug_cov, aug_lag, aug_ll = statespace.augmented_moments(
+        aug_mean, aug_cov, aug_lag, aug_ll = sim.augmented_moments(
             pan.values, pan.mask, loadings.mean, loadings.cov,
             loadings.noise_scale, transition.mean, transition.cov,
             prior.init_state_cov,
@@ -173,7 +173,7 @@ def test_criterion_03_collapse_equivalence():
         )
         assert worst_m < 1e-8
         filt = statespace.kalman_filter(params)
-        dec = statespace.decomposed_loglik(params, filt, pan.mask, loadings.noise_scale)
+        dec = sim.decomposed_loglik(params, filt, pan.mask, loadings.noise_scale)
         worst_l = max(worst_l, abs(dec - aug_ll))
         assert worst_l < 1e-8
     print(

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
-from dfmvi import gibbs
+from dfmvi import gibbs, statespace
 from dfmvi.errors import DomainError
 from dfmvi.model import ModelSpec, PriorSpec, default_prior, identification_restrictions
 from dfmvi.panel import from_arrays
@@ -21,26 +21,57 @@ def test_config_validation():
 
 
 def test_state_draws_without_data_follow_prior_process():
-    spec = ModelSpec(n=2, r=1, p=0)
+    # p=0 runs the scalar recursion; p=1 (s=2) runs the shared kernel, where
+    # every step carries zero observation precision and is a pure prediction.
+    for p, phi in ((0, np.array([[0.6]])), (1, np.array([[0.6, 0.2]]))):
+        spec = ModelSpec(n=2, r=1, p=p)
+        prior = default_prior(spec)
+        pan = from_arrays(np.full((4, 2), np.nan))
+        rng = np.random.default_rng(0)
+        draws = np.stack(
+            [
+                gibbs.sample_states_ffbs(
+                    pan, np.ones((2, spec.s)), np.ones(2), phi, prior, rng
+                )
+                for _ in range(30_000)
+            ]
+        )
+        # marginal covariances follow the unobserved state recursion
+        trans = statespace.companion(phi)
+        noise = statespace.state_noise_cov(1, spec.s)
+        want_cov = [prior.init_state_cov]
+        for _ in range(4):
+            want_cov.append(trans @ want_cov[-1] @ trans.T + noise)
+        want_var = np.stack([np.diag(c) for c in want_cov])
+        assert_allclose(draws.mean(axis=0), np.zeros((5, spec.s)), atol=0.03)
+        assert_allclose(draws.var(axis=0), want_var, rtol=0.05)
+        # the lagged coordinate is an exact copy of the previous state
+        if p:
+            assert_array_equal(draws[:, 1:, 1], draws[:, :-1, 0])
+
+
+def test_gibbs_forward_pass_is_collapsed_filter_without_parameter_uncertainty():
+    # With zero loading and transition covariances the collapsed system of
+    # the variational fit is the plain model at fixed parameters, so the
+    # Gibbs forward pass and the collapsed filter must agree (r=2, p=1).
+    spec = ModelSpec(n=6, r=2, p=1)
+    pan, cfg, _ = random_masked_panel(spec, T=12, seed=21, missing_prob=0.0)
+    assert pan.mask.all()
     prior = default_prior(spec)
-    pan = from_arrays(np.full((4, 2), np.nan))
-    rng = np.random.default_rng(0)
-    phi = np.array([[0.6]])
-    draws = np.stack(
-        [
-            gibbs.sample_states_ffbs(
-                pan, np.ones((2, 1)), np.ones(2), phi, prior, rng
-            )[:, 0]
-            for _ in range(30_000)
-        ]
+    rng = np.random.default_rng(22)
+    lambdas = rng.standard_normal((spec.n, spec.s))
+    sigma2 = rng.uniform(0.3, 1.5, spec.n)
+    filt_mean, filt_cov, pred_cov = gibbs._filter_fixed_theta(
+        pan.values, pan.mask, lambdas, sigma2, cfg.trans, prior.init_state_cov
     )
-    # marginal variances follow the unobserved state recursion
-    want_var = [1.0]
-    for _ in range(4):
-        want_var.append(0.36 * want_var[-1] + 1.0)
-    got_var = draws.var(axis=0)
-    assert_allclose(draws.mean(axis=0), np.zeros(5), atol=0.03)
-    assert_allclose(got_var, want_var, rtol=0.05)
+    params = statespace.build_collapsed_system(
+        pan.values, pan.mask, lambdas, np.zeros((spec.n, spec.s, spec.s)),
+        1.0 / sigma2, cfg.trans, np.zeros((spec.s, spec.s)), prior.init_state_cov,
+    )
+    filt = statespace.kalman_filter(params)
+    assert_allclose(filt_mean, filt.filt_mean, rtol=0, atol=1e-12)
+    assert_allclose(filt_cov, filt.filt_cov, rtol=0, atol=1e-12)
+    assert_allclose(pred_cov, filt.pred_cov, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [0, 1])

@@ -171,3 +171,17 @@ def test_availability_counts_match_mask_sums(seed):
     pan = from_arrays(values)
     summary = pan.availability()
     assert_array_equal(summary.counts, mask.sum(axis=0))
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+def test_load_csv_rejects_non_finite_cell_naming_row_and_column(tmp_path, cell):
+    path = tmp_path / "p.csv"
+    path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n")
+    with pytest.raises(DomainError, match=r"time step 2, column 'b'"):
+        load_csv(path)
+
+
+def test_from_arrays_rejects_infinite_cell():
+    values = np.array([[1.0, np.nan], [np.inf, 2.0]])
+    with pytest.raises(DomainError, match=r"time step 2, column 'x'.*finite"):
+        from_arrays(values, names=["x", "y"])

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from dfmvi import statespace, vi
+from dfmvi import sim, statespace, vi
 from dfmvi.errors import NumericalError
 from dfmvi.model import ModelSpec, default_prior
 from dfmvi.sim import dense_gaussian_oracle
@@ -30,7 +30,7 @@ def _gls_collapse_oracle(y, mask, loading_mean, noise_var, sigma_theta):
 
 
 def test_collapse_all_missing_step():
-    out = statespace.collapse_observation(
+    out = sim.collapse_observation(
         y_t=np.array([5.0, -1.0]),
         mask_t=np.zeros(2, dtype=bool),
         loading_mean=np.array([[1.0], [2.0]]),
@@ -42,7 +42,7 @@ def test_collapse_all_missing_step():
 
 
 def test_collapse_scalar_hand_values():
-    out = statespace.collapse_observation(
+    out = sim.collapse_observation(
         y_t=np.array([3.0]),
         mask_t=np.array([True]),
         loading_mean=np.array([[2.0]]),
@@ -54,14 +54,14 @@ def test_collapse_scalar_hand_values():
 
 
 def test_collapse_masked_content_ignored():
-    base = statespace.collapse_observation(
+    base = sim.collapse_observation(
         np.array([3.0, 0.0]),
         np.array([True, False]),
         np.array([[2.0], [1.0]]),
         np.array([1.0, 1.0]),
         np.eye(1),
     )
-    poisoned = statespace.collapse_observation(
+    poisoned = sim.collapse_observation(
         np.array([3.0, 1e9]),
         np.array([True, False]),
         np.array([[2.0], [1.0]]),
@@ -82,7 +82,7 @@ def test_collapse_matches_dense_gls_oracle():
         noise_var = rng.uniform(0.2, 2.0, n)
         a = rng.standard_normal((s, s))
         sigma_theta = a @ a.T + 0.3 * np.eye(s)
-        got = statespace.collapse_observation(
+        got = sim.collapse_observation(
             y, mask, lam, 1.0 / noise_var, sigma_theta
         )
         want_y, want_h = _gls_collapse_oracle(y, mask, lam, noise_var, sigma_theta)
@@ -92,7 +92,7 @@ def test_collapse_matches_dense_gls_oracle():
 
 def test_collapse_singular_precision_raises():
     with pytest.raises(NumericalError, match="positive definite priors"):
-        statespace.collapse_observation(
+        sim.collapse_observation(
             np.array([1.0]),
             np.array([False]),
             np.array([[1.0]]),
@@ -104,15 +104,15 @@ def test_collapse_singular_precision_raises():
 def test_build_sigma_theta_cases():
     covs = np.stack([np.eye(2)] * 3)
     trans_cov = np.eye(2)
-    none_avail = statespace.build_sigma_theta(
+    none_avail = sim.build_sigma_theta(
         np.zeros(3, dtype=bool), covs, trans_cov, r=2, is_last=False
     )
     assert_allclose(none_avail, 2.0 * np.eye(2))
-    all_last = statespace.build_sigma_theta(
+    all_last = sim.build_sigma_theta(
         np.ones(3, dtype=bool), covs, trans_cov, r=2, is_last=True
     )
     assert_allclose(all_last, 3.0 * np.eye(2))
-    two_of_three = statespace.build_sigma_theta(
+    two_of_three = sim.build_sigma_theta(
         np.array([True, False, True]), covs, trans_cov, r=2, is_last=False
     )
     assert_allclose(two_of_three, 4.0 * np.eye(2))
@@ -139,6 +139,26 @@ def test_filter_scalar_single_step():
     smoothed = statespace.kalman_smoother(filt, params)
     assert_allclose(smoothed.mean[1], filt.filt_mean[1])
     assert_allclose(smoothed.cov[1], filt.filt_cov[1])
+
+
+def test_filter_names_first_non_positive_definite_innovation_step():
+    # H_star at time 3 is negative definite, so the innovation covariance
+    # P_3 + H_3 is not positive definite there and nowhere before.
+    s, T = 2, 5
+    h = np.stack([0.5 * np.eye(s)] * T)
+    h[2] = -10.0 * np.eye(s)
+    params = statespace.SsmParams(
+        transition=statespace.companion(np.array([[0.5, 0.2]])),
+        init_cov=np.eye(s),
+        y_star=np.ones((T, s)),
+        H_star=h,
+        r=1,
+        h_star_logdet=np.zeros(T),
+        sigma_theta_logdet=np.zeros(T),
+        remainder_quads=np.zeros(T),
+    )
+    with pytest.raises(NumericalError, match=r"innovation covariance at time step 3\b"):
+        statespace.kalman_filter(params)
 
 
 def test_filter_vacuous_observation_returns_prior_process():
@@ -196,12 +216,12 @@ def test_remainder_terms_all_missing_and_perfect_fit():
     # all missing: residual reduces to the zero-block part
     y_star = np.array([0.7])
     sigma_theta = np.array([[3.0]])
-    quad = statespace.remainder_loglik_terms(
+    quad = sim.remainder_loglik_terms(
         np.array([9.9]), np.array([False]), lam, np.array([1.0]), sigma_theta, y_star
     )
     assert_allclose(quad, 0.7 * 3.0 * 0.7)
     # perfect fit at a zero summary
-    quad0 = statespace.remainder_loglik_terms(
+    quad0 = sim.remainder_loglik_terms(
         np.array([0.0]), np.array([True]), lam, np.array([1.0]), sigma_theta,
         np.array([0.0]),
     )
@@ -211,7 +231,7 @@ def test_remainder_terms_all_missing_and_perfect_fit():
 def test_remainder_terms_scalar_hand_value():
     # y=3, loading 2, unit noise, sigma_theta=1 gives summary 6/5; the
     # residual stacks 3 - 2*6/5 = 3/5 and -6/5 with unit weights.
-    quad = statespace.remainder_loglik_terms(
+    quad = sim.remainder_loglik_terms(
         np.array([3.0]),
         np.array([True]),
         np.array([[2.0]]),
@@ -234,19 +254,19 @@ def test_build_system_matches_per_step_ops():
     )
     T = pan.T
     for t in range(1, T + 1):
-        sigma_theta = statespace.build_sigma_theta(
+        sigma_theta = sim.build_sigma_theta(
             pan.mask[t - 1], loadings.cov, transition.cov, spec.r, t == T
         )
-        single = statespace.collapse_observation(
+        single = sim.collapse_observation(
             pan.filled(0.0)[t - 1], pan.mask[t - 1], loadings.mean,
             loadings.noise_prec, sigma_theta,
         )
         assert_allclose(params.y_star[t - 1], single.y_star, atol=1e-12)
         assert_allclose(params.H_star[t - 1], single.H_star, atol=1e-12)
-        fetched = params.collapsed(t)
+        fetched = sim.collapsed(params, t)
         assert_allclose(fetched.y_star, params.y_star[t - 1], atol=0)
         assert_allclose(fetched.H_star, params.H_star[t - 1], atol=0)
-        quad = statespace.remainder_loglik_terms(
+        quad = sim.remainder_loglik_terms(
             pan.filled(0.0)[t - 1], pan.mask[t - 1], loadings.mean,
             loadings.noise_scale, sigma_theta, single.y_star,
         )
@@ -283,7 +303,7 @@ def test_collapsed_matches_augmented_and_decomposition():
         state = vi.init_from_pca(pan, spec, prior, seed=k)
         loadings, transition = state.loadings, state.transition
         moments, params = vi.update_states(pan, loadings, transition, prior)
-        aug_mean, aug_cov, aug_lag, aug_ll = statespace.augmented_moments(
+        aug_mean, aug_cov, aug_lag, aug_ll = sim.augmented_moments(
             pan.values, pan.mask, loadings.mean, loadings.cov,
             loadings.noise_scale, transition.mean, transition.cov,
             prior.init_state_cov,
@@ -292,7 +312,7 @@ def test_collapsed_matches_augmented_and_decomposition():
         assert_allclose(moments.cov, aug_cov, atol=1e-8)
         assert_allclose(moments.lag_one, aug_lag, atol=1e-8)
         filt = statespace.kalman_filter(params)
-        dec = statespace.decomposed_loglik(
+        dec = sim.decomposed_loglik(
             params, filt, pan.mask, loadings.noise_scale
         )
         assert_allclose(dec, aug_ll, atol=1e-8)
