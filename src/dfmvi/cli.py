@@ -5,7 +5,8 @@ Every command reads an optional declarative JSON config (flags override
 config values), writes its artifacts under a fixed set of filenames in the
 output directory, and records a manifest carrying the config echo, a hash
 of the estimation-relevant configuration, the seed and wall time.
-``compare`` refuses artifact pairs whose configuration hashes differ.
+``compare`` and ``forecast --source gibbs`` refuse fit and Gibbs artifacts
+whose configuration hashes differ.
 """
 
 from __future__ import annotations
@@ -396,6 +397,22 @@ def _load_fit_artifacts(fit_dir):
     return vi.state_from_dict(var_obj["state"]), var_obj, manifest
 
 
+def _require_same_config(fit_manifest, gibbs_dir) -> None:
+    """Refuse a Gibbs run whose configuration hash differs from the fit's."""
+    with open(os.path.join(gibbs_dir, "manifest.json"), encoding="utf-8") as fh:
+        gibbs_manifest = json.load(fh)
+    if fit_manifest["config_hash"] != gibbs_manifest["config_hash"]:
+        diff = {
+            k: (fit_manifest["model"].get(k), gibbs_manifest["model"].get(k))
+            for k in set(fit_manifest["model"]) | set(gibbs_manifest["model"])
+            if fit_manifest["model"].get(k) != gibbs_manifest["model"].get(k)
+        }
+        raise DomainError(
+            "fit and gibbs artifacts were produced under different "
+            f"panel/model/identification settings; differing fields: {diff}"
+        )
+
+
 def cmd_forecast(args, parser) -> int:
     _require_file(parser, args.panel, "panel file")
     _require_file(parser, os.path.join(args.fit, "variational.json"), "fit artifact")
@@ -413,6 +430,7 @@ def cmd_forecast(args, parser) -> int:
         if not args.gibbs:
             parser.error("--source gibbs requires --gibbs DIR")
         _require_file(parser, os.path.join(args.gibbs, "draws.npz"), "draw store")
+        _require_same_config(fit_manifest, args.gibbs)
         source = gibbs.load_draws(os.path.join(args.gibbs, "draws.npz"))
         n_draws = source.n_draws
     else:
@@ -461,18 +479,7 @@ def cmd_compare(args, parser) -> int:
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     state, var_obj, fit_manifest = _load_fit_artifacts(args.fit)
-    with open(os.path.join(args.gibbs, "manifest.json"), encoding="utf-8") as fh:
-        gibbs_manifest = json.load(fh)
-    if fit_manifest["config_hash"] != gibbs_manifest["config_hash"]:
-        diff = {
-            k: (fit_manifest["model"].get(k), gibbs_manifest["model"].get(k))
-            for k in set(fit_manifest["model"]) | set(gibbs_manifest["model"])
-            if fit_manifest["model"].get(k) != gibbs_manifest["model"].get(k)
-        }
-        raise DomainError(
-            "fit and gibbs artifacts were produced under different "
-            f"panel/model/identification settings; differing fields: {diff}"
-        )
+    _require_same_config(fit_manifest, args.gibbs)
     fit_cfg = dict(_CONFIG_DEFAULTS)
     fit_cfg.update(fit_manifest["config"])
     pan, _ = _load_standardized(args.panel, fit_cfg["standardize"])

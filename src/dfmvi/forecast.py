@@ -16,7 +16,7 @@ import numpy as np
 
 from . import vi
 from .errors import DomainError
-from .gibbs import DrawStore, _psd_sqrt
+from .gibbs import DrawStore
 from .model import ModelSpec, PriorSpec
 from .panel import TimeSeriesPanel
 
@@ -28,6 +28,12 @@ class PredictiveDraws:
     draws: np.ndarray
     source: str
     seed: int
+
+
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Root R with R R' = a of a PSD matrix or stack, tolerant of exact degeneracy."""
+    w, v = np.linalg.eigh(a)
+    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def _draw_variational_theta(state: vi.VariationalState, n_draws: int, rng):

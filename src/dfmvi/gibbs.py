@@ -2,10 +2,10 @@
 
 One sweep draws the full state path given the parameters (forward filter,
 backward sampling; for s > 1 on the shared kernel of ``statespace``) and
-then the parameters given the states (conjugate per-equation regressions
-and a matrix-normal transition draw).  Missing data enter only through row
-selection; identification is enforced by zero restrictions and sign
-rejection on anchor loadings.
+then the parameters given the states (the batched conjugate regressions of
+``vi.loading_posterior`` and a matrix-normal transition draw).  Missing
+data enter only through the availability mask; identification is enforced
+by zero restrictions and sign rejection on anchor loadings.
 
 Draw storage is columnar: arrays ``lambda`` (D, n, s), ``sigma2`` (D, n),
 ``phi`` (D, r, s) and ``states`` (D, T+1, s) in draw order, serialized
@@ -18,17 +18,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import stdtr, stdtrit
 
 from . import vi
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .model import ModelSpec, PriorSpec, Restrictions, identification_restrictions
 from .panel import TimeSeriesPanel
 from .statespace import (
-    chol_factor,
-    chol_inverse,
-    chol_solve,
-    companion,
     backward_conditionals,
+    batched_cholesky,
+    chol_factor,
+    companion,
     information_filter,
     state_noise_cov,
 )
@@ -106,12 +106,6 @@ def load_draws(path) -> DrawStore:
         )
 
 
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Root R with R R' = a of a PSD matrix or stack, tolerant of exact degeneracy."""
-    w, v = np.linalg.eigh(a)
-    return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-
-
 def _filter_fixed_theta(values, mask, lambdas, sigma2, phi, init_cov):
     """Forward filter of the plain model at one parameter draw.
 
@@ -166,24 +160,26 @@ def backward_sample_paths(
 ) -> np.ndarray:
     """One joint state-path draw from the filtered moments.
 
-    Works backward conditioning each state on the drawn successor, with
-    the backward conditionals and their PSD roots computed for all t at
-    once and one (T+1, s) normal block whose row k serves time T - k.  The
-    companion structure makes part of each conditional degenerate; the
-    lagged coordinates are overwritten with exact copies after drawing.
+    Works backward, conditioning each state on its drawn successor, whose
+    last s - r coordinates it copies; only its last r (the oldest lag) are
+    drawn, through the batched Cholesky roots of their conditional
+    covariances, so the draw is a continuous function of its inputs.
     """
     T = filt_mean.shape[0] - 1
     s = trans.shape[0]
+    lag = s - r
     gains, offsets, covs = backward_conditionals(trans, filt_mean, filt_cov, pred_cov)
-    roots = _psd_sqrt(np.concatenate([covs, filt_cov[T:]]))
-    z = rng.standard_normal((T + 1, s))[::-1]
-    shocks = np.einsum("tab,tb->ta", roots, z)
+    roots = batched_cholesky(
+        covs[:, lag:, lag:], lambda t: f"backward state draw at time step {t}"
+    )
+    last_root = chol_factor(filt_cov[T], context=f"state draw at time step {T}")
     path = np.empty((T + 1, s))
-    path[T] = filt_mean[T] + shocks[T]
+    path[T] = filt_mean[T] + last_root @ rng.standard_normal(s)
+    shocks = np.einsum("tab,tb->ta", roots, rng.standard_normal((T, r)))
+    offsets, gains = offsets[:, lag:], gains[:, lag:]
     for t in range(T - 1, -1, -1):
-        path[t] = offsets[t] + gains[t] @ path[t + 1] + shocks[t]
-        if s > r:
-            path[t, : s - r] = path[t + 1, r:]
+        path[t, :lag] = path[t + 1, r:]
+        path[t, lag:] = offsets[t] + gains[t] @ path[t + 1] + shocks[t]
     return path
 
 
@@ -222,6 +218,34 @@ def sample_states_ffbs(
     return backward_sample_paths(filt_mean, filt_cov, pred_cov, companion(phi), r, rng)
 
 
+def _draw_sign_truncated(post, rejected, rng, max_rejects):
+    """Exact (noise variance, loading row) draws of anchors cut at zero.
+
+    For each (equation, coordinate) pair in ``rejected``, the anchor's sole
+    free loading is mu + sqrt(scale cov) times a Student t with the
+    posterior degrees of freedom; it is drawn by inversion on its positive
+    side, then the noise variance given it, scaled inverse chi-square with
+    one more degree of freedom.  Raises DomainError for a row with other
+    free loadings or a positive side without representable mass.
+    """
+    rows, coord = rejected.T
+    mu, var = post.mean[rows, coord], post.cov[rows, coord, coord]
+    df, scale = post.noise_df[rows], post.noise_scale[rows]
+    alone = post.free[rows, coord] & (post.free[rows].sum(axis=1) == 1)
+    width = np.where(alone, np.sqrt(scale * var), 1.0)
+    mass = np.where(alone, stdtr(df, mu / width), 0.0)
+    if np.any(mass == 0.0):
+        raise DomainError(
+            f"sign restriction on variable {rows[np.argmax(mass == 0.0)]} rejected "
+            f"{max_rejects} draws; choose a different identifying variable"
+        )
+    lam_c = mu - width * stdtrit(df, mass * (1.0 - rng.random(rows.size)))
+    sigma2 = (df * scale + (lam_c - mu) ** 2 / var) / rng.chisquare(df + 1)
+    lam = np.zeros((rows.size, post.mean.shape[1]))
+    lam[np.arange(rows.size), coord] = lam_c
+    return sigma2, lam
+
+
 def sample_parameters(
     panel: TimeSeriesPanel,
     states: np.ndarray,
@@ -233,73 +257,50 @@ def sample_parameters(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Conjugate parameter draws given a state path.
 
-    Per equation, the loading/noise pair comes from the Gaussian/scaled-
-    inverse-chi-square conditional over the available observations, with
-    zero-restricted coordinates excluded from the regression and sign
-    restrictions enforced by redrawing the equation (capped).  The
-    transition block is one matrix-normal draw.
+    All loading/noise pairs are drawn at once from the conditionals of
+    :func:`vi.loading_posterior` on the path.  Equations whose sign
+    restriction rejects are redrawn together; one still rejected after
+    ``max_rejects`` draws is drawn exactly from its sign-truncated
+    conditional, so a chain whose anchor loading drifts to zero does not
+    stall.  The transition block is one matrix-normal draw.
 
     Returns (loadings, noise variances, transition, rejection count).
     """
-    values, mask = panel.values, panel.mask
-    T, n = values.shape
     r, s = spec.r, spec.s
-    maskf = mask.astype(float)
-    filled = np.where(mask, values, 0.0)
     f = states[1:]
-    ff = f[:, :, None] * f[:, None, :]
-    gram = np.einsum("ti,tab->iab", maskf, ff)
-    rhs = np.einsum("ti,ta->ia", maskf * filled, f)
-    ssq = (maskf * filled**2).sum(axis=0)
-    counts = maskf.sum(axis=0)
+    post, root = vi.loading_posterior(
+        panel, f, f[:, :, None] * f[:, None, :], prior, restrictions
+    )
 
-    free = np.ones((n, s), dtype=bool) if restrictions is None else restrictions.free
-    positive = {} if restrictions is None else dict(restrictions.positive)
+    def draw(rows):
+        sig = post.noise_df[rows] * post.noise_scale[rows] / rng.chisquare(
+            post.noise_df[rows]
+        )
+        shock = np.einsum("iab,ib->ia", root[rows], rng.standard_normal((rows.size, s)))
+        return sig, post.mean[rows] + np.sqrt(sig)[:, None] * shock
 
-    lambdas = np.zeros((n, s))
-    sigma2 = np.empty(n)
+    sigma2, lambdas = draw(np.arange(panel.n))
+    anchors = {} if restrictions is None else dict(restrictions.positive)
+    positive = np.array(list(anchors.items()), dtype=int).reshape(-1, 2)
+    rejected = positive[lambdas[positive[:, 0], positive[:, 1]] <= 0]
     rejections = 0
-    for i in range(n):
-        idx = np.flatnonzero(free[i])
-        df = prior.noise_df[i] + counts[i]
-        if idx.size:
-            prec = gram[i][np.ix_(idx, idx)] + prior.loading_prec[np.ix_(idx, idx)]
-            chol = chol_factor(prec, context=f"loading draw, equation {i}")
-            mu = chol_solve(chol, rhs[i][idx])
-            cov_i = chol_inverse(chol)
-            cov_chol = np.linalg.cholesky(0.5 * (cov_i + cov_i.T))
-            quad = float(mu @ prec @ mu)
-        else:
-            mu, cov_chol, quad = None, None, 0.0
-        scale = (prior.noise_df[i] * prior.noise_scale[i] + ssq[i] - quad) / df
-        if scale <= 0:
-            raise NumericalError(f"nonpositive posterior noise scale, equation {i}")
-        sign_coord = positive.get(i)
-        sign_pos = int(np.searchsorted(idx, sign_coord)) if sign_coord is not None else -1
-        lam = None
-        for _ in range(max_rejects):
-            sig = df * scale / rng.chisquare(df)
-            if mu is not None:
-                lam = mu + math.sqrt(sig) * (cov_chol @ rng.standard_normal(idx.size))
-            if sign_coord is None or lam[sign_pos] > 0:
-                break
-            rejections += 1
-        else:
-            raise DomainError(
-                f"sign restriction on variable {i} rejected {max_rejects} draws; "
-                "choose a different identifying variable"
-            )
-        sigma2[i] = sig
-        if lam is not None:
-            lambdas[i][idx] = lam
+    for _ in range(max_rejects - 1):
+        if not rejected.size:
+            break
+        rows = rejected[:, 0]
+        rejections += rows.size
+        sigma2[rows], lambdas[rows] = draw(rows)
+        rejected = rejected[lambdas[rows, rejected[:, 1]] <= 0]
+    if rejected.size:
+        rows = rejected[:, 0]
+        rejections += rows.size
+        sigma2[rows], lambdas[rows] = _draw_sign_truncated(
+            post, rejected, rng, max_rejects
+        )
 
     fprev = states[:-1]
-    gram0 = fprev.T @ fprev + prior.trans_prec
-    chol0 = chol_factor(gram0, context="transition draw")
-    cov0 = chol_inverse(chol0)
-    cov0 = 0.5 * (cov0 + cov0.T)
-    m_phi = (f[:, :r].T @ fprev) @ cov0
-    phi = m_phi + rng.standard_normal((r, s)) @ np.linalg.cholesky(cov0).T
+    trans = vi.transition_posterior(fprev.T @ fprev, f[:, :r].T @ fprev, prior)
+    phi = trans.mean + rng.standard_normal((r, s)) @ np.linalg.cholesky(trans.cov).T
     return lambdas, sigma2, phi, rejections
 
 

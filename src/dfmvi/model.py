@@ -200,34 +200,6 @@ def identification_restrictions(
     return Restrictions(free=free, positive=tuple(positive))
 
 
-def apply_factor_sign_flips(
-    loading_matrix: np.ndarray,
-    trans_matrix: np.ndarray,
-    flips: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flip the signs of selected factors in loading and transition blocks.
-
-    ``flips`` is a length-r boolean vector.  Sign flips are orthogonal
-    rotations applied blockwise over lags, so they leave the likelihood
-    and any diagonal, per-block-equal prior unchanged.
-    """
-    r = flips.shape[0]
-    s = loading_matrix.shape[1]
-    signs = np.ones(s)
-    for j in range(r):
-        if flips[j]:
-            signs[j::r] = -1.0
-    lam = loading_matrix * signs
-    phi = trans_matrix * signs  # column rotation
-    phi = phi * signs[:r, None]  # row rotation
-    return lam, phi
-
-
 def state_sign_vector(flips: np.ndarray, s: int) -> np.ndarray:
     """Signs applied to state coordinates under the given factor flips."""
-    r = flips.shape[0]
-    signs = np.ones(s)
-    for j in range(r):
-        if flips[j]:
-            signs[j::r] = -1.0
-    return signs
+    return np.where(np.tile(flips, s // flips.shape[0]), -1.0, 1.0)

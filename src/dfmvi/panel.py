@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,10 @@ class TimeSeriesPanel:
             raise DomainError("mask shape does not match values shape")
         if len(self.names) != values.shape[1]:
             raise DomainError("number of names does not match number of columns")
+        names = tuple(str(v) for v in self.names)
+        repeated = [v for v, k in Counter(names).items() if k > 1]
+        if repeated:
+            raise DomainError(f"variable name {repeated[0]!r} appears more than once")
         bad = np.argwhere(mask & ~np.isfinite(values))
         if bad.size:
             t, j = bad[0]
@@ -57,7 +62,7 @@ class TimeSeriesPanel:
         mask.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "names", tuple(str(v) for v in self.names))
+        object.__setattr__(self, "names", names)
 
     @property
     def T(self) -> int:
@@ -110,7 +115,7 @@ def load_csv(path, missing_token: str = "") -> TimeSeriesPanel:
         number nor the missing token (the error names the row and column).
     DomainError
         On a cell that parses to an infinite value (names the time step and
-        column).
+        column) or a variable name that appears twice.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

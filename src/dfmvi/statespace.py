@@ -67,12 +67,9 @@ def chol_factor(a: np.ndarray, context: str = "") -> np.ndarray:
     )
 
 
-def chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return scipy.linalg.cho_solve((chol_lower, True), b, check_finite=False)
-
-
 def chol_inverse(chol_lower: np.ndarray) -> np.ndarray:
-    return chol_solve(chol_lower, np.eye(chol_lower.shape[0]))
+    eye = np.eye(chol_lower.shape[0])
+    return scipy.linalg.cho_solve((chol_lower, True), eye, check_finite=False)
 
 
 def companion(trans_mean: np.ndarray) -> np.ndarray:
@@ -302,22 +299,17 @@ def backward_conditionals(
     return gains, offsets, covs
 
 
-def _batched_cholesky(a: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factors of a (T, s, s) stack whose entry t-1 belongs to time t.
+def batched_cholesky(a: np.ndarray, context) -> np.ndarray:
+    """Lower Cholesky factors of a (k, s, s) stack in one batched call.
 
-    Falls back to :func:`chol_factor` step by step when the stack holds a
+    Falls back to :func:`chol_factor` entry by entry when the stack holds a
     matrix that is not positive definite, so the jitter retries apply and
-    the error names the first failing time step.
+    the error carries ``context(j)`` for the first failing entry j.
     """
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return np.stack(
-            [
-                chol_factor(m, context=f"{what} at time step {t}")
-                for t, m in enumerate(a, start=1)
-            ]
-        )
+        return np.stack([chol_factor(m, context=context(j)) for j, m in enumerate(a)])
 
 
 def kalman_filter(params: SsmParams) -> FilterResult:
@@ -346,7 +338,9 @@ def kalman_filter(params: SsmParams) -> FilterResult:
 
     innovations = params.y_star - pred_mean
     innovation_cov = symmetrize(pred_cov + params.H_star)
-    chol = _batched_cholesky(innovation_cov, "innovation covariance")
+    chol = batched_cholesky(
+        innovation_cov, lambda j: f"innovation covariance at time step {j + 1}"
+    )
     whitened = np.linalg.solve(chol, innovations[:, :, None])[:, :, 0]
     quads = np.einsum("ta,ta->t", whitened, whitened)
     logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)

@@ -4,7 +4,9 @@ The approximating family factorizes the latent states away from the static
 parameters, which in turn splits the parameter block into per-equation
 Gaussian/scaled-inverse-chi-square loadings-noise pairs and one
 matrix-normal transition block.  Each update is the conjugate Bayesian
-regression with sufficient statistics replaced by smoothed state moments.
+regression with sufficient statistics replaced by smoothed state moments;
+all n loading regressions run as one batched kernel,
+:func:`loading_posterior`, which the Gibbs parameter draw shares.
 
 The objective trace records, once per iteration, the exact bound of the
 consistent pair (state density implied by the just-updated parameters,
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -78,81 +80,117 @@ class FitReport:
     wall_time: float
 
 
+def _restrict_to_free(a: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Zero every entry of an (n, s, s) stack outside row i's free block."""
+    return np.where(free[:, :, None] & free[:, None, :], a, 0.0)
+
+
+def _pad_restricted(a: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Free block of ``a`` per row, identity on the restricted coordinates.
+
+    After a permutation each matrix is then block diagonal with an identity
+    block, so its log-determinant, Cholesky factor and solves on the free
+    coordinates are exactly those of the free block.
+    """
+    return _restrict_to_free(a, free) + np.eye(free.shape[1]) * ~free[:, None, :]
+
+
+def loading_posterior(
+    panel: TimeSeriesPanel,
+    mean: np.ndarray,
+    second_moment: np.ndarray,
+    prior: PriorSpec,
+    restrictions: Restrictions | None = None,
+) -> tuple[LoadingsVariational, np.ndarray]:
+    """Conjugate regressions of all n equations on the states, batched.
+
+    ``mean`` (T, s) and ``second_moment`` (T, s, s) are the state moments of
+    times 1..T.  Zero restrictions enter as identity rows and columns with a
+    zero right-hand side; one batched Cholesky solves every equation, and
+    equations without observations take their prior exactly.  Returns the
+    posterior (exact zeros on restricted entries) and roots R R' = cov.
+
+    Raises
+    ------
+    NumericalError
+        If a precision is not positive definite after jitter or a noise
+        scale is not positive (both name the first such equation).
+    """
+    s = mean.shape[1]
+    free = np.ones((panel.n, s), dtype=bool) if restrictions is None else restrictions.free
+    T, n = panel.values.shape
+    maskf = panel.mask.astype(float)
+    filled = np.where(panel.mask, panel.values, 0.0)
+    counts = maskf.sum(axis=0)
+    empty = counts == 0
+    gram = (maskf.T @ second_moment.reshape(T, s * s)).reshape(n, s, s)
+    rhs = np.where(free, (maskf * filled).T @ mean, 0.0)
+    ssq = (maskf * filled**2).sum(axis=0)
+
+    prec = _pad_restricted(gram + prior.loading_prec, free)
+    chol = statespace.batched_cholesky(
+        prec, lambda i: f"loading posterior, equation {i}"
+    )
+    chol_inv = np.linalg.inv(chol)
+    root = _restrict_to_free(chol_inv.swapaxes(-1, -2), free)
+    cov = _restrict_to_free(statespace.symmetrize(root @ chol_inv), free)
+    mu = np.einsum("iab,ib->ia", cov, rhs)
+    quad = np.einsum("ia,iab,ib->i", mu, prec, mu)
+
+    noise_df = prior.noise_df + counts
+    scale = (prior.noise_df * prior.noise_scale + ssq - quad) / noise_df
+    bad = np.flatnonzero(~empty & (scale <= 0.0))
+    if bad.size:
+        raise NumericalError(
+            f"nonpositive noise scale for equation {bad[0]}; state moments are "
+            "inconsistent with the data"
+        )
+    if empty.any():
+        prior_prec = _pad_restricted(prior.loading_prec, free[empty])
+        cov[empty] = _restrict_to_free(
+            statespace.symmetrize(np.linalg.inv(prior_prec)), free[empty]
+        )
+    posterior = LoadingsVariational(
+        mean=np.where(free & ~empty[:, None], mu, 0.0),
+        cov=cov,
+        noise_df=noise_df,
+        noise_scale=np.where(empty, prior.noise_scale, scale),
+        free=free,
+    )
+    return posterior, root
+
+
 def update_loadings(
     panel: TimeSeriesPanel,
     moments: StateMoments,
     prior: PriorSpec,
     restrictions: Restrictions | None = None,
 ) -> LoadingsVariational:
-    """Conjugate regression update of every loading/noise pair.
+    """Loading/noise update: :func:`loading_posterior` on the smoothed moments."""
+    posterior, _ = loading_posterior(
+        panel, moments.mean[1:], moments.second_moment[1:], prior, restrictions
+    )
+    return posterior
 
-    Equations with no available observations reduce exactly to their prior.
-    The noise-scale quadratic is computed as mu' (precision) mu with the
-    un-inverted precision, never through an explicit covariance inverse.
-    Zero-restricted coordinates are dropped from the regression entirely.
+
+def transition_posterior(
+    gram: np.ndarray, cross: np.ndarray, prior: PriorSpec
+) -> TransitionVariational:
+    """Matrix-normal regression of the factors on the lagged state.
+
+    ``gram`` is the sum over t of x_{t-1} x_{t-1}' and ``cross`` that of
+    f_t x_{t-1}', with f_t the top r coordinates of the state x_t.
     """
-    values, mask = panel.values, panel.mask
-    T, n = values.shape
-    s = prior.loading_prec.shape[0]
-    maskf = mask.astype(float)
-    filled = np.where(mask, values, 0.0)
-    counts = maskf.sum(axis=0)
-
-    second = moments.second_moment[1:]  # (T, s, s)
-    gram = np.einsum("ti,tab->iab", maskf, second)
-    rhs = np.einsum("ti,ta->ia", maskf * filled, moments.mean[1:])
-    ssq = (maskf * filled**2).sum(axis=0)
-
-    free = (
-        np.ones((n, s), dtype=bool) if restrictions is None else restrictions.free
-    )
-    mean = np.zeros((n, s))
-    cov = np.zeros((n, s, s))
-    noise_df = prior.noise_df + counts
-    noise_scale = np.empty(n)
-    for i in range(n):
-        idx = np.flatnonzero(free[i])
-        if counts[i] == 0:
-            # No data: the variational density is the prior itself.
-            if idx.size:
-                cov_i = np.linalg.inv(prior.loading_prec[np.ix_(idx, idx)])
-                cov[i][np.ix_(idx, idx)] = 0.5 * (cov_i + cov_i.T)
-            noise_scale[i] = prior.noise_scale[i]
-            continue
-        if idx.size == 0:
-            noise_scale[i] = (
-                prior.noise_df[i] * prior.noise_scale[i] + ssq[i]
-            ) / noise_df[i]
-            continue
-        prec = gram[i][np.ix_(idx, idx)] + prior.loading_prec[np.ix_(idx, idx)]
-        chol = statespace.chol_factor(prec, context=f"loading update, equation {i}")
-        mu = statespace.chol_solve(chol, rhs[i][idx])
-        cov_i = statespace.chol_inverse(chol)
-        mean[i][idx] = mu
-        cov[i][np.ix_(idx, idx)] = 0.5 * (cov_i + cov_i.T)
-        quad = float(mu @ prec @ mu)
-        scale = (
-            prior.noise_df[i] * prior.noise_scale[i] + ssq[i] - quad
-        ) / noise_df[i]
-        if scale <= 0.0:
-            raise NumericalError(
-                f"nonpositive noise scale for equation {i}; state moments are "
-                "inconsistent with the data"
-            )
-        noise_scale[i] = scale
-    return LoadingsVariational(
-        mean=mean, cov=cov, noise_df=noise_df, noise_scale=noise_scale, free=free
-    )
+    chol = statespace.chol_factor(gram + prior.trans_prec, context="transition update")
+    cov = statespace.symmetrize(statespace.chol_inverse(chol))
+    return TransitionVariational(mean=cross @ cov, cov=cov)
 
 
 def update_transition(moments: StateMoments, prior: PriorSpec) -> TransitionVariational:
     """Conjugate matrix regression update of the transition block."""
-    gram = moments.second_moment[:-1].sum(axis=0) + prior.trans_prec
-    chol = statespace.chol_factor(gram, context="transition update")
-    cov = statespace.chol_inverse(chol)
-    cov = 0.5 * (cov + cov.T)
-    mean = moments.lag_one.sum(axis=0) @ cov
-    return TransitionVariational(mean=mean, cov=cov)
+    return transition_posterior(
+        moments.second_moment[:-1].sum(axis=0), moments.lag_one.sum(axis=0), prior
+    )
 
 
 def update_states(
@@ -199,7 +237,7 @@ def compute_elbo(
     chi-square bookkeeping).
     """
     counts = panel.mask.sum(axis=0).astype(float)
-    n, s = loadings.mean.shape
+    s = loadings.mean.shape[1]
     r = transition.mean.shape[0]
     # The closed form substitutes the identity noise_df = prior df + count;
     # off-manifold inputs would silently evaluate the wrong quantity.
@@ -220,24 +258,21 @@ def compute_elbo(
         - 0.5 * float(np.sum(params.remainder_quads))
     )
 
-    lam_terms = 0.0
-    for i in range(n):
-        idx = np.flatnonzero(loadings.free[i])
-        if idx.size == 0:
-            continue
-        v_inv = prior.loading_prec[np.ix_(idx, idx)]
-        cov_i = loadings.cov[i][np.ix_(idx, idx)]
-        mu_i = loadings.mean[i][idx]
-        sign_v, logdet_vinv = np.linalg.slogdet(v_inv)
-        sign_c, logdet_cov = np.linalg.slogdet(cov_i)
-        # The mean quadratic is scaled by the expected noise precision
-        # (the divergence is averaged over the noise variance).
-        lam_terms += (
-            0.5 * idx.size
-            - 0.5 * float(np.sum(v_inv * cov_i))
-            - 0.5 * float(mu_i @ v_inv @ mu_i) / loadings.noise_scale[i]
+    # Restricted entries are exact zeros, and identity padding leaves each
+    # log-determinant that of the free block; the mean quadratic is scaled
+    # by the expected noise precision (averaging over the noise variance).
+    free, cov, mu = loadings.free, loadings.cov, loadings.mean
+    v_inv = prior.loading_prec
+    _, logdet_vinv = np.linalg.slogdet(_pad_restricted(v_inv, free))
+    _, logdet_cov = np.linalg.slogdet(_pad_restricted(cov, free))
+    lam_terms = float(
+        np.sum(
+            0.5 * free.sum(axis=1)
+            - 0.5 * np.einsum("ab,iab->i", v_inv, cov)
+            - 0.5 * np.einsum("ia,ab,ib->i", mu, v_inv, mu) / loadings.noise_scale
             + 0.5 * (logdet_vinv + logdet_cov)
         )
+    )
 
     w_inv = prior.trans_prec
     sign_w, logdet_winv = np.linalg.slogdet(w_inv)
@@ -291,8 +326,8 @@ def init_from_pca(
 
     Missing cells are filled with seeded standard-normal draws, the first r
     principal components (unit sample variance) and their lags form factor
-    proxies, and the conjugate updates applied to their point-mass moments
-    yield the initial loading, noise and transition parameters.
+    proxies, and the conjugate regressions on these proxies yield the
+    initial loading, noise and transition parameters.
     """
     rng = np.random.default_rng(seed)
     T, n = panel.T, panel.n
@@ -316,21 +351,13 @@ def init_from_pca(
         ok = src >= 1
         factors[np.arange(1, T + 1)[ok], lag * r : (lag + 1) * r] = scores[src[ok] - 1]
 
-    point = StateMoments(
-        mean=factors,
-        cov=np.zeros((T + 1, s, s)),
-        second_moment=factors[:, :, None] * factors[:, None, :],
-        lag_one=np.stack(
-            [np.outer(factors[t, :r], factors[t - 1]) for t in range(1, T + 1)]
-        ),
-        innovations=np.zeros((T, s)),
-        innovation_cov=np.zeros((T, s, s)),
-        innovation_quads=np.zeros(T),
-        innovation_logdets=np.zeros(T),
-        loglik=0.0,
+    outer = factors[:, :, None] * factors[:, None, :]
+    loadings, _ = loading_posterior(panel, factors[1:], outer[1:], prior, restrictions)
+    transition = transition_posterior(
+        outer[:-1].sum(axis=0),
+        (factors[1:, :r, None] * factors[:-1, None, :]).sum(axis=0),
+        prior,
     )
-    loadings = update_loadings(panel, point, prior, restrictions)
-    transition = update_transition(point, prior)
     return VariationalState(loadings=loadings, transition=transition)
 
 
@@ -348,37 +375,24 @@ def flip_factor_signs(
     loadings, transition = state.loadings, state.transition
     r, s = transition.mean.shape
     signs = state_sign_vector(np.asarray(flips, dtype=bool), s)
-    lam = loadings.mean * signs
-    cov = loadings.cov * signs[None, :, None] * signs[None, None, :]
-    phi = transition.mean * signs
-    phi = phi * signs[:r, None]
-    phi_cov = transition.cov * signs[:, None] * signs[None, :]
+    outer = signs[:, None] * signs
     new_state = VariationalState(
-        loadings=LoadingsVariational(
-            mean=lam,
-            cov=cov,
-            noise_df=loadings.noise_df,
-            noise_scale=loadings.noise_scale,
-            free=loadings.free,
+        loadings=replace(loadings, mean=loadings.mean * signs, cov=loadings.cov * outer),
+        transition=TransitionVariational(
+            mean=transition.mean * outer[:r], cov=transition.cov * outer
         ),
-        transition=TransitionVariational(mean=phi, cov=phi_cov),
     )
     if moments is None:
         return new_state, None
-    new_moments = StateMoments(
+    return new_state, replace(
+        moments,
         mean=moments.mean * signs,
-        cov=moments.cov * signs[None, :, None] * signs[None, None, :],
-        second_moment=moments.second_moment * signs[None, :, None] * signs[None, None, :],
-        lag_one=moments.lag_one * signs[None, :r, None] * signs[None, None, :],
+        cov=moments.cov * outer,
+        second_moment=moments.second_moment * outer,
+        lag_one=moments.lag_one * outer[:r],
         innovations=moments.innovations * signs,
-        innovation_cov=moments.innovation_cov
-        * signs[None, :, None]
-        * signs[None, None, :],
-        innovation_quads=moments.innovation_quads,
-        innovation_logdets=moments.innovation_logdets,
-        loglik=moments.loglik,
+        innovation_cov=moments.innovation_cov * outer,
     )
-    return new_state, new_moments
 
 
 def align_identification_signs(

@@ -217,3 +217,29 @@ def test_eta_grid_stub(sim_dir, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["eta_grid"]) == 2
     assert manifest["config"]["eta_lambda"] in (0.5, 1.0)
+
+
+def test_forecast_from_gibbs_refuses_mismatched_artifacts(
+    sim_dir, fit_dir, tmp_path, capsys
+):
+    other_gibbs = tmp_path / "gibbs_other"
+    code = _run(
+        [
+            "gibbs", "--panel", str(sim_dir / "panel.csv"), "--out",
+            str(other_gibbs), "--seed", "3", "--draws", "200",
+            "--burn-in", "0.2",  # no identification anchor
+        ]
+    )
+    assert code == 0
+    out = tmp_path / "fc_bad"
+    code = _run(
+        [
+            "forecast", "--panel", str(sim_dir / "panel.csv"),
+            "--fit", str(fit_dir), "--gibbs", str(other_gibbs),
+            "--source", "gibbs", "--out", str(out), "--horizons", "1",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "differing fields" in err and "identification" in err
+    assert not (out / "forecast_draws.npz").exists()

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
-from dfmvi import gibbs, statespace
+from dfmvi import gibbs, statespace, vi
 from dfmvi.errors import DomainError
 from dfmvi.model import ModelSpec, PriorSpec, default_prior, identification_restrictions
 from dfmvi.panel import from_arrays
@@ -305,3 +305,131 @@ def test_draw_store_round_trip(tmp_path):
     assert_array_equal(back.lambdas, store.lambdas)
     assert_array_equal(back.states, store.states)
     assert back.seed == store.seed and back.thin == store.thin
+
+
+@pytest.mark.parametrize("r, p", [(2, 1), (1, 2)])
+def test_backward_draw_is_continuous_in_the_filtered_moments(r, p):
+    # s - r >= 2: the backward conditional is degenerate in the lagged
+    # coordinates, so only a root of its free block keeps a same-seed path
+    # stable under a rounding-level change of the filtered covariances.
+    spec = ModelSpec(n=5, r=r, p=p)
+    pan, cfg, _ = random_masked_panel(spec, T=15, seed=31, missing_prob=0.2)
+    prior = default_prior(spec)
+    filt_mean, filt_cov, pred_cov = gibbs._filter_fixed_theta(
+        pan.values, pan.mask, cfg.loadings, cfg.noise_var, cfg.trans,
+        prior.init_state_cov,
+    )
+    noise = np.random.default_rng(32).standard_normal(filt_cov.shape)
+    nudged = filt_cov + 1e-13 * (noise + noise.swapaxes(-1, -2))
+    trans = statespace.companion(cfg.trans)
+    path = gibbs.backward_sample_paths(
+        filt_mean, filt_cov, pred_cov, trans, r, np.random.default_rng(33)
+    )
+    moved = gibbs.backward_sample_paths(
+        filt_mean, nudged, pred_cov, trans, r, np.random.default_rng(33)
+    )
+    assert np.abs(moved - path).max() <= 1e-8
+
+
+def _two_anchor_case():
+    spec = ModelSpec(n=5, r=2, p=0)
+    pan, _, states = random_masked_panel(spec, T=20, seed=41, missing_prob=0.1)
+    return spec, pan, states, default_prior(spec)
+
+
+class _CountingRng:
+    """Generator stand-in that records the size of every noise-variance draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.chisquare_sizes = []
+
+    def chisquare(self, df):
+        self.chisquare_sizes.append(np.size(df))
+        return self.rng.chisquare(df)
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+def test_sign_redraw_counts_each_redrawn_equation():
+    # Weak anchors (states unrelated to the anchor series) reject often;
+    # each rejection redraws exactly the rejected equations.
+    spec, pan, states, prior = _two_anchor_case()
+    restr = identification_restrictions(spec, [(0, 0), (1, 1)])
+    weak = np.random.default_rng(42).standard_normal(states.shape)
+    total = 0
+    for seed in range(40):
+        rng = _CountingRng(seed)
+        lam, _, _, rejections = gibbs.sample_parameters(
+            pan, weak, spec, prior, restr, rng
+        )
+        assert rng.chisquare_sizes[0] == spec.n
+        assert rejections == sum(rng.chisquare_sizes[1:])
+        assert lam[0, 0] > 0 and lam[1, 1] > 0
+        assert lam[0, 1] == 0.0 and lam[1, 0] == 0.0
+        total += rejections
+    assert total > 0
+
+
+def test_sign_restricted_draw_after_max_rejects_is_exact():
+    # Past max_rejects the rejected equations are drawn from the truncated
+    # conditional, whose anchor coordinate is a Student t cut at zero.
+    spec, pan, states, prior = _two_anchor_case()
+    restr = identification_restrictions(spec, [(0, 0), (1, 1)])
+    f = states[1:]
+    flipped = f * np.array([-1.0, 1.0])
+    post, _ = vi.loading_posterior(
+        pan, flipped, flipped[:, :, None] * flipped[:, None, :], prior, restr
+    )
+    rng = np.random.default_rng(43)
+    n_draws = 20_000
+    pairs = np.repeat(np.array([[0, 0]]), n_draws, axis=0)
+    sig, lam = gibbs._draw_sign_truncated(post, pairs, rng, max_rejects=1)
+    assert np.all(lam[:, 0] > 0) and np.all(lam[:, 1:] == 0.0)
+    loc = post.mean[0, 0]
+    width = np.sqrt(post.noise_scale[0] * post.cov[0, 0, 0])
+    law = stats.t(df=post.noise_df[0], loc=loc, scale=width)
+    assert law.sf(0.0) < 0.2  # the sign region is the minor side
+    ks = stats.kstest(lam[:, 0], lambda x: 1.0 - law.sf(x) / law.sf(0.0))
+    assert ks.pvalue > 0.01
+    # noise variances against brute-force rejection from the joint law
+    ref_rng = np.random.default_rng(44)
+    m = 400_000
+    ref_sig = post.noise_df[0] * post.noise_scale[0] / ref_rng.chisquare(
+        post.noise_df[0], m
+    )
+    ref_lam = loc + np.sqrt(ref_sig * post.cov[0, 0, 0]) * ref_rng.standard_normal(m)
+    ref_sig = ref_sig[ref_lam > 0]
+    se = np.sqrt(sig.var() / n_draws + ref_sig.var() / ref_sig.size)
+    assert abs(sig.mean() - ref_sig.mean()) < 4 * se
+
+
+def test_sign_restriction_without_posterior_mass_raises_after_max_rejects():
+    spec = ModelSpec(n=2, r=1, p=0)
+    rng_data = np.random.default_rng(45)
+    T = 60
+    states = rng_data.standard_normal((T + 1, 1))
+    y = np.stack(
+        [-2.0 * states[1:, 0] + 1e-9 * rng_data.standard_normal(T),
+         rng_data.standard_normal(T)],
+        axis=1,
+    )
+    # flat loading prior: the anchor's conditional sits at -2 with a width
+    # of order 1e-7, so its positive side has no representable mass
+    prior = PriorSpec(
+        loading_prec=1e-12 * np.eye(1),
+        trans_prec=np.eye(1),
+        init_state_cov=np.eye(1),
+        noise_df=np.ones(2),
+        noise_scale=np.full(2, 1e-30),
+    )
+    restr = identification_restrictions(spec, [(0, 0)])
+    with pytest.raises(DomainError, match=r"variable 0 rejected 5 draws"):
+        gibbs.sample_parameters(
+            from_arrays(y), states, spec, prior, restr,
+            np.random.default_rng(46), max_rejects=5,
+        )

@@ -8,11 +8,17 @@ from dfmvi.errors import DomainError
 from dfmvi.model import (
     ModelSpec,
     PriorSpec,
-    apply_factor_sign_flips,
     default_prior,
     identification_restrictions,
     minnesota_prior,
+    state_sign_vector,
     validate_prior,
+)
+from dfmvi.vi import (
+    LoadingsVariational,
+    TransitionVariational,
+    VariationalState,
+    flip_factor_signs,
 )
 
 
@@ -163,9 +169,21 @@ def test_sign_flips_preserve_fit():
     phi = rng.standard_normal((r, s))
     states = rng.standard_normal((4, s))
     flips = np.array([True, False])
-    lam2, phi2 = apply_factor_sign_flips(lam, phi, flips)
+    state = VariationalState(
+        loadings=LoadingsVariational(
+            mean=lam,
+            cov=np.zeros((n, s, s)),
+            noise_df=np.ones(n),
+            noise_scale=np.ones(n),
+            free=np.ones((n, s), dtype=bool),
+        ),
+        transition=TransitionVariational(mean=phi, cov=np.eye(s)),
+    )
+    flipped, _ = flip_factor_signs(state, None, flips)
+    lam2, phi2 = flipped.loadings.mean, flipped.transition.mean
     signs = np.ones(s)
     signs[0::r] = -1.0
+    assert_array_equal(state_sign_vector(flips, s), signs)
     # common component and transition dynamics are unchanged
     assert_allclose(lam2 @ (states * signs).T, lam @ states.T)
     assert_allclose(

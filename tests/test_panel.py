@@ -185,3 +185,15 @@ def test_from_arrays_rejects_infinite_cell():
     values = np.array([[1.0, np.nan], [np.inf, 2.0]])
     with pytest.raises(DomainError, match=r"time step 2, column 'x'.*finite"):
         from_arrays(values, names=["x", "y"])
+
+
+def test_load_csv_rejects_duplicate_variable_name(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("a,b,a\n1.0,2.0,3.0\n")
+    with pytest.raises(DomainError, match=r"'a' appears more than once"):
+        load_csv(path)
+
+
+def test_from_arrays_rejects_duplicate_variable_name():
+    with pytest.raises(DomainError, match=r"'y' appears more than once"):
+        from_arrays(np.ones((2, 3)), names=["y", "x", "y"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dfmvi import statespace, vi
+from dfmvi import gibbs, statespace, vi
 from dfmvi.errors import DomainError, NumericalError
 from dfmvi.model import (
     ModelSpec,
@@ -388,3 +388,111 @@ def test_state_dict_round_trip(tiny_spec, tiny_prior):
     assert_array_equal(back.loadings.mean, state.loadings.mean)
     assert_array_equal(back.loadings.cov, state.loadings.cov)
     assert_array_equal(back.transition.cov, state.transition.cov)
+
+
+def _restricted_three_factor_case():
+    # r=3, p=0 with one anchor per factor, plus a column never observed.
+    spec = ModelSpec(n=7, r=3, p=0)
+    pan, _, _ = random_masked_panel(spec, T=40, seed=61, missing_prob=0.2)
+    values = pan.values.copy()
+    values[:, 5] = np.nan
+    pan = from_arrays(values, names=pan.names)
+    prior = default_prior(spec, nu=2.0, tau2=0.5)
+    restr = identification_restrictions(spec, [(0, 0), (1, 1), (2, 2)])
+    state = vi.init_from_pca(pan, spec, prior, seed=4, restrictions=restr)
+    moments, _ = vi.update_states(pan, state.loadings, state.transition, prior)
+    return spec, pan, prior, restr, moments
+
+
+def test_batched_loading_update_matches_per_equation_reference():
+    spec, pan, prior, restr, moments = _restricted_three_factor_case()
+    loadings = vi.update_loadings(pan, moments, prior, restr)
+    mask = pan.mask
+    filled = np.where(mask, pan.values, 0.0)
+    f, ff = moments.mean[1:], moments.second_moment[1:]
+    v_inv = prior.loading_prec
+    for i in range(spec.n):
+        idx = np.flatnonzero(restr.free[i])
+        rows = mask[:, i]
+        df = prior.noise_df[i] + rows.sum()
+        want_mean, want_cov = np.zeros(spec.s), np.zeros((spec.s, spec.s))
+        if rows.any():
+            prec = ff[rows].sum(axis=0)[np.ix_(idx, idx)] + v_inv[np.ix_(idx, idx)]
+            rhs = filled[rows, i] @ f[rows][:, idx]
+            mu = np.linalg.solve(prec, rhs)
+            want_mean[idx] = mu
+            want_cov[np.ix_(idx, idx)] = np.linalg.inv(prec)
+            want_scale = (
+                prior.noise_df[i] * prior.noise_scale[i]
+                + filled[rows, i] @ filled[rows, i]
+                - mu @ prec @ mu
+            ) / df
+        else:
+            want_cov[np.ix_(idx, idx)] = np.linalg.inv(v_inv[np.ix_(idx, idx)])
+            want_scale = prior.noise_scale[i]
+        assert_allclose(loadings.mean[i], want_mean, rtol=1e-12, atol=1e-12)
+        assert_allclose(loadings.cov[i], want_cov, rtol=1e-12, atol=1e-12)
+        assert_allclose(loadings.noise_scale[i], want_scale, rtol=1e-12)
+        assert loadings.noise_df[i] == df
+        # restricted entries are exact zeros
+        held = ~restr.free[i]
+        assert np.all(loadings.mean[i][held] == 0.0)
+        assert np.all(loadings.cov[i][held, :] == 0.0)
+        assert np.all(loadings.cov[i][:, held] == 0.0)
+    # the never-observed column sits exactly at its prior
+    assert loadings.noise_scale[5] == prior.noise_scale[5]
+    assert_array_equal(loadings.cov[5], np.linalg.inv(prior.loading_prec))
+    # the Gibbs draws share the kernel and its exact zeros
+    rng = np.random.default_rng(62)
+    for _ in range(50):
+        lam, _, _, _ = gibbs.sample_parameters(
+            pan, moments.mean, spec, prior, restr, rng
+        )
+        assert np.all(lam[~restr.free] == 0.0)
+        assert np.all(lam[[0, 1, 2], [0, 1, 2]] > 0)
+
+
+def test_batched_elbo_loadings_term_matches_per_equation_reference():
+    spec, pan, prior, restr, moments = _restricted_three_factor_case()
+    loadings = vi.update_loadings(pan, moments, prior, restr)
+    transition = vi.update_transition(moments, prior)
+    moments, params = vi.update_states(pan, loadings, transition, prior)
+    _, terms = vi.compute_elbo(
+        pan, loadings, transition, moments, prior, params, return_terms=True
+    )
+    want = 0.0
+    for i in range(spec.n):
+        idx = np.flatnonzero(loadings.free[i])
+        v_inv = prior.loading_prec[np.ix_(idx, idx)]
+        cov = loadings.cov[i][np.ix_(idx, idx)]
+        mu = loadings.mean[i][idx]
+        want += (
+            0.5 * idx.size
+            - 0.5 * np.trace(v_inv @ cov)
+            - 0.5 * (mu @ v_inv @ mu) / loadings.noise_scale[i]
+            + 0.5 * (np.linalg.slogdet(v_inv)[1] + np.linalg.slogdet(cov)[1])
+        )
+    assert_allclose(terms["loadings"], want, rtol=1e-12)
+
+
+def test_loading_update_names_first_non_positive_definite_equation():
+    # An indefinite (unvalidated) prior precision that only the data of
+    # equation 0 can outweigh: the batched Cholesky fails, and the
+    # per-equation fallback names equation 1 after its jitter retries.
+    spec = ModelSpec(n=3, r=1, p=0)
+    rng = np.random.default_rng(63)
+    T = 30
+    factors = rng.standard_normal((T + 1, 1))
+    values = rng.standard_normal((T, 3))
+    values[1:, 1:] = np.nan
+    prior = PriorSpec(
+        loading_prec=np.array([[-25.0]]),
+        trans_prec=np.eye(1),
+        init_state_cov=np.eye(1),
+        noise_df=np.ones(3),
+        noise_scale=np.ones(3),
+    )
+    with pytest.raises(NumericalError, match=r"equation 1$"):
+        vi.update_loadings(
+            from_arrays(values), _point_mass_moments(factors, 1), prior
+        )
