@@ -1,11 +1,13 @@
 """Gibbs-sampling benchmark: exact posterior draws for comparison runs.
 
-One sweep draws the full state path given the parameters (forward filter,
-backward sampling; for s > 1 on the shared kernel of ``statespace``) and
-then the parameters given the states (the batched conjugate regressions of
-``vi.loading_posterior`` and a matrix-normal transition draw).  Missing
-data enter only through the availability mask; identification is enforced
-by zero restrictions and sign rejection on anchor loadings.
+One sweep draws the full state path given the parameters (one banded
+Cholesky of its precision and one banded solve, at every state dimension)
+and then the parameters given the states (the batched conjugate
+regressions of ``vi.loading_posterior`` and a matrix-normal transition
+draw).  Missing data enter only through the availability mask, so a time
+step without data, the last one included, needs no special case;
+identification is enforced by zero restrictions and sign rejection on
+anchor loadings.
 
 Draw storage is columnar: arrays ``lambda`` (D, n, s), ``sigma2`` (D, n),
 ``phi`` (D, r, s) and ``states`` (D, T+1, s) in draw order, serialized
@@ -18,20 +20,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import stdtr, stdtrit
 
 from . import vi
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .model import ModelSpec, PriorSpec, Restrictions, identification_restrictions
 from .panel import TimeSeriesPanel
-from .statespace import (
-    backward_conditionals,
-    batched_cholesky,
-    chol_factor,
-    companion,
-    information_filter,
-    state_noise_cov,
-)
 
 
 @dataclass(frozen=True)
@@ -106,83 +102,6 @@ def load_draws(path) -> DrawStore:
         )
 
 
-def _filter_fixed_theta(values, mask, lambdas, sigma2, phi, init_cov):
-    """Forward filter of the plain model at one parameter draw.
-
-    The data at time t enter in information form, with precision
-    Lambda' A_t Sigma^-1 Lambda and information Lambda' A_t Sigma^-1 y_t, so
-    every step costs s x s whatever the number of series observed and a
-    step without data is a pure prediction.  Returns the filtered means
-    (T+1, s) and covariances (T+1, s, s), index 0 being the origin state,
-    and the one-step predicted covariances (T, s, s).
-    """
-    T = values.shape[0]
-    r, s = phi.shape
-    maskf = mask.astype(float)
-    filled = np.where(mask, values, 0.0)
-    w = 1.0 / sigma2
-    weighted_outer = (lambdas[:, :, None] * lambdas[:, None, :]) * w[:, None, None]
-    obs_prec = np.einsum("ti,iab->tab", maskf, weighted_outer)
-    obs_rhs = (maskf * filled * w) @ lambdas
-
-    if s == 1:
-        # Scalar recursion; avoids per-step linear algebra overhead.
-        filt_mean = np.zeros((T + 1, 1))
-        filt_cov = np.zeros((T + 1, 1, 1))
-        filt_cov[0] = init_cov
-        ph = float(phi[0, 0])
-        m, pv = 0.0, float(init_cov[0, 0])
-        op = obs_prec[:, 0, 0]
-        ob = obs_rhs[:, 0]
-        for t in range(1, T + 1):
-            a = ph * m
-            pp = ph * ph * pv + 1.0
-            post_prec = 1.0 / pp + op[t - 1]
-            pv = 1.0 / post_prec
-            m = pv * (a / pp + ob[t - 1])
-            filt_mean[t, 0] = m
-            filt_cov[t, 0, 0] = pv
-        return filt_mean, filt_cov, ph * ph * filt_cov[:-1] + 1.0
-
-    filt_mean, filt_cov, _, pred_cov = information_filter(
-        companion(phi), state_noise_cov(r, s), init_cov, obs_prec, obs_rhs
-    )
-    return filt_mean, filt_cov, pred_cov
-
-
-def backward_sample_paths(
-    filt_mean: np.ndarray,
-    filt_cov: np.ndarray,
-    pred_cov: np.ndarray,
-    trans: np.ndarray,
-    r: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One joint state-path draw from the filtered moments.
-
-    Works backward, conditioning each state on its drawn successor, whose
-    last s - r coordinates it copies; only its last r (the oldest lag) are
-    drawn, through the batched Cholesky roots of their conditional
-    covariances, so the draw is a continuous function of its inputs.
-    """
-    T = filt_mean.shape[0] - 1
-    s = trans.shape[0]
-    lag = s - r
-    gains, offsets, covs = backward_conditionals(trans, filt_mean, filt_cov, pred_cov)
-    roots = batched_cholesky(
-        covs[:, lag:, lag:], lambda t: f"backward state draw at time step {t}"
-    )
-    last_root = chol_factor(filt_cov[T], context=f"state draw at time step {T}")
-    path = np.empty((T + 1, s))
-    path[T] = filt_mean[T] + last_root @ rng.standard_normal(s)
-    shocks = np.einsum("tab,tb->ta", roots, rng.standard_normal((T, r)))
-    offsets, gains = offsets[:, lag:], gains[:, lag:]
-    for t in range(T - 1, -1, -1):
-        path[t, :lag] = path[t + 1, r:]
-        path[t, lag:] = offsets[t] + gains[t] @ path[t + 1] + shocks[t]
-    return path
-
-
 def sample_states_ffbs(
     panel: TimeSeriesPanel,
     lambdas: np.ndarray,
@@ -193,29 +112,60 @@ def sample_states_ffbs(
 ) -> np.ndarray:
     """One exact joint draw of the state path given a parameter draw.
 
-    With no available data the draw comes from the prior state process.
+    Given the parameters, the factor path z = (f_T, f_{T-1}, ..., f_{-p}),
+    r (T + p + 1) coordinates in reverse time order, is Gaussian with a
+    banded precision Q and information vector b (Rue 2001; Chan and
+    Jeliazkov 2009).  Window t = 1..T of z, (f_t, ..., f_{t-p-1}), carries
+    the block A'A of the residual f_t - Phi x_{t-1}, A = [I, -Phi], plus the
+    data precision Lambda' A_t Sigma^-1 Lambda on its leading state x_t
+    (zero at a time step without data), and the last window the inverse
+    origin covariance on x_0.  One banded Cholesky Q = L L' and one banded
+    solve give z = Q^-1 (b + L eps), eps standard normal.  In reverse time
+    order each state x_t = (f_t, ..., f_{t-p}) is a contiguous slice of z,
+    so the lagged coordinates of the path are exact copies.
+
     Returns a (T+1, s) path including the origin state.
+
+    Raises
+    ------
+    NumericalError
+        If Q is not positive definite (names the time step of the first
+        coordinate whose leading minor fails).
     """
-    filt_mean, filt_cov, pred_cov = _filter_fixed_theta(
-        panel.values, panel.mask, lambdas, sigma2, phi, prior.init_state_cov
-    )
+    T = panel.T
     r, s = phi.shape
-    if s == 1:
-        T = panel.T
-        ph = float(phi[0, 0])
-        z = rng.standard_normal(T + 1)
-        path = np.empty(T + 1)
-        m = filt_mean[:, 0]
-        pv = filt_cov[:, 0, 0]
-        pp = pred_cov[:, 0, 0]
-        path[T] = m[T] + math.sqrt(pv[T]) * z[T]
-        for t in range(T - 1, -1, -1):
-            gain = pv[t] * ph / pp[t]
-            mean_c = m[t] + gain * (path[t + 1] - ph * m[t])
-            var_c = pv[t] - gain * ph * pv[t]
-            path[t] = mean_c + math.sqrt(max(var_c, 0.0)) * z[t]
-        return path[:, None]
-    return backward_sample_paths(filt_mean, filt_cov, pred_cov, companion(phi), r, rng)
+    width = r + s
+    scaled = lambdas / sigma2[:, None]
+    outer = scaled[:, :, None] * lambdas[:, None, :]
+    obs_prec = (panel.mask @ outer.reshape(-1, s * s)).reshape(T, s, s)
+    obs_info = panel.filled(0.0) @ scaled
+
+    resid = np.hstack([np.eye(r), -phi])
+    windows = np.broadcast_to(resid.T @ resid, (T, width, width)).copy()
+    windows[:, :s, :s] += obs_prec[::-1]
+    windows[-1, r:, r:] += np.linalg.inv(prior.init_state_cov)
+    # Window k = T - t starts at coordinate r k; lower band storage holds
+    # Q[i, j] at [i - j, j].
+    band = np.zeros((width, r * T + s))
+    info = np.zeros(r * T + s)
+    for j in range(width):
+        for d in range(width - j):
+            band[d, j : j + r * T : r] += windows[:, j + d, j]
+    for j in range(s):
+        info[j : j + r * T : r] += obs_info[::-1, j]
+
+    chol, fail = scipy.linalg.lapack.dpbtrf(band, lower=1)
+    if fail:
+        raise NumericalError(
+            f"state precision not positive definite at time step {T - (fail - 1) // r}"
+        )
+    eps = rng.standard_normal(r * T + s)
+    shock = chol[0] * eps
+    for d in range(1, width):
+        shock[d:] += chol[d, :-d] * eps[:-d]
+    z = scipy.linalg.cho_solve_banded((chol, True), info + shock, check_finite=False)
+    # the s-window starting at coordinate r k is the state x_{T-k}
+    return sliding_window_view(z, s)[::r][::-1].copy()
 
 
 def _draw_sign_truncated(post, rejected, rng, max_rejects):

@@ -187,13 +187,16 @@ def identification_restrictions(
     """
     free = np.ones((spec.n, spec.s), dtype=bool)
     positive = []
-    seen_factors = set()
+    seen_factors, seen_vars = set(), set()
     for var, fac in anchors:
         if not (0 <= var < spec.n) or not (0 <= fac < spec.r):
             raise DomainError(f"anchor ({var}, {fac}) out of range")
         if fac in seen_factors:
             raise DomainError(f"factor {fac} anchored more than once")
+        if var in seen_vars:
+            raise DomainError(f"variable {var} anchors more than one factor")
         seen_factors.add(fac)
+        seen_vars.add(var)
         free[var, :] = False
         free[var, fac] = True
         positive.append((var, fac))

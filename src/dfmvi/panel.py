@@ -111,8 +111,10 @@ def load_csv(path, missing_token: str = "") -> TimeSeriesPanel:
     Raises
     ------
     PanelFormatError
-        On an empty file, ragged rows, or cells that parse as neither a
-        number nor the missing token (the error names the row and column).
+        On an empty file, ragged rows (a blank line counts as a row of zero
+        fields unless only blank lines follow it), or cells that parse as
+        neither a number nor the missing token (the error names the row and
+        column).
     DomainError
         On a cell that parses to an infinite value (names the time step and
         column) or a variable name that appears twice.
@@ -120,6 +122,8 @@ def load_csv(path, missing_token: str = "") -> TimeSeriesPanel:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
+    while rows and not rows[-1]:
+        rows.pop()  # blank lines after the last data row
     if not rows:
         raise PanelFormatError(f"{path}: empty file, expected a header row")
     names = [c.strip() for c in rows[0]]

@@ -1,4 +1,4 @@
-"""One state-space kernel for the collapsed factor system and the Gibbs sampler.
+"""One state-space kernel for the collapsed factor system of the variational fit.
 
 The factor density targeted by the variational state update is the
 smoothing law of a linear-Gaussian system whose observation vector stacks
@@ -9,17 +9,14 @@ parameter densities shrink the state toward its unconditional mean.
 Collapsing projects that (n_t + s)-dimensional observation onto the
 s-dimensional GLS summary of the state, which is sufficient for filtering
 and much cheaper when n >> s.  The collapsed system observes the state
-through the identity, so one forward loop in information form serves
-every consumer: step t takes an observation precision O_t and an
-information vector b_t, and a step with O_t = 0 is a pure prediction.
-
-- The variational smoother (:func:`kalman_filter`, :func:`kalman_smoother`)
-  feeds O_t = H_star_t^-1 and b_t = O_t y_star_t, then forms the
-  innovation covariances, their log-determinants and quadratic forms in
-  one batched pass over time and all smoother gains in one batched solve.
-- The Gibbs forward-filter backward-sampler feeds the plain model's
-  precision at a parameter draw and reuses the batched gains for its
-  backward draws.
+through the identity, so the forward loop runs in information form: step
+t takes an observation precision O_t and an information vector b_t, and a
+step with O_t = 0 is a pure prediction.  :func:`kalman_filter` feeds
+O_t = H_star_t^-1 and b_t = O_t y_star_t, then forms the innovation
+covariances, their log-determinants and quadratic forms in one batched
+pass over time; :func:`kalman_smoother` takes all its gains from one
+batched solve.  The Gibbs sampler does not filter: it draws the state path
+from its banded precision (``dfmvi.gibbs.sample_states_ffbs``).
 
 The per-step collapse, the uncollapsed reference filter and the
 log-likelihood decomposition that validate this module live with the test
@@ -227,6 +224,7 @@ def information_filter(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward filter with an identity observation matrix, in information form.
 
+    The forward pass of :func:`kalman_filter` over the collapsed system.
     Time t (1-based) contributes precision ``obs_prec[t-1]`` and information
     vector ``obs_info[t-1]``; a zero precision makes the step a pure
     prediction.  Each step predicts a = F m and P = F C F' + Q, then updates
@@ -279,8 +277,7 @@ def backward_conditionals(
     State t given state t+1 = x is normal with mean offset_t + J_t x and
     covariance C_t - J_t F C_t, where J_t = C_t F' P_{t+1}^-1 and
     offset_t = m_t - J_t F m_t.  Returns (gains, offsets, covariances),
-    all gains from one batched solve; the smoother and the backward
-    sampler share them.
+    all gains from one batched solve, for :func:`kalman_smoother`.
 
     Raises
     ------

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from dfmvi import gibbs, statespace, vi
-from dfmvi.errors import DomainError
+from dfmvi.errors import DomainError, NumericalError
 from dfmvi.model import ModelSpec, PriorSpec, default_prior, identification_restrictions
 from dfmvi.panel import from_arrays
 from dfmvi.sim import dense_fixed_moments
@@ -21,8 +21,8 @@ def test_config_validation():
 
 
 def test_state_draws_without_data_follow_prior_process():
-    # p=0 runs the scalar recursion; p=1 (s=2) runs the shared kernel, where
-    # every step carries zero observation precision and is a pure prediction.
+    # Without data the precision holds only the origin and transition blocks;
+    # at p=1 (s=2) the path also carries a lagged copy of each factor.
     for p, phi in ((0, np.array([[0.6]])), (1, np.array([[0.6, 0.2]]))):
         spec = ModelSpec(n=2, r=1, p=p)
         prior = default_prior(spec)
@@ -48,30 +48,6 @@ def test_state_draws_without_data_follow_prior_process():
         # the lagged coordinate is an exact copy of the previous state
         if p:
             assert_array_equal(draws[:, 1:, 1], draws[:, :-1, 0])
-
-
-def test_gibbs_forward_pass_is_collapsed_filter_without_parameter_uncertainty():
-    # With zero loading and transition covariances the collapsed system of
-    # the variational fit is the plain model at fixed parameters, so the
-    # Gibbs forward pass and the collapsed filter must agree (r=2, p=1).
-    spec = ModelSpec(n=6, r=2, p=1)
-    pan, cfg, _ = random_masked_panel(spec, T=12, seed=21, missing_prob=0.0)
-    assert pan.mask.all()
-    prior = default_prior(spec)
-    rng = np.random.default_rng(22)
-    lambdas = rng.standard_normal((spec.n, spec.s))
-    sigma2 = rng.uniform(0.3, 1.5, spec.n)
-    filt_mean, filt_cov, pred_cov = gibbs._filter_fixed_theta(
-        pan.values, pan.mask, lambdas, sigma2, cfg.trans, prior.init_state_cov
-    )
-    params = statespace.build_collapsed_system(
-        pan.values, pan.mask, lambdas, np.zeros((spec.n, spec.s, spec.s)),
-        1.0 / sigma2, cfg.trans, np.zeros((spec.s, spec.s)), prior.init_state_cov,
-    )
-    filt = statespace.kalman_filter(params)
-    assert_allclose(filt_mean, filt.filt_mean, rtol=0, atol=1e-12)
-    assert_allclose(filt_cov, filt.filt_cov, rtol=0, atol=1e-12)
-    assert_allclose(pred_cov, filt.pred_cov, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -307,28 +283,75 @@ def test_draw_store_round_trip(tmp_path):
     assert back.seed == store.seed and back.thin == store.thin
 
 
+class _ZeroRng:
+    """Generator stand-in whose normal draws are all zero: the draw is the mean."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("r, p", [(1, 0), (1, 1), (2, 1)])
+def test_state_draw_matches_dense_oracle_with_empty_rows(r, p):
+    spec = ModelSpec(n=5, r=r, p=p)
+    pan, cfg, _ = random_masked_panel(spec, T=12, seed=50 + 10 * r + p, missing_prob=0.2)
+    values = pan.values.copy()
+    values[[3, -1]] = np.nan  # time step 4 and the last one hold no data
+    pan = from_arrays(values)
+    prior = default_prior(spec)
+    oracle = dense_fixed_moments(
+        pan, cfg.loadings, cfg.noise_var, cfg.trans, prior.init_state_cov
+    )
+    mean = gibbs.sample_states_ffbs(
+        pan, cfg.loadings, cfg.noise_var, cfg.trans, prior, _ZeroRng()
+    )
+    assert_allclose(mean, oracle.mean, rtol=0, atol=1e-10)
+    # the joint covariance of the whole path, entry by entry, within
+    # Monte Carlo error
+    rng = np.random.default_rng(51)
+    n_draws = 20_000
+    paths = np.stack(
+        [
+            gibbs.sample_states_ffbs(
+                pan, cfg.loadings, cfg.noise_var, cfg.trans, prior, rng
+            ).ravel()
+            for _ in range(n_draws)
+        ]
+    )
+    centred = paths - oracle.mean.ravel()
+    cov = centred.T @ centred / n_draws
+    sd = np.sqrt(np.diag(oracle.cov))
+    se = np.sqrt((np.outer(sd, sd) ** 2 + oracle.cov**2) / n_draws)
+    assert np.all(np.abs(cov - oracle.cov) <= 5.0 * se + 1e-12)
+
+
 @pytest.mark.parametrize("r, p", [(2, 1), (1, 2)])
-def test_backward_draw_is_continuous_in_the_filtered_moments(r, p):
-    # s - r >= 2: the backward conditional is degenerate in the lagged
-    # coordinates, so only a root of its free block keeps a same-seed path
-    # stable under a rounding-level change of the filtered covariances.
+def test_state_draw_is_continuous_in_the_parameters(r, p):
+    # s - r >= 2: the lagged coordinates are copies, so a same-seed path
+    # must stay put under a rounding-level change of the parameters.
     spec = ModelSpec(n=5, r=r, p=p)
     pan, cfg, _ = random_masked_panel(spec, T=15, seed=31, missing_prob=0.2)
     prior = default_prior(spec)
-    filt_mean, filt_cov, pred_cov = gibbs._filter_fixed_theta(
-        pan.values, pan.mask, cfg.loadings, cfg.noise_var, cfg.trans,
-        prior.init_state_cov,
-    )
-    noise = np.random.default_rng(32).standard_normal(filt_cov.shape)
-    nudged = filt_cov + 1e-13 * (noise + noise.swapaxes(-1, -2))
-    trans = statespace.companion(cfg.trans)
-    path = gibbs.backward_sample_paths(
-        filt_mean, filt_cov, pred_cov, trans, r, np.random.default_rng(33)
-    )
-    moved = gibbs.backward_sample_paths(
-        filt_mean, nudged, pred_cov, trans, r, np.random.default_rng(33)
-    )
-    assert np.abs(moved - path).max() <= 1e-8
+    nudged = cfg.noise_var * (1.0 + 1e-13 * np.random.default_rng(32).standard_normal(5))
+
+    def draw(sigma2):
+        return gibbs.sample_states_ffbs(
+            pan, cfg.loadings, sigma2, cfg.trans, prior, np.random.default_rng(33)
+        )
+
+    assert np.abs(draw(nudged) - draw(cfg.noise_var)).max() <= 1e-8
+
+
+def test_state_draw_names_step_of_indefinite_precision():
+    # a negative noise variance on a series seen only at time 5 makes the
+    # state precision indefinite there
+    spec = ModelSpec(n=2, r=1, p=0)
+    values = np.random.default_rng(34).standard_normal((8, 2))
+    values[np.arange(8) != 4, 0] = np.nan
+    with pytest.raises(NumericalError, match=r"at time step 5\b"):
+        gibbs.sample_states_ffbs(
+            from_arrays(values), np.ones((2, 1)), np.array([-0.01, 1.0]),
+            np.array([[0.5]]), default_prior(spec), np.random.default_rng(35),
+        )
 
 
 def _two_anchor_case():

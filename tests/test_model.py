@@ -159,6 +159,8 @@ def test_identification_restrictions_anchor_scheme():
         identification_restrictions(spec, [(0, 0), (1, 0)])
     with pytest.raises(DomainError):
         identification_restrictions(spec, [(9, 0)])
+    with pytest.raises(DomainError, match=r"variable 0 anchors more than one"):
+        identification_restrictions(ModelSpec(n=3, r=2, p=0), [(0, 0), (0, 1)])
 
 
 def test_sign_flips_preserve_fit():

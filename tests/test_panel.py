@@ -50,6 +50,20 @@ def test_load_csv_ragged_row(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_ignores_trailing_blank_lines(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("a,b\n1,2\n3,4\n\n\n")
+    pan = load_csv(path)
+    assert_array_equal(pan.values, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_load_csv_blank_line_between_rows_names_row(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("a,b\n1,2\n\n3,4\n")
+    with pytest.raises(PanelFormatError, match=r"row 3 has 0 fields"):
+        load_csv(path)
+
+
 def test_load_csv_custom_missing_token(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("a\nNA\n1.5\n")
