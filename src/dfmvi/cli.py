@@ -449,7 +449,7 @@ def cmd_forecast(args, parser) -> int:
         if record is not None:
             arr = panel_mod.unstandardize(arr, record)
     np.savez(os.path.join(args.out, "forecast_draws.npz"), draws=arr)
-    qs = np.quantile(arr, [0.025, 0.25, 0.5, 0.75, 0.975], axis=0)
+    qs = forecast.draw_quantiles(arr, [0.025, 0.25, 0.5, 0.75, 0.975])
     with open(os.path.join(args.out, "forecast_summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -500,13 +500,16 @@ def cmd_compare(args, parser) -> int:
             writer.writerow(
                 [block, repr(errs["me"]), repr(errs["mae"]), repr(errs["rmse"])]
             )
+    # The rows csv.writer would give: fixed block names and repr floats need
+    # no quoting, and each (block, level) chunk is written at once.
     with open(os.path.join(args.out, "report_coverage.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "level", "element", "coverage_pct"])
+        fh.write("block,level,element,coverage_pct\r\n")
         for block, per_level in report.coverage.items():
             for level, cov in per_level.items():
-                for e, val in enumerate(np.asarray(cov).ravel()):
-                    writer.writerow([block, level, e, repr(float(val))])
+                values = np.asarray(cov, dtype=float).ravel().tolist()
+                fh.write("".join(
+                    [f"{block},{level},{e},{val!r}\r\n" for e, val in enumerate(values)]
+                ))
     _write_json(
         os.path.join(args.out, "report_summary.json"),
         {

@@ -6,6 +6,10 @@ or from a stored Gibbs chain.  Comparison metrics mirror a benchmark
 protocol: mean/absolute/root-mean-square errors between posterior means,
 and the share of benchmark draws falling inside equal-tailed variational
 intervals, aggregated across elements.
+
+Quantiles are numpy's "linear" sample quantiles (Hyndman and Fan 1996,
+type 7), which need only order statistics: each draw block is sorted once,
+and the quantiles of every requested level are read from the sorted block.
 """
 
 from __future__ import annotations
@@ -153,12 +157,49 @@ def posterior_mean_errors(a: np.ndarray, b: np.ndarray) -> dict:
     }
 
 
+def _sorted_quantiles(srt: np.ndarray, q) -> np.ndarray:
+    """Sample quantiles at probabilities ``q`` of rows sorted on the last axis.
+
+    Bit for bit numpy's "linear" method: the virtual index (n - 1) q lies
+    between order statistics prev = floor and next = prev + 1; an index
+    below 0 takes the first order statistic and one at or above n - 1 the
+    last.  With gamma = index - prev the value is a + (b - a) gamma, or
+    b - (b - a) (1 - gamma) where gamma >= 0.5.  A row holding NaN (sorted
+    last) gives NaN, as in numpy.  Only the sign of a zero quantile can
+    differ, where a row holds both -0.0 and 0.0, which sort and partition
+    may order differently.  Returns shape (len(q),) + srt.shape[:-1].
+    """
+    n = srt.shape[-1]
+    virtual = (n - 1) * np.asarray(q, dtype=float)
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    above, below = virtual >= n - 1, virtual < 0
+    prev[above] = nxt[above] = -1
+    prev[below] = nxt[below] = 0
+    gamma = virtual - prev
+    a = srt[..., prev.astype(np.intp)]
+    b = srt[..., nxt.astype(np.intp)]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    last = srt[..., -1:]
+    np.copyto(out, last, where=np.isnan(last))
+    return np.moveaxis(out, -1, 0)
+
+
+def draw_quantiles(draws: np.ndarray, q) -> np.ndarray:
+    """``np.quantile(draws, q, axis=0)`` from one sort of the draws (axis 0)."""
+    srt = np.moveaxis(np.asarray(draws, dtype=float), 0, -1).copy()
+    srt.sort(axis=-1)
+    return _sorted_quantiles(srt, q)
+
+
 def interval_coverage(
     lower: np.ndarray, upper: np.ndarray, draws: np.ndarray
 ) -> np.ndarray:
     """Percent of draws (axis 0) inside the per-element [lower, upper]."""
     inside = (draws >= lower) & (draws <= upper)
-    return 100.0 * inside.mean(axis=0)
+    return 100.0 * (np.count_nonzero(inside, axis=0) / inside.shape[0])
 
 
 def coverage_probability(
@@ -170,7 +211,13 @@ def coverage_probability(
 
     Both draw arrays index draws on axis 0 and target the same elements on
     the remaining axes.  Returns, per level, the percent coverage for each
-    element.
+    element.  The variational draws are sorted once for all levels.
+
+    Raises
+    ------
+    DomainError
+        On mismatched element shapes, an empty draw set, a draw set holding
+        a non-finite value (names the set) or a level outside (0, 100).
     """
     smf = np.asarray(smf_draws, dtype=float)
     mcmc = np.asarray(mcmc_draws, dtype=float)
@@ -178,14 +225,19 @@ def coverage_probability(
         raise DomainError("draw sets target different element shapes")
     if smf.shape[0] == 0 or mcmc.shape[0] == 0:
         raise DomainError("empty draw set")
-    out = {}
+    for name, draws in (("SMF", smf), ("MCMC", mcmc)):
+        if not np.isfinite(draws).all():
+            raise DomainError(f"{name} draw set holds a non-finite value")
     for level in levels:
         if not (0 < level < 100):
             raise DomainError(f"level {level} outside (0, 100)")
-        alpha = 0.5 * (1.0 - level / 100.0)
-        lo, hi = np.quantile(smf, [alpha, 1.0 - alpha], axis=0)
-        out[int(level)] = interval_coverage(lo, hi, mcmc)
-    return out
+    alpha = np.array([0.5 * (1.0 - level / 100.0) for level in levels])
+    bounds = draw_quantiles(smf, np.concatenate([alpha, 1.0 - alpha]))
+    lower, upper = bounds[: len(alpha)], bounds[len(alpha) :]
+    return {
+        int(level): interval_coverage(lower[k], upper[k], mcmc)
+        for k, level in enumerate(levels)
+    }
 
 
 def summarize_coverage(per_element: dict[int, np.ndarray]) -> dict[int, dict]:

@@ -17,6 +17,7 @@ together in one ``.npz`` archive with the seed and bookkeeping.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,8 +138,8 @@ def sample_states_ffbs(
     width = r + s
     scaled = lambdas / sigma2[:, None]
     outer = scaled[:, :, None] * lambdas[:, None, :]
-    obs_prec = (panel.mask @ outer.reshape(-1, s * s)).reshape(T, s, s)
-    obs_info = panel.filled(0.0) @ scaled
+    obs_prec = (panel.mask_float @ outer.reshape(-1, s * s)).reshape(T, s, s)
+    obs_info = panel.zero_filled @ scaled
 
     resid = np.hstack([np.eye(r), -phi])
     windows = np.broadcast_to(resid.T @ resid, (T, width, width)).copy()
@@ -254,6 +255,14 @@ def sample_parameters(
     return lambdas, sigma2, phi, rejections
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def run_gibbs(
     panel: TimeSeriesPanel,
     spec: ModelSpec,
@@ -266,7 +275,24 @@ def run_gibbs(
     The chain starts from the principal-component regression initializer
     (sign-aligned to the anchors) and is fully determined by the seed.
     Explosive transition draws are retained, not rejected.
+
+    Raises
+    ------
+    DomainError
+        If the float64 draw store of the kept draws would exceed the
+        machine's physical memory (states its size and points to thinning).
     """
+    r, s = spec.r, spec.s
+    burn = config.burn_in()
+    kept = (config.n_draws - burn + config.thin - 1) // config.thin
+    store_bytes = 8 * kept * (spec.n * s + spec.n + r * s + (panel.T + 1) * s)
+    memory = _physical_memory()
+    if memory is not None and store_bytes > memory:
+        raise DomainError(
+            f"the draw store of {kept} kept draws needs {store_bytes / 2**30:.2f} GiB "
+            f"but the machine has {memory / 2**30:.2f} GiB of physical memory; "
+            "keep fewer draws with --thin"
+        )
     rng = np.random.default_rng(config.seed)
     restrictions = (
         identification_restrictions(spec, list(config.identification))
@@ -282,9 +308,6 @@ def run_gibbs(
     sigma2 = start.loadings.noise_scale.copy()
     phi = start.transition.mean.copy()
 
-    burn = config.burn_in()
-    kept = (config.n_draws - burn + config.thin - 1) // config.thin
-    r, s = spec.r, spec.s
     out_lam = np.empty((kept, spec.n, s))
     out_sig = np.empty((kept, spec.n))
     out_phi = np.empty((kept, r, s))

@@ -13,6 +13,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,10 +77,38 @@ class TimeSeriesPanel:
         """Values with missing cells replaced by ``fill``."""
         return np.where(self.mask, self.values, fill)
 
+    # Panel-only arrays that every fit iteration and Gibbs sweep reads;
+    # computed once per panel and read-only.
+
+    @cached_property
+    def mask_float(self) -> np.ndarray:
+        """The mask as 1.0 (available) and 0.0 (missing)."""
+        return _read_only(self.mask.astype(float))
+
+    @cached_property
+    def zero_filled(self) -> np.ndarray:
+        """Values with missing cells set to 0.0."""
+        return _read_only(self.filled(0.0))
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Available observations per column, as floats."""
+        return _read_only(self.mask_float.sum(axis=0))
+
+    @cached_property
+    def sums_of_squares(self) -> np.ndarray:
+        """Sum of the squared available values per column."""
+        return _read_only((self.mask_float * self.zero_filled**2).sum(axis=0))
+
     def availability(self) -> "AvailabilitySummary":
         return AvailabilitySummary(
             counts=self.mask.sum(axis=0).astype(int), patterns=self.mask
         )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
+from .panel import TimeSeriesPanel
 
 _JITTER = 1e-10
 _MAX_JITTER_TRIES = 3
@@ -150,8 +151,7 @@ class StateMoments:
 
 
 def build_collapsed_system(
-    values: np.ndarray,
-    mask: np.ndarray,
+    panel: TimeSeriesPanel,
     loading_mean: np.ndarray,
     loading_covs: np.ndarray,
     noise_prec: np.ndarray,
@@ -168,10 +168,9 @@ def build_collapsed_system(
     byproducts (logdets and remainder quadratics) are computed along the
     way.  ``dfmvi.sim`` holds the per-step reference construction.
     """
-    T, n = values.shape
     r, s = trans_mean.shape
-    maskf = mask.astype(float)
-    filled = np.where(mask, values, 0.0)
+    maskf = panel.mask_float
+    filled = panel.zero_filled
 
     weighted_outer = (loading_mean[:, :, None] * loading_mean[:, None, :]) * noise_prec[
         :, None, None
@@ -190,7 +189,7 @@ def build_collapsed_system(
             "use positive definite priors or trim trailing all-missing time steps"
         )
     h_star = symmetrize(np.linalg.inv(prec))
-    rhs = (maskf * filled * noise_prec) @ loading_mean
+    rhs = (filled * noise_prec) @ loading_mean
     y_star = np.einsum("tab,tb->ta", h_star, rhs)
 
     sign_th, sigma_theta_logdet = np.linalg.slogdet(sigma_theta)

@@ -119,13 +119,11 @@ def loading_posterior(
     s = mean.shape[1]
     free = np.ones((panel.n, s), dtype=bool) if restrictions is None else restrictions.free
     T, n = panel.values.shape
-    maskf = panel.mask.astype(float)
-    filled = np.where(panel.mask, panel.values, 0.0)
-    counts = maskf.sum(axis=0)
+    counts = panel.counts
     empty = counts == 0
-    gram = (maskf.T @ second_moment.reshape(T, s * s)).reshape(n, s, s)
-    rhs = np.where(free, (maskf * filled).T @ mean, 0.0)
-    ssq = (maskf * filled**2).sum(axis=0)
+    gram = (panel.mask_float.T @ second_moment.reshape(T, s * s)).reshape(n, s, s)
+    rhs = np.where(free, panel.zero_filled.T @ mean, 0.0)
+    ssq = panel.sums_of_squares
 
     prec = _pad_restricted(gram + prior.loading_prec, free)
     chol = statespace.batched_cholesky(
@@ -205,8 +203,7 @@ def update_states(
     whose byproducts feed the objective.
     """
     params = statespace.build_collapsed_system(
-        panel.values,
-        panel.mask,
+        panel,
         loadings.mean,
         loadings.cov,
         loadings.noise_prec,
@@ -236,7 +233,7 @@ def compute_elbo(
     when variational equals prior), and a noise part (the scaled-inverse-
     chi-square bookkeeping).
     """
-    counts = panel.mask.sum(axis=0).astype(float)
+    counts = panel.counts
     s = loadings.mean.shape[1]
     r = transition.mean.shape[0]
     # The closed form substitutes the identity noise_df = prior df + count;

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -131,6 +132,29 @@ def test_compare_reports(sim_dir, fit_dir, gibbs_dir, tmp_path):
     assert len(factors_rows) == 40
     cov_values = np.array([float(r[3]) for r in rows])
     assert np.all((cov_values >= 0) & (cov_values <= 100))
+    # the bytes csv.writer gives: "\r\n" terminators and repr floats
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["block", "level", "element", "coverage_pct"])
+    for block, level, e, val in rows:
+        writer.writerow([block, int(level), int(e), repr(float(val))])
+    assert (out / "report_coverage.csv").read_bytes() == want.getvalue().encode()
+
+
+def test_compare_rerun_byte_identical(sim_dir, fit_dir, gibbs_dir, tmp_path):
+    outs = [tmp_path / "cmp1", tmp_path / "cmp2"]
+    for out in outs:
+        code = _run(
+            [
+                "compare", "--panel", str(sim_dir / "panel.csv"),
+                "--fit", str(fit_dir), "--gibbs", str(gibbs_dir),
+                "--out", str(out), "--horizons", "2", "--smf-draws", "500",
+                "--seed", "4",
+            ]
+        )
+        assert code == 0
+    for name in ("report_pm_errors.csv", "report_coverage.csv", "report_summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_compare_refuses_mismatched_artifacts(sim_dir, fit_dir, tmp_path, capsys):

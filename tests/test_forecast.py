@@ -167,6 +167,54 @@ def test_coverage_rejects_empty_and_mismatched():
         )
 
 
+def test_coverage_rejects_non_finite_draws():
+    good = np.ones((5, 2))
+    for bad_value in (np.nan, np.inf, -np.inf):
+        bad = good.copy()
+        bad[3, 1] = bad_value
+        with pytest.raises(DomainError, match="SMF draw set"):
+            forecast.coverage_probability(bad, good)
+        with pytest.raises(DomainError, match="MCMC draw set"):
+            forecast.coverage_probability(good, bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 450, 2500])
+def test_sorted_quantiles_equal_numpy_linear_quantiles_bitwise(n):
+    rng = np.random.default_rng(n)
+    q = np.arange(1, 100) / 100.0
+    continuous = rng.standard_normal((n, 9))
+    # ties: every draw repeats one of a few values
+    tied = rng.choice(rng.standard_normal(max(n // 3, 1)), size=(n, 9))
+    for draws in (continuous, tied):
+        want = np.quantile(draws, q, axis=0)
+        got = forecast._sorted_quantiles(np.sort(draws.T, axis=-1), q)
+        assert got.shape == want.shape
+        assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_coverage_probability_equals_per_level_quantile_reference_bitwise():
+    def reference(smf, mcmc, levels):
+        out = {}
+        for level in levels:
+            alpha = 0.5 * (1.0 - level / 100.0)
+            lo, hi = np.quantile(smf, [alpha, 1.0 - alpha], axis=0)
+            out[level] = 100.0 * ((mcmc >= lo) & (mcmc <= hi)).mean(axis=0)
+        return out
+
+    rng = np.random.default_rng(9)
+    levels = (1, 50, 75, 95, 99)
+    for _ in range(10):
+        n_smf, n_mcmc = rng.integers(1, 700, size=2)
+        smf = rng.standard_normal((n_smf, 4, 6))
+        mcmc = 1.3 * rng.standard_normal((n_mcmc, 4, 6))
+        want = reference(smf, mcmc, levels)
+        got = forecast.coverage_probability(smf, mcmc, levels)
+        assert list(got) == list(levels)
+        for level in levels:
+            assert got[level].shape == (4, 6)
+            assert_array_equal(got[level].view(np.int64), want[level].view(np.int64))
+
+
 def test_summarize_coverage():
     summary = forecast.summarize_coverage({95: np.array([90.0, 95.0, 100.0])})
     assert_allclose(summary[95]["mean"], 95.0)

@@ -202,6 +202,20 @@ def test_run_gibbs_thinning_counts():
     assert store.n_draws == 13  # ceil(90 / 7)
 
 
+def test_run_gibbs_refuses_draw_store_larger_than_memory(monkeypatch):
+    spec = ModelSpec(n=2, r=1, p=0)
+    pan, _, _ = random_masked_panel(spec, T=8, seed=12, missing_prob=0.1)
+    prior = default_prior(spec)
+    config = gibbs.GibbsConfig(n_draws=100, burn_in_fraction=0.1, seed=0)
+    # 90 kept draws of 2 + 2 + 1 + 9 float64 values each
+    needed = 8 * 90 * 14
+    monkeypatch.setattr(gibbs, "_physical_memory", lambda: needed - 1)
+    with pytest.raises(DomainError, match="--thin"):
+        gibbs.run_gibbs(pan, spec, prior, config)
+    monkeypatch.setattr(gibbs, "_physical_memory", lambda: needed)
+    assert gibbs.run_gibbs(pan, spec, prior, config).n_draws == 90
+
+
 def test_run_gibbs_conjugate_submodel_matches_analytic_posterior():
     # With every loading zero-restricted the data say nothing about the
     # states, and the stationary noise draws follow the analytic

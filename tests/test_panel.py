@@ -105,6 +105,19 @@ def test_panel_immutable():
         pan.values[0, 0] = 9.0
 
 
+def test_panel_derived_arrays_are_computed_once_and_read_only():
+    pan = from_arrays(np.array([[1.0, np.nan], [-2.0, 3.0], [np.nan, np.nan]]))
+    assert_array_equal(pan.mask_float, [[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    assert_array_equal(pan.zero_filled, pan.filled(0.0))
+    assert_array_equal(pan.counts, [2.0, 1.0])
+    assert_array_equal(pan.sums_of_squares, [5.0, 9.0])
+    for name in ("mask_float", "zero_filled", "counts", "sums_of_squares"):
+        arr = getattr(pan, name)
+        assert getattr(pan, name) is arr
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_standardize_three_point_column():
     pan = from_arrays(np.array([[1.0], [2.0], [3.0]]))
     out, rec = standardize(pan)

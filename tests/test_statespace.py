@@ -249,7 +249,7 @@ def test_build_system_matches_per_step_ops():
     state = vi.init_from_pca(pan, spec, prior, seed=1)
     loadings, transition = state.loadings, state.transition
     params = statespace.build_collapsed_system(
-        pan.values, pan.mask, loadings.mean, loadings.cov, loadings.noise_prec,
+        pan, loadings.mean, loadings.cov, loadings.noise_prec,
         transition.mean, transition.cov, prior.init_state_cov,
     )
     T = pan.T
