@@ -1,7 +1,7 @@
 """Structured mean-field variational inference for dynamic factor models.
 
 Estimates exact dynamic factor models under arbitrary missing-data
-patterns, with a collapsed Kalman filter/smoother state pass, a
+patterns, with a banded-precision state pass shared with the
 Gibbs-sampler benchmark, predictive sampling and comparison metrics.
 """
 

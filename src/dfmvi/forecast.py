@@ -328,9 +328,7 @@ def compare_posteriors(
 
     # Factor paths.
     f_mean = moments.mean[1:, :r]
-    f_sd = np.sqrt(
-        np.stack([np.diag(moments.cov[t])[:r] for t in range(1, T + 1)])
-    )
+    f_sd = np.sqrt(np.diagonal(moments.cov[1:], axis1=1, axis2=2)[:, :r])
     f_smf = f_mean[None] + rng.standard_normal((n_smf_draws, T, r)) * f_sd[None]
     pm_errors["factors"] = posterior_mean_errors(
         f_mean, store.states[:, 1:, :r].mean(axis=0)

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import stdtr, stdtrit
 
-from . import vi
-from .errors import DomainError, NumericalError
+from . import statespace, vi
+from .errors import DomainError
 from .model import ModelSpec, PriorSpec, Restrictions, identification_restrictions
 from .panel import TimeSeriesPanel
 
@@ -113,16 +112,13 @@ def sample_states_ffbs(
 ) -> np.ndarray:
     """One exact joint draw of the state path given a parameter draw.
 
-    Given the parameters, the factor path z = (f_T, f_{T-1}, ..., f_{-p}),
-    r (T + p + 1) coordinates in reverse time order, is Gaussian with a
-    banded precision Q and information vector b (Rue 2001; Chan and
-    Jeliazkov 2009).  Window t = 1..T of z, (f_t, ..., f_{t-p-1}), carries
-    the block A'A of the residual f_t - Phi x_{t-1}, A = [I, -Phi], plus the
-    data precision Lambda' A_t Sigma^-1 Lambda on its leading state x_t
-    (zero at a time step without data), and the last window the inverse
-    origin covariance on x_0.  One banded Cholesky Q = L L' and one banded
-    solve give z = Q^-1 (b + L eps), eps standard normal.  In reverse time
-    order each state x_t = (f_t, ..., f_{t-p}) is a contiguous slice of z,
+    Given the parameters, the factor path z = (f_T, ..., f_{-p}) is
+    Gaussian with the banded precision Q and information vector b of
+    :func:`statespace.path_precision`: the block A'A of the residual
+    f_t - Phi x_{t-1}, A = [I, -Phi], on every window, the data precision
+    Lambda' A_t Sigma^-1 Lambda on x_t and the inverse origin covariance on
+    x_0.  One banded Cholesky Q = L L' and one banded solve give
+    z = Q^-1 (b + L eps), eps standard normal; each state is a slice of z,
     so the lagged coordinates of the path are exact copies.
 
     Returns a (T+1, s) path including the origin state.
@@ -133,40 +129,23 @@ def sample_states_ffbs(
         If Q is not positive definite (names the time step of the first
         coordinate whose leading minor fails).
     """
-    T = panel.T
     r, s = phi.shape
-    width = r + s
     scaled = lambdas / sigma2[:, None]
-    outer = scaled[:, :, None] * lambdas[:, None, :]
-    obs_prec = (panel.mask_float @ outer.reshape(-1, s * s)).reshape(T, s, s)
-    obs_info = panel.zero_filled @ scaled
-
     resid = np.hstack([np.eye(r), -phi])
-    windows = np.broadcast_to(resid.T @ resid, (T, width, width)).copy()
-    windows[:, :s, :s] += obs_prec[::-1]
-    windows[-1, r:, r:] += np.linalg.inv(prior.init_state_cov)
-    # Window k = T - t starts at coordinate r k; lower band storage holds
-    # Q[i, j] at [i - j, j].
-    band = np.zeros((width, r * T + s))
-    info = np.zeros(r * T + s)
-    for j in range(width):
-        for d in range(width - j):
-            band[d, j : j + r * T : r] += windows[:, j + d, j]
-    for j in range(s):
-        info[j : j + r * T : r] += obs_info[::-1, j]
-
-    chol, fail = scipy.linalg.lapack.dpbtrf(band, lower=1)
-    if fail:
-        raise NumericalError(
-            f"state precision not positive definite at time step {T - (fail - 1) // r}"
-        )
-    eps = rng.standard_normal(r * T + s)
+    band, info, _ = statespace.path_precision(
+        panel,
+        scaled[:, :, None] * lambdas[:, None, :],
+        scaled,
+        resid.T @ resid,
+        np.linalg.inv(prior.init_state_cov),
+    )
+    chol = statespace.band_cholesky(band, r)
+    eps = rng.standard_normal(info.size)
     shock = chol[0] * eps
-    for d in range(1, width):
+    for d in range(1, r + s):
         shock[d:] += chol[d, :-d] * eps[:-d]
     z = scipy.linalg.cho_solve_banded((chol, True), info + shock, check_finite=False)
-    # the s-window starting at coordinate r k is the state x_{T-k}
-    return sliding_window_view(z, s)[::r][::-1].copy()
+    return statespace.path_states(z, r, s).copy()
 
 
 def _draw_sign_truncated(post, rejected, rng, max_rejects):

@@ -2,11 +2,11 @@
 
 The oracles here deliberately avoid the production filter code: state
 moments come from conditioning an explicitly assembled joint Gaussian or
-from a covariance-form filter over the uncollapsed augmented system, the
-collapse is redone one time step at a time, and the objective is
-cross-checked by plain Monte Carlo averaging over the variational
-densities.  Desk-scale only; hard size caps keep the dense
-constructions honest.
+from a covariance-form filter over the uncollapsed augmented system, whose
+log-likelihood is also rebuilt from the determinant and quadratic form of
+the path precision, and the objective is cross-checked by plain Monte
+Carlo averaging over the variational densities.  Desk-scale only; hard
+size caps keep the dense constructions honest.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ class SimConfig:
     require_stationary: bool = False
 
 
-def _companion(trans: np.ndarray) -> np.ndarray:
+def companion(trans: np.ndarray) -> np.ndarray:
+    """Companion-form transition: the r x s block on top, shifted identity below."""
     r, s = trans.shape
     out = np.zeros((s, s))
     out[:r, :] = trans
@@ -75,8 +76,15 @@ def _companion(trans: np.ndarray) -> np.ndarray:
     return out
 
 
+def state_noise_cov(r: int, s: int) -> np.ndarray:
+    """Covariance of the state innovation: identity on the top r coordinates."""
+    q = np.zeros((s, s))
+    q[:r, :r] = np.eye(r)
+    return q
+
+
 def spectral_radius(trans: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvals(_companion(trans))).max())
+    return float(np.abs(np.linalg.eigvals(companion(trans))).max())
 
 
 def _apply_missing(mask: np.ndarray, patterns, rng) -> np.ndarray:
@@ -208,8 +216,7 @@ def dense_conditional_moments(
     dim = (T + 1) * s
     if dim > _DENSE_CAP:
         raise DomainError(f"dense oracle capped at (T+1)*s <= {_DENSE_CAP}, got {dim}")
-    q = np.zeros((s, s))
-    q[:r, :r] = np.eye(r)
+    q = state_noise_cov(r, s)
 
     # Joint prior covariance of (F_0, ..., F_T): propagate marginals, then
     # fill cross blocks Cov(F_t, F_u) = trans^(t-u) Cov(F_u).
@@ -270,6 +277,8 @@ def dense_variational_moments(panel, loadings, transition, prior) -> DenseMoment
     Builds, per time step, the observation that stacks available data rows
     on s zero pseudo-observations whose covariance is the inverse of the
     summed parameter covariances, then conditions the dense joint normal.
+    A step with neither data nor parameter covariance (an all-missing last
+    step) contributes no observation, the limit of a vanishing precision.
     """
     values, mask = panel.values, panel.mask
     T, n = values.shape
@@ -282,6 +291,9 @@ def dense_variational_moments(panel, loadings, transition, prior) -> DenseMoment
         sigma_theta = np.einsum("i,iab->ab", avail.astype(float), loadings.cov)
         if t < T:
             sigma_theta = sigma_theta + r * transition.cov
+        if not avail.any() and not sigma_theta.any():
+            observations.append(None)
+            continue
         c = np.vstack([lam[avail], np.eye(s)])
         robs = scipy.linalg.block_diag(
             np.diag(noise_var[avail]), np.linalg.inv(sigma_theta)
@@ -291,7 +303,7 @@ def dense_variational_moments(panel, loadings, transition, prior) -> DenseMoment
     init_cov = np.linalg.inv(
         np.linalg.inv(prior.init_state_cov) + r * transition.cov
     )
-    return dense_conditional_moments(_companion(transition.mean), init_cov, observations, r)
+    return dense_conditional_moments(companion(transition.mean), init_cov, observations, r)
 
 
 def dense_fixed_moments(
@@ -315,7 +327,7 @@ def dense_fixed_moments(
         robs = np.diag(noise_var[avail])
         z = values[t - 1][avail]
         observations.append((c, robs, z))
-    return dense_conditional_moments(_companion(trans), init_cov, observations, r)
+    return dense_conditional_moments(companion(trans), init_cov, observations, r)
 
 
 def dense_gaussian_oracle(panel, state, prior) -> DenseMoments:
@@ -324,7 +336,7 @@ def dense_gaussian_oracle(panel, state, prior) -> DenseMoments:
 
 
 # ---------------------------------------------------------------------------
-# per-step collapse and the uncollapsed reference filter
+# the uncollapsed reference filter
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -340,19 +352,6 @@ def _chol(a: np.ndarray, context: str) -> np.ndarray:
 
 def _chol_solve(chol_lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((chol_lower, True), b, check_finite=False)
-
-
-@dataclass(frozen=True)
-class CollapsedObservation:
-    """One collapsed observation: GLS state summary and its noise covariance."""
-
-    y_star: np.ndarray
-    H_star: np.ndarray
-
-
-def collapsed(params, t: int) -> CollapsedObservation:
-    """Collapsed observation for time t (1-based) of a collapsed system."""
-    return CollapsedObservation(params.y_star[t - 1], params.H_star[t - 1])
 
 
 def build_sigma_theta(
@@ -375,80 +374,38 @@ def build_sigma_theta(
     return _sym(out)
 
 
-def collapse_observation(
-    y_t: np.ndarray,
-    mask_t: np.ndarray,
-    loading_mean: np.ndarray,
-    noise_prec: np.ndarray,
-    sigma_theta_t: np.ndarray,
-) -> CollapsedObservation:
-    """Collapse one augmented observation to its s-dimensional GLS summary.
+def decomposed_loglik(panel, loadings, transition, prior, prec_logdet, info_quad):
+    """Augmented-system log-likelihood from the path precision Q and vector b.
 
-    Masked-out entries of ``y_t`` are ignored regardless of content.  The
-    returned covariance is the inverse of the total observation precision
-    M' A Psi^-1 M + Sigma_theta, symmetrized.
-
-    Raises
-    ------
-    NumericalError
-        If the precision sum is singular, which can only happen when
-        sigma_theta_t is singular and no data row is available.
+    Integrating the path out of the augmented system (data rows and s zero
+    pseudo-observations per step) leaves the normal log-likelihood
+    -1/2 [(N + T s) ln 2 pi + sum_i count_i ln tau_i - sum_t ln|Sigma_theta_t|
+    - ln|F0^-1 + r V| + ln|Q| + sum_ti mask_ti y_ti^2 / tau_i - b' Q^-1 b],
+    with N observed cells.  ``prec_logdet`` and ``info_quad`` are ln|Q| and
+    b' Q^-1 b; the rest is computed here.  Matches the log-likelihood of
+    the uncollapsed augmented filter exactly.
     """
-    w = np.where(mask_t, noise_prec, 0.0)
-    gram = (loading_mean * w[:, None]).T @ loading_mean
-    prec = gram + sigma_theta_t
-    try:
-        chol = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            "singular collapsed observation precision; use positive definite "
-            "priors or trim trailing all-missing time steps"
-        ) from None
-    rhs = loading_mean.T @ (w * np.where(mask_t, y_t, 0.0))
-    y_star = _chol_solve(chol, rhs)
-    h_star = _sym(_chol_solve(chol, np.eye(chol.shape[0])))
-    return CollapsedObservation(y_star=y_star, H_star=h_star)
-
-
-def remainder_loglik_terms(
-    y_t: np.ndarray,
-    mask_t: np.ndarray,
-    loading_mean: np.ndarray,
-    noise_var: np.ndarray,
-    sigma_theta_t: np.ndarray,
-    y_star_t: np.ndarray,
-) -> float:
-    """Quadratic form of the residual left over after collapsing time t.
-
-    The residual stacks the available data rows net of their fitted values
-    at the GLS summary, and the negated summary itself against the zero
-    pseudo-observations; the weights are the corresponding precisions.
-    """
-    avail = mask_t.astype(bool)
-    resid = y_t[avail] - loading_mean[avail] @ y_star_t
-    quad = float(np.sum(resid**2 / noise_var[avail]))
-    quad += float(y_star_t @ sigma_theta_t @ y_star_t)
-    return quad
-
-
-def decomposed_loglik(params, filt, mask: np.ndarray, noise_var: np.ndarray) -> float:
-    """Full-system log-likelihood recovered from collapsed quantities.
-
-    Combines the collapsed-filter log-likelihood with the remainder
-    residual part and the change-of-variables determinants of the
-    collapse, all read from a collapsed system ``params`` and its filter
-    pass ``filt``.  Matches the log-likelihood of the uncollapsed augmented
-    filter exactly.
-    """
+    mask = panel.mask
+    T = panel.T
+    r, s = transition.mean.shape
+    noise_var = loadings.noise_scale
     counts = mask.sum(axis=0).astype(float)
-    obs_total = float(counts.sum())
-    return (
-        filt.loglik
-        - 0.5 * obs_total * _LN2PI
-        - 0.5 * float(params.remainder_quads.sum())
-        + 0.5 * float(params.h_star_logdet.sum())
-        - 0.5 * float(np.dot(counts, np.log(noise_var)))
-        + 0.5 * float(params.sigma_theta_logdet.sum())
+    data_quad = float(np.sum(np.where(mask, panel.values, 0.0) ** 2 / noise_var))
+    sigma_theta_logdet = sum(
+        np.linalg.slogdet(
+            build_sigma_theta(mask[t - 1], loadings.cov, transition.cov, r, t == T)
+        )[1]
+        for t in range(1, T + 1)
+    )
+    init_prec = np.linalg.inv(prior.init_state_cov) + r * transition.cov
+    return -0.5 * (
+        (counts.sum() + T * s) * _LN2PI
+        + float(np.dot(counts, np.log(noise_var)))
+        - float(sigma_theta_logdet)
+        - float(np.linalg.slogdet(init_prec)[1])
+        + prec_logdet
+        + data_quad
+        - info_quad
     )
 
 
@@ -473,9 +430,8 @@ def augmented_moments(
     """
     T, n = values.shape
     r, s = trans_mean.shape
-    trans = _companion(trans_mean)
-    q = np.zeros((s, s))
-    q[:r, :r] = np.eye(r)
+    trans = companion(trans_mean)
+    q = state_noise_cov(r, s)
 
     init_prec = np.linalg.inv(init_state_cov) + r * trans_cov
     p0 = _sym(np.linalg.inv(_sym(init_prec)))

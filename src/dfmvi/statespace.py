@@ -1,29 +1,30 @@
-"""One state-space kernel for the collapsed factor system of the variational fit.
+"""One banded-precision state kernel for the variational fit and the Gibbs draw.
 
-The factor density targeted by the variational state update is the
-smoothing law of a linear-Gaussian system whose observation vector stacks
-the available data rows on top of s pseudo-observations of zero.  The zero
-block carries the accumulated parameter-uncertainty precision, so wider
-parameter densities shrink the state toward its unconditional mean.
+Given parameters, or expectations over them, the factor path
+z = (f_T, f_{T-1}, ..., f_{-p}), r (T + p + 1) coordinates in reverse time
+order, is Gaussian with a banded precision Q and information vector b
+(Rue 2001; Chan and Jeliazkov 2009).  Each companion state
+x_t = (f_t, ..., f_{t-p}) is the s-slice of z starting at coordinate
+r (T - t), so its lagged coordinates are exact copies.
+:func:`path_precision` assembles Q and b for both users:
 
-Collapsing projects that (n_t + s)-dimensional observation onto the
-s-dimensional GLS summary of the state, which is sufficient for filtering
-and much cheaper when n >> s.  The collapsed system observes the state
-through the identity, so the forward loop runs in information form: step
-t takes an observation precision O_t and an information vector b_t, and a
-step with O_t = 0 is a pure prediction.  :func:`kalman_filter` feeds
-O_t = H_star_t^-1 and b_t = O_t y_star_t, then forms the innovation
-covariances, their log-determinants and quadratic forms in one batched
-pass over time; :func:`kalman_smoother` takes all its gains from one
-batched solve.  The Gibbs sampler does not filter: it draws the state path
-from its banded precision (``dfmvi.gibbs.sample_states_ffbs``).
+- the Gibbs draw (``dfmvi.gibbs.sample_states_ffbs``) passes a parameter
+  draw and samples z = Q^-1 (b + L eps) from one banded Cholesky Q = L L';
+- the variational state pass passes expectations under the parameter
+  density: the expected data precision mu mu'/tau + V of each equation and
+  the expected transition block E[A'A], whose extra r V term is the
+  shrinkage that parameter uncertainty puts on the factors.
+  :func:`kalman_filter` factors Q once and solves for the mean path;
+  :func:`kalman_smoother` reads the marginal and lag-one covariance blocks
+  from a selected inversion of the factor (Takahashi, Fagan and Chen 1973;
+  Rue and Held 2005, ch. 2), which touches only the band.
 
-The per-step collapse, the uncollapsed reference filter and the
-log-likelihood decomposition that validate this module live with the test
-oracles in ``dfmvi.sim``.
+A time step without data, the last one included, adds no data precision
+and needs no special case.  The dense and augmented-filter oracles that
+validate this module live with the test oracles in ``dfmvi.sim``.
 
 Conventions: time-major arrays; index t = 0 is the pre-sample state, data
-run t = 1..T.  ``y_star[t-1]`` and friends refer to time t.
+run t = 1..T.  ``y_star[t-1]`` refers to time t.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError
 from .panel import TimeSeriesPanel
 
 _JITTER = 1e-10
 _MAX_JITTER_TRIES = 3
-_LN2PI = float(np.log(2.0 * np.pi))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -70,231 +71,6 @@ def chol_inverse(chol_lower: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((chol_lower, True), eye, check_finite=False)
 
 
-def companion(trans_mean: np.ndarray) -> np.ndarray:
-    """Companion-form transition: the r x s block on top, shifted identity below."""
-    r, s = trans_mean.shape
-    out = np.zeros((s, s))
-    out[:r, :] = trans_mean
-    if s > r:
-        out[r:, : s - r] = np.eye(s - r)
-    return out
-
-
-def state_noise_cov(r: int, s: int) -> np.ndarray:
-    """Covariance of the state innovation: identity on the top r coordinates."""
-    q = np.zeros((s, s))
-    q[:r, :r] = np.eye(r)
-    return q
-
-
-@dataclass(frozen=True)
-class SsmParams:
-    """Collapsed state-space system for one parameter setting.
-
-    ``transition`` is the companion-form matrix, ``init_cov`` the origin
-    state covariance after absorbing the transition-uncertainty term, and
-    ``y_star``/``H_star`` the per-time collapsed observations.  The logdet
-    and remainder-quadratic arrays are byproducts of the collapse reused
-    by the objective and by the log-likelihood decomposition.
-    """
-
-    transition: np.ndarray  # (s, s)
-    init_cov: np.ndarray  # (s, s)
-    y_star: np.ndarray  # (T, s)
-    H_star: np.ndarray  # (T, s, s)
-    r: int
-    h_star_logdet: np.ndarray  # (T,)
-    sigma_theta_logdet: np.ndarray  # (T,)
-    remainder_quads: np.ndarray  # (T,)
-
-    @property
-    def T(self) -> int:
-        return self.y_star.shape[0]
-
-    @property
-    def s(self) -> int:
-        return self.transition.shape[0]
-
-
-@dataclass(frozen=True)
-class FilterResult:
-    """Forward-pass output of the collapsed filter."""
-
-    filt_mean: np.ndarray  # (T+1, s), index 0 is the origin state
-    filt_cov: np.ndarray  # (T+1, s, s)
-    pred_mean: np.ndarray  # (T, s), one-step-ahead mean of state t
-    pred_cov: np.ndarray  # (T, s, s)
-    innovations: np.ndarray  # (T, s)
-    innovation_cov: np.ndarray  # (T, s, s)
-    innovation_quads: np.ndarray  # (T,)
-    innovation_logdets: np.ndarray  # (T,)
-    loglik: float
-
-
-@dataclass(frozen=True)
-class StateMoments:
-    """Smoothed state moments plus the filter byproducts behind them.
-
-    ``lag_one[t-1]`` holds E[f_t F_{t-1}'] (top-r rows of the smoothed
-    cross second moment) for t = 1..T.
-    """
-
-    mean: np.ndarray  # (T+1, s)
-    cov: np.ndarray  # (T+1, s, s)
-    second_moment: np.ndarray  # (T+1, s, s)
-    lag_one: np.ndarray  # (T, r, s)
-    innovations: np.ndarray  # (T, s)
-    innovation_cov: np.ndarray  # (T, s, s)
-    innovation_quads: np.ndarray  # (T,)
-    innovation_logdets: np.ndarray  # (T,)
-    loglik: float
-
-
-def build_collapsed_system(
-    panel: TimeSeriesPanel,
-    loading_mean: np.ndarray,
-    loading_covs: np.ndarray,
-    noise_prec: np.ndarray,
-    trans_mean: np.ndarray,
-    trans_cov: np.ndarray,
-    init_state_cov: np.ndarray,
-) -> SsmParams:
-    """Assemble the collapsed system for a full panel in vectorized form.
-
-    The sigma_theta_t precision sums the loading covariances of the
-    variables available at time t and, for every step but the last, r
-    times the transition covariance; the final step's transition term is
-    carried by the origin state covariance instead.  The collapse
-    byproducts (logdets and remainder quadratics) are computed along the
-    way.  ``dfmvi.sim`` holds the per-step reference construction.
-    """
-    r, s = trans_mean.shape
-    maskf = panel.mask_float
-    filled = panel.zero_filled
-
-    weighted_outer = (loading_mean[:, :, None] * loading_mean[:, None, :]) * noise_prec[
-        :, None, None
-    ]
-    gram = np.einsum("ti,iab->tab", maskf, weighted_outer)
-    sigma_theta = np.einsum("ti,iab->tab", maskf, loading_covs)
-    sigma_theta[:-1] += r * trans_cov
-    sigma_theta = symmetrize(sigma_theta)
-
-    prec = gram + sigma_theta
-    sign, prec_logdet = np.linalg.slogdet(prec)
-    if np.any(sign <= 0) or not np.all(np.isfinite(prec_logdet)):
-        bad = int(np.argmax((sign <= 0) | ~np.isfinite(prec_logdet)))
-        raise NumericalError(
-            f"singular collapsed observation precision at time step {bad + 1}; "
-            "use positive definite priors or trim trailing all-missing time steps"
-        )
-    h_star = symmetrize(np.linalg.inv(prec))
-    rhs = (filled * noise_prec) @ loading_mean
-    y_star = np.einsum("tab,tb->ta", h_star, rhs)
-
-    sign_th, sigma_theta_logdet = np.linalg.slogdet(sigma_theta)
-    sigma_theta_logdet = np.where(sign_th > 0, sigma_theta_logdet, -np.inf)
-
-    resid = filled - y_star @ loading_mean.T
-    quad_data = np.einsum("ti,ti->t", maskf, resid**2 * noise_prec)
-    quad_zero = np.einsum("ta,tab,tb->t", y_star, sigma_theta, y_star)
-
-    init_prec = np.linalg.inv(init_state_cov) + r * trans_cov
-    init_cov = symmetrize(np.linalg.inv(symmetrize(init_prec)))
-
-    return SsmParams(
-        transition=companion(trans_mean),
-        init_cov=init_cov,
-        y_star=y_star,
-        H_star=h_star,
-        r=r,
-        h_star_logdet=-prec_logdet,
-        sigma_theta_logdet=sigma_theta_logdet,
-        remainder_quads=quad_data + quad_zero,
-    )
-
-
-def information_filter(
-    transition: np.ndarray,
-    noise_cov: np.ndarray,
-    init_cov: np.ndarray,
-    obs_prec: np.ndarray,
-    obs_info: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward filter with an identity observation matrix, in information form.
-
-    The forward pass of :func:`kalman_filter` over the collapsed system.
-    Time t (1-based) contributes precision ``obs_prec[t-1]`` and information
-    vector ``obs_info[t-1]``; a zero precision makes the step a pure
-    prediction.  Each step predicts a = F m and P = F C F' + Q, then updates
-    C = (I + P O)^-1 P, the inverse of P^-1 + O, and m = a + C (b - O a).
-
-    Returns the filtered means (T+1, s) and covariances (T+1, s, s), index 0
-    being the origin state, and the one-step predicted means (T, s) and
-    covariances (T, s, s) of states 1..T.
-
-    Raises
-    ------
-    NumericalError
-        If an update matrix I + P O is singular (names the time step).
-    """
-    T, s = obs_info.shape
-    trans_t = transition.T
-    eye = np.eye(s)
-    filt_mean = np.zeros((T + 1, s))
-    filt_cov = np.empty((T + 1, s, s))
-    pred_mean = np.empty((T, s))
-    pred_cov = np.empty((T, s, s))
-    filt_cov[0] = init_cov
-    m, c = filt_mean[0], init_cov
-    try:
-        for t in range(T):
-            a = transition @ m
-            p = transition @ c @ trans_t + noise_cov
-            p = 0.5 * (p + p.T)
-            o = obs_prec[t]
-            c = np.linalg.solve(eye + p @ o, p)
-            c = 0.5 * (c + c.T)
-            m = a + c @ (obs_info[t] - o @ a)
-            pred_mean[t] = a
-            pred_cov[t] = p
-            filt_mean[t + 1] = m
-            filt_cov[t + 1] = c
-    except np.linalg.LinAlgError:
-        raise NumericalError(f"singular state update at time step {t + 1}") from None
-    return filt_mean, filt_cov, pred_mean, pred_cov
-
-
-def backward_conditionals(
-    transition: np.ndarray,
-    filt_mean: np.ndarray,
-    filt_cov: np.ndarray,
-    pred_cov: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Law of state t given state t+1 and the data up to t, for t = 0..T-1.
-
-    State t given state t+1 = x is normal with mean offset_t + J_t x and
-    covariance C_t - J_t F C_t, where J_t = C_t F' P_{t+1}^-1 and
-    offset_t = m_t - J_t F m_t.  Returns (gains, offsets, covariances),
-    all gains from one batched solve, for :func:`kalman_smoother`.
-
-    Raises
-    ------
-    NumericalError
-        If a predicted state covariance is singular.
-    """
-    try:
-        gains = np.linalg.solve(pred_cov, transition @ filt_cov[:-1]).swapaxes(-1, -2)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            "singular predicted state covariance in the backward pass"
-        ) from None
-    gain_trans = gains @ transition
-    offsets = filt_mean[:-1] - np.einsum("tab,tb->ta", gain_trans, filt_mean[:-1])
-    covs = symmetrize(filt_cov[:-1] - gain_trans @ filt_cov[:-1])
-    return gains, offsets, covs
-
-
 def batched_cholesky(a: np.ndarray, context) -> np.ndarray:
     """Lower Cholesky factors of a (k, s, s) stack in one batched call.
 
@@ -308,94 +84,230 @@ def batched_cholesky(a: np.ndarray, context) -> np.ndarray:
         return np.stack([chol_factor(m, context=context(j)) for j, m in enumerate(a)])
 
 
-def kalman_filter(params: SsmParams) -> FilterResult:
-    """Forward pass over the collapsed system.
+def path_precision(
+    panel: TimeSeriesPanel,
+    eq_prec: np.ndarray,
+    eq_info: np.ndarray,
+    trans_block: np.ndarray,
+    origin_prec: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Banded precision Q and information vector b of the factor path z.
 
-    The observation matrix is the identity, so :func:`information_filter`
-    runs with precision H_star_t^-1 and information H_star_t^-1 y_star_t.
-    The innovations y_star_t minus the one-step state prediction, their
-    covariances P_t + H_star_t, the log-determinants, the quadratic forms
-    and the Gaussian log-likelihood of the collapsed sequence then follow
-    in one batched pass over time.
+    Window t = 1..T of z, (f_t, x_{t-1}), carries the (r+s)-square
+    ``trans_block`` plus, on its leading state x_t, the data precision
+    sum_i mask_ti eq_prec[i] (zero at a time step without data); the last
+    window adds ``origin_prec`` on x_0.  The per-step information vector
+    sum_i mask_ti y_ti eq_info[i] lands on the slice of x_t.
+
+    Returns the lower band of Q, (r + s, r T + s) with Q[i, j] at
+    [i - j, j], the vector b (r T + s,) and the per-step information
+    vectors (T, s).
     """
-    s = params.s
-    try:
-        obs_prec = np.linalg.inv(params.H_star)
-    except np.linalg.LinAlgError:
-        raise NumericalError("singular collapsed observation covariance") from None
-    obs_info = np.einsum("tab,tb->ta", obs_prec, params.y_star)
-    filt_mean, filt_cov, pred_mean, pred_cov = information_filter(
-        params.transition,
-        state_noise_cov(params.r, s),
-        symmetrize(params.init_cov),
-        obs_prec,
-        obs_info,
+    T = panel.T
+    n, s = eq_info.shape
+    width = trans_block.shape[0]
+    r = width - s
+    obs_prec = (panel.mask_float @ eq_prec.reshape(n, s * s)).reshape(T, s, s)
+    obs_info = panel.zero_filled @ eq_info
+
+    windows = np.broadcast_to(trans_block, (T, width, width)).copy()
+    windows[:, :s, :s] += obs_prec[::-1]
+    windows[-1, r:, r:] += origin_prec
+    # Window k = T - t starts at coordinate r k.
+    band = np.zeros((width, r * T + s))
+    info = np.zeros(r * T + s)
+    for j in range(width):
+        for d in range(width - j):
+            band[d, j : j + r * T : r] += windows[:, j + d, j]
+    for j in range(s):
+        info[j : j + r * T : r] += obs_info[::-1, j]
+    return band, info, obs_info
+
+
+def band_cholesky(band: np.ndarray, r: int) -> np.ndarray:
+    """Lower banded Cholesky factor of a path precision (one ``dpbtrf`` call).
+
+    Raises
+    ------
+    NumericalError
+        If the precision is not positive definite (names the time step of
+        the first coordinate whose leading minor fails).
+    """
+    chol, fail = scipy.linalg.lapack.dpbtrf(band, lower=1)
+    if fail:
+        T = (band.shape[1] - band.shape[0]) // r + 1
+        raise NumericalError(
+            f"state precision not positive definite at time step {T - (fail - 1) // r}"
+        )
+    return chol
+
+
+def path_states(z: np.ndarray, r: int, s: int) -> np.ndarray:
+    """The (T+1, s) states x_0..x_T of a path z, as a read-only view."""
+    return sliding_window_view(z, s)[::r][::-1]
+
+
+def _selected_inverse(chol: np.ndarray) -> np.ndarray:
+    """Entries of Q^-1 inside the band of its Cholesky factor L.
+
+    The Takahashi recursion: with S = Q^-1, L' S = L^-1 is upper triangular
+    with diagonal 1 / L_jj, so for i >= j
+    S_ij = delta_ij / L_jj^2 - sum_{k > j} L_kj S_ik / L_jj.  Working from
+    the last column back, the sum needs only entries of S inside the band.
+    ``chol`` and the result use lower band storage, S[i, j] at [i - j, j].
+    The recursion runs on Python floats: a column needs at most (r + s)^2
+    multiply-adds, too few to pay for numpy calls.
+    """
+    width, size = chol.shape
+    cols = chol.T.tolist()
+    sel = [None] * size
+    for j in range(size - 1, -1, -1):
+        ell = cols[j]
+        inv = 1.0 / ell[0]
+        m = min(width - 1, size - 1 - j)
+        col = [0.0] * width
+        for a in range(1, m + 1):
+            acc = 0.0
+            for b in range(1, a + 1):
+                acc += ell[b] * sel[j + b][a - b]
+            for b in range(a + 1, m + 1):
+                acc += ell[b] * sel[j + a][b - a]
+            col[a] = -inv * acc
+        acc = 0.0
+        for b in range(1, m + 1):
+            acc += ell[b] * col[b]
+        col[0] = inv * (inv - acc)
+        sel[j] = col
+    return np.array(sel).T
+
+
+@dataclass(frozen=True)
+class SsmParams:
+    """Path precision of the variational state density for one parameter setting.
+
+    ``band``/``info`` are Q and b from :func:`path_precision`; ``y_star``
+    holds the (T, s) per-step information vectors summed into b, so
+    ``y_star.shape[0]`` is the number of time steps; ``data_quad`` is
+    sum_ti mask_ti y_ti^2 / tau_i, the data part of the objective.
+    """
+
+    band: np.ndarray  # (r + s, r T + s)
+    info: np.ndarray  # (r T + s,)
+    y_star: np.ndarray  # (T, s)
+    data_quad: float
+    r: int
+
+    @property
+    def T(self) -> int:
+        return self.y_star.shape[0]
+
+    @property
+    def s(self) -> int:
+        return self.band.shape[0] - self.r
+
+
+@dataclass(frozen=True)
+class FilterResult:
+    """Banded factor of Q, the mean path, log|Q| and b' Q^-1 b."""
+
+    chol: np.ndarray  # (r + s, r T + s), lower band storage
+    mean: np.ndarray  # (T+1, s), index 0 is the origin state
+    prec_logdet: float
+    info_quad: float
+
+
+@dataclass(frozen=True)
+class StateMoments:
+    """Moments of the variational state density.
+
+    ``lag_one[t-1]`` holds E[f_t x_{t-1}'] (top-r rows of the cross second
+    moment) for t = 1..T; ``prec_logdet`` and ``info_quad`` are log|Q| and
+    b' Q^-1 b of the path precision, which the objective uses.
+    """
+
+    mean: np.ndarray  # (T+1, s)
+    cov: np.ndarray  # (T+1, s, s)
+    second_moment: np.ndarray  # (T+1, s, s)
+    lag_one: np.ndarray  # (T, r, s)
+    prec_logdet: float
+    info_quad: float
+
+
+def build_collapsed_system(
+    panel: TimeSeriesPanel,
+    loading_mean: np.ndarray,
+    loading_covs: np.ndarray,
+    noise_prec: np.ndarray,
+    trans_mean: np.ndarray,
+    trans_cov: np.ndarray,
+    init_state_cov: np.ndarray,
+) -> SsmParams:
+    """Assemble the path precision of the variational state density.
+
+    Expected over the parameter density, equation i contributes precision
+    mu_i mu_i' / tau_i + V_i and information mu_i / tau_i per available
+    cell, and every transition window the block
+    E[A'A] = [[I, -M], [-M', M'M + r V]], A = [I, -Phi].  The origin
+    carries the inverse prior state covariance.  The name is the one the
+    benchmark's tracer times; nothing is collapsed.
+    """
+    r = trans_mean.shape[0]
+    eq_info = loading_mean * noise_prec[:, None]
+    eq_prec = eq_info[:, :, None] * loading_mean[:, None, :] + loading_covs
+    resid = np.hstack([np.eye(r), -trans_mean])
+    trans_block = resid.T @ resid
+    trans_block[r:, r:] += r * trans_cov
+    band, info, y_star = path_precision(
+        panel, eq_prec, eq_info, trans_block, np.linalg.inv(init_state_cov)
+    )
+    return SsmParams(
+        band=band,
+        info=info,
+        y_star=y_star,
+        data_quad=float(panel.sums_of_squares @ noise_prec),
+        r=r,
     )
 
-    innovations = params.y_star - pred_mean
-    innovation_cov = symmetrize(pred_cov + params.H_star)
-    chol = batched_cholesky(
-        innovation_cov, lambda j: f"innovation covariance at time step {j + 1}"
-    )
-    whitened = np.linalg.solve(chol, innovations[:, :, None])[:, :, 0]
-    quads = np.einsum("ta,ta->t", whitened, whitened)
-    logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    loglik = -0.5 * float(np.sum(s * _LN2PI + logdets + quads))
 
+def kalman_filter(params: SsmParams) -> FilterResult:
+    """Factor the path precision once and solve for the mean path.
+
+    The name is the one the benchmark's tracer times; there is no forward
+    recursion, only one banded Cholesky and one banded solve.
+    """
+    chol = band_cholesky(params.band, params.r)
+    z = scipy.linalg.cho_solve_banded((chol, True), params.info, check_finite=False)
     return FilterResult(
-        filt_mean=filt_mean,
-        filt_cov=filt_cov,
-        pred_mean=pred_mean,
-        pred_cov=pred_cov,
-        innovations=innovations,
-        innovation_cov=innovation_cov,
-        innovation_quads=quads,
-        innovation_logdets=logdets,
-        loglik=loglik,
+        chol=chol,
+        mean=path_states(z, params.r, params.s).copy(),
+        prec_logdet=2.0 * float(np.log(chol[0]).sum()),
+        info_quad=float(params.info @ z),
     )
 
 
 def kalman_smoother(filt: FilterResult, params: SsmParams) -> StateMoments:
-    """Fixed-interval smoother with lag-one cross second moments.
+    """State moments from a selected inversion of the banded factor.
 
-    With the backward conditionals of :func:`backward_conditionals`, the
-    smoothed mean at t is offset_t + J_t times the smoothed mean at t+1 and
-    the smoothed covariance adds J_t (smoothed covariance at t+1) J_t' to
-    the conditional covariance; the loop carries only these recursions.
-    The lag-one covariance Cov[F_t, F_{t-1} | data] equals the smoothed
-    covariance at t times the transpose of the gain at t-1, an identity
-    that follows from the backward conditional mean being linear in the
-    next state; it is validated against a dense joint-Gaussian oracle in
-    the tests.
+    The marginal covariance of x_t spans s consecutive coordinates of z and
+    Cov[f_t, x_{t-1}] spans r + s, so both lie inside the band of Q^-1 that
+    :func:`_selected_inverse` computes.  The name is the one the
+    benchmark's tracer times.
     """
-    gains, offsets, cond_covs = backward_conditionals(
-        params.transition, filt.filt_mean, filt.filt_cov, filt.pred_cov
-    )
-    gains_t = gains.swapaxes(-1, -2)
+    r, s, T = params.r, params.s, params.T
+    sel = _selected_inverse(filt.chol)
+    # x_t starts at coordinate r (T - t); S[i, k] sits at [|i - k|, min(i, k)].
+    a = np.arange(s)
+    base = r * (T - np.arange(T + 1))
+    cov = sel[np.abs(a[:, None] - a), base[:, None, None] + np.minimum(a[:, None], a)]
+    top = np.arange(r)[:, None]
+    lag_cov = sel[r + a - top, base[1:, None, None] + top]
 
-    mean = filt.filt_mean.copy()
-    cov = filt.filt_cov.copy()
-    for t in range(params.T - 1, -1, -1):
-        mean[t] = offsets[t] + gains[t] @ mean[t + 1]
-        cov[t] = cond_covs[t] + gains[t] @ cov[t + 1] @ gains_t[t]
-    cov = symmetrize(cov)
-
-    second = symmetrize(cov + mean[:, :, None] * mean[:, None, :])
-    cross = cov[1:] @ gains_t + mean[1:, :, None] * mean[:-1, None, :]
-
+    mean = filt.mean
     return StateMoments(
         mean=mean,
         cov=cov,
-        second_moment=second,
-        lag_one=cross[:, : params.r, :],
-        innovations=filt.innovations,
-        innovation_cov=filt.innovation_cov,
-        innovation_quads=filt.innovation_quads,
-        innovation_logdets=filt.innovation_logdets,
-        loglik=filt.loglik,
+        second_moment=symmetrize(cov + mean[:, :, None] * mean[:, None, :]),
+        lag_one=lag_cov + mean[1:, :r, None] * mean[:-1, None, :],
+        prec_logdet=filt.prec_logdet,
+        info_quad=filt.info_quad,
     )
-
-
-def smooth_collapsed(params: SsmParams) -> StateMoments:
-    """Filter and smooth in one call."""
-    return kalman_smoother(kalman_filter(params), params)

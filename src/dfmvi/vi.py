@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import gammaln
 
 from . import statespace
 from .errors import DomainError, NumericalError
@@ -197,10 +197,10 @@ def update_states(
     transition: TransitionVariational,
     prior: PriorSpec,
 ) -> tuple[StateMoments, SsmParams]:
-    """Collapse the panel under the current parameters and smooth.
+    """Assemble the path precision under the current parameters and invert it.
 
-    Returns the smoothed state moments together with the collapsed system,
-    whose byproducts feed the objective.
+    Returns the state moments together with the assembled system, whose
+    data quadratic feeds the objective.
     """
     params = statespace.build_collapsed_system(
         panel,
@@ -211,7 +211,7 @@ def update_states(
         transition.cov,
         prior.init_state_cov,
     )
-    moments = statespace.smooth_collapsed(params)
+    moments = statespace.kalman_smoother(statespace.kalman_filter(params), params)
     return moments, params
 
 
@@ -228,7 +228,8 @@ def compute_elbo(
 
     ``moments``/``params`` must come from :func:`update_states` under the
     same ``loadings``/``transition`` passed here.  Terms group into a state
-    part (filter byproducts and determinant ratios), a loadings part and a
+    part (log|F0|, log|Q| and the data quadratic less b' Q^-1 b of the path
+    precision), a loadings part and a
     transition part (negative Gaussian divergences from their priors, zero
     when variational equals prior), and a noise part (the scaled-inverse-
     chi-square bookkeeping).
@@ -245,14 +246,11 @@ def compute_elbo(
         )
 
     sign0, logdet_f0 = np.linalg.slogdet(prior.init_state_cov)
-    init_prec = np.linalg.inv(prior.init_state_cov) + r * transition.cov
-    sign1, logdet_init_prec = np.linalg.slogdet(init_prec)
     f_terms = (
         -0.5 * counts.sum() * _LNPI
-        - 0.5 * (logdet_f0 + logdet_init_prec)
-        - 0.5 * float(np.sum(moments.innovation_logdets - params.h_star_logdet))
-        - 0.5 * float(np.sum(moments.innovation_quads))
-        - 0.5 * float(np.sum(params.remainder_quads))
+        - 0.5 * logdet_f0
+        - 0.5 * moments.prec_logdet
+        - 0.5 * (params.data_quad - moments.info_quad)
     )
 
     # Restricted entries are exact zeros, and identity padding leaves each
@@ -305,11 +303,6 @@ def compute_elbo(
     if return_terms:
         return elbo, terms
     return elbo
-
-
-def expected_log_noise_var(noise_df: np.ndarray, noise_scale: np.ndarray) -> np.ndarray:
-    """E[log variance] under a scaled-inverse-chi-square density."""
-    return np.log(noise_df * noise_scale) - np.log(2.0) - digamma(0.5 * noise_df)
 
 
 def init_from_pca(
@@ -387,8 +380,6 @@ def flip_factor_signs(
         cov=moments.cov * outer,
         second_moment=moments.second_moment * outer,
         lag_one=moments.lag_one * outer[:r],
-        innovations=moments.innovations * signs,
-        innovation_cov=moments.innovation_cov * outer,
     )
 
 

@@ -18,11 +18,8 @@ def point_mass_moments(factors: np.ndarray, r: int) -> StateMoments:
         lag_one=np.stack(
             [np.outer(factors[t, :r], factors[t - 1]) for t in range(1, T + 1)]
         ),
-        innovations=np.zeros((T, s)),
-        innovation_cov=np.zeros((T, s, s)),
-        innovation_quads=np.zeros(T),
-        innovation_logdets=np.zeros(T),
-        loglik=0.0,
+        prec_logdet=0.0,
+        info_quad=0.0,
     )
 
 

@@ -173,7 +173,9 @@ def test_criterion_03_collapse_equivalence():
         )
         assert worst_m < 1e-8
         filt = statespace.kalman_filter(params)
-        dec = sim.decomposed_loglik(params, filt, pan.mask, loadings.noise_scale)
+        dec = sim.decomposed_loglik(
+            pan, loadings, transition, prior, filt.prec_logdet, filt.info_quad
+        )
         worst_l = max(worst_l, abs(dec - aug_ll))
         assert worst_l < 1e-8
     print(

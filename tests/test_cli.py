@@ -196,6 +196,35 @@ def test_forecast_command(sim_dir, fit_dir, tmp_path):
     assert draws.shape == (1500, 3, 6)
 
 
+def test_fit_and_forecast_with_all_missing_last_rows(sim_dir, tmp_path):
+    # The ragged-edge nowcast: the last two time steps carry no data at all.
+    lines = (sim_dir / "panel.csv").read_text().splitlines()
+    blank = "," * (len(lines[0].split(",")) - 1)
+    panel = tmp_path / "panel.csv"
+    panel.write_text("\n".join(lines[:-2] + [blank, blank]) + "\n")
+    fit_out, fc_out = tmp_path / "fit", tmp_path / "fc"
+    assert _run(
+        [
+            "fit", "--panel", str(panel), "--out", str(fit_out),
+            "--seed", "3", "--identify", "0:0", "--tolerance", "1e-7",
+        ]
+    ) == 0
+    assert _run(
+        [
+            "forecast", "--panel", str(panel), "--fit", str(fit_out),
+            "--out", str(fc_out), "--horizons", "2", "--smf-draws", "500",
+            "--seed", "2",
+        ]
+    ) == 0
+    rows = list(csv.reader((fit_out / "states.csv").open()))
+    states = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+    assert states.shape[0] == len(lines)  # origin state plus T = len(lines) - 1
+    assert np.isfinite(states).all()
+    draws = np.load(fc_out / "forecast_draws.npz")["draws"]
+    assert draws.shape == (500, 2, 6)
+    assert np.isfinite(draws).all()
+
+
 def test_config_file_roundtrip(sim_dir, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(

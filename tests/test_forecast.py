@@ -6,7 +6,7 @@ from scipy import stats
 from dfmvi import forecast, gibbs, vi
 from dfmvi.errors import DomainError
 from dfmvi.model import ModelSpec, default_prior
-from dfmvi.statespace import companion
+from dfmvi.sim import companion
 from tests.conftest import random_masked_panel
 
 

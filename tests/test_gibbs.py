@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
-from dfmvi import gibbs, statespace, vi
+from dfmvi import gibbs, sim, vi
 from dfmvi.errors import DomainError, NumericalError
 from dfmvi.model import ModelSpec, PriorSpec, default_prior, identification_restrictions
 from dfmvi.panel import from_arrays
@@ -37,8 +37,8 @@ def test_state_draws_without_data_follow_prior_process():
             ]
         )
         # marginal covariances follow the unobserved state recursion
-        trans = statespace.companion(phi)
-        noise = statespace.state_noise_cov(1, spec.s)
+        trans = sim.companion(phi)
+        noise = sim.state_noise_cov(1, spec.s)
         want_cov = [prior.init_state_cov]
         for _ in range(4):
             want_cov.append(trans @ want_cov[-1] @ trans.T + noise)

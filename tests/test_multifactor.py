@@ -85,7 +85,8 @@ def test_smoother_exactness_two_factors_two_lags():
         )
         filt = statespace.kalman_filter(params)
         dec = sim.decomposed_loglik(
-            params, filt, pan.mask, state.loadings.noise_scale
+            pan, state.loadings, state.transition, prior,
+            filt.prec_logdet, filt.info_quad,
         )
         assert_allclose(dec, aug_ll, atol=1e-8)
 
@@ -186,16 +187,21 @@ def test_lagged_model_posteriors_agree_across_methods():
     assert abs(summary["oos_h1"][95]["mean"] - 95.0) <= 1.5
 
 
-def test_all_missing_final_row_raises_actionable_error():
-    spec = ModelSpec(n=3, r=1, p=0)
+def test_all_missing_final_row_matches_dense_oracle():
+    # The ragged-edge nowcast: no data at the last step, where the zero
+    # pseudo-observations carry no parameter covariance either.
+    spec = ModelSpec(n=3, r=1, p=1)
     cfg = stationary_sim_config(spec, T=10, seed=36)
     pan, _ = simulate_dfm(cfg)
     values = pan.values.copy()
     values[-1, :] = np.nan
-    broken = TimeSeriesPanel(
+    ragged = TimeSeriesPanel(
         values=values, mask=~np.isnan(values), names=pan.names
     )
     prior = default_prior(spec)
-    state = vi.init_from_pca(broken, spec, prior, seed=0)
-    with pytest.raises(Exception, match="trim trailing"):
-        vi.update_states(broken, state.loadings, state.transition, prior)
+    state = vi.init_from_pca(ragged, spec, prior, seed=0)
+    moments, _ = vi.update_states(ragged, state.loadings, state.transition, prior)
+    oracle = dense_gaussian_oracle(ragged, state, prior)
+    assert_allclose(moments.mean, oracle.mean, atol=1e-8)
+    assert_allclose(moments.cov, oracle.marg_cov, atol=1e-8)
+    assert_allclose(moments.lag_one, oracle.lag_one, atol=1e-8)

@@ -13,6 +13,7 @@ from dfmvi.sim import (
     RaggedEdge,
     RandomMissing,
     SimConfig,
+    companion,
     dense_fixed_moments,
     dense_gaussian_oracle,
     mc_elbo_oracle,
@@ -212,3 +213,10 @@ def test_mc_log_marginal_bounds_elbo(tiny_spec, tiny_prior):
     )
     logml, se = mc_log_marginal(pan, state, tiny_prior, n_samples=200_000, seed=2)
     assert elbo <= logml + 3 * se
+
+
+def test_companion_structure():
+    trans = companion(np.array([[0.2, 0.3, 0.4, 0.5]]))
+    assert_allclose(trans[0], [0.2, 0.3, 0.4, 0.5])
+    assert_allclose(trans[1:, :3], np.eye(3))
+    assert_allclose(trans[1:, 3], np.zeros(3))

@@ -3,15 +3,48 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dfmvi import sim, statespace, vi
 from dfmvi.errors import NumericalError
 from dfmvi.model import ModelSpec, default_prior
+from dfmvi.panel import TimeSeriesPanel, from_arrays
 from dfmvi.sim import dense_gaussian_oracle
 from tests.conftest import random_masked_panel
 
-LN2PI = math.log(2.0 * math.pi)
+
+def _system(values, lam, noise_var, trans, trans_cov=None, loading_cov=None,
+            init_cov=None):
+    """Kernel system of a NaN-masked panel under point-valued parameters."""
+    lam = np.asarray(lam, dtype=float)
+    trans = np.asarray(trans, dtype=float)
+    n, s = lam.shape
+    return statespace.build_collapsed_system(
+        from_arrays(np.asarray(values, dtype=float)),
+        lam,
+        np.zeros((n, s, s)) if loading_cov is None else np.asarray(loading_cov),
+        1.0 / np.asarray(noise_var, dtype=float),
+        trans,
+        np.zeros((s, s)) if trans_cov is None else np.asarray(trans_cov),
+        np.eye(s) if init_cov is None else np.asarray(init_cov),
+    )
+
+
+def _moments(params):
+    return statespace.kalman_smoother(statespace.kalman_filter(params), params)
+
+
+def _dense_precision(band):
+    """Symmetric dense matrix of a lower band (Q[i, j] at [i - j, j])."""
+    width, size = band.shape
+    q = np.zeros((size, size))
+    for d in range(width):
+        idx = np.arange(size - d)
+        q[idx + d, idx] = band[d, : size - d]
+        q[idx, idx + d] = band[d, : size - d]
+    return q
 
 
 def _gls_collapse_oracle(y, mask, loading_mean, noise_var, sigma_theta):
@@ -30,75 +63,93 @@ def _gls_collapse_oracle(y, mask, loading_mean, noise_var, sigma_theta):
 
 
 def test_collapse_all_missing_step():
-    out = sim.collapse_observation(
-        y_t=np.array([5.0, -1.0]),
-        mask_t=np.zeros(2, dtype=bool),
-        loading_mean=np.array([[1.0], [2.0]]),
-        noise_prec=np.array([1.0, 1.0]),
-        sigma_theta_t=np.eye(1),
+    # Time step 2 has no data: it contributes no information and no data
+    # precision, so the band column of x_2 (coordinate r (T - 2) = 1) is
+    # that of a panel without any data.
+    kwargs = dict(
+        lam=[[1.0], [2.0]], noise_var=[1.0, 1.0], trans=[[0.5]],
+        trans_cov=[[0.2]], loading_cov=np.full((2, 1, 1), 0.1),
     )
-    assert_allclose(out.y_star, [0.0])
-    assert_allclose(out.H_star, np.eye(1))
+    params = _system([[1.0, 2.0], [np.nan, np.nan], [0.5, -1.0]], **kwargs)
+    empty = _system(np.full((3, 2), np.nan), **kwargs)
+    assert_allclose(params.y_star[1], [0.0], atol=0)
+    assert_allclose(params.band[:, 1], empty.band[:, 1], atol=0)
+    assert_allclose(empty.info, np.zeros(4), atol=0)
+    assert empty.data_quad == 0.0
 
 
 def test_collapse_scalar_hand_values():
-    out = sim.collapse_observation(
-        y_t=np.array([3.0]),
-        mask_t=np.array([True]),
-        loading_mean=np.array([[2.0]]),
-        noise_prec=np.array([1.0]),
-        sigma_theta_t=np.array([[1.0]]),
+    # y = 3, loading 2 with variance 1, unit noise, transition 0.5 with
+    # variance 0.2, unit origin variance.  Path z = (f_1, f_0):
+    # Q = [[1 + 4 + 1, -0.5], [-0.5, 0.25 + 0.2 + 1]], b = (6, 0).
+    params = _system(
+        [[3.0]], lam=[[2.0]], noise_var=[1.0], trans=[[0.5]],
+        trans_cov=[[0.2]], loading_cov=[[[1.0]]],
     )
-    assert_allclose(out.H_star, [[1.0 / 5.0]])
-    assert_allclose(out.y_star, [6.0 / 5.0])
+    q = np.array([[6.0, -0.5], [-0.5, 1.45]])
+    assert_allclose(_dense_precision(params.band), q, atol=1e-15)
+    assert_allclose(params.info, [6.0, 0.0], atol=0)
+    assert_allclose(params.y_star, [[6.0]], atol=0)
+    assert params.data_quad == 9.0
+    moments = _moments(params)
+    det = 6.0 * 1.45 - 0.25
+    assert_allclose(moments.prec_logdet, math.log(det), rtol=1e-14)
+    assert_allclose(moments.info_quad, 36.0 * 1.45 / det, rtol=1e-14)
+    assert_allclose(moments.mean[:, 0], [3.0 / det, 6.0 * 1.45 / det], rtol=1e-14)
+    assert_allclose(moments.cov[:, 0, 0], [6.0 / det, 1.45 / det], rtol=1e-14)
 
 
 def test_collapse_masked_content_ignored():
-    base = sim.collapse_observation(
-        np.array([3.0, 0.0]),
-        np.array([True, False]),
-        np.array([[2.0], [1.0]]),
-        np.array([1.0, 1.0]),
-        np.eye(1),
+    # A missing cell contributes nothing, whatever its variable's loading
+    # and noise: the system equals that of the panel without the variable.
+    base = _system([[3.0]], lam=[[2.0]], noise_var=[1.0], trans=[[0.5]])
+    padded = _system(
+        [[3.0, np.nan]], lam=[[2.0], [1e9]], noise_var=[1.0, 1e-9], trans=[[0.5]],
+        loading_cov=np.array([[[0.0]], [[1e9]]]),
     )
-    poisoned = sim.collapse_observation(
-        np.array([3.0, 1e9]),
-        np.array([True, False]),
-        np.array([[2.0], [1.0]]),
-        np.array([1.0, 1.0]),
-        np.eye(1),
-    )
-    assert_allclose(poisoned.y_star, base.y_star)
-    assert_allclose(poisoned.H_star, base.H_star)
+    for field in ("band", "info", "y_star", "data_quad"):
+        assert_allclose(getattr(padded, field), getattr(base, field), atol=0)
 
 
 def test_collapse_matches_dense_gls_oracle():
+    # On x_1 of a two-step path, Q holds I from window 1, M'M + r V from
+    # window 2 and the expected data precision.  Less I + M'M, the block
+    # and the information vector are the GLS normal equations of the
+    # stacked system with Sigma_theta = sum_i V_i + r V.
     rng = np.random.default_rng(11)
     for k in range(25):
-        n, s = 3, 2
+        n, r = 3, 2
         mask = rng.random(n) > 0.4
         y = rng.standard_normal(n)
-        lam = rng.standard_normal((n, s))
+        lam = rng.standard_normal((n, r))
         noise_var = rng.uniform(0.2, 2.0, n)
-        a = rng.standard_normal((s, s))
-        sigma_theta = a @ a.T + 0.3 * np.eye(s)
-        got = sim.collapse_observation(
-            y, mask, lam, 1.0 / noise_var, sigma_theta
-        )
+        a = rng.standard_normal((n, r, r))
+        covs = a @ a.swapaxes(1, 2) + 0.1 * np.eye(r)
+        b = rng.standard_normal((r, r))
+        trans_cov = b @ b.T + 0.1 * np.eye(r)
+        trans = 0.5 * rng.standard_normal((r, r))
+        values = np.vstack([np.where(mask, y, np.nan), rng.standard_normal(n)])
+        params = _system(values, lam, noise_var, trans, trans_cov, covs)
+        sigma_theta = sim.build_sigma_theta(mask, covs, trans_cov, r, is_last=False)
         want_y, want_h = _gls_collapse_oracle(y, mask, lam, noise_var, sigma_theta)
-        assert_allclose(got.y_star, want_y, atol=1e-10)
-        assert_allclose(got.H_star, want_h, atol=1e-10)
+        block = _dense_precision(params.band)[r : 2 * r, r : 2 * r]
+        got_prec = block - np.eye(r) - trans.T @ trans
+        assert_allclose(got_prec, np.linalg.inv(want_h), atol=1e-10)
+        assert_allclose(params.y_star[0], np.linalg.solve(want_h, want_y), atol=1e-10)
 
 
 def test_collapse_singular_precision_raises():
-    with pytest.raises(NumericalError, match="positive definite priors"):
-        sim.collapse_observation(
-            np.array([1.0]),
-            np.array([False]),
-            np.array([[1.0]]),
-            np.array([1.0]),
-            np.zeros((1, 1)),
-        )
+    # No data, a zero transition and a zero origin precision leave the
+    # origin coordinate without precision.
+    band, _, _ = statespace.path_precision(
+        from_arrays(np.array([[np.nan]])),
+        np.ones((1, 1, 1)),
+        np.ones((1, 1)),
+        np.array([[1.0, 0.0], [0.0, 0.0]]),
+        np.zeros((1, 1)),
+    )
+    with pytest.raises(NumericalError, match=r"not positive definite at time step 0\b"):
+        statespace.band_cholesky(band, 1)
 
 
 def test_build_sigma_theta_cases():
@@ -119,91 +170,56 @@ def test_build_sigma_theta_cases():
 
 
 def test_filter_scalar_single_step():
-    # One step, transition 0.5, origin variance 1, collapsed noise 1, y*=0.
-    # Predicted variance 0.5^2 + 1 = 1.25; innovation covariance adds H*.
-    params = statespace.SsmParams(
-        transition=np.array([[0.5]]),
-        init_cov=np.array([[1.0]]),
-        y_star=np.array([[0.0]]),
-        H_star=np.array([[[1.0]]]),
-        r=1,
-        h_star_logdet=np.array([0.0]),
-        sigma_theta_logdet=np.array([0.0]),
-        remainder_quads=np.array([0.0]),
-    )
-    filt = statespace.kalman_filter(params)
-    assert_allclose(filt.pred_mean[0], [0.0])
-    assert_allclose(filt.innovation_cov[0], [[2.25]])
-    assert_allclose(filt.loglik, -0.5 * LN2PI - 0.5 * math.log(2.25))
-
-    smoothed = statespace.kalman_smoother(filt, params)
-    assert_allclose(smoothed.mean[1], filt.filt_mean[1])
-    assert_allclose(smoothed.cov[1], filt.filt_cov[1])
+    # One step, transition 0.5, unit origin variance, unit data precision,
+    # y = 0: Q = [[2, -0.5], [-0.5, 1.25]], |Q| = 2.25.  The smoothed
+    # variance of f_1 is the filtered one, 1.25 / 2.25.
+    moments = _moments(_system([[0.0]], lam=[[1.0]], noise_var=[1.0], trans=[[0.5]]))
+    assert_allclose(moments.prec_logdet, math.log(2.25), rtol=1e-14)
+    assert moments.info_quad == 0.0
+    assert_allclose(moments.mean, np.zeros((2, 1)), atol=0)
+    assert_allclose(moments.cov[:, 0, 0], [2.0 / 2.25, 1.25 / 2.25], rtol=1e-14)
+    assert_allclose(moments.lag_one[0], [[0.5 / 2.25]], rtol=1e-14)
 
 
 def test_filter_names_first_non_positive_definite_innovation_step():
-    # H_star at time 3 is negative definite, so the innovation covariance
-    # P_3 + H_3 is not positive definite there and nowhere before.
+    # Variable 2, seen only at time 3, has a negative definite precision,
+    # so the leading minors of Q fail first at a coordinate of x_3.
     s, T = 2, 5
-    h = np.stack([0.5 * np.eye(s)] * T)
-    h[2] = -10.0 * np.eye(s)
-    params = statespace.SsmParams(
-        transition=statespace.companion(np.array([[0.5, 0.2]])),
-        init_cov=np.eye(s),
-        y_star=np.ones((T, s)),
-        H_star=h,
-        r=1,
-        h_star_logdet=np.zeros(T),
-        sigma_theta_logdet=np.zeros(T),
-        remainder_quads=np.zeros(T),
+    values = np.ones((T, 2))
+    values[[0, 1, 3, 4], 1] = np.nan
+    band, _, _ = statespace.path_precision(
+        from_arrays(values),
+        np.stack([0.5 * np.eye(s), -10.0 * np.eye(s)]),
+        np.ones((2, s)),
+        np.array([[1.0, -0.5, -0.2], [-0.5, 0.25, 0.1], [-0.2, 0.1, 0.04]]),
+        np.eye(s),
     )
-    with pytest.raises(NumericalError, match=r"innovation covariance at time step 3\b"):
+    params = statespace.SsmParams(
+        band=band, info=np.zeros(T + s), y_star=np.zeros((T, s)), data_quad=0.0, r=1
+    )
+    with pytest.raises(NumericalError, match=r"at time step 3\b"):
         statespace.kalman_filter(params)
 
 
 def test_filter_vacuous_observation_returns_prior_process():
-    # Enormous collapsed noise carries no information, so the smoothed
-    # moments equal the prior process moments.
-    trans = np.array([[0.7]])
-    params = statespace.SsmParams(
-        transition=trans,
-        init_cov=np.array([[2.0]]),
-        y_star=np.array([[3.0], [-1.0]]),
-        H_star=np.full((2, 1, 1), 1e14),
-        r=1,
-        h_star_logdet=np.zeros(2),
-        sigma_theta_logdet=np.zeros(2),
-        remainder_quads=np.zeros(2),
+    # Without data the moments are those of the prior process.
+    moments = _moments(
+        _system(np.full((2, 1), np.nan), lam=[[1.0]], noise_var=[1.0],
+                trans=[[0.7]], init_cov=[[2.0]])
     )
-    moments = statespace.smooth_collapsed(params)
     var0 = 2.0
     var1 = 0.49 * var0 + 1.0
     var2 = 0.49 * var1 + 1.0
     assert_allclose(moments.mean, np.zeros((3, 1)), atol=1e-8)
-    assert_allclose(
-        [moments.cov[0, 0, 0], moments.cov[1, 0, 0], moments.cov[2, 0, 0]],
-        [var0, var1, var2],
-        rtol=1e-6,
-    )
+    assert_allclose(moments.cov[:, 0, 0], [var0, var1, var2], rtol=1e-6)
+    assert_allclose(moments.lag_one[:, 0, 0], [0.7 * var0, 0.7 * var1], rtol=1e-6)
 
 
 def test_smoother_zero_transition_isolates_time_steps():
-    # With a zero transition the smoothed state at t depends only on the
-    # collapsed observation at t and the process prior, so it equals the
-    # single-step conditional.
+    # With a zero transition the state at t depends only on the data at t
+    # and the process prior, so it equals the single-step conditional.
     y = np.array([[1.4], [-0.3], [0.8]])
-    h = np.full((3, 1, 1), 0.5)
-    params = statespace.SsmParams(
-        transition=np.array([[0.0]]),
-        init_cov=np.array([[1.0]]),
-        y_star=y,
-        H_star=h,
-        r=1,
-        h_star_logdet=np.zeros(3),
-        sigma_theta_logdet=np.zeros(3),
-        remainder_quads=np.zeros(3),
-    )
-    moments = statespace.smooth_collapsed(params)
+    moments = _moments(_system(y, lam=[[1.0]], noise_var=[0.5], trans=[[0.0]]))
     for t in range(1, 4):
         prior_var = 1.0
         gain = prior_var / (prior_var + 0.5)
@@ -211,38 +227,9 @@ def test_smoother_zero_transition_isolates_time_steps():
         assert_allclose(moments.cov[t, 0, 0], prior_var - gain * prior_var)
 
 
-def test_remainder_terms_all_missing_and_perfect_fit():
-    lam = np.array([[2.0]])
-    # all missing: residual reduces to the zero-block part
-    y_star = np.array([0.7])
-    sigma_theta = np.array([[3.0]])
-    quad = sim.remainder_loglik_terms(
-        np.array([9.9]), np.array([False]), lam, np.array([1.0]), sigma_theta, y_star
-    )
-    assert_allclose(quad, 0.7 * 3.0 * 0.7)
-    # perfect fit at a zero summary
-    quad0 = sim.remainder_loglik_terms(
-        np.array([0.0]), np.array([True]), lam, np.array([1.0]), sigma_theta,
-        np.array([0.0]),
-    )
-    assert_allclose(quad0, 0.0)
-
-
-def test_remainder_terms_scalar_hand_value():
-    # y=3, loading 2, unit noise, sigma_theta=1 gives summary 6/5; the
-    # residual stacks 3 - 2*6/5 = 3/5 and -6/5 with unit weights.
-    quad = sim.remainder_loglik_terms(
-        np.array([3.0]),
-        np.array([True]),
-        np.array([[2.0]]),
-        np.array([1.0]),
-        np.array([[1.0]]),
-        np.array([6.0 / 5.0]),
-    )
-    assert_allclose(quad, (3.0 / 5.0) ** 2 + (6.0 / 5.0) ** 2)
-
-
 def test_build_system_matches_per_step_ops():
+    # Dense Q summed window by window: the expected transition block on
+    # (f_t, x_{t-1}), the expected data precision on x_t, F0^-1 on x_0.
     spec = ModelSpec(n=3, r=1, p=1)
     pan, cfg, _ = random_masked_panel(spec, T=5, seed=3)
     prior = default_prior(spec)
@@ -252,27 +239,30 @@ def test_build_system_matches_per_step_ops():
         pan, loadings.mean, loadings.cov, loadings.noise_prec,
         transition.mean, transition.cov, prior.init_state_cov,
     )
-    T = pan.T
+    T, r, s = pan.T, spec.r, spec.s
+    a = np.hstack([np.eye(r), -transition.mean])
+    trans_block = a.T @ a
+    trans_block[r:, r:] += r * transition.cov
+    q = np.zeros((r * T + s, r * T + s))
+    info = np.zeros(r * T + s)
+    y = pan.filled(0.0)
+    quad = 0.0
     for t in range(1, T + 1):
-        sigma_theta = sim.build_sigma_theta(
-            pan.mask[t - 1], loadings.cov, transition.cov, spec.r, t == T
-        )
-        single = sim.collapse_observation(
-            pan.filled(0.0)[t - 1], pan.mask[t - 1], loadings.mean,
-            loadings.noise_prec, sigma_theta,
-        )
-        assert_allclose(params.y_star[t - 1], single.y_star, atol=1e-12)
-        assert_allclose(params.H_star[t - 1], single.H_star, atol=1e-12)
-        fetched = sim.collapsed(params, t)
-        assert_allclose(fetched.y_star, params.y_star[t - 1], atol=0)
-        assert_allclose(fetched.H_star, params.H_star[t - 1], atol=0)
-        quad = sim.remainder_loglik_terms(
-            pan.filled(0.0)[t - 1], pan.mask[t - 1], loadings.mean,
-            loadings.noise_scale, sigma_theta, single.y_star,
-        )
-        assert_allclose(params.remainder_quads[t - 1], quad, atol=1e-12)
-        sign, logdet = np.linalg.slogdet(sigma_theta)
-        assert_allclose(params.sigma_theta_logdet[t - 1], logdet, atol=1e-10)
+        start = r * (T - t)
+        q[start : start + r + s, start : start + r + s] += trans_block
+        step_info = np.zeros(s)
+        for i in np.flatnonzero(pan.mask[t - 1]):
+            mu, tau = loadings.mean[i], loadings.noise_scale[i]
+            q[start : start + s, start : start + s] += np.outer(mu, mu) / tau
+            q[start : start + s, start : start + s] += loadings.cov[i]
+            step_info += y[t - 1, i] * mu / tau
+            quad += y[t - 1, i] ** 2 / tau
+        info[start : start + s] += step_info
+        assert_allclose(params.y_star[t - 1], step_info, atol=1e-12)
+    q[r * T :, r * T :] += np.linalg.inv(prior.init_state_cov)
+    assert_allclose(_dense_precision(params.band), q, atol=1e-12)
+    assert_allclose(params.info, info, atol=1e-12)
+    assert_allclose(params.data_quad, quad, rtol=1e-12)
 
 
 def test_smoother_matches_dense_oracle_random_instances():
@@ -313,7 +303,7 @@ def test_collapsed_matches_augmented_and_decomposition():
         assert_allclose(moments.lag_one, aug_lag, atol=1e-8)
         filt = statespace.kalman_filter(params)
         dec = sim.decomposed_loglik(
-            params, filt, pan.mask, loadings.noise_scale
+            pan, loadings, transition, prior, filt.prec_logdet, filt.info_quad
         )
         assert_allclose(dec, aug_ll, atol=1e-8)
 
@@ -324,12 +314,59 @@ def test_returned_covariances_symmetric():
     prior = default_prior(spec)
     state = vi.init_from_pca(pan, spec, prior, seed=0)
     moments, params = vi.update_states(pan, state.loadings, state.transition, prior)
-    for arr in (moments.cov, moments.second_moment, moments.innovation_cov, params.H_star):
+    for arr in (moments.cov, moments.second_moment):
         assert np.abs(arr - arr.swapaxes(-1, -2)).max() <= 1e-12
 
 
-def test_companion_structure():
-    trans = statespace.companion(np.array([[0.2, 0.3, 0.4, 0.5]]))
-    assert_allclose(trans[0], [0.2, 0.3, 0.4, 0.5])
-    assert_allclose(trans[1:, :3], np.eye(3))
-    assert_allclose(trans[1:, 3], np.zeros(3))
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    n=st.integers(1, 4),
+    T=st.integers(1, 8),
+    r=st.integers(1, 2),
+    p=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    empty_rows=st.sets(st.integers(0, 7)),
+    empty_cols=st.sets(st.integers(0, 3)),
+)
+def test_kernel_matches_dense_and_augmented_oracles(
+    n, T, r, p, seed, empty_rows, empty_cols
+):
+    # Random masks with whole empty rows (the last one included) and empty
+    # columns, under random variational parameters.
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(n=n, r=r, p=p)
+    s = spec.s
+    mask = rng.random((T, n)) > 0.3
+    mask[[t for t in empty_rows if t < T]] = False
+    mask[:, [i for i in empty_cols if i < n]] = False
+    values = np.where(mask, rng.standard_normal((T, n)), np.nan)
+    pan = TimeSeriesPanel(values=values, mask=mask, names=[f"v{i}" for i in range(n)])
+    prior = default_prior(spec)
+    a = rng.standard_normal((n, s, s))
+    b = rng.standard_normal((s, s))
+    loadings = vi.LoadingsVariational(
+        mean=rng.normal(0.0, 0.7, (n, s)),
+        cov=0.1 * (a @ a.swapaxes(1, 2)) / s + 0.05 * np.eye(s),
+        noise_df=prior.noise_df + pan.counts,
+        noise_scale=rng.uniform(0.3, 1.0, n),
+        free=np.ones((n, s), dtype=bool),
+    )
+    transition = vi.TransitionVariational(
+        mean=rng.uniform(-0.4, 0.6, (r, s)) / (p + 1),
+        cov=0.05 * (b @ b.T) / s + 0.01 * np.eye(s),
+    )
+    moments, params = vi.update_states(pan, loadings, transition, prior)
+    oracle = sim.dense_variational_moments(pan, loadings, transition, prior)
+    assert_allclose(moments.mean, oracle.mean, atol=1e-8)
+    assert_allclose(moments.cov, oracle.marg_cov, atol=1e-8)
+    assert_allclose(moments.lag_one, oracle.lag_one, atol=1e-8)
+    if mask[-1].any():  # otherwise Sigma_theta at T is zero
+        _, _, _, aug_ll = sim.augmented_moments(
+            pan.values, pan.mask, loadings.mean, loadings.cov,
+            loadings.noise_scale, transition.mean, transition.cov,
+            prior.init_state_cov,
+        )
+        dec = sim.decomposed_loglik(
+            pan, loadings, transition, prior, moments.prec_logdet, moments.info_quad
+        )
+        assert_allclose(dec, aug_ll, atol=1e-8)
