@@ -501,14 +501,18 @@ def cmd_compare(args, parser) -> int:
                 [block, repr(errs["me"]), repr(errs["mae"]), repr(errs["rmse"])]
             )
     # The rows csv.writer would give: fixed block names and repr floats need
-    # no quoting, and each (block, level) chunk is written at once.
+    # no quoting, and each (block, level) chunk is written at once.  Coverage
+    # takes few distinct values, so repr runs once per distinct bit pattern.
     with open(os.path.join(args.out, "report_coverage.csv"), "w", newline="") as fh:
         fh.write("block,level,element,coverage_pct\r\n")
         for block, per_level in report.coverage.items():
             for level, cov in per_level.items():
-                values = np.asarray(cov, dtype=float).ravel().tolist()
+                bits = np.asarray(cov, dtype=float).ravel().view(np.int64)
+                distinct, which = np.unique(bits, return_inverse=True)
+                text = [repr(v) for v in distinct.view(float).tolist()]
+                prefix = f"{block},{level},"
                 fh.write("".join(
-                    [f"{block},{level},{e},{val!r}\r\n" for e, val in enumerate(values)]
+                    [f"{prefix}{e},{text[k]}\r\n" for e, k in enumerate(which.tolist())]
                 ))
     _write_json(
         os.path.join(args.out, "report_summary.json"),

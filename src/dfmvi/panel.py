@@ -159,28 +159,43 @@ def load_csv(path, missing_token: str = "") -> TimeSeriesPanel:
     n = len(names)
     if n == 0:
         raise PanelFormatError(f"{path}: header row has no columns")
-    data = np.full((len(rows) - 1, n), np.nan)
-    mask = np.zeros((len(rows) - 1, n), dtype=bool)
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != n:
+    body = rows[1:]
+    if not body:
+        raise PanelFormatError(f"{path}: no data rows after the header")
+    if any(len(row) != n for row in body):
+        _raise_first_format_error(path, names, body, missing_token)
+    cells = [c.strip() for row in body for c in row]
+    present = [c != missing_token for c in cells]
+    parsed = map(float, [c if keep else "nan" for c, keep in zip(cells, present)])
+    try:
+        values = np.fromiter(parsed, float, len(cells))
+    except ValueError:
+        _raise_first_format_error(path, names, body, missing_token)
+    return TimeSeriesPanel(
+        values=values.reshape(-1, n),
+        mask=np.fromiter(present, bool, len(cells)).reshape(-1, n),
+        names=names,
+    )
+
+
+def _raise_first_format_error(path, names, body, missing_token) -> None:
+    """Raise the error of the first ragged row or unparsable cell, in file order."""
+    for r, row in enumerate(body, start=2):
+        if len(row) != len(names):
             raise PanelFormatError(
-                f"{path}: row {r} has {len(row)} fields, expected {n}"
+                f"{path}: row {r} has {len(row)} fields, expected {len(names)}"
             )
-        for j, cell in enumerate(row):
+        for name, cell in zip(names, row):
             cell = cell.strip()
             if cell == missing_token:
                 continue
             try:
-                data[r - 2, j] = float(cell)
+                float(cell)
             except ValueError:
                 raise PanelFormatError(
-                    f"{path}: row {r}, column {names[j]!r}: "
+                    f"{path}: row {r}, column {name!r}: "
                     f"cannot parse {cell!r} as a number"
                 ) from None
-            mask[r - 2, j] = True
-    if data.shape[0] < 1:
-        raise PanelFormatError(f"{path}: no data rows after the header")
-    return TimeSeriesPanel(values=np.where(mask, data, np.nan), mask=mask, names=names)
 
 
 def write_csv(panel: TimeSeriesPanel, path, missing_token: str = "") -> None:

@@ -22,7 +22,7 @@ from .errors import DomainError, NumericalError
 from .model import ModelSpec
 from .panel import TimeSeriesPanel
 
-_DENSE_CAP = 64
+_DENSE_CAP = 512  # room for a 400-step scalar path; the prior fill is O(T^2)
 _LN2PI = float(np.log(2.0 * np.pi))
 
 
@@ -209,7 +209,7 @@ def dense_conditional_moments(
     z_t = C_t F_t + noise with noise covariance R_t; an entry may be None
     when time t carries no observation.  The prior over the stacked state
     path is built from the transition recursion, the conditioning is one
-    dense solve.  Capped at (T+1) * s <= 64.
+    dense solve.  Capped at (T+1) * s <= 512.
     """
     s = trans.shape[0]
     T = len(observations)

@@ -15,9 +15,11 @@ r (T - t), so its lagged coordinates are exact copies.
   the expected transition block E[A'A], whose extra r V term is the
   shrinkage that parameter uncertainty puts on the factors.
   :func:`kalman_filter` factors Q once and solves for the mean path;
-  :func:`kalman_smoother` reads the marginal and lag-one covariance blocks
-  from a selected inversion of the factor (Takahashi, Fagan and Chen 1973;
-  Rue and Held 2005, ch. 2), which touches only the band.
+  :func:`kalman_smoother` reads the factor as an affine recursion
+  x_t = K_t x_{t-1} + noise over time and gets the marginal and lag-one
+  covariance blocks from one associative (odd-even) scan over its steps
+  (Sarkka and Garcia-Fernandez, IEEE TAC 2021), about 2 log2 T batched
+  products instead of a loop over the path coordinates.
 
 A time step without data, the last one included, adds no data precision
 and needs no special case.  The dense and augmented-filter oracles that
@@ -147,38 +149,29 @@ def path_states(z: np.ndarray, r: int, s: int) -> np.ndarray:
     return sliding_window_view(z, s)[::r][::-1]
 
 
-def _selected_inverse(chol: np.ndarray) -> np.ndarray:
-    """Entries of Q^-1 inside the band of its Cholesky factor L.
+def _compose_scan(trans: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """All covariances of the recursion S_t = K_t S_{t-1} K_t' + E_t, S_{-1} = 0.
 
-    The Takahashi recursion: with S = Q^-1, L' S = L^-1 is upper triangular
-    with diagonal 1 / L_jj, so for i >= j
-    S_ij = delta_ij / L_jj^2 - sum_{k > j} L_kj S_ik / L_jj.  Working from
-    the last column back, the sum needs only entries of S inside the band.
-    ``chol`` and the result use lower band storage, S[i, j] at [i - j, j].
-    The recursion runs on Python floats: a column needs at most (r + s)^2
-    multiply-adds, too few to pay for numpy calls.
+    ``trans`` and ``noise`` stack the steps (K_t, E_t), t = 0..n-1.  Two
+    steps compose associatively,
+    (K_1, E_1) o (K_2, E_2) = (K_1 K_2, E_1 + K_1 E_2 K_1'),
+    so the odd-even scan composes neighbouring pairs, recurses on the
+    n // 2 pairs for the odd entries and fills in the even ones from their
+    predecessors: about 2 log2 n batched products (Blelloch 1990; Sarkka
+    and Garcia-Fernandez 2021).
     """
-    width, size = chol.shape
-    cols = chol.T.tolist()
-    sel = [None] * size
-    for j in range(size - 1, -1, -1):
-        ell = cols[j]
-        inv = 1.0 / ell[0]
-        m = min(width - 1, size - 1 - j)
-        col = [0.0] * width
-        for a in range(1, m + 1):
-            acc = 0.0
-            for b in range(1, a + 1):
-                acc += ell[b] * sel[j + b][a - b]
-            for b in range(a + 1, m + 1):
-                acc += ell[b] * sel[j + a][b - a]
-            col[a] = -inv * acc
-        acc = 0.0
-        for b in range(1, m + 1):
-            acc += ell[b] * col[b]
-        col[0] = inv * (inv - acc)
-        sel[j] = col
-    return np.array(sel).T
+    n = len(noise)
+    if n == 1:
+        return noise
+    odd, even = trans[1::2], slice(0, n - n % 2, 2)
+    out = np.empty_like(noise)
+    out[1::2] = _compose_scan(
+        odd @ trans[even], noise[1::2] + odd @ noise[even] @ odd.swapaxes(-1, -2)
+    )
+    out[0] = noise[0]
+    step = trans[2::2]
+    out[2::2] = noise[2::2] + step @ out[1 : n - 1 : 2] @ step.swapaxes(-1, -2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -286,27 +279,43 @@ def kalman_filter(params: SsmParams) -> FilterResult:
 
 
 def kalman_smoother(filt: FilterResult, params: SsmParams) -> StateMoments:
-    """State moments from a selected inversion of the banded factor.
+    """State moments from an associative scan over the banded factor.
 
-    The marginal covariance of x_t spans s consecutive coordinates of z and
-    Cov[f_t, x_{t-1}] spans r + s, so both lie inside the band of Q^-1 that
-    :func:`_selected_inverse` computes.  The name is the one the
-    benchmark's tracer times.
+    With Q = L L', z = L^-T eps for standard normal eps.  Column block
+    j = T - t of L holds the r coordinates of f_t: a lower-triangular
+    diagonal block D and the s x r block l below it, on x_{t-1}.  So
+    f_t = -D^-T l' x_{t-1} + D^-T eps_t, and x_t = K_t x_{t-1} + noise with
+    K_t = [[-D^-T l'], [I, 0]] and noise covariance E_t =
+    blockdiag((D D')^-1, 0).  The covariances of x_0..x_T follow from
+    Cov[x_0] = (L_0 L_0')^-1, L_0 the trailing s x s block, by
+    :func:`_compose_scan`, and Cov[f_t, x_{t-1}] is the top r rows of
+    K_t Cov[x_{t-1}].  The name is the one the benchmark's tracer times.
     """
     r, s, T = params.r, params.s, params.T
-    sel = _selected_inverse(filt.chol)
-    # x_t starts at coordinate r (T - t); S[i, k] sits at [|i - k|, min(i, k)].
-    a = np.arange(s)
-    base = r * (T - np.arange(T + 1))
-    cov = sel[np.abs(a[:, None] - a), base[:, None, None] + np.minimum(a[:, None], a)]
-    top = np.arange(r)[:, None]
-    lag_cov = sel[r + a - top, base[1:, None, None] + top]
+    chol = filt.chol
+    # L[i, k] sits at chol[i - k, k]; negative offsets fall above the
+    # diagonal and are cleared by tril.
+    rows = np.arange(r + s)[:, None]
+    cols = chol[:, : r * T].reshape(r + s, T, r)[rows - np.arange(r), :, np.arange(r)]
+    blocks = np.tril(cols.transpose(2, 0, 1))[::-1]
+    origin = np.tril(chol[rows[:s] - np.arange(s), r * T + np.arange(s)])
+
+    diag_inv = np.linalg.inv(blocks[:, :r])
+    diag_inv_t = diag_inv.swapaxes(-1, -2)
+    trans = np.zeros((T + 1, s, s))
+    trans[1:, :r] = -diag_inv_t @ blocks[:, r:].swapaxes(-1, -2)
+    trans[1:, r:, : s - r] = np.eye(s - r)
+    noise = np.zeros((T + 1, s, s))
+    noise[1:, :r, :r] = diag_inv_t @ diag_inv
+    noise[0] = chol_inverse(origin)
+    cov = symmetrize(_compose_scan(trans, noise))
+    lag_cov = trans[1:, :r] @ cov[:-1]
 
     mean = filt.mean
     return StateMoments(
         mean=mean,
         cov=cov,
-        second_moment=symmetrize(cov + mean[:, :, None] * mean[:, None, :]),
+        second_moment=cov + mean[:, :, None] * mean[:, None, :],
         lag_one=lag_cov + mean[1:, :r, None] * mean[:-1, None, :],
         prec_logdet=filt.prec_logdet,
         info_quad=filt.info_quad,

@@ -146,7 +146,7 @@ def test_dense_oracle_single_observation_rank_one_update():
 
 def test_dense_oracle_size_cap():
     spec = ModelSpec(n=2, r=1, p=0)
-    pan, _, _ = random_masked_panel(spec, T=100, seed=0)
+    pan, _, _ = random_masked_panel(spec, T=600, seed=0)
     prior = default_prior(spec)
     state = vi.init_from_pca(pan, spec, prior, seed=0)
     with pytest.raises(DomainError, match="capped"):

@@ -318,6 +318,67 @@ def test_returned_covariances_symmetric():
         assert np.abs(arr - arr.swapaxes(-1, -2)).max() <= 1e-12
 
 
+def _random_variational(rng, pan, spec, trans_mean=None):
+    """Random loadings and transition densities for a panel."""
+    n, r, s = pan.n, spec.r, spec.s
+    prior = default_prior(spec)
+    a = rng.standard_normal((n, s, s))
+    b = rng.standard_normal((s, s))
+    loadings = vi.LoadingsVariational(
+        mean=rng.normal(0.0, 0.7, (n, s)),
+        cov=0.1 * (a @ a.swapaxes(1, 2)) / s + 0.05 * np.eye(s),
+        noise_df=prior.noise_df + pan.counts,
+        noise_scale=rng.uniform(0.3, 1.0, n),
+        free=np.ones((n, s), dtype=bool),
+    )
+    if trans_mean is None:
+        trans_mean = rng.uniform(-0.4, 0.6, (r, s)) / (spec.p + 1)
+    transition = vi.TransitionVariational(
+        mean=trans_mean, cov=0.05 * (b @ b.T) / s + 0.01 * np.eye(s)
+    )
+    return loadings, transition, prior
+
+
+def _masked_panel(rng, T, n, empty_rows=(), empty_cols=()):
+    mask = rng.random((T, n)) > 0.3
+    mask[list(empty_rows)] = False
+    mask[:, list(empty_cols)] = False
+    values = np.where(mask, rng.standard_normal((T, n)), np.nan)
+    return TimeSeriesPanel(values=values, mask=mask, names=[f"v{i}" for i in range(n)])
+
+
+def _assert_matches_dense_oracle(pan, loadings, transition, prior):
+    moments, _ = vi.update_states(pan, loadings, transition, prior)
+    oracle = sim.dense_variational_moments(pan, loadings, transition, prior)
+    assert_allclose(moments.mean, oracle.mean, atol=1e-8)
+    assert_allclose(moments.cov, oracle.marg_cov, atol=1e-8)
+    assert_allclose(moments.lag_one, oracle.lag_one, atol=1e-8)
+    return moments
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 37, 64, 65])
+@pytest.mark.parametrize("r, p", [(1, 0), (1, 1), (2, 1)])
+def test_scan_matches_dense_oracle_across_split_levels(T, r, p):
+    # Odd and even lengths at every level of the odd-even scan, with whole
+    # empty rows, the last one included.
+    rng = np.random.default_rng(1000 * T + 10 * r + p)
+    spec = ModelSpec(n=3, r=r, p=p)
+    empty = {T - 1} | set(np.flatnonzero(rng.random(T) < 0.2).tolist())
+    pan = _masked_panel(rng, T, spec.n, empty)
+    _assert_matches_dense_oracle(pan, *_random_variational(rng, pan, spec))
+
+
+def test_scan_near_unit_root_long_path_stays_finite():
+    # A transition mean of 0.98 over 400 steps, with a gap of empty rows:
+    # no product of the scan may overflow or turn into NaN.
+    rng = np.random.default_rng(98)
+    spec = ModelSpec(n=3, r=1, p=0)
+    pan = _masked_panel(rng, 400, spec.n, range(150, 200))
+    params = _random_variational(rng, pan, spec, trans_mean=np.array([[0.98]]))
+    with np.errstate(over="raise", invalid="raise"):
+        _assert_matches_dense_oracle(pan, *params)
+
+
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(
     n=st.integers(1, 4),
@@ -335,32 +396,12 @@ def test_kernel_matches_dense_and_augmented_oracles(
     # columns, under random variational parameters.
     rng = np.random.default_rng(seed)
     spec = ModelSpec(n=n, r=r, p=p)
-    s = spec.s
-    mask = rng.random((T, n)) > 0.3
-    mask[[t for t in empty_rows if t < T]] = False
-    mask[:, [i for i in empty_cols if i < n]] = False
-    values = np.where(mask, rng.standard_normal((T, n)), np.nan)
-    pan = TimeSeriesPanel(values=values, mask=mask, names=[f"v{i}" for i in range(n)])
-    prior = default_prior(spec)
-    a = rng.standard_normal((n, s, s))
-    b = rng.standard_normal((s, s))
-    loadings = vi.LoadingsVariational(
-        mean=rng.normal(0.0, 0.7, (n, s)),
-        cov=0.1 * (a @ a.swapaxes(1, 2)) / s + 0.05 * np.eye(s),
-        noise_df=prior.noise_df + pan.counts,
-        noise_scale=rng.uniform(0.3, 1.0, n),
-        free=np.ones((n, s), dtype=bool),
+    pan = _masked_panel(
+        rng, T, n, [t for t in empty_rows if t < T], [i for i in empty_cols if i < n]
     )
-    transition = vi.TransitionVariational(
-        mean=rng.uniform(-0.4, 0.6, (r, s)) / (p + 1),
-        cov=0.05 * (b @ b.T) / s + 0.01 * np.eye(s),
-    )
-    moments, params = vi.update_states(pan, loadings, transition, prior)
-    oracle = sim.dense_variational_moments(pan, loadings, transition, prior)
-    assert_allclose(moments.mean, oracle.mean, atol=1e-8)
-    assert_allclose(moments.cov, oracle.marg_cov, atol=1e-8)
-    assert_allclose(moments.lag_one, oracle.lag_one, atol=1e-8)
-    if mask[-1].any():  # otherwise Sigma_theta at T is zero
+    loadings, transition, prior = _random_variational(rng, pan, spec)
+    moments = _assert_matches_dense_oracle(pan, loadings, transition, prior)
+    if pan.mask[-1].any():  # otherwise Sigma_theta at T is zero
         _, _, _, aug_ll = sim.augmented_moments(
             pan.values, pan.mask, loadings.mean, loadings.cov,
             loadings.noise_scale, transition.mean, transition.cov,
