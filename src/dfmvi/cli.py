@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,16 +54,6 @@ _CONFIG_DEFAULTS = {
     "missing_rate": 0.0,
     "eta_grid": [],
 }
-
-
-@dataclass
-class RunConfig:
-    """Resolved configuration of one command invocation."""
-
-    command: str
-    panel: str = None
-    out: str = None
-    values: dict = field(default_factory=dict)
 
 
 def _read_config_file(path):
@@ -146,20 +135,20 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(run: RunConfig, fingerprint, wall_time, extra=None):
+def _write_manifest(command, panel, out, values, fingerprint, wall_time, extra=None):
     manifest = {
-        "command": run.command,
+        "command": command,
         "package_version": __version__,
-        "panel": run.panel,
-        "config": run.values,
+        "panel": panel,
+        "config": values,
         "model": fingerprint,
         "config_hash": _hash_config(fingerprint),
-        "seed": run.values.get("seed", 0),
+        "seed": values.get("seed", 0),
         "wall_time_s": wall_time,
     }
     if extra:
         manifest.update(extra)
-    _write_json(os.path.join(run.out, "manifest.json"), manifest)
+    _write_json(os.path.join(out, "manifest.json"), manifest)
     return manifest
 
 
@@ -236,8 +225,9 @@ def cmd_simulate(args, parser) -> int:
         },
     )
     fingerprint = {"generated": True, **{k: cfg[k] for k in keys}}
-    run = RunConfig(command="simulate", out=args.out, values=cfg)
-    _write_manifest(run, fingerprint, time.perf_counter() - started)
+    _write_manifest(
+        "simulate", None, args.out, cfg, fingerprint, time.perf_counter() - started
+    )
     return 0
 
 
@@ -328,12 +318,8 @@ def cmd_fit(args, parser) -> int:
     if record is not None:
         with open(os.path.join(args.out, "standardization.json"), "w") as fh:
             fh.write(record.to_json() + "\n")
-    run = RunConfig(
-        command="fit", panel=args.panel, out=args.out,
-        values={k: cfg[k] for k in keys},
-    )
     _write_manifest(
-        run, fingerprint, fit_time,
+        "fit", args.panel, args.out, {k: cfg[k] for k in keys}, fingerprint, fit_time,
         extra={
             "iterations": report.iterations,
             "converged": report.converged,
@@ -374,12 +360,8 @@ def cmd_gibbs(args, parser) -> int:
     gibbs.save_draws(store, os.path.join(args.out, "draws.npz"))
     wall = time.perf_counter() - started
     fingerprint = _model_fingerprint(args.panel, cfg, anchors)
-    run = RunConfig(
-        command="gibbs", panel=args.panel, out=args.out,
-        values={k: cfg[k] for k in keys},
-    )
     _write_manifest(
-        run, fingerprint, wall,
+        "gibbs", args.panel, args.out, {k: cfg[k] for k in keys}, fingerprint, wall,
         extra={
             "stored_draws": store.n_draws,
             "rejections": store.rejections,
@@ -394,7 +376,7 @@ def _load_fit_artifacts(fit_dir):
         var_obj = json.load(fh)
     with open(os.path.join(fit_dir, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    return vi.state_from_dict(var_obj["state"]), var_obj, manifest
+    return vi.state_from_dict(var_obj["state"]), manifest
 
 
 def _require_same_config(fit_manifest, gibbs_dir) -> None:
@@ -420,7 +402,7 @@ def cmd_forecast(args, parser) -> int:
     cfg = _resolve(args, keys)
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
-    state, var_obj, fit_manifest = _load_fit_artifacts(args.fit)
+    state, fit_manifest = _load_fit_artifacts(args.fit)
     fit_cfg = dict(_CONFIG_DEFAULTS)
     fit_cfg.update(fit_manifest["config"])
     pan, record = _load_standardized(args.panel, fit_cfg["standardize"])
@@ -436,11 +418,10 @@ def cmd_forecast(args, parser) -> int:
     else:
         source = state
         n_draws = int(cfg["smf_draws"])
-    draws = forecast.draw_predictive(
+    arr = forecast.draw_predictive(
         source, pan, spec, prior,
         horizons=int(cfg["horizons"]), n_draws=n_draws, seed=int(cfg["seed"]),
     )
-    arr = draws.draws
     if args.original_units:
         std_path = os.path.join(args.fit, "standardization.json")
         if record is None and os.path.exists(std_path):
@@ -461,11 +442,10 @@ def cmd_forecast(args, parser) -> int:
                     [pan.names[i], h + 1, repr(float(arr[:, h, i].mean()))]
                     + [repr(float(qs[k, h, i])) for k in range(5)]
                 )
-    run = RunConfig(
-        command="forecast", panel=args.panel, out=args.out,
-        values={**cfg, "source": args.source},
+    _write_manifest(
+        "forecast", args.panel, args.out, {**cfg, "source": args.source},
+        fit_manifest["model"], time.perf_counter() - started,
     )
-    _write_manifest(run, fit_manifest["model"], time.perf_counter() - started)
     return 0
 
 
@@ -478,7 +458,7 @@ def cmd_compare(args, parser) -> int:
     cfg = _resolve(args, keys)
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
-    state, var_obj, fit_manifest = _load_fit_artifacts(args.fit)
+    state, fit_manifest = _load_fit_artifacts(args.fit)
     _require_same_config(fit_manifest, args.gibbs)
     fit_cfg = dict(_CONFIG_DEFAULTS)
     fit_cfg.update(fit_manifest["config"])
@@ -522,11 +502,10 @@ def cmd_compare(args, parser) -> int:
             "levels": list(report.levels),
         },
     )
-    run = RunConfig(
-        command="compare", panel=args.panel, out=args.out,
-        values={k: cfg[k] for k in keys},
+    _write_manifest(
+        "compare", args.panel, args.out, {k: cfg[k] for k in keys},
+        fit_manifest["model"], time.perf_counter() - started,
     )
-    _write_manifest(run, fit_manifest["model"], time.perf_counter() - started)
     return 0
 
 

@@ -2,7 +2,10 @@
 
 Draws of observables come either from the variational densities (loadings
 and noise per equation, matrix-normal transition, Gaussian state marginals)
-or from a stored Gibbs chain.  Comparison metrics mirror a benchmark
+or from a stored Gibbs chain.  Parameter draws come from the shared
+``vi.draw_loadings`` and ``vi.draw_transition``, in-sample state vectors
+from ``_marginal_draws`` and every observation lambda x_t + noise, for
+either source, from ``_observe``.  Comparison metrics mirror a benchmark
 protocol: mean/absolute/root-mean-square errors between posterior means,
 and the share of benchmark draws falling inside equal-tailed variational
 intervals, aggregated across elements.
@@ -24,14 +27,7 @@ from .gibbs import DrawStore
 from .model import ModelSpec, PriorSpec
 from .panel import TimeSeriesPanel
 
-
-@dataclass(frozen=True)
-class PredictiveDraws:
-    """Stacked draws of predicted observations, (draws, steps, series)."""
-
-    draws: np.ndarray
-    source: str
-    seed: int
+_TIME_BLOCK = 16  # time steps per in-sample comparison block, bounding memory
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -42,40 +38,45 @@ def _psd_sqrt(a: np.ndarray) -> np.ndarray:
 
 def _draw_variational_theta(state: vi.VariationalState, n_draws: int, rng):
     """Draws of (noise variances, loadings, transition) from the fit."""
-    loadings, transition = state.loadings, state.transition
-    n, s = loadings.mean.shape
-    r = transition.mean.shape[0]
-    sigma2 = (
-        loadings.noise_df
-        * loadings.noise_scale
-        / rng.chisquare(loadings.noise_df, size=(n_draws, n))
+    loadings, lead = state.loadings, (n_draws,)
+    sigma2, lam = vi.draw_loadings(
+        loadings.mean, _psd_sqrt(loadings.cov),
+        loadings.noise_df, loadings.noise_scale, rng, lead,
     )
-    roots = _psd_sqrt(loadings.cov)
-    z = rng.standard_normal((n_draws, n, s))
-    lam = loadings.mean[None] + np.sqrt(sigma2)[:, :, None] * np.einsum(
-        "iab,dib->dia", roots, z
-    )
-    l_phi = np.linalg.cholesky(transition.cov)
-    phi = transition.mean[None] + rng.standard_normal((n_draws, r, s)) @ l_phi.T
-    return sigma2, lam, phi
+    return sigma2, lam, vi.draw_transition(state.transition, rng, lead)
+
+
+def _marginal_draws(moments, t0: int, t1: int, n_draws: int, rng) -> np.ndarray:
+    """Draws (n_draws, t1 - t0, s) of x_t0..x_{t1-1}, each from its smoothed marginal."""
+    roots = _psd_sqrt(moments.cov[t0:t1])
+    z = rng.standard_normal((n_draws, t1 - t0, roots.shape[-1]))
+    return moments.mean[t0:t1] + np.einsum("tab,dtb->dta", roots, z)
+
+
+def _observe(lam, states, sd, rng):
+    """Fitted values lambda x_t of (draws, steps, s) states and their noisy copies.
+
+    ``sd`` (draws, n) holds the noise standard deviations.  Returns
+    (fitted, fitted + noise), both (draws, steps, n).
+    """
+    fitted = np.einsum("dis,dts->dti", lam, states)
+    noisy = rng.standard_normal(fitted.shape)
+    noisy *= sd[:, None, :]
+    noisy += fitted
+    return fitted, noisy
 
 
 def _iterate_forward(states_T, phi, sigma2, lam, horizons, rng):
     """Propagate terminal states forward and emit noisy observations."""
     n_draws, s = states_T.shape
     r = phi.shape[1]
-    n = lam.shape[1]
-    out = np.empty((n_draws, horizons, n))
+    sd = np.sqrt(sigma2)
+    out = np.empty((n_draws, horizons, lam.shape[1]))
     cur = states_T
     for h in range(horizons):
-        shock = rng.standard_normal((n_draws, r))
-        top = np.einsum("drs,ds->dr", phi, cur) + shock
-        if s > r:
-            cur = np.concatenate([top, cur[:, : s - r]], axis=1)
-        else:
-            cur = top
-        eps = rng.standard_normal((n_draws, n)) * np.sqrt(sigma2)
-        out[:, h, :] = np.einsum("dis,ds->di", lam, cur) + eps
+        top = np.einsum("drs,ds->dr", phi, cur) + rng.standard_normal((n_draws, r))
+        cur = np.concatenate([top, cur[:, : s - r]], axis=1)
+        out[:, h : h + 1] = _observe(lam, cur[:, None], sd, rng)[1]
     return out
 
 
@@ -88,8 +89,8 @@ def draw_predictive(
     n_draws: int = 10_000,
     seed: int = 0,
     in_sample: bool = False,
-) -> PredictiveDraws:
-    """Predictive draws from a fitted posterior.
+) -> np.ndarray:
+    """Predictive draws from a fitted posterior, (draws, steps, series).
 
     ``source`` is either a fitted :class:`~dfmvi.vi.VariationalState` or a
     Gibbs :class:`~dfmvi.gibbs.DrawStore`.  With ``in_sample`` the draws
@@ -112,35 +113,19 @@ def draw_predictive(
             idx.sort()
         else:
             idx = np.arange(stored)
-        lam = source.lambdas[idx]
-        sigma2 = source.sigma2[idx]
-        phi = source.phi[idx]
+        sigma2, lam, phi = source.sigma2[idx], source.lambdas[idx], source.phi[idx]
+        states = source.states[idx, 1:] if in_sample else source.states[idx, -1]
+    else:
+        moments, _ = vi.update_states(panel, source.loadings, source.transition, prior)
+        sigma2, lam, phi = _draw_variational_theta(source, n_draws, rng)
         if in_sample:
-            fitted = np.einsum("dis,dts->dti", lam, source.states[idx][:, 1:, :])
-            eps = rng.standard_normal(fitted.shape) * np.sqrt(sigma2)[:, None, :]
-            return PredictiveDraws(draws=fitted + eps, source="mcmc", seed=seed)
-        out = _iterate_forward(
-            source.states[idx][:, -1, :], phi, sigma2, lam, horizons, rng
-        )
-        return PredictiveDraws(draws=out, source="mcmc", seed=seed)
-
-    state = source
-    moments, _ = vi.update_states(panel, state.loadings, state.transition, prior)
-    sigma2, lam, phi = _draw_variational_theta(state, n_draws, rng)
+            states = _marginal_draws(moments, 1, panel.T + 1, n_draws, rng)
+        else:
+            root = _psd_sqrt(moments.cov[-1])
+            states = moments.mean[-1] + rng.standard_normal((n_draws, spec.s)) @ root.T
     if in_sample:
-        T = panel.T
-        n = panel.n
-        out = np.empty((n_draws, T, n))
-        for t in range(1, T + 1):
-            root = _psd_sqrt(moments.cov[t])
-            f_t = moments.mean[t] + rng.standard_normal((n_draws, spec.s)) @ root.T
-            eps = rng.standard_normal((n_draws, n)) * np.sqrt(sigma2)
-            out[:, t - 1, :] = np.einsum("dis,ds->di", lam, f_t) + eps
-        return PredictiveDraws(draws=out, source="smf", seed=seed)
-    root = _psd_sqrt(moments.cov[-1])
-    states_T = moments.mean[-1] + rng.standard_normal((n_draws, spec.s)) @ root.T
-    out = _iterate_forward(states_T, phi, sigma2, lam, horizons, rng)
-    return PredictiveDraws(draws=out, source="smf", seed=seed)
+        return _observe(lam, states, np.sqrt(sigma2), rng)[1]
+    return _iterate_forward(states, phi, sigma2, lam, horizons, rng)
 
 
 def posterior_mean_errors(a: np.ndarray, b: np.ndarray) -> dict:
@@ -278,7 +263,6 @@ def compare_posteriors(
     n_smf_draws: int = 10_000,
     seed: int = 0,
     levels=(50, 75, 95),
-    time_block: int = 16,
 ) -> ComparisonReport:
     """Full comparison of a variational fit against a Gibbs chain.
 
@@ -291,7 +275,7 @@ def compare_posteriors(
     """
     rng = np.random.default_rng(seed)
     loadings, transition = state.loadings, state.transition
-    r, s = transition.mean.shape
+    r = transition.mean.shape[0]
     n, T = panel.n, panel.T
     moments, _ = vi.update_states(panel, loadings, transition, prior)
     free = loadings.free
@@ -343,29 +327,22 @@ def compare_posteriors(
     smf_pred_mean = moments.mean[1:] @ loadings.mean.T
     mcmc_pred_mean = np.zeros((T, n))
     cov_acc = {int(level): np.zeros((T, n)) for level in levels}
-    d_mc = store.n_draws
     sd_mc = np.sqrt(store.sigma2)
     sd_smf = np.sqrt(sig2_smf)
-    for start in range(0, T, time_block):
-        block = slice(start, min(start + time_block, T))
-        nb = block.stop - block.start
-        roots = _psd_sqrt(moments.cov[block.start + 1 : block.stop + 1])
-        zf = rng.standard_normal((n_smf_draws, nb, s))
-        f_blk = moments.mean[block.start + 1 : block.stop + 1][None] + np.einsum(
-            "tab,dtb->dta", roots, zf
+    for start in range(0, T, _TIME_BLOCK):
+        stop = min(start + _TIME_BLOCK, T)
+        f_blk = _marginal_draws(moments, start + 1, stop + 1, n_smf_draws, rng)
+        smf_blk = _observe(lam_smf, f_blk, sd_smf, rng)[1]
+        mc_fit, mc_blk = _observe(
+            store.lambdas, store.states[:, start + 1 : stop + 1], sd_mc, rng
         )
-        smf_blk = np.einsum("dis,dts->dti", lam_smf, f_blk)
-        smf_blk += rng.standard_normal(smf_blk.shape) * sd_smf[:, None, :]
-        mc_blk = np.einsum(
-            "dis,dts->dti", store.lambdas, store.states[:, 1 + block.start : 1 + block.stop, :]
-        )
-        mcmc_pred_mean[block] = mc_blk.mean(axis=0)
-        mc_blk += rng.standard_normal(mc_blk.shape) * sd_mc[:, None, :]
+        mcmc_pred_mean[start:stop] = mc_fit.mean(axis=0)
         cov_blk = coverage_probability(
-            smf_blk.reshape(n_smf_draws, -1), mc_blk.reshape(d_mc, -1), levels
+            smf_blk.reshape(n_smf_draws, -1), mc_blk.reshape(store.n_draws, -1), levels
         )
         for level in levels:
-            cov_acc[int(level)][block] = cov_blk[int(level)].reshape(nb, n)
+            cov_acc[int(level)][start:stop] = cov_blk[int(level)].reshape(-1, n)
+        del smf_blk, mc_fit, mc_blk  # free this block before drawing the next
     pm_errors["insample"] = posterior_mean_errors(smf_pred_mean, mcmc_pred_mean)
     coverage["insample"] = cov_acc
 
@@ -374,11 +351,11 @@ def compare_posteriors(
         smf_oos = draw_predictive(
             state, panel, spec, prior, horizons=horizons,
             n_draws=n_smf_draws, seed=seed + 1,
-        ).draws
+        )
         mcmc_oos = draw_predictive(
             store, panel, spec, prior, horizons=horizons,
             n_draws=store.n_draws, seed=seed + 2,
-        ).draws
+        )
         for h in range(1, horizons + 1):
             block = f"oos_h{h}"
             pm_errors[block] = posterior_mean_errors(

@@ -3,9 +3,10 @@
 One sweep draws the full state path given the parameters (one banded
 Cholesky of its precision and one banded solve, at every state dimension)
 and then the parameters given the states (the batched conjugate
-regressions of ``vi.loading_posterior`` and a matrix-normal transition
-draw).  Missing data enter only through the availability mask, so a time
-step without data, the last one included, needs no special case;
+regressions of ``vi.loading_posterior`` and ``vi.transition_posterior``,
+drawn by the shared ``vi.draw_loadings`` and ``vi.draw_transition``).
+Missing data enter only through the availability mask, so a time step
+without data, the last one included, needs no special case;
 identification is enforced by zero restrictions and sign rejection on
 anchor loadings.
 
@@ -196,18 +197,16 @@ def sample_parameters(
 
     Returns (loadings, noise variances, transition, rejection count).
     """
-    r, s = spec.r, spec.s
+    r = spec.r
     f = states[1:]
     post, root = vi.loading_posterior(
         panel, f, f[:, :, None] * f[:, None, :], prior, restrictions
     )
 
     def draw(rows):
-        sig = post.noise_df[rows] * post.noise_scale[rows] / rng.chisquare(
-            post.noise_df[rows]
+        return vi.draw_loadings(
+            post.mean[rows], root[rows], post.noise_df[rows], post.noise_scale[rows], rng
         )
-        shock = np.einsum("iab,ib->ia", root[rows], rng.standard_normal((rows.size, s)))
-        return sig, post.mean[rows] + np.sqrt(sig)[:, None] * shock
 
     sigma2, lambdas = draw(np.arange(panel.n))
     anchors = {} if restrictions is None else dict(restrictions.positive)
@@ -230,8 +229,7 @@ def sample_parameters(
 
     fprev = states[:-1]
     trans = vi.transition_posterior(fprev.T @ fprev, f[:, :r].T @ fprev, prior)
-    phi = trans.mean + rng.standard_normal((r, s)) @ np.linalg.cholesky(trans.cov).T
-    return lambdas, sigma2, phi, rejections
+    return lambdas, sigma2, vi.draw_transition(trans, rng), rejections
 
 
 def _physical_memory() -> int | None:
@@ -247,7 +245,6 @@ def run_gibbs(
     spec: ModelSpec,
     prior: PriorSpec,
     config: GibbsConfig,
-    init: vi.VariationalState | None = None,
 ) -> DrawStore:
     """Run one chain: alternate state and parameter draws, keep the tail.
 
@@ -278,7 +275,7 @@ def run_gibbs(
         if config.identification
         else None
     )
-    start = init if init is not None else vi.init_from_pca(
+    start = vi.init_from_pca(
         panel, spec, prior, seed=config.seed, restrictions=restrictions
     )
     if restrictions is not None:

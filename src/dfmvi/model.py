@@ -202,7 +202,3 @@ def identification_restrictions(
         positive.append((var, fac))
     return Restrictions(free=free, positive=tuple(positive))
 
-
-def state_sign_vector(flips: np.ndarray, s: int) -> np.ndarray:
-    """Signs applied to state coordinates under the given factor flips."""
-    return np.where(np.tile(flips, s // flips.shape[0]), -1.0, 1.0)

@@ -100,27 +100,10 @@ class TimeSeriesPanel:
         """Sum of the squared available values per column."""
         return _read_only((self.mask_float * self.zero_filled**2).sum(axis=0))
 
-    def availability(self) -> "AvailabilitySummary":
-        return AvailabilitySummary(
-            counts=self.mask.sum(axis=0).astype(int), patterns=self.mask
-        )
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True)
-class AvailabilitySummary:
-    """Per-variable observation counts and per-time availability patterns.
-
-    ``counts[i]`` is the number of available observations of variable i;
-    ``patterns[t]`` is the diagonal of the availability selector at time t.
-    """
-
-    counts: np.ndarray
-    patterns: np.ndarray
 
 
 def from_arrays(values: np.ndarray, names=None) -> TimeSeriesPanel:

@@ -5,8 +5,11 @@ moments come from conditioning an explicitly assembled joint Gaussian or
 from a covariance-form filter over the uncollapsed augmented system, whose
 log-likelihood is also rebuilt from the determinant and quadratic form of
 the path precision, and the objective is cross-checked by plain Monte
-Carlo averaging over the variational densities.  Desk-scale only; hard
-size caps keep the dense constructions honest.
+Carlo averaging over the variational densities.  The Monte Carlo oracle
+draws the parameters with the shared ``vi.draw_loadings`` and
+``vi.draw_transition`` but evaluates log q itself, so a wrong draw shows
+as a biased estimate.  Desk-scale only; hard size caps keep the dense
+constructions honest.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln, logsumexp
 
+from . import vi
 from .errors import DomainError, NumericalError
 from .model import ModelSpec
 from .panel import TimeSeriesPanel
@@ -71,8 +75,7 @@ def companion(trans: np.ndarray) -> np.ndarray:
     r, s = trans.shape
     out = np.zeros((s, s))
     out[:r, :] = trans
-    if s > r:
-        out[r:, : s - r] = np.eye(s - r)
+    out[r:, : s - r] = np.eye(s - r)
     return out
 
 
@@ -129,8 +132,7 @@ def simulate_dfm(config: SimConfig) -> tuple[TimeSeriesPanel, np.ndarray]:
     for t in range(1, config.T + 1):
         shock = rng.standard_normal(r)
         states[t, :r] = trans @ states[t - 1] + shock
-        if s > r:
-            states[t, r:] = states[t - 1, : s - r]
+        states[t, r:] = states[t - 1, : s - r]
 
     eps = rng.standard_normal((config.T, n)) * np.sqrt(noise_var)
     values = states[1:] @ loadings.T + eps
@@ -509,23 +511,12 @@ def _mn_logpdf(x, mean, col_cov_logdet, col_prec):
 
 def _draw_q_theta(state, n_samples, rng):
     """Vectorized draws of (noise variances, loadings, transition) from q."""
-    loadings, transition = state.loadings, state.transition
-    n, s = loadings.mean.shape
-    r = transition.mean.shape[0]
-    sig2 = (
-        loadings.noise_df
-        * loadings.noise_scale
-        / rng.chisquare(loadings.noise_df, size=(n_samples, n))
+    loadings, lead = state.loadings, (n_samples,)
+    sig2, lam = vi.draw_loadings(
+        loadings.mean, np.linalg.cholesky(loadings.cov),
+        loadings.noise_df, loadings.noise_scale, rng, lead,
     )
-    chols = np.linalg.cholesky(loadings.cov)
-    z = rng.standard_normal((n_samples, n, s))
-    lam = loadings.mean[None] + np.sqrt(sig2)[:, :, None] * np.einsum(
-        "iab,dib->dia", chols, z
-    )
-    l_phi = np.linalg.cholesky(transition.cov)
-    zp = rng.standard_normal((n_samples, r, s))
-    phi = transition.mean[None] + np.einsum("dra,sa->drs", zp, l_phi)
-    return sig2, lam, phi
+    return sig2, lam, vi.draw_transition(state.transition, rng, lead)
 
 
 def _log_joint_and_logq_theta(panel, state, prior, sig2, lam, phi, f_paths):

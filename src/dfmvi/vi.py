@@ -6,7 +6,10 @@ Gaussian/scaled-inverse-chi-square loadings-noise pairs and one
 matrix-normal transition block.  Each update is the conjugate Bayesian
 regression with sufficient statistics replaced by smoothed state moments;
 all n loading regressions run as one batched kernel,
-:func:`loading_posterior`, which the Gibbs parameter draw shares.
+:func:`loading_posterior`, which the Gibbs parameter draw shares.  The
+unconditional parameter draws, :func:`draw_loadings` and
+:func:`draw_transition`, serve the Gibbs sweep, the predictive draws and
+the Monte Carlo oracle alike.
 
 The objective trace records, once per iteration, the exact bound of the
 consistent pair (state density implied by the just-updated parameters,
@@ -27,7 +30,7 @@ from scipy.special import gammaln
 
 from . import statespace
 from .errors import DomainError, NumericalError
-from .model import ModelSpec, PriorSpec, Restrictions, state_sign_vector
+from .model import ModelSpec, PriorSpec, Restrictions
 from .panel import TimeSeriesPanel
 from .statespace import SsmParams, StateMoments
 
@@ -158,6 +161,21 @@ def loading_posterior(
     return posterior, root
 
 
+def draw_loadings(mean, root, noise_df, noise_scale, rng, lead=()):
+    """Joint (noise variance, loading row) draws of every equation.
+
+    sigma2 = df scale / chi2(df) and lambda = mean + sqrt(sigma2) R z, with
+    R R' the loading covariance and z standard normal; restricted entries
+    stay exact zeros when R is zero there.  ``lead`` prepends independent
+    draw axes.  Returns (sigma2 (lead + (n,)), lambda (lead + (n, s))).
+    """
+    shape = tuple(lead) + noise_df.shape
+    sigma2 = noise_df * noise_scale / rng.chisquare(noise_df, size=shape)
+    z = rng.standard_normal(shape + mean.shape[-1:])
+    shock = np.einsum("iab,...ib->...ia", root, z)
+    return sigma2, mean + np.sqrt(sigma2)[..., None] * shock
+
+
 def update_loadings(
     panel: TimeSeriesPanel,
     moments: StateMoments,
@@ -182,6 +200,12 @@ def transition_posterior(
     chol = statespace.chol_factor(gram + prior.trans_prec, context="transition update")
     cov = statespace.symmetrize(statespace.chol_inverse(chol))
     return TransitionVariational(mean=cross @ cov, cov=cov)
+
+
+def draw_transition(transition: TransitionVariational, rng, lead=()) -> np.ndarray:
+    """Matrix-normal transition draws, lead + (r, s)."""
+    z = rng.standard_normal(tuple(lead) + transition.mean.shape)
+    return transition.mean + z @ np.linalg.cholesky(transition.cov).T
 
 
 def update_transition(moments: StateMoments, prior: PriorSpec) -> TransitionVariational:
@@ -358,13 +382,14 @@ def flip_factor_signs(
 ) -> tuple[VariationalState, StateMoments | None]:
     """Apply a per-factor sign rotation to the variational state and moments.
 
-    Sign flips leave second moments, covariances and the objective
-    unchanged; only loading means, transition rows/columns and state means
-    change sign patterns.
+    Flipping factor k negates its state coordinates at every lag.  Sign
+    flips leave second moments, covariances and the objective unchanged;
+    only loading means, transition rows/columns and state means change
+    sign patterns.
     """
     loadings, transition = state.loadings, state.transition
     r, s = transition.mean.shape
-    signs = state_sign_vector(np.asarray(flips, dtype=bool), s)
+    signs = np.where(np.tile(np.asarray(flips, dtype=bool), s // r), -1.0, 1.0)
     outer = signs[:, None] * signs
     new_state = VariationalState(
         loadings=replace(loadings, mean=loadings.mean * signs, cov=loadings.cov * outer),

@@ -157,6 +157,23 @@ def test_compare_rerun_byte_identical(sim_dir, fit_dir, gibbs_dir, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("source", ["smf", "gibbs"])
+def test_forecast_rerun_byte_identical(sim_dir, fit_dir, gibbs_dir, tmp_path, source):
+    outs = [tmp_path / "fc1", tmp_path / "fc2"]
+    for out in outs:
+        code = _run(
+            [
+                "forecast", "--panel", str(sim_dir / "panel.csv"),
+                "--fit", str(fit_dir), "--gibbs", str(gibbs_dir),
+                "--source", source, "--out", str(out), "--horizons", "3",
+                "--smf-draws", "500", "--seed", "5",
+            ]
+        )
+        assert code == 0
+    for name in ("forecast_draws.npz", "forecast_summary.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_compare_refuses_mismatched_artifacts(sim_dir, fit_dir, tmp_path, capsys):
     other_gibbs = tmp_path / "gibbs_other"
     code = _run(

@@ -38,7 +38,7 @@ def test_point_forecast_in_degenerate_limit(small_fit):
     moments_t, _ = vi.update_states(pan, tight.loadings, tight.transition, prior)
     ins = forecast.draw_predictive(
         tight, pan, spec, prior, n_draws=64, seed=0, in_sample=True
-    ).draws
+    )
     want = moments_t.mean[1:] @ tight.loadings.mean.T
     assert ins.std(axis=0).max() < 1e-6
     assert_allclose(ins[0], want, atol=1e-6)
@@ -46,7 +46,7 @@ def test_point_forecast_in_degenerate_limit(small_fit):
     # mean collapses onto the iterated plug-in forecast
     oos = forecast.draw_predictive(
         tight, pan, spec, prior, horizons=1, n_draws=120_000, seed=0
-    ).draws
+    )
     trans = companion(tight.transition.mean)
     want1 = tight.loadings.mean @ (trans @ moments_t.mean[-1])
     se = oos[:, 0, :].std(axis=0) / np.sqrt(oos.shape[0])
@@ -57,7 +57,7 @@ def test_one_step_predictive_mean(small_fit):
     pan, spec, prior, state, moments = small_fit
     draws = forecast.draw_predictive(
         state, pan, spec, prior, horizons=1, n_draws=200_000, seed=1
-    ).draws
+    )
     trans = companion(state.transition.mean)
     want = state.loadings.mean @ (trans @ moments.mean[-1])
     got = draws[:, 0, :].mean(axis=0)
@@ -69,7 +69,7 @@ def test_predictive_variance_weakly_increasing_in_h(small_fit):
     pan, spec, prior, state, _ = small_fit
     draws = forecast.draw_predictive(
         state, pan, spec, prior, horizons=6, n_draws=100_000, seed=2
-    ).draws
+    )
     var_by_h = draws.var(axis=0).mean(axis=1)
     assert np.all(np.diff(var_by_h) > -0.01 * var_by_h[:-1])
 
@@ -84,10 +84,10 @@ def test_equal_seed_determinism(small_fit):
     pan, spec, prior, state, _ = small_fit
     a = forecast.draw_predictive(
         state, pan, spec, prior, horizons=3, n_draws=500, seed=9
-    ).draws
+    )
     b = forecast.draw_predictive(
         state, pan, spec, prior, horizons=3, n_draws=500, seed=9
-    ).draws
+    )
     assert_array_equal(a, b)
 
 
@@ -100,12 +100,11 @@ def test_mcmc_predictive_paths(small_fit):
     out = forecast.draw_predictive(
         store, pan, spec, prior, horizons=2, n_draws=200, seed=3
     )
-    assert out.draws.shape == (200, 2, pan.n)
-    assert out.source == "mcmc"
+    assert out.shape == (200, 2, pan.n)
     ins = forecast.draw_predictive(
         store, pan, spec, prior, n_draws=300, seed=3, in_sample=True
     )
-    assert ins.draws.shape == (300, pan.T, pan.n)
+    assert ins.shape == (300, pan.T, pan.n)
 
 
 def test_posterior_mean_errors_basics():
@@ -290,7 +289,7 @@ def test_insample_smf_draws_cover_observations(small_fit):
     pan, spec, prior, state, _ = small_fit
     ins = forecast.draw_predictive(
         state, pan, spec, prior, n_draws=4000, seed=11, in_sample=True
-    ).draws
+    )
     lo, hi = np.quantile(ins, [0.025, 0.975], axis=0)
     inside = ((pan.values >= lo) & (pan.values <= hi))[pan.mask]
     assert inside.mean() > 0.85

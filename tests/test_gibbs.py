@@ -381,9 +381,9 @@ class _CountingRng:
         self.rng = np.random.default_rng(seed)
         self.chisquare_sizes = []
 
-    def chisquare(self, df):
+    def chisquare(self, df, size=None):
         self.chisquare_sizes.append(np.size(df))
-        return self.rng.chisquare(df)
+        return self.rng.chisquare(df, size)
 
     def standard_normal(self, size):
         return self.rng.standard_normal(size)

@@ -33,7 +33,8 @@ def test_load_csv_all_missing(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("a,b\n,\n,\n")
     pan = load_csv(path)
-    assert_array_equal(pan.availability().counts, [0, 0])
+    assert_array_equal(pan.counts, [0, 0])
+    assert not pan.mask.any()
 
 
 def test_load_csv_bad_cell_names_row_and_column(tmp_path):
@@ -196,8 +197,8 @@ def test_availability_counts_match_mask_sums(seed):
     mask = rng.random((T, n)) > 0.5
     values = np.where(mask, rng.standard_normal((T, n)), np.nan)
     pan = from_arrays(values)
-    summary = pan.availability()
-    assert_array_equal(summary.counts, mask.sum(axis=0))
+    assert_array_equal(pan.counts, mask.sum(axis=0))
+    assert_array_equal(pan.mask, mask)
 
 
 @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])

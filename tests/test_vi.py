@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import stats
 
-from dfmvi import gibbs, statespace, vi
+from dfmvi import forecast, gibbs, statespace, vi
 from dfmvi.errors import DomainError, NumericalError
 from dfmvi.model import (
     ModelSpec,
@@ -387,6 +388,57 @@ def _restricted_three_factor_case():
     state = vi.init_from_pca(pan, spec, prior, seed=4, restrictions=restr)
     moments, _ = vi.update_states(pan, state.loadings, state.transition, prior)
     return spec, pan, prior, restr, moments
+
+
+@pytest.mark.parametrize("root_kind", ["cholesky", "psd_sqrt"])
+def test_draw_loadings_law_on_anchored_posterior(root_kind):
+    # Each anchored row's covariance is singular: only the anchor coordinate
+    # is free.  Given the noise variance that coordinate is normal, so its
+    # marginal is a Student t with the posterior degrees of freedom.
+    spec = ModelSpec(n=5, r=2, p=1)
+    prior = default_prior(spec)
+    pan, _, states = random_masked_panel(spec, T=30, seed=61, missing_prob=0.2)
+    restr = identification_restrictions(spec, [(0, 0), (1, 1)])
+    f = states[1:]
+    post, root = vi.loading_posterior(
+        pan, f, f[:, :, None] * f[:, None, :], prior, restr
+    )
+    if root_kind == "psd_sqrt":
+        root = forecast._psd_sqrt(post.cov)
+    n_draws = 20_000
+    sig, lam = vi.draw_loadings(
+        post.mean, root, post.noise_df, post.noise_scale,
+        np.random.default_rng(62), lead=(n_draws,),
+    )
+    assert sig.shape == (n_draws, spec.n) and lam.shape == (n_draws, spec.n, spec.s)
+    for var, coord in restr.positive:
+        assert np.all(lam[:, var, ~restr.free[var]] == 0.0)
+        law = stats.t(
+            df=post.noise_df[var],
+            loc=post.mean[var, coord],
+            scale=np.sqrt(post.noise_scale[var] * post.cov[var, coord, coord]),
+        )
+        assert stats.kstest(lam[:, var, coord], law.cdf).pvalue > 0.01
+
+
+def test_draw_transition_moments_within_monte_carlo_error():
+    spec = ModelSpec(n=3, r=2, p=1)
+    r, s = spec.r, spec.s
+    x = np.random.default_rng(63).standard_normal((40, s))
+    trans = vi.transition_posterior(
+        x[:-1].T @ x[:-1], x[1:, :r].T @ x[:-1], default_prior(spec)
+    )
+    n_draws = 40_000
+    phi = vi.draw_transition(trans, np.random.default_rng(64), lead=(n_draws,))
+    assert phi.shape == (n_draws, r, s)
+    var = np.diagonal(trans.cov)
+    assert np.all(np.abs(phi.mean(axis=0) - trans.mean) < 4 * np.sqrt(var / n_draws))
+    # every row has column covariance trans.cov; entry (a, b) of a sample
+    # covariance has standard error sqrt((c_aa c_bb + c_ab^2) / N)
+    se = np.sqrt((np.outer(var, var) + trans.cov**2) / n_draws)
+    for row in range(r):
+        emp = np.cov(phi[:, row, :], rowvar=False)
+        assert np.all(np.abs(emp - trans.cov) < 4 * se)
 
 
 def test_batched_loading_update_matches_per_equation_reference():
