@@ -73,10 +73,6 @@ class TimeSeriesPanel:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def filled(self, fill: float = 0.0) -> np.ndarray:
-        """Values with missing cells replaced by ``fill``."""
-        return np.where(self.mask, self.values, fill)
-
     # Panel-only arrays that every fit iteration and Gibbs sweep reads;
     # computed once per panel and read-only.
 
@@ -88,7 +84,7 @@ class TimeSeriesPanel:
     @cached_property
     def zero_filled(self) -> np.ndarray:
         """Values with missing cells set to 0.0."""
-        return _read_only(self.filled(0.0))
+        return _read_only(np.where(self.mask, self.values, 0.0))
 
     @cached_property
     def counts(self) -> np.ndarray:

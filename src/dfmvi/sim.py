@@ -90,6 +90,15 @@ def spectral_radius(trans: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(companion(trans))).max())
 
 
+def _check_per_variable(what: str, values: dict, n: int, least: int) -> None:
+    """Reject a variable index outside [0, n) or a value below ``least``."""
+    for i, v in values.items():
+        if not 0 <= i < n:
+            raise DomainError(f"{what}: variable {i} outside [0, {n})")
+        if v < least:
+            raise DomainError(f"{what} {v} for variable {i} is below {least}")
+
+
 def _apply_missing(mask: np.ndarray, patterns, rng) -> np.ndarray:
     T, n = mask.shape
     out = mask.copy()
@@ -97,9 +106,11 @@ def _apply_missing(mask: np.ndarray, patterns, rng) -> np.ndarray:
         if isinstance(pat, RandomMissing):
             out &= rng.random((T, n)) >= pat.rate
         elif isinstance(pat, RaggedEdge):
+            _check_per_variable("ragged-edge cutoff", pat.cutoffs, n, 0)
             for i, cutoff in pat.cutoffs.items():
                 out[cutoff:, i] = False
         elif isinstance(pat, PeriodicMissing):
+            _check_per_variable("periodic stride", pat.strides, n, 1)
             for i, stride in pat.strides.items():
                 keep = (np.arange(1, T + 1) % stride) == 0
                 out[~keep, i] = False

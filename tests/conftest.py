@@ -33,7 +33,7 @@ def random_masked_panel(spec: ModelSpec, T: int, seed: int, missing_prob=0.35):
         mask[-1, int(rng.integers(spec.n))] = True
     return (
         TimeSeriesPanel(
-            values=np.where(mask, pan.filled(0.0), np.nan),
+            values=np.where(mask, pan.zero_filled, np.nan),
             mask=mask,
             names=pan.names,
         ),

@@ -313,3 +313,88 @@ def test_forecast_from_gibbs_refuses_mismatched_artifacts(
     err = capsys.readouterr().err
     assert "differing fields" in err and "identification" in err
     assert not (out / "forecast_draws.npz").exists()
+
+
+_MODEL_FLAGS = (
+    "--n --r --p --eta-lambda --eta-phi --ell-lambda --ell-phi --nu --tau2 "
+    "--no-standardize --identify"
+)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("simulate", "--out --config --n --r --p --t --seed --missing-rate "
+                     "--ragged --periodic"),
+        ("fit", f"--panel --out --config {_MODEL_FLAGS} --tolerance --max-iters "
+                "--seed --eta-grid"),
+        ("gibbs", f"--panel --out --config {_MODEL_FLAGS} --draws --burn-in "
+                  "--thin --seed"),
+        ("forecast", "--panel --fit --out --config --source --gibbs --horizons "
+                     "--smf-draws --seed --original-units"),
+        ("compare", "--panel --fit --gibbs --out --config --horizons --smf-draws "
+                    "--levels --seed"),
+    ],
+)
+def test_command_options(command, flags):
+    sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    options = {s for action in sub._actions for s in action.option_strings}
+    assert options - {"-h", "--help"} == set(flags.split())
+
+
+def test_fit_settings_by_flags_and_by_config_agree(sim_dir, tmp_path):
+    settings = {
+        "n": 6, "r": 1, "p": 1, "eta_lambda": 0.8, "eta_phi": 0.7,
+        "ell_lambda": 2.5, "ell_phi": 1.5, "nu": 2.0, "tau2": 1.5,
+        "standardize": False, "identification": ["0:0"], "seed": 9,
+        "tolerance": 1e-5, "max_iters": 40,
+    }
+    flags = [
+        "--n", "6", "--r", "1", "--p", "1", "--eta-lambda", "0.8",
+        "--eta-phi", "0.7", "--ell-lambda", "2.5", "--ell-phi", "1.5",
+        "--nu", "2.0", "--tau2", "1.5", "--no-standardize", "--identify", "0:0",
+        "--seed", "9", "--tolerance", "1e-5", "--max-iters", "40",
+    ]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(settings))
+    panel = ["fit", "--panel", str(sim_dir / "panel.csv")]
+    assert _run(panel + ["--out", str(tmp_path / "flags")] + flags) == 0
+    assert _run(panel + ["--out", str(tmp_path / "cfg"), "--config", str(cfg_path)]) == 0
+    by_flags = (tmp_path / "flags" / "variational.json").read_bytes()
+    assert by_flags == (tmp_path / "cfg" / "variational.json").read_bytes()
+    echo = json.loads(by_flags)["config"]
+    assert echo == {**settings, "identification": [[0, 0]], "eta_grid": []}
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        pytest.param(["simulate", "--ragged", "a:3"], None, "--ragged", id="ragged-text"),
+        pytest.param(["simulate", "--ragged", "0"], None, "--ragged", id="ragged-no-cutoff"),
+        pytest.param(["simulate", "--ragged", "9:5"], None, "ragged", id="ragged-var-past-n"),
+        pytest.param(["simulate", "--ragged=-1:5"], None, "ragged", id="ragged-negative-var"),
+        pytest.param(["simulate", "--ragged=0:-5"], None, "ragged", id="ragged-negative-cut"),
+        pytest.param(["simulate", "--periodic", "0:0"], None, "periodic", id="periodic-zero"),
+        pytest.param(["fit", "--identify", "0:x"], None, "--identify", id="identify-text"),
+        pytest.param(["fit"], '{"r": 1,', "config file", id="config-broken-json"),
+        pytest.param(["fit"], '{"r": "two"}', "'r'", id="config-int-as-text"),
+        pytest.param(["compare"], '{"levels": 5}', "'levels'", id="config-list-as-int"),
+        pytest.param(["fit"], '{"standardize": "no"}', "'standardize'", id="config-bool-as-text"),
+    ],
+)
+def test_malformed_input_is_reported_without_traceback(
+    sim_dir, fit_dir, gibbs_dir, tmp_path, capsys, argv, config, named
+):
+    panel = ["--panel", str(sim_dir / "panel.csv")]
+    argv = argv + {
+        "simulate": ["--n", "6", "--t", "20"],
+        "fit": panel,
+        "compare": panel + ["--fit", str(fit_dir), "--gibbs", str(gibbs_dir)],
+    }[argv[0]] + ["--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert _run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err

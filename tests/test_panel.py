@@ -109,7 +109,7 @@ def test_panel_immutable():
 def test_panel_derived_arrays_are_computed_once_and_read_only():
     pan = from_arrays(np.array([[1.0, np.nan], [-2.0, 3.0], [np.nan, np.nan]]))
     assert_array_equal(pan.mask_float, [[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-    assert_array_equal(pan.zero_filled, pan.filled(0.0))
+    assert_array_equal(pan.zero_filled, [[1.0, 0.0], [-2.0, 3.0], [0.0, 0.0]])
     assert_array_equal(pan.counts, [2.0, 1.0])
     assert_array_equal(pan.sums_of_squares, [5.0, 9.0])
     for name in ("mask_float", "zero_filled", "counts", "sums_of_squares"):

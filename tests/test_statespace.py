@@ -245,7 +245,7 @@ def test_build_system_matches_per_step_ops():
     trans_block[r:, r:] += r * transition.cov
     q = np.zeros((r * T + s, r * T + s))
     info = np.zeros(r * T + s)
-    y = pan.filled(0.0)
+    y = np.where(pan.mask, pan.values, 0.0)
     quad = 0.0
     for t in range(1, T + 1):
         start = r * (T - t)
