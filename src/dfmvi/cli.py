@@ -81,6 +81,13 @@ def _kind(key) -> type:
     return int if default is None else type(default)
 
 
+def _is_kind(value, kind) -> bool:
+    """A JSON value of ``kind``: bools only for bool, ints also for float."""
+    return isinstance(value, bool) == (kind is bool) and isinstance(
+        value, (int, float) if kind is float else kind
+    )
+
+
 def _read_config_file(path) -> dict:
     """The config object, with every key known and every value of its type.
 
@@ -101,11 +108,15 @@ def _read_config_file(path) -> dict:
         kind = _kind(key)
         if value is None and _SETTINGS[key][0] is None:
             continue
-        if isinstance(value, bool) != (kind is bool) or not isinstance(
-            value, (int, float) if kind is float else kind
-        ):
+        if not _is_kind(value, kind):
             raise DomainError(
                 f"config key {key!r} must be of type {kind.__name__}, got {value!r}"
+            )
+        element = {"eta_grid": float, "levels": int}.get(key)
+        if element and not all(_is_kind(v, element) for v in value):
+            raise DomainError(
+                f"config key {key!r} must list values of type {element.__name__}, "
+                f"got {value!r}"
             )
     return obj
 
@@ -248,14 +259,20 @@ def _load_model(args, cfg):
 
 
 def _load_fit_run(args):
-    """The fit's state and manifest, and the panel, standardization record,
-    spec and prior it was fitted under."""
+    """The fit's state and manifest, and the panel, standardization record
+    and prior it was fitted under.  Refuses a panel other than the fit's."""
     with open(os.path.join(args.fit, "variational.json"), encoding="utf-8") as fh:
         state = vi.state_from_dict(json.load(fh)["state"])
     with open(os.path.join(args.fit, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
+    sha, fitted = _panel_sha(args.panel), manifest["model"]["panel_sha256"]
+    if sha != fitted:
+        raise DomainError(
+            f"panel {args.panel} (sha256 {sha}) is not the panel the fit was "
+            f"run on (sha256 {fitted})"
+        )
     pan, record = _load_standardized(args.panel, manifest["config"]["standardize"])
-    return state, manifest, pan, record, *_prepare_model(pan, manifest["config"])
+    return state, manifest, pan, record, _prepare_model(pan, manifest["config"])[1]
 
 
 def _require_same_config(fit_manifest, gibbs_dir) -> None:
@@ -418,7 +435,7 @@ def cmd_forecast(args, parser) -> int:
         (args.panel, "panel file"),
         (os.path.join(args.fit, "variational.json"), "fit artifact"),
     )
-    state, fit_manifest, pan, record, spec, prior = _load_fit_run(args)
+    state, fit_manifest, pan, record, prior = _load_fit_run(args)
     if args.source == "gibbs":
         if not args.gibbs:
             parser.error("--source gibbs requires --gibbs DIR")
@@ -427,19 +444,14 @@ def cmd_forecast(args, parser) -> int:
         source = gibbs.load_draws(os.path.join(args.gibbs, "draws.npz"))
         n_draws = source.n_draws
     else:
-        source = state
+        moments, _ = vi.update_states(pan, state.loadings, state.transition, prior)
+        source = (state, moments)
         n_draws = cfg["smf_draws"]
     arr = forecast.draw_predictive(
-        source, pan, spec, prior,
-        horizons=cfg["horizons"], n_draws=n_draws, seed=cfg["seed"],
+        source, cfg["horizons"], n_draws=n_draws, seed=cfg["seed"]
     )
-    if args.original_units:
-        std_path = os.path.join(args.fit, "standardization.json")
-        if record is None and os.path.exists(std_path):
-            with open(std_path, encoding="utf-8") as fh:
-                record = panel_mod.StandardizationRecord.from_json(fh.read())
-        if record is not None:
-            arr = panel_mod.unstandardize(arr, record)
+    if args.original_units and record is not None:
+        arr = panel_mod.unstandardize(arr, record)
     np.savez(os.path.join(args.out, "forecast_draws.npz"), draws=arr)
     qs = forecast.draw_quantiles(arr, [0.025, 0.25, 0.5, 0.75, 0.975])
     _write_rows(
@@ -467,12 +479,12 @@ def cmd_compare(args, parser) -> int:
         (os.path.join(args.gibbs, "draws.npz"), "draw store"),
         (os.path.join(args.gibbs, "manifest.json"), "gibbs manifest"),
     )
-    state, fit_manifest, pan, _, spec, prior = _load_fit_run(args)
+    state, fit_manifest, pan, _, prior = _load_fit_run(args)
     _require_same_config(fit_manifest, args.gibbs)
     store = gibbs.load_draws(os.path.join(args.gibbs, "draws.npz"))
-
+    moments, _ = vi.update_states(pan, state.loadings, state.transition, prior)
     report = forecast.compare_posteriors(
-        pan, spec, prior, state, store,
+        state, moments, store,
         horizons=cfg["horizons"],
         n_smf_draws=cfg["smf_draws"],
         seed=cfg["seed"],

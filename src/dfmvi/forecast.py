@@ -24,8 +24,6 @@ import numpy as np
 from . import vi
 from .errors import DomainError
 from .gibbs import DrawStore
-from .model import ModelSpec, PriorSpec
-from .panel import TimeSeriesPanel
 
 _TIME_BLOCK = 16  # time steps per in-sample comparison block, bounding memory
 
@@ -80,29 +78,19 @@ def _iterate_forward(states_T, phi, sigma2, lam, horizons, rng):
     return out
 
 
-def draw_predictive(
-    source,
-    panel: TimeSeriesPanel,
-    spec: ModelSpec,
-    prior: PriorSpec,
-    horizons: int | None = None,
-    n_draws: int = 10_000,
-    seed: int = 0,
-    in_sample: bool = False,
-) -> np.ndarray:
-    """Predictive draws from a fitted posterior, (draws, steps, series).
+def draw_predictive(source, horizons: int, n_draws: int = 10_000, seed: int = 0):
+    """Predictive draws ``horizons`` steps beyond the sample, (draws, steps, series).
 
-    ``source`` is either a fitted :class:`~dfmvi.vi.VariationalState` or a
-    Gibbs :class:`~dfmvi.gibbs.DrawStore`.  With ``in_sample`` the draws
-    cover every sample time step; otherwise ``horizons`` steps beyond the
-    sample are generated by iterating the state equation with fresh
-    innovations.  Variational state draws use the smoothed marginal at
-    each time step (the terminal marginal for forecasts, which is also the
-    terminal law of any joint path draw).
+    ``source`` is a Gibbs :class:`~dfmvi.gibbs.DrawStore` or a fit's (state,
+    moments) pair, as :func:`~dfmvi.vi.fit_smf` returns it.  The state
+    equation is iterated with fresh innovations from a terminal state; a
+    variational one is drawn from the terminal smoothed marginal, which is
+    also the terminal law of any joint path draw.
     """
-    if not in_sample:
-        if horizons is None or horizons < 1:
-            raise DomainError("horizons must be >= 1 for out-of-sample prediction")
+    if horizons < 1 or n_draws < 1:
+        raise DomainError(
+            f"horizons and n_draws must be >= 1, got {horizons} and {n_draws}"
+        )
     rng = np.random.default_rng(seed)
     if isinstance(source, DrawStore):
         stored = source.n_draws
@@ -114,17 +102,12 @@ def draw_predictive(
         else:
             idx = np.arange(stored)
         sigma2, lam, phi = source.sigma2[idx], source.lambdas[idx], source.phi[idx]
-        states = source.states[idx, 1:] if in_sample else source.states[idx, -1]
+        states = source.states[idx, -1]
     else:
-        moments, _ = vi.update_states(panel, source.loadings, source.transition, prior)
-        sigma2, lam, phi = _draw_variational_theta(source, n_draws, rng)
-        if in_sample:
-            states = _marginal_draws(moments, 1, panel.T + 1, n_draws, rng)
-        else:
-            root = _psd_sqrt(moments.cov[-1])
-            states = moments.mean[-1] + rng.standard_normal((n_draws, spec.s)) @ root.T
-    if in_sample:
-        return _observe(lam, states, np.sqrt(sigma2), rng)[1]
+        state, moments = source
+        sigma2, lam, phi = _draw_variational_theta(state, n_draws, rng)
+        z = rng.standard_normal((n_draws, moments.mean.shape[-1]))
+        states = moments.mean[-1] + z @ _psd_sqrt(moments.cov[-1]).T
     return _iterate_forward(states, phi, sigma2, lam, horizons, rng)
 
 
@@ -254,17 +237,15 @@ class ComparisonReport:
 
 
 def compare_posteriors(
-    panel: TimeSeriesPanel,
-    spec: ModelSpec,
-    prior: PriorSpec,
     state: vi.VariationalState,
+    moments,
     store: DrawStore,
     horizons: int = 6,
     n_smf_draws: int = 10_000,
     seed: int = 0,
     levels=(50, 75, 95),
 ) -> ComparisonReport:
-    """Full comparison of a variational fit against a Gibbs chain.
+    """Full comparison of a fit (``state``, ``moments``) against a Gibbs chain.
 
     Blocks: transition and loading coefficients, noise variances, factor
     paths, in-sample predictions and each out-of-sample horizon.
@@ -273,54 +254,49 @@ def compare_posteriors(
     prediction blocks are processed in time blocks to bound memory at
     large draw counts.
     """
+    if horizons < 0 or n_smf_draws < 1:
+        raise DomainError(
+            f"need horizons >= 0 and n_smf_draws >= 1, got {horizons} and {n_smf_draws}"
+        )
     rng = np.random.default_rng(seed)
     loadings, transition = state.loadings, state.transition
     r = transition.mean.shape[0]
-    n, T = panel.n, panel.T
-    moments, _ = vi.update_states(panel, loadings, transition, prior)
+    n, T = loadings.mean.shape[0], moments.mean.shape[0] - 1
     free = loadings.free
+    pm_errors, coverage = {}, {}
 
-    pm_errors = {}
-    coverage = {}
+    def add_block(block, smf_mean, mcmc_mean, smf, mcmc):
+        pm_errors[block] = posterior_mean_errors(smf_mean, mcmc_mean)
+        coverage[block] = coverage_probability(smf, mcmc, levels)
 
     # Parameter blocks.  The analytic noise mean needs more than two degrees
     # of freedom; fall back to the draw mean otherwise.
     sig2_smf, lam_smf, phi_smf = _draw_variational_theta(state, n_smf_draws, rng)
+    df, scale = loadings.noise_df, loadings.noise_scale
     smf_sigma_mean = np.where(
-        loadings.noise_df > 2,
-        loadings.noise_df
-        * loadings.noise_scale
-        / np.maximum(loadings.noise_df - 2, 1e-12),
-        sig2_smf.mean(axis=0),
+        df > 2, df * scale / np.maximum(df - 2, 1e-12), sig2_smf.mean(axis=0)
     )
-    pm_errors["transition"] = posterior_mean_errors(
-        transition.mean.ravel(), store.phi.mean(axis=0).ravel()
+    add_block(
+        "transition", transition.mean.ravel(), store.phi.mean(axis=0).ravel(),
+        phi_smf.reshape(n_smf_draws, -1), store.phi.reshape(store.n_draws, -1),
     )
-    pm_errors["loadings"] = posterior_mean_errors(
-        loadings.mean[free], store.lambdas.mean(axis=0)[free]
+    # The mean before the selection: selecting first moves the last bits.
+    add_block(
+        "loadings", loadings.mean[free], store.lambdas.mean(axis=0)[free],
+        lam_smf[:, free], store.lambdas[:, free],
     )
-    pm_errors["noise"] = posterior_mean_errors(
-        smf_sigma_mean, store.sigma2.mean(axis=0)
+    add_block(
+        "noise", smf_sigma_mean, store.sigma2.mean(axis=0), sig2_smf, store.sigma2
     )
-    coverage["transition"] = coverage_probability(
-        phi_smf.reshape(n_smf_draws, -1), store.phi.reshape(store.n_draws, -1), levels
-    )
-    coverage["loadings"] = coverage_probability(
-        lam_smf[:, free], store.lambdas[:, free], levels
-    )
-    coverage["noise"] = coverage_probability(sig2_smf, store.sigma2, levels)
 
     # Factor paths.
     f_mean = moments.mean[1:, :r]
     f_sd = np.sqrt(np.diagonal(moments.cov[1:], axis1=1, axis2=2)[:, :r])
     f_smf = f_mean[None] + rng.standard_normal((n_smf_draws, T, r)) * f_sd[None]
-    pm_errors["factors"] = posterior_mean_errors(
-        f_mean, store.states[:, 1:, :r].mean(axis=0)
-    )
-    coverage["factors"] = coverage_probability(
-        f_smf.reshape(n_smf_draws, -1),
-        store.states[:, 1:, :r].reshape(store.n_draws, -1),
-        levels,
+    f_mcmc = store.states[:, 1:, :r]
+    add_block(
+        "factors", f_mean, f_mcmc.mean(axis=0),
+        f_smf.reshape(n_smf_draws, -1), f_mcmc.reshape(store.n_draws, -1),
     )
 
     # In-sample predictions, blocked over time.
@@ -348,22 +324,11 @@ def compare_posteriors(
 
     # Out-of-sample horizons.
     if horizons >= 1:
-        smf_oos = draw_predictive(
-            state, panel, spec, prior, horizons=horizons,
-            n_draws=n_smf_draws, seed=seed + 1,
-        )
-        mcmc_oos = draw_predictive(
-            store, panel, spec, prior, horizons=horizons,
-            n_draws=store.n_draws, seed=seed + 2,
-        )
-        for h in range(1, horizons + 1):
-            block = f"oos_h{h}"
-            pm_errors[block] = posterior_mean_errors(
-                smf_oos[:, h - 1, :].mean(axis=0), mcmc_oos[:, h - 1, :].mean(axis=0)
-            )
-            coverage[block] = coverage_probability(
-                smf_oos[:, h - 1, :], mcmc_oos[:, h - 1, :], levels
-            )
+        smf_oos = draw_predictive((state, moments), horizons, n_smf_draws, seed + 1)
+        mcmc_oos = draw_predictive(store, horizons, store.n_draws, seed + 2)
+        for h in range(horizons):
+            smf, mcmc = smf_oos[:, h], mcmc_oos[:, h]
+            add_block(f"oos_h{h + 1}", smf.mean(axis=0), mcmc.mean(axis=0), smf, mcmc)
 
     return ComparisonReport(
         pm_errors=pm_errors, coverage=coverage, levels=tuple(int(v) for v in levels)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dfmvi import cli
+from dfmvi import cli, vi
 
 
 def _run(argv):
@@ -380,6 +380,14 @@ def test_fit_settings_by_flags_and_by_config_agree(sim_dir, tmp_path):
         pytest.param(["fit"], '{"r": "two"}', "'r'", id="config-int-as-text"),
         pytest.param(["compare"], '{"levels": 5}', "'levels'", id="config-list-as-int"),
         pytest.param(["fit"], '{"standardize": "no"}', "'standardize'", id="config-bool-as-text"),
+        pytest.param(["fit"], '{"eta_grid": ["x"]}', "'eta_grid'", id="config-eta-grid-text"),
+        pytest.param(["fit"], '{"eta_grid": [true]}', "'eta_grid'", id="config-eta-grid-bool"),
+        pytest.param(["compare"], '{"levels": ["a"]}', "'levels'", id="config-levels-text"),
+        pytest.param(["compare"], '{"levels": [50.5]}', "'levels'", id="config-levels-float"),
+        pytest.param(["forecast", "--smf-draws", "0"], None, "draws", id="forecast-zero-draws"),
+        pytest.param(["forecast", "--smf-draws=-1"], None, "draws", id="forecast-negative-draws"),
+        pytest.param(["compare", "--smf-draws", "0"], None, "draws", id="compare-zero-draws"),
+        pytest.param(["compare", "--horizons=-1"], None, "horizons", id="compare-negative-horizons"),
     ],
 )
 def test_malformed_input_is_reported_without_traceback(
@@ -389,6 +397,7 @@ def test_malformed_input_is_reported_without_traceback(
     argv = argv + {
         "simulate": ["--n", "6", "--t", "20"],
         "fit": panel,
+        "forecast": panel + ["--fit", str(fit_dir)],
         "compare": panel + ["--fit", str(fit_dir), "--gibbs", str(gibbs_dir)],
     }[argv[0]] + ["--out", str(tmp_path / "out")]
     if config is not None:
@@ -398,3 +407,73 @@ def test_malformed_input_is_reported_without_traceback(
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "forecast_draws.npz").exists()
+
+
+def test_forecast_and_compare_refuse_another_panel(
+    sim_dir, fit_dir, gibbs_dir, tmp_path, capsys
+):
+    # A panel of the same width but other values than the fit's.
+    lines = (sim_dir / "panel.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[-1] = "0.125"
+    other = tmp_path / "other.csv"
+    other.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+    fitted = json.loads((fit_dir / "manifest.json").read_text())["model"]
+    for command in ("forecast", "compare"):
+        argv = [
+            command, "--panel", str(other), "--fit", str(fit_dir),
+            "--gibbs", str(gibbs_dir), "--out", str(tmp_path / command),
+        ]
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fitted["panel_sha256"] in err
+        assert cli._panel_sha(other) in err
+
+
+def test_original_units_ignore_a_stale_standardization_record(sim_dir, tmp_path):
+    # A standardized fit, then an unstandardized one into the same directory:
+    # the first fit's standardization.json stays behind and must not be used.
+    panel, fit = str(sim_dir / "panel.csv"), str(tmp_path / "fit")
+    assert _run(["fit", "--panel", panel, "--out", fit, "--seed", "3"]) == 0
+    assert (tmp_path / "fit" / "standardization.json").exists()
+    assert _run(
+        ["fit", "--panel", panel, "--out", fit, "--seed", "3", "--no-standardize"]
+    ) == 0
+    draws = []
+    for name, units in (("fc", []), ("fc_orig", ["--original-units"])):
+        argv = [
+            "forecast", "--panel", panel, "--fit", fit, "--out", str(tmp_path / name),
+            "--horizons", "2", "--smf-draws", "300", "--seed", "2",
+        ]
+        assert _run(argv + units) == 0
+        draws.append(np.load(tmp_path / name / "forecast_draws.npz")["draws"])
+    assert draws[0].tobytes() == draws[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "command, extra, passes",
+    [
+        pytest.param("compare", [], 1, id="compare"),
+        pytest.param("forecast", ["--source", "smf"], 1, id="forecast-smf"),
+        pytest.param("forecast", ["--source", "gibbs"], 0, id="forecast-gibbs"),
+    ],
+)
+def test_state_pass_runs_once_per_command(
+    sim_dir, fit_dir, gibbs_dir, tmp_path, monkeypatch, command, extra, passes
+):
+    calls = []
+    update_states = vi.update_states
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return update_states(*args, **kwargs)
+
+    monkeypatch.setattr(vi, "update_states", counted)
+    argv = [
+        command, "--panel", str(sim_dir / "panel.csv"), "--fit", str(fit_dir),
+        "--gibbs", str(gibbs_dir), "--out", str(tmp_path / "out"),
+        "--horizons", "1", "--smf-draws", "200",
+    ]
+    assert _run(argv + extra) == 0
+    assert len(calls) == passes

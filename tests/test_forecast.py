@@ -19,6 +19,15 @@ def small_fit():
     return pan, spec, prior, state, moments
 
 
+def _insample_smf(state, moments, n_draws, seed):
+    """In-sample draws as ``compare_posteriors`` makes them, all steps at once."""
+    rng = np.random.default_rng(seed)
+    sigma2, lam, _ = forecast._draw_variational_theta(state, n_draws, rng)
+    T = moments.mean.shape[0] - 1
+    states = forecast._marginal_draws(moments, 1, T + 1, n_draws, rng)
+    return forecast._observe(lam, states, np.sqrt(sigma2), rng)[1]
+
+
 def test_point_forecast_in_degenerate_limit(small_fit):
     pan, spec, prior, state, moments = small_fit
     tight = vi.VariationalState(
@@ -36,17 +45,13 @@ def test_point_forecast_in_degenerate_limit(small_fit):
     # with all posterior spreads collapsed, every in-sample draw equals the
     # plug-in fitted value
     moments_t, _ = vi.update_states(pan, tight.loadings, tight.transition, prior)
-    ins = forecast.draw_predictive(
-        tight, pan, spec, prior, n_draws=64, seed=0, in_sample=True
-    )
+    ins = _insample_smf(tight, moments_t, n_draws=64, seed=0)
     want = moments_t.mean[1:] @ tight.loadings.mean.T
     assert ins.std(axis=0).max() < 1e-6
     assert_allclose(ins[0], want, atol=1e-6)
     # out of sample the fresh state innovations keep unit spread, but the
     # mean collapses onto the iterated plug-in forecast
-    oos = forecast.draw_predictive(
-        tight, pan, spec, prior, horizons=1, n_draws=120_000, seed=0
-    )
+    oos = forecast.draw_predictive((tight, moments_t), 1, n_draws=120_000, seed=0)
     trans = companion(tight.transition.mean)
     want1 = tight.loadings.mean @ (trans @ moments_t.mean[-1])
     se = oos[:, 0, :].std(axis=0) / np.sqrt(oos.shape[0])
@@ -55,9 +60,7 @@ def test_point_forecast_in_degenerate_limit(small_fit):
 
 def test_one_step_predictive_mean(small_fit):
     pan, spec, prior, state, moments = small_fit
-    draws = forecast.draw_predictive(
-        state, pan, spec, prior, horizons=1, n_draws=200_000, seed=1
-    )
+    draws = forecast.draw_predictive((state, moments), 1, n_draws=200_000, seed=1)
     trans = companion(state.transition.mean)
     want = state.loadings.mean @ (trans @ moments.mean[-1])
     got = draws[:, 0, :].mean(axis=0)
@@ -66,28 +69,22 @@ def test_one_step_predictive_mean(small_fit):
 
 
 def test_predictive_variance_weakly_increasing_in_h(small_fit):
-    pan, spec, prior, state, _ = small_fit
-    draws = forecast.draw_predictive(
-        state, pan, spec, prior, horizons=6, n_draws=100_000, seed=2
-    )
+    _, _, _, state, moments = small_fit
+    draws = forecast.draw_predictive((state, moments), 6, n_draws=100_000, seed=2)
     var_by_h = draws.var(axis=0).mean(axis=1)
     assert np.all(np.diff(var_by_h) > -0.01 * var_by_h[:-1])
 
 
 def test_draw_predictive_rejects_bad_horizon(small_fit):
-    pan, spec, prior, state, _ = small_fit
+    _, _, _, state, moments = small_fit
     with pytest.raises(DomainError, match="horizons"):
-        forecast.draw_predictive(state, pan, spec, prior, horizons=0, n_draws=10)
+        forecast.draw_predictive((state, moments), 0, n_draws=10)
 
 
 def test_equal_seed_determinism(small_fit):
-    pan, spec, prior, state, _ = small_fit
-    a = forecast.draw_predictive(
-        state, pan, spec, prior, horizons=3, n_draws=500, seed=9
-    )
-    b = forecast.draw_predictive(
-        state, pan, spec, prior, horizons=3, n_draws=500, seed=9
-    )
+    _, _, _, state, moments = small_fit
+    a = forecast.draw_predictive((state, moments), 3, n_draws=500, seed=9)
+    b = forecast.draw_predictive((state, moments), 3, n_draws=500, seed=9)
     assert_array_equal(a, b)
 
 
@@ -97,14 +94,15 @@ def test_mcmc_predictive_paths(small_fit):
         pan, spec, prior,
         gibbs.GibbsConfig(n_draws=400, burn_in_fraction=0.25, seed=5),
     )
-    out = forecast.draw_predictive(
-        store, pan, spec, prior, horizons=2, n_draws=200, seed=3
-    )
+    out = forecast.draw_predictive(store, 2, n_draws=200, seed=3)
     assert out.shape == (200, 2, pan.n)
-    ins = forecast.draw_predictive(
-        store, pan, spec, prior, n_draws=300, seed=3, in_sample=True
+    # in sample, every stored draw is observed, as compare_posteriors does
+    rng = np.random.default_rng(3)
+    fitted, ins = forecast._observe(
+        store.lambdas, store.states[:, 1:], np.sqrt(store.sigma2), rng
     )
-    assert ins.shape == (300, pan.T, pan.n)
+    assert ins.shape == fitted.shape == (store.n_draws, pan.T, pan.n)
+    assert np.isfinite(ins).all()
 
 
 def test_posterior_mean_errors_basics():
@@ -239,7 +237,7 @@ def test_compare_posterior_with_itself(small_fit):
         seed=0, thin=1, burn_in=0, rejections=0,
     )
     report = forecast.compare_posteriors(
-        pan, spec, prior, state, store, horizons=1, n_smf_draws=30_000, seed=3
+        state, moments, store, horizons=1, n_smf_draws=30_000, seed=3
     )
     for block in ("transition", "loadings", "noise", "factors", "insample"):
         assert report.pm_errors[block]["mae"] < 0.05, block
@@ -286,10 +284,8 @@ def test_insample_posterior_mean_tracks_data_when_noise_small():
 
 def test_insample_smf_draws_cover_observations(small_fit):
     # sanity: observed cells mostly fall inside wide predictive intervals
-    pan, spec, prior, state, _ = small_fit
-    ins = forecast.draw_predictive(
-        state, pan, spec, prior, n_draws=4000, seed=11, in_sample=True
-    )
+    pan, _, _, state, moments = small_fit
+    ins = _insample_smf(state, moments, n_draws=4000, seed=11)
     lo, hi = np.quantile(ins, [0.025, 0.975], axis=0)
     inside = ((pan.values >= lo) & (pan.values <= hi))[pan.mask]
     assert inside.mean() > 0.85

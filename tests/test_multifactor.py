@@ -171,14 +171,16 @@ def test_lagged_model_posteriors_agree_across_methods():
     pan, _ = simulate_dfm(cfg)
     pan, _ = standardize(pan)
     prior = default_prior(spec)
-    state, _, report = vi.fit_smf(pan, spec, prior, tolerance=1e-7, max_iters=500)
+    state, moments, report = vi.fit_smf(
+        pan, spec, prior, tolerance=1e-7, max_iters=500
+    )
     assert report.converged
     store = gibbs.run_gibbs(
         pan, spec, prior,
         gibbs.GibbsConfig(n_draws=8_000, burn_in_fraction=0.2, seed=3),
     )
     rep = forecast.compare_posteriors(
-        pan, spec, prior, state, store, horizons=2, n_smf_draws=15_000, seed=9
+        state, moments, store, horizons=2, n_smf_draws=15_000, seed=9
     )
     summary = rep.coverage_summary()
     assert rep.pm_errors["insample"]["mae"] <= 0.02
