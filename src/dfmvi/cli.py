@@ -9,8 +9,10 @@ the model fingerprint are all built from these two tables.  Every command
 reads an optional declarative JSON config (flags override config values),
 writes its artifacts under a fixed set of filenames in the output
 directory, and records a manifest carrying the config echo, a hash of the
-estimation-relevant configuration, the seed and wall time.  ``compare``
-and ``forecast --source gibbs`` refuse fit and Gibbs artifacts whose
+estimation-relevant configuration, the seed and wall time.  ``fit`` also
+stores its final state moments, which ``forecast`` and ``compare`` read in
+place of parsing the panel and running the state pass.  ``compare`` and
+``forecast --source gibbs`` refuse fit and Gibbs artifacts whose
 configuration hashes differ.
 """
 
@@ -29,6 +31,7 @@ import numpy as np
 from . import __version__, forecast, gibbs, panel as panel_mod, sim, vi
 from .errors import DfmError, DomainError
 from .model import ModelSpec, default_prior, identification_restrictions
+from .statespace import StateMoments
 
 # key: (default, flag, extra argparse keywords).  Int and float settings
 # take their flag's type from the default.
@@ -64,6 +67,10 @@ _SETTINGS = {
     "T": (200, "--t", {}),
     "missing_rate": (0.0, "--missing-rate", {}),
 }
+
+# The fit's final StateMoments, the panel's column names and the fit's panel
+# digest and seed; forecast and compare read it instead of a state pass.
+_MOMENTS_FILE = "moments.npz"
 
 _PRIOR_KEYS = ("eta_lambda", "eta_phi", "ell_lambda", "ell_phi", "nu", "tau2")
 _MODEL_KEYS = ("n", "r", "p", *_PRIOR_KEYS, "standardize", "identification", "seed")
@@ -122,7 +129,11 @@ def _read_config_file(path) -> dict:
 
 
 def _resolve(args, keys) -> dict:
-    """Defaults, overridden by the config file, overridden by flags."""
+    """Defaults, overridden by the config file, overridden by flags.
+
+    Float settings and the elements of ``eta_grid`` must be finite: flags
+    parse "nan" and "inf", and JSON configs may hold NaN and Infinity.
+    """
     resolved = {k: _SETTINGS[k][0] for k in keys}
     if args.config:
         file_cfg = _read_config_file(args.config)
@@ -130,6 +141,11 @@ def _resolve(args, keys) -> dict:
     for k in keys:
         if getattr(args, k) is not None:
             resolved[k] = getattr(args, k)
+    for k in keys:
+        if (k == "eta_grid" or _kind(k) is float) and not np.all(np.isfinite(resolved[k])):
+            raise DomainError(
+                f"setting {k} ({_SETTINGS[k][1]}) must be finite, got {resolved[k]!r}"
+            )
     return resolved
 
 
@@ -233,11 +249,6 @@ def _open_run(args, parser, keys, *inputs):
     return cfg, time.perf_counter()
 
 
-def _load_standardized(panel_path, do_standardize):
-    raw = panel_mod.load_csv(panel_path)
-    return panel_mod.standardize(raw) if do_standardize else (raw, None)
-
-
 def _prepare_model(pan, cfg):
     n = cfg["n"] if cfg["n"] is not None else pan.n
     if n != pan.n:
@@ -251,7 +262,8 @@ def _load_model(args, cfg):
 
     Resolves the anchors and the panel width into ``cfg``.
     """
-    pan, record = _load_standardized(args.panel, cfg["standardize"])
+    raw = panel_mod.load_csv(args.panel)
+    pan, record = panel_mod.standardize(raw) if cfg["standardize"] else (raw, None)
     cfg["identification"] = _parse_identify(cfg["identification"], list(pan.names))
     spec, prior = _prepare_model(pan, cfg)
     cfg["n"] = spec.n
@@ -259,8 +271,14 @@ def _load_model(args, cfg):
 
 
 def _load_fit_run(args):
-    """The fit's state and manifest, and the panel, standardization record
-    and prior it was fitted under.  Refuses a panel other than the fit's."""
+    """The fit's state, manifest, state moments, panel column names and
+    standardization record (None for an unstandardized fit).
+
+    Refuses a panel other than the fit's, and a moments file that is
+    missing or whose panel digest or seed differ from the manifest's.  The
+    panel itself is only hashed: the moments are the ones ``fit_smf``
+    returned, so no state pass runs here.
+    """
     with open(os.path.join(args.fit, "variational.json"), encoding="utf-8") as fh:
         state = vi.state_from_dict(json.load(fh)["state"])
     with open(os.path.join(args.fit, "manifest.json"), encoding="utf-8") as fh:
@@ -271,8 +289,28 @@ def _load_fit_run(args):
             f"panel {args.panel} (sha256 {sha}) is not the panel the fit was "
             f"run on (sha256 {fitted})"
         )
-    pan, record = _load_standardized(args.panel, manifest["config"]["standardize"])
-    return state, manifest, pan, record, _prepare_model(pan, manifest["config"])[1]
+    path = os.path.join(args.fit, _MOMENTS_FILE)
+    if not os.path.exists(path):
+        raise DomainError(f"state moments file {path} not found; rerun dfmvi fit")
+    with np.load(path) as data:
+        stored = (str(data["panel_sha256"]), int(data["seed"]))
+        if stored != (fitted, manifest["seed"]):
+            raise DomainError(
+                f"state moments file {path} (panel sha256 {stored[0]}, seed "
+                f"{stored[1]}) is not from the fit in the manifest (panel sha256 "
+                f"{fitted}, seed {manifest['seed']})"
+            )
+        moments = StateMoments(
+            **{k: data[k] for k in ("mean", "cov", "second_moment", "lag_one")},
+            prec_logdet=float(data["prec_logdet"]),
+            info_quad=float(data["info_quad"]),
+        )
+        names = data["names"].tolist()
+    record = None
+    if manifest["config"]["standardize"]:
+        with open(os.path.join(args.fit, "standardization.json"), encoding="utf-8") as fh:
+            record = panel_mod.StandardizationRecord.from_json(fh.read())
+    return state, manifest, moments, names, record
 
 
 def _require_same_config(fit_manifest, gibbs_dir) -> None:
@@ -395,6 +433,13 @@ def cmd_fit(args, parser) -> int:
     if record is not None:
         with open(os.path.join(args.out, "standardization.json"), "w") as fh:
             fh.write(record.to_json() + "\n")
+    np.savez(
+        os.path.join(args.out, _MOMENTS_FILE),
+        **vars(moments),
+        names=np.array(pan.names),
+        panel_sha256=np.array(fingerprint["panel_sha256"]),
+        seed=np.array(cfg["seed"]),
+    )
     _write_manifest(
         args, cfg, fingerprint, fit_time,
         iterations=report.iterations,
@@ -435,7 +480,7 @@ def cmd_forecast(args, parser) -> int:
         (args.panel, "panel file"),
         (os.path.join(args.fit, "variational.json"), "fit artifact"),
     )
-    state, fit_manifest, pan, record, prior = _load_fit_run(args)
+    state, fit_manifest, moments, names, record = _load_fit_run(args)
     if args.source == "gibbs":
         if not args.gibbs:
             parser.error("--source gibbs requires --gibbs DIR")
@@ -444,24 +489,22 @@ def cmd_forecast(args, parser) -> int:
         source = gibbs.load_draws(os.path.join(args.gibbs, "draws.npz"))
         n_draws = source.n_draws
     else:
-        moments, _ = vi.update_states(pan, state.loadings, state.transition, prior)
-        source = (state, moments)
-        n_draws = cfg["smf_draws"]
+        source, n_draws = (state, moments), cfg["smf_draws"]
     arr = forecast.draw_predictive(
         source, cfg["horizons"], n_draws=n_draws, seed=cfg["seed"]
     )
     if args.original_units and record is not None:
         arr = panel_mod.unstandardize(arr, record)
     np.savez(os.path.join(args.out, "forecast_draws.npz"), draws=arr)
-    qs = forecast.draw_quantiles(arr, [0.025, 0.25, 0.5, 0.75, 0.975])
+    mean, qs = forecast.draw_summary(arr, [0.025, 0.25, 0.5, 0.75, 0.975])
+    table = np.moveaxis(np.concatenate([mean[None], qs]), 0, -1).tolist()
     _write_rows(
         os.path.join(args.out, "forecast_summary.csv"),
         ["variable", "h", "mean", "q2.5", "q25", "median", "q75", "q97.5"],
         (
-            [pan.names[i], h + 1, repr(float(arr[:, h, i].mean()))]
-            + [repr(float(qs[k, h, i])) for k in range(5)]
-            for h in range(arr.shape[1])
-            for i in range(arr.shape[2])
+            [names[i], h + 1] + [repr(v) for v in cells]
+            for h, row in enumerate(table)
+            for i, cells in enumerate(row)
         ),
     )
     _write_manifest(
@@ -479,10 +522,9 @@ def cmd_compare(args, parser) -> int:
         (os.path.join(args.gibbs, "draws.npz"), "draw store"),
         (os.path.join(args.gibbs, "manifest.json"), "gibbs manifest"),
     )
-    state, fit_manifest, pan, _, prior = _load_fit_run(args)
+    state, fit_manifest, moments, _, _ = _load_fit_run(args)
     _require_same_config(fit_manifest, args.gibbs)
     store = gibbs.load_draws(os.path.join(args.gibbs, "draws.npz"))
-    moments, _ = vi.update_states(pan, state.loadings, state.transition, prior)
     report = forecast.compare_posteriors(
         state, moments, store,
         horizons=cfg["horizons"],

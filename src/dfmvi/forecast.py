@@ -162,6 +162,19 @@ def draw_quantiles(draws: np.ndarray, q) -> np.ndarray:
     return _sorted_quantiles(srt, q)
 
 
+def draw_summary(draws: np.ndarray, q) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element means and :func:`draw_quantiles` of draws on axis 0.
+
+    The means are taken over the contiguous copy before it is sorted, which
+    gives the bits of ``draws[:, j].mean()`` for each element j (the strided
+    ``draws.mean(axis=0)`` sums in another order).
+    """
+    srt = np.moveaxis(np.asarray(draws, dtype=float), 0, -1).copy()
+    mean = srt.mean(axis=-1)
+    srt.sort(axis=-1)
+    return mean, _sorted_quantiles(srt, q)
+
+
 def interval_coverage(
     lower: np.ndarray, upper: np.ndarray, draws: np.ndarray
 ) -> np.ndarray:

@@ -445,8 +445,8 @@ def fit_smf(
     Returns the final parameters, the state moments consistent with them,
     and a fit report.
     """
-    if tolerance <= 0:
-        raise DomainError("tolerance must be positive")
+    if not tolerance > 0:  # also false for NaN
+        raise DomainError(f"tolerance must be positive, got {tolerance!r}")
     if panel.T <= spec.p + 1:
         raise DomainError(f"need T > p + 1 = {spec.p + 1}, got T = {panel.T}")
     if panel.n < spec.r:

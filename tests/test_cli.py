@@ -1,11 +1,14 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from dfmvi import cli, vi
+from dfmvi import cli, panel as panel_mod, vi
 
 
 def _run(argv):
@@ -77,6 +80,7 @@ def test_fit_artifacts_and_monotone_trace(fit_dir):
     assert manifest["config_hash"] == var["config_hash"]
     assert (fit_dir / "states.csv").exists()
     assert (fit_dir / "standardization.json").exists()
+    assert (fit_dir / "moments.npz").exists()
 
 
 def test_fit_rerun_byte_identical(sim_dir, fit_dir, tmp_path):
@@ -88,7 +92,7 @@ def test_fit_rerun_byte_identical(sim_dir, fit_dir, tmp_path):
         ]
     )
     assert code == 0
-    for name in ("variational.json", "elbo_trace.csv", "states.csv"):
+    for name in ("variational.json", "elbo_trace.csv", "states.csv", "moments.npz"):
         assert (out2 / name).read_bytes() == (fit_dir / name).read_bytes()
 
 
@@ -388,6 +392,12 @@ def test_fit_settings_by_flags_and_by_config_agree(sim_dir, tmp_path):
         pytest.param(["forecast", "--smf-draws=-1"], None, "draws", id="forecast-negative-draws"),
         pytest.param(["compare", "--smf-draws", "0"], None, "draws", id="compare-zero-draws"),
         pytest.param(["compare", "--horizons=-1"], None, "horizons", id="compare-negative-horizons"),
+        pytest.param(["fit", "--tolerance", "nan"], None, "--tolerance", id="tolerance-nan"),
+        pytest.param(["fit", "--eta-grid", "nan"], None, "--eta-grid", id="eta-grid-nan"),
+        pytest.param(["fit", "--eta-lambda", "inf"], None, "--eta-lambda", id="eta-lambda-inf"),
+        pytest.param(["fit"], '{"nu": NaN}', "--nu", id="config-nan"),
+        pytest.param(["fit"], '{"eta_grid": [1.0, -Infinity]}', "--eta-grid", id="config-eta-grid-inf"),
+        pytest.param(["simulate", "--missing-rate", "nan"], None, "--missing-rate", id="missing-rate-nan"),
     ],
 )
 def test_malformed_input_is_reported_without_traceback(
@@ -452,28 +462,102 @@ def test_original_units_ignore_a_stale_standardization_record(sim_dir, tmp_path)
 
 
 @pytest.mark.parametrize(
-    "command, extra, passes",
+    "command, extra",
     [
-        pytest.param("compare", [], 1, id="compare"),
-        pytest.param("forecast", ["--source", "smf"], 1, id="forecast-smf"),
-        pytest.param("forecast", ["--source", "gibbs"], 0, id="forecast-gibbs"),
+        pytest.param("compare", [], id="compare"),
+        pytest.param("forecast", ["--source", "smf"], id="forecast-smf"),
+        pytest.param("forecast", ["--source", "gibbs"], id="forecast-gibbs"),
     ],
 )
 def test_state_pass_runs_once_per_command(
-    sim_dir, fit_dir, gibbs_dir, tmp_path, monkeypatch, command, extra, passes
+    sim_dir, fit_dir, gibbs_dir, tmp_path, monkeypatch, command, extra
 ):
+    # Once per pipeline, that is: in fit.  forecast and compare read the
+    # fit's stored moments, and hash the panel without parsing it.
     calls = []
-    update_states = vi.update_states
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return update_states(*args, **kwargs)
+    def count(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(vi, "update_states", counted)
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(vi, "update_states")
+    count(panel_mod, "load_csv")
+    count(panel_mod, "standardize")
     argv = [
         command, "--panel", str(sim_dir / "panel.csv"), "--fit", str(fit_dir),
         "--gibbs", str(gibbs_dir), "--out", str(tmp_path / "out"),
         "--horizons", "1", "--smf-draws", "200",
     ]
     assert _run(argv + extra) == 0
-    assert len(calls) == passes
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "sign, flips",
+    [pytest.param(1.0, 1, id="flipped"), pytest.param(-1.0, 0, id="unflipped")],
+)
+def test_stored_moments_equal_the_fits_bitwise(
+    sim_dir, tmp_path, monkeypatch, sign, flips
+):
+    # On the simulated panel the anchor loading converges negative, so
+    # fit_smf's align_identification_signs flips the factor; with every
+    # column negated it converges positive and nothing is flipped.
+    pan = panel_mod.load_csv(sim_dir / "panel.csv")
+    panel = tmp_path / "panel.csv"
+    panel_mod.write_csv(panel_mod.from_arrays(sign * pan.values, pan.names), panel)
+    returned, flipped = [], []
+    fit_smf, flip = vi.fit_smf, vi.flip_factor_signs
+    monkeypatch.setattr(
+        vi, "fit_smf", lambda *a, **k: returned.append(fit_smf(*a, **k)) or returned[-1]
+    )
+    monkeypatch.setattr(vi, "flip_factor_signs", lambda *a: flipped.append(1) or flip(*a))
+    fit = tmp_path / "fit"
+    assert _run(
+        ["fit", "--panel", str(panel), "--out", str(fit), "--seed", "3", "--identify", "0:0"]
+    ) == 0
+    assert len(flipped) == flips
+    state, manifest, moments, names, _ = cli._load_fit_run(
+        argparse.Namespace(panel=str(panel), fit=str(fit))
+    )
+    assert names == list(pan.names)
+    # The state pass that forecast and compare ran on the stored state
+    # before the moments were stored gives the same bits.
+    std, _ = panel_mod.standardize(panel_mod.load_csv(panel))
+    prior = cli._prepare_model(std, manifest["config"])[1]
+    recomputed, _ = vi.update_states(std, state.loadings, state.transition, prior)
+    for want in (returned[0][1], recomputed):
+        for field in dataclasses.fields(want):
+            got, expected = getattr(moments, field.name), getattr(want, field.name)
+            assert type(got) is type(expected)
+            assert np.shape(got) == np.shape(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("damage", ["missing", "panel_sha256", "seed"])
+def test_forecast_and_compare_refuse_missing_or_foreign_moments(
+    sim_dir, fit_dir, gibbs_dir, tmp_path, capsys, damage
+):
+    fit = tmp_path / "fit"
+    shutil.copytree(fit_dir, fit)
+    path = fit / "moments.npz"
+    if damage == "missing":
+        path.unlink()
+    else:
+        with np.load(path) as data:
+            stored = dict(data)
+        stored[damage] = np.array("0" * 64 if damage == "panel_sha256" else 4)
+        np.savez(path, **stored)
+    for command in ("forecast", "compare"):
+        argv = [
+            command, "--panel", str(sim_dir / "panel.csv"), "--fit", str(fit),
+            "--gibbs", str(gibbs_dir), "--out", str(tmp_path / command),
+        ]
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert not (tmp_path / command / "forecast_draws.npz").exists()

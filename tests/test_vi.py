@@ -286,6 +286,13 @@ def test_fit_rejects_too_short_panel():
         vi.fit_smf(pan, spec, prior)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1e-7, float("nan")])
+def test_fit_rejects_a_tolerance_that_is_not_positive(tiny_spec, tiny_prior, tolerance):
+    pan, _, _ = random_masked_panel(tiny_spec, T=5, seed=51, missing_prob=0.2)
+    with pytest.raises(DomainError, match="tolerance must be positive"):
+        vi.fit_smf(pan, tiny_spec, tiny_prior, tolerance=tolerance)
+
+
 def test_fit_warns_fewer_series_than_factors():
     spec = ModelSpec(n=1, r=2, p=0)
     prior = default_prior(spec)
