@@ -3,6 +3,9 @@
 Estimates exact dynamic factor models under arbitrary missing-data
 patterns, with a banded-precision state pass shared with the
 Gibbs-sampler benchmark, predictive sampling and comparison metrics.
+
+Importing the package loads numpy only: ``fit_smf`` is looked up in
+``dfmvi.vi``, and with it scipy, on first use.
 """
 
 __version__ = "0.1.0"
@@ -10,7 +13,6 @@ __version__ = "0.1.0"
 from .errors import DfmError, DomainError, NumericalError, PanelFormatError
 from .model import ModelSpec, PriorSpec, default_prior, minnesota_prior, validate_prior
 from .panel import TimeSeriesPanel, load_csv, standardize, unstandardize, write_csv
-from .vi import fit_smf
 
 __all__ = [
     "DfmError",
@@ -29,3 +31,11 @@ __all__ = [
     "write_csv",
     "fit_smf",
 ]
+
+
+def __getattr__(name):
+    if name == "fit_smf":
+        from .vi import fit_smf
+
+        return fit_smf
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

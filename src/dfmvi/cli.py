@@ -13,7 +13,9 @@ estimation-relevant configuration, the seed and wall time.  ``fit`` also
 stores its final state moments, which ``forecast`` and ``compare`` read in
 place of parsing the panel and running the state pass.  ``compare`` and
 ``forecast --source gibbs`` refuse fit and Gibbs artifacts whose
-configuration hashes differ.
+configuration hashes differ.  The computing modules (``vi``, ``gibbs``,
+``forecast``, ``statespace``) and with them scipy are imported by the
+commands that use them, so ``simulate`` loads numpy only.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ import time
 
 import numpy as np
 
-from . import __version__, forecast, gibbs, panel as panel_mod, sim, vi
+from . import __version__, panel as panel_mod, sim
 from .errors import DfmError, DomainError
 from .model import ModelSpec, default_prior, identification_restrictions
-from .statespace import StateMoments
 
 # key: (default, flag, extra argparse keywords).  Int and float settings
 # take their flag's type from the default.
@@ -132,7 +133,8 @@ def _resolve(args, keys) -> dict:
     """Defaults, overridden by the config file, overridden by flags.
 
     Float settings and the elements of ``eta_grid`` must be finite: flags
-    parse "nan" and "inf", and JSON configs may hold NaN and Infinity.
+    parse "nan" and "inf", and JSON configs may hold NaN and Infinity.  The
+    seed must be non-negative, as numpy's generators require.
     """
     resolved = {k: _SETTINGS[k][0] for k in keys}
     if args.config:
@@ -146,6 +148,10 @@ def _resolve(args, keys) -> dict:
             raise DomainError(
                 f"setting {k} ({_SETTINGS[k][1]}) must be finite, got {resolved[k]!r}"
             )
+    if resolved.get("seed", 0) < 0:
+        raise DomainError(
+            f"setting seed (--seed) must be non-negative, got {resolved['seed']!r}"
+        )
     return resolved
 
 
@@ -279,6 +285,9 @@ def _load_fit_run(args):
     panel itself is only hashed: the moments are the ones ``fit_smf``
     returned, so no state pass runs here.
     """
+    from . import vi
+    from .statespace import StateMoments
+
     with open(os.path.join(args.fit, "variational.json"), encoding="utf-8") as fh:
         state = vi.state_from_dict(json.load(fh)["state"])
     with open(os.path.join(args.fit, "manifest.json"), encoding="utf-8") as fh:
@@ -339,7 +348,7 @@ def cmd_simulate(args, parser) -> int:
         cfg["n"] = 25
     spec = ModelSpec(n=cfg["n"], r=cfg["r"], p=cfg["p"])
     missing = []
-    if cfg["missing_rate"] > 0:
+    if cfg["missing_rate"] != 0:
         missing.append(sim.RandomMissing(rate=float(cfg["missing_rate"])))
     if args.ragged:
         missing.append(sim.RaggedEdge(cutoffs=_int_pairs(args.ragged, "--ragged")))
@@ -369,6 +378,8 @@ def cmd_simulate(args, parser) -> int:
 
 
 def _run_fit(pan, spec, prior, cfg):
+    from . import vi
+
     anchors = cfg["identification"]
     return vi.fit_smf(
         pan,
@@ -382,6 +393,8 @@ def _run_fit(pan, spec, prior, cfg):
 
 
 def cmd_fit(args, parser) -> int:
+    from . import vi
+
     cfg, started = _open_run(args, parser, _KEYS["fit"], (args.panel, "panel file"))
     pan, record, spec, prior = _load_model(args, cfg)
 
@@ -453,6 +466,8 @@ def cmd_fit(args, parser) -> int:
 
 
 def cmd_gibbs(args, parser) -> int:
+    from . import gibbs
+
     cfg, started = _open_run(args, parser, _KEYS["gibbs"], (args.panel, "panel file"))
     pan, _, spec, prior = _load_model(args, cfg)
     config = gibbs.GibbsConfig(
@@ -475,6 +490,8 @@ def cmd_gibbs(args, parser) -> int:
 
 
 def cmd_forecast(args, parser) -> int:
+    from . import forecast, gibbs
+
     cfg, started = _open_run(
         args, parser, _KEYS["forecast"],
         (args.panel, "panel file"),
@@ -515,6 +532,8 @@ def cmd_forecast(args, parser) -> int:
 
 
 def cmd_compare(args, parser) -> int:
+    from . import forecast, gibbs
+
     cfg, started = _open_run(
         args, parser, _KEYS["compare"],
         (args.panel, "panel file"),

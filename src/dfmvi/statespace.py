@@ -23,7 +23,7 @@ r (T - t), so its lagged coordinates are exact copies.
 
 A time step without data, the last one included, adds no data precision
 and needs no special case.  The dense and augmented-filter oracles that
-validate this module live with the test oracles in ``dfmvi.sim``.
+validate this module live in ``dfmvi.oracles``.
 
 Conventions: time-major arrays; index t = 0 is the pre-sample state, data
 run t = 1..T.  ``y_star[t-1]`` refers to time t.

@@ -447,6 +447,8 @@ def fit_smf(
     """
     if not tolerance > 0:  # also false for NaN
         raise DomainError(f"tolerance must be positive, got {tolerance!r}")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
     if panel.T <= spec.p + 1:
         raise DomainError(f"need T > p + 1 = {spec.p + 1}, got T = {panel.T}")
     if panel.n < spec.r:
@@ -462,8 +464,6 @@ def fit_smf(
     )
     trace = [elbo]
     converged = False
-    criteria = np.inf
-    iterations = 0
     for iterations in range(1, max_iters + 1):
         loadings = update_loadings(panel, moments, prior, restrictions)
         transition = update_transition(moments, prior)

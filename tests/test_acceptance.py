@@ -14,18 +14,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dfmvi import cli, gibbs, sim, statespace, vi
+from dfmvi import cli, gibbs, oracles, statespace, vi
 from dfmvi.model import ModelSpec, PriorSpec, default_prior
 from dfmvi.panel import from_arrays, load_csv, standardize
-from dfmvi.sim import (
-    RaggedEdge,
-    RandomMissing,
-    dense_fixed_moments,
-    dense_gaussian_oracle,
-    mc_elbo_oracle,
-    simulate_dfm,
-    stationary_sim_config,
-)
+from dfmvi.oracles import dense_fixed_moments, dense_gaussian_oracle, mc_elbo_oracle
+from dfmvi.sim import RaggedEdge, RandomMissing, simulate_dfm, stationary_sim_config
 from tests.conftest import point_mass_moments, random_masked_panel
 
 RAGGED_CUTOFFS = {18: 196, 19: 194, 20: 192, 21: 190, 22: 188, 23: 186, 24: 184}
@@ -160,7 +153,7 @@ def test_criterion_03_collapse_equivalence():
     for pan, spec, prior, state in _random_instances(50):
         loadings, transition = state.loadings, state.transition
         moments, params = vi.update_states(pan, loadings, transition, prior)
-        aug_mean, aug_cov, aug_lag, aug_ll = sim.augmented_moments(
+        aug_mean, aug_cov, aug_lag, aug_ll = oracles.augmented_moments(
             pan.values, pan.mask, loadings.mean, loadings.cov,
             loadings.noise_scale, transition.mean, transition.cov,
             prior.init_state_cov,
@@ -173,7 +166,7 @@ def test_criterion_03_collapse_equivalence():
         )
         assert worst_m < 1e-8
         filt = statespace.kalman_filter(params)
-        dec = sim.decomposed_loglik(
+        dec = oracles.decomposed_loglik(
             pan, loadings, transition, prior, filt.prec_logdet, filt.info_quad
         )
         worst_l = max(worst_l, abs(dec - aug_ll))

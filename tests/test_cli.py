@@ -3,11 +3,15 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dfmvi
 from dfmvi import cli, panel as panel_mod, vi
 
 
@@ -67,6 +71,31 @@ def test_simulate_artifacts(sim_dir):
 
     pan = load_csv(sim_dir / "panel.csv")
     assert not pan.mask[35:, 0].any()
+
+
+def test_import_and_simulate_load_no_scipy(tmp_path):
+    # A fresh interpreter: the package and the simulate command need numpy
+    # only, and fit_smf is still served from the package.
+    code = f"""
+import sys
+import dfmvi
+from dfmvi import cli
+argv = ["simulate", "--out", {str(tmp_path)!r}, "--n", "6", "--t", "30",
+        "--missing-rate", "0.1", "--ragged", "0:25", "--periodic", "1:2"]
+assert cli.main(argv) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+import dfmvi.vi
+from dfmvi import fit_smf
+print(dfmvi.fit_smf is dfmvi.vi.fit_smf is fit_smf)
+"""
+    src = os.path.dirname(os.path.dirname(dfmvi.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == ["[]", "True"]
+    assert (tmp_path / "panel.csv").exists()
 
 
 def test_fit_artifacts_and_monotone_trace(fit_dir):
@@ -398,6 +427,15 @@ def test_fit_settings_by_flags_and_by_config_agree(sim_dir, tmp_path):
         pytest.param(["fit"], '{"nu": NaN}', "--nu", id="config-nan"),
         pytest.param(["fit"], '{"eta_grid": [1.0, -Infinity]}', "--eta-grid", id="config-eta-grid-inf"),
         pytest.param(["simulate", "--missing-rate", "nan"], None, "--missing-rate", id="missing-rate-nan"),
+        pytest.param(["simulate", "--missing-rate", "1.5"], None, "missing rate", id="missing-rate-above-one"),
+        pytest.param(["simulate", "--missing-rate=-0.1"], None, "missing rate", id="missing-rate-negative"),
+        pytest.param(["simulate", "--r", "7"], None, "r <= n", id="simulate-more-factors-than-series"),
+        pytest.param(["simulate", "--seed=-1"], None, "--seed", id="simulate-negative-seed"),
+        pytest.param(["fit", "--seed=-1"], None, "--seed", id="fit-negative-seed"),
+        pytest.param(["gibbs", "--seed=-1"], None, "--seed", id="gibbs-negative-seed"),
+        pytest.param(["gibbs"], '{"seed": -2}', "--seed", id="config-negative-seed"),
+        pytest.param(["fit", "--max-iters", "0"], None, "max_iters", id="max-iters-zero"),
+        pytest.param(["fit", "--max-iters=-3"], None, "max_iters", id="max-iters-negative"),
     ],
 )
 def test_malformed_input_is_reported_without_traceback(
@@ -407,6 +445,7 @@ def test_malformed_input_is_reported_without_traceback(
     argv = argv + {
         "simulate": ["--n", "6", "--t", "20"],
         "fit": panel,
+        "gibbs": panel,
         "forecast": panel + ["--fit", str(fit_dir)],
         "compare": panel + ["--fit", str(fit_dir), "--gibbs", str(gibbs_dir)],
     }[argv[0]] + ["--out", str(tmp_path / "out")]
@@ -418,6 +457,7 @@ def test_malformed_input_is_reported_without_traceback(
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "forecast_draws.npz").exists()
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_forecast_and_compare_refuse_another_panel(

@@ -7,7 +7,7 @@ from dfmvi import gibbs, sim, vi
 from dfmvi.errors import DomainError, NumericalError
 from dfmvi.model import ModelSpec, PriorSpec, default_prior, identification_restrictions
 from dfmvi.panel import from_arrays
-from dfmvi.sim import dense_fixed_moments
+from dfmvi.oracles import dense_fixed_moments
 from tests.conftest import random_masked_panel
 
 

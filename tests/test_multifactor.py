@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dfmvi import gibbs, sim, statespace, vi
+from dfmvi import gibbs, oracles, statespace, vi
 from dfmvi.model import ModelSpec, default_prior, identification_restrictions
 from dfmvi.panel import TimeSeriesPanel, standardize
+from dfmvi.oracles import dense_gaussian_oracle
 from dfmvi.sim import (
     PeriodicMissing,
     RandomMissing,
-    dense_gaussian_oracle,
     simulate_dfm,
     stationary_sim_config,
 )
@@ -78,13 +78,13 @@ def test_smoother_exactness_two_factors_two_lags():
         assert_allclose(moments.mean, oracle.mean, atol=1e-8)
         assert_allclose(moments.cov, oracle.marg_cov, atol=1e-8)
         assert_allclose(moments.lag_one, oracle.lag_one, atol=1e-8)
-        aug_mean, aug_cov, aug_lag, aug_ll = sim.augmented_moments(
+        aug_mean, aug_cov, aug_lag, aug_ll = oracles.augmented_moments(
             pan.values, pan.mask, state.loadings.mean, state.loadings.cov,
             state.loadings.noise_scale, state.transition.mean,
             state.transition.cov, prior.init_state_cov,
         )
         filt = statespace.kalman_filter(params)
-        dec = sim.decomposed_loglik(
+        dec = oracles.decomposed_loglik(
             pan, state.loadings, state.transition, prior,
             filt.prec_logdet, filt.info_quad,
         )

@@ -8,16 +8,18 @@ from dfmvi import vi
 from dfmvi.errors import DomainError
 from dfmvi.model import ModelSpec, default_prior
 from dfmvi.panel import from_arrays
+from dfmvi.oracles import (
+    dense_fixed_moments,
+    dense_gaussian_oracle,
+    mc_elbo_oracle,
+    mc_log_marginal,
+)
 from dfmvi.sim import (
     PeriodicMissing,
     RaggedEdge,
     RandomMissing,
     SimConfig,
     companion,
-    dense_fixed_moments,
-    dense_gaussian_oracle,
-    mc_elbo_oracle,
-    mc_log_marginal,
     simulate_dfm,
     spectral_radius,
     stationary_sim_config,
@@ -191,13 +193,15 @@ def test_mc_oracle_near_point_mass_parameters(tiny_spec, tiny_prior):
 
 
 def test_oracles_share_no_code_with_production_filter():
-    # The oracle module must stay an independent implementation: it may not
-    # import the production state-space module.
-    import dfmvi.sim as sim_module
+    # The oracles and the generator they are checked on must stay
+    # independent implementations: neither may import the production
+    # state-space module.
+    import dfmvi.oracles
+    import dfmvi.sim
 
-    with open(sim_module.__file__, encoding="utf-8") as fh:
-        source = fh.read()
-    assert "statespace" not in source
+    for module in (dfmvi.oracles, dfmvi.sim):
+        with open(module.__file__, encoding="utf-8") as fh:
+            assert "statespace" not in fh.read()
 
 
 def test_mc_log_marginal_bounds_elbo(tiny_spec, tiny_prior):
@@ -220,3 +224,16 @@ def test_companion_structure():
     assert_allclose(trans[0], [0.2, 0.3, 0.4, 0.5])
     assert_allclose(trans[1:, :3], np.eye(3))
     assert_allclose(trans[1:, 3], np.zeros(3))
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, math.nan])
+def test_random_missing_rate_outside_unit_interval_rejected(rate):
+    spec = ModelSpec(n=2, r=1, p=0)
+    cfg = stationary_sim_config(spec, T=10, seed=1, missing=(RandomMissing(rate),))
+    with pytest.raises(DomainError, match="missing rate"):
+        simulate_dfm(cfg)
+
+
+def test_more_factors_than_series_rejected():
+    with pytest.raises(DomainError, match="r <= n"):
+        stationary_sim_config(ModelSpec(n=2, r=3, p=0), T=10)

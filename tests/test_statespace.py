@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dfmvi import sim, statespace, vi
+from dfmvi import oracles, statespace, vi
 from dfmvi.errors import NumericalError
 from dfmvi.model import ModelSpec, default_prior
 from dfmvi.panel import TimeSeriesPanel, from_arrays
-from dfmvi.sim import dense_gaussian_oracle
+from dfmvi.oracles import dense_gaussian_oracle
 from tests.conftest import random_masked_panel
 
 
@@ -130,7 +130,7 @@ def test_collapse_matches_dense_gls_oracle():
         trans = 0.5 * rng.standard_normal((r, r))
         values = np.vstack([np.where(mask, y, np.nan), rng.standard_normal(n)])
         params = _system(values, lam, noise_var, trans, trans_cov, covs)
-        sigma_theta = sim.build_sigma_theta(mask, covs, trans_cov, r, is_last=False)
+        sigma_theta = oracles.build_sigma_theta(mask, covs, trans_cov, r, is_last=False)
         want_y, want_h = _gls_collapse_oracle(y, mask, lam, noise_var, sigma_theta)
         block = _dense_precision(params.band)[r : 2 * r, r : 2 * r]
         got_prec = block - np.eye(r) - trans.T @ trans
@@ -155,15 +155,15 @@ def test_collapse_singular_precision_raises():
 def test_build_sigma_theta_cases():
     covs = np.stack([np.eye(2)] * 3)
     trans_cov = np.eye(2)
-    none_avail = sim.build_sigma_theta(
+    none_avail = oracles.build_sigma_theta(
         np.zeros(3, dtype=bool), covs, trans_cov, r=2, is_last=False
     )
     assert_allclose(none_avail, 2.0 * np.eye(2))
-    all_last = sim.build_sigma_theta(
+    all_last = oracles.build_sigma_theta(
         np.ones(3, dtype=bool), covs, trans_cov, r=2, is_last=True
     )
     assert_allclose(all_last, 3.0 * np.eye(2))
-    two_of_three = sim.build_sigma_theta(
+    two_of_three = oracles.build_sigma_theta(
         np.array([True, False, True]), covs, trans_cov, r=2, is_last=False
     )
     assert_allclose(two_of_three, 4.0 * np.eye(2))
@@ -293,7 +293,7 @@ def test_collapsed_matches_augmented_and_decomposition():
         state = vi.init_from_pca(pan, spec, prior, seed=k)
         loadings, transition = state.loadings, state.transition
         moments, params = vi.update_states(pan, loadings, transition, prior)
-        aug_mean, aug_cov, aug_lag, aug_ll = sim.augmented_moments(
+        aug_mean, aug_cov, aug_lag, aug_ll = oracles.augmented_moments(
             pan.values, pan.mask, loadings.mean, loadings.cov,
             loadings.noise_scale, transition.mean, transition.cov,
             prior.init_state_cov,
@@ -302,7 +302,7 @@ def test_collapsed_matches_augmented_and_decomposition():
         assert_allclose(moments.cov, aug_cov, atol=1e-8)
         assert_allclose(moments.lag_one, aug_lag, atol=1e-8)
         filt = statespace.kalman_filter(params)
-        dec = sim.decomposed_loglik(
+        dec = oracles.decomposed_loglik(
             pan, loadings, transition, prior, filt.prec_logdet, filt.info_quad
         )
         assert_allclose(dec, aug_ll, atol=1e-8)
@@ -349,7 +349,7 @@ def _masked_panel(rng, T, n, empty_rows=(), empty_cols=()):
 
 def _assert_matches_dense_oracle(pan, loadings, transition, prior):
     moments, _ = vi.update_states(pan, loadings, transition, prior)
-    oracle = sim.dense_variational_moments(pan, loadings, transition, prior)
+    oracle = oracles.dense_variational_moments(pan, loadings, transition, prior)
     assert_allclose(moments.mean, oracle.mean, atol=1e-8)
     assert_allclose(moments.cov, oracle.marg_cov, atol=1e-8)
     assert_allclose(moments.lag_one, oracle.lag_one, atol=1e-8)
@@ -402,12 +402,12 @@ def test_kernel_matches_dense_and_augmented_oracles(
     loadings, transition, prior = _random_variational(rng, pan, spec)
     moments = _assert_matches_dense_oracle(pan, loadings, transition, prior)
     if pan.mask[-1].any():  # otherwise Sigma_theta at T is zero
-        _, _, _, aug_ll = sim.augmented_moments(
+        _, _, _, aug_ll = oracles.augmented_moments(
             pan.values, pan.mask, loadings.mean, loadings.cov,
             loadings.noise_scale, transition.mean, transition.cov,
             prior.init_state_cov,
         )
-        dec = sim.decomposed_loglik(
+        dec = oracles.decomposed_loglik(
             pan, loadings, transition, prior, moments.prec_logdet, moments.info_quad
         )
         assert_allclose(dec, aug_ll, atol=1e-8)

@@ -12,13 +12,8 @@ from dfmvi.model import (
     identification_restrictions,
 )
 from dfmvi.panel import from_arrays
-from dfmvi.sim import (
-    dense_fixed_moments,
-    dense_gaussian_oracle,
-    mc_elbo_oracle,
-    stationary_sim_config,
-    simulate_dfm,
-)
+from dfmvi.oracles import dense_fixed_moments, dense_gaussian_oracle, mc_elbo_oracle
+from dfmvi.sim import simulate_dfm, stationary_sim_config
 from tests.conftest import point_mass_moments as _point_mass_moments
 from tests.conftest import random_masked_panel
 
@@ -291,6 +286,13 @@ def test_fit_rejects_a_tolerance_that_is_not_positive(tiny_spec, tiny_prior, tol
     pan, _, _ = random_masked_panel(tiny_spec, T=5, seed=51, missing_prob=0.2)
     with pytest.raises(DomainError, match="tolerance must be positive"):
         vi.fit_smf(pan, tiny_spec, tiny_prior, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_fit_rejects_fewer_than_one_iteration(tiny_spec, tiny_prior, max_iters):
+    pan, _, _ = random_masked_panel(tiny_spec, T=5, seed=51, missing_prob=0.2)
+    with pytest.raises(DomainError, match="max_iters must be at least 1"):
+        vi.fit_smf(pan, tiny_spec, tiny_prior, max_iters=max_iters)
 
 
 def test_fit_warns_fewer_series_than_factors():
