@@ -5,18 +5,27 @@ and noise per equation, matrix-normal transition, Gaussian state marginals)
 or from a stored Gibbs chain.  Parameter draws come from the shared
 ``vi.draw_loadings`` and ``vi.draw_transition``, in-sample state vectors
 from ``_marginal_draws`` and every observation lambda x_t + noise, for
-either source, from ``_observe``.  Comparison metrics mirror a benchmark
-protocol: mean/absolute/root-mean-square errors between posterior means,
-and the share of benchmark draws falling inside equal-tailed variational
-intervals, aggregated across elements.
+either source, from ``_observe``.  Both take their standard normals as
+arrays, drawn by the caller, so the random stream does not depend on where
+the arithmetic runs.  Comparison metrics mirror a benchmark protocol:
+mean/absolute/root-mean-square errors between posterior means, and the
+share of benchmark draws falling inside equal-tailed variational intervals,
+aggregated across elements.
 
 Quantiles are numpy's "linear" sample quantiles (Hyndman and Fan 1996,
-type 7), which need only order statistics: each draw block is sorted once,
-and the quantiles of every requested level are read from the sorted block.
+type 7), which need only order statistics: the draws of each element are
+sorted once, in chunks of elements, and the quantiles of every requested
+level are read from the sorted rows.
+
+``compare_posteriors`` scores its in-sample time blocks on one worker
+thread while the calling thread draws the normals of the next block; every
+random number is drawn on the calling thread, in the order of a serial
+loop, so its reports do not depend on the thread timing or the core count.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +34,14 @@ from . import vi
 from .errors import DomainError
 from .gibbs import DrawStore
 
-_TIME_BLOCK = 16  # time steps per in-sample comparison block, bounding memory
+# Time steps per in-sample comparison block.  It bounds memory, and it also
+# fixes the order of every in-sample draw (per block: states, SMF noise,
+# MCMC noise), so changing it changes every comparison report.
+_TIME_BLOCK = 16
+# Float values per temporary when observations are formed in chunks of draws
+# and draws are sorted in chunks of elements.  Every value is computed per
+# element, so the chunk size moves memory only, never a bit of a result.
+_CHUNK_VALUES = 1 << 17
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -44,24 +60,29 @@ def _draw_variational_theta(state: vi.VariationalState, n_draws: int, rng):
     return sigma2, lam, vi.draw_transition(state.transition, rng, lead)
 
 
-def _marginal_draws(moments, t0: int, t1: int, n_draws: int, rng) -> np.ndarray:
-    """Draws (n_draws, t1 - t0, s) of x_t0..x_{t1-1}, each from its smoothed marginal."""
+def _marginal_draws(moments, t0: int, t1: int, z: np.ndarray) -> np.ndarray:
+    """Draws of x_t0..x_{t1-1}, each from its smoothed marginal.
+
+    ``z`` (draws, t1 - t0, s) holds standard normals; returns the state
+    draws in the same shape.
+    """
     roots = _psd_sqrt(moments.cov[t0:t1])
-    z = rng.standard_normal((n_draws, t1 - t0, roots.shape[-1]))
     return moments.mean[t0:t1] + np.einsum("tab,dtb->dta", roots, z)
 
 
-def _observe(lam, states, sd, rng):
-    """Fitted values lambda x_t of (draws, steps, s) states and their noisy copies.
+def _observe(lam, states, sd, noise: np.ndarray) -> np.ndarray:
+    """Turn standard normals into observations lambda x_t + sd e, in place.
 
-    ``sd`` (draws, n) holds the noise standard deviations.  Returns
-    (fitted, fitted + noise), both (draws, steps, n).
+    ``lam`` (draws, n, s) and ``sd`` (draws, n) hold each draw's loadings
+    and noise standard deviations, ``states`` (draws, steps, s) its states
+    and ``noise`` (draws, steps, n) its standard normals, which become the
+    noisy observations.  Returns the fitted values lambda x_t, shaped like
+    ``noise``.
     """
     fitted = np.einsum("dis,dts->dti", lam, states)
-    noisy = rng.standard_normal(fitted.shape)
-    noisy *= sd[:, None, :]
-    noisy += fitted
-    return fitted, noisy
+    noise *= sd[:, None, :]
+    noise += fitted
+    return fitted
 
 
 def _iterate_forward(states_T, phi, sigma2, lam, horizons, rng):
@@ -74,7 +95,9 @@ def _iterate_forward(states_T, phi, sigma2, lam, horizons, rng):
     for h in range(horizons):
         top = np.einsum("drs,ds->dr", phi, cur) + rng.standard_normal((n_draws, r))
         cur = np.concatenate([top, cur[:, : s - r]], axis=1)
-        out[:, h : h + 1] = _observe(lam, cur[:, None], sd, rng)[1]
+        noisy = rng.standard_normal((n_draws, 1, lam.shape[1]))
+        _observe(lam, cur[:, None], sd, noisy)
+        out[:, h : h + 1] = noisy
     return out
 
 
@@ -192,13 +215,15 @@ def coverage_probability(
 
     Both draw arrays index draws on axis 0 and target the same elements on
     the remaining axes.  Returns, per level, the percent coverage for each
-    element.  The variational draws are sorted once for all levels.
+    element.  The variational draws are sorted once for all levels, in
+    chunks of elements that bound the sorted copy.
 
     Raises
     ------
     DomainError
         On mismatched element shapes, an empty draw set, a draw set holding
-        a non-finite value (names the set) or a level outside (0, 100).
+        a non-finite value (names the set), a level outside (0, 100), a
+        repeated level or no level.
     """
     smf = np.asarray(smf_draws, dtype=float)
     mcmc = np.asarray(mcmc_draws, dtype=float)
@@ -212,13 +237,24 @@ def coverage_probability(
     for level in levels:
         if not (0 < level < 100):
             raise DomainError(f"level {level} outside (0, 100)")
+    if not levels or len({int(level) for level in levels}) < len(levels):
+        raise DomainError(
+            f"levels must be one or more distinct values, got {list(levels)}"
+        )
     alpha = np.array([0.5 * (1.0 - level / 100.0) for level in levels])
-    bounds = draw_quantiles(smf, np.concatenate([alpha, 1.0 - alpha]))
-    lower, upper = bounds[: len(alpha)], bounds[len(alpha) :]
-    return {
-        int(level): interval_coverage(lower[k], upper[k], mcmc)
-        for k, level in enumerate(levels)
-    }
+    q, n_lev = np.concatenate([alpha, 1.0 - alpha]), len(alpha)
+    shape = smf.shape[1:]
+    smf, mcmc = smf.reshape(len(smf), -1), mcmc.reshape(len(mcmc), -1)
+    out = np.empty((n_lev, smf.shape[1]))
+    step = max(1, _CHUNK_VALUES // len(smf))
+    for e0 in range(0, smf.shape[1], step):
+        cols = slice(e0, e0 + step)
+        bounds = draw_quantiles(smf[:, cols], q)
+        for k in range(n_lev):
+            out[k, cols] = interval_coverage(
+                bounds[k], bounds[n_lev + k], mcmc[:, cols]
+            )
+    return {int(level): out[k].reshape(shape) for k, level in enumerate(levels)}
 
 
 def summarize_coverage(per_element: dict[int, np.ndarray]) -> dict[int, dict]:
@@ -264,8 +300,8 @@ def compare_posteriors(
     paths, in-sample predictions and each out-of-sample horizon.
     Posterior means on the variational side are analytic; coverage uses
     equal-tailed quantile intervals from variational draws.  In-sample
-    prediction blocks are processed in time blocks to bound memory at
-    large draw counts.
+    predictions are processed in time blocks to bound memory at large draw
+    counts, each scored on a worker thread while the next one is drawn.
     """
     if horizons < 0 or n_smf_draws < 1:
         raise DomainError(
@@ -311,27 +347,48 @@ def compare_posteriors(
         "factors", f_mean, f_mcmc.mean(axis=0),
         f_smf.reshape(n_smf_draws, -1), f_mcmc.reshape(store.n_draws, -1),
     )
+    del f_smf  # free it before the in-sample blocks, which do not read it
 
-    # In-sample predictions, blocked over time.
-    smf_pred_mean = moments.mean[1:] @ loadings.mean.T
-    mcmc_pred_mean = np.zeros((T, n))
-    cov_acc = {int(level): np.zeros((T, n)) for level in levels}
+    # In-sample predictions, blocked over time.  The calling thread draws
+    # the normals of block k + 1 in the serial order (states, SMF noise, MCMC
+    # noise) while one worker thread scores block k; at most two blocks are
+    # alive.  The worker draws no random number and writes only the rows of
+    # its own block.
+    mcmc_pred_mean = np.empty((T, n))
+    cov_acc = {int(level): np.empty((T, n)) for level in levels}
     sd_mc = np.sqrt(store.sigma2)
-    sd_smf = np.sqrt(sig2_smf)
-    for start in range(0, T, _TIME_BLOCK):
-        stop = min(start + _TIME_BLOCK, T)
-        f_blk = _marginal_draws(moments, start + 1, stop + 1, n_smf_draws, rng)
-        smf_blk = _observe(lam_smf, f_blk, sd_smf, rng)[1]
-        mc_fit, mc_blk = _observe(
-            store.lambdas, store.states[:, start + 1 : stop + 1], sd_mc, rng
-        )
-        mcmc_pred_mean[start:stop] = mc_fit.mean(axis=0)
+    sd_smf = np.sqrt(sig2_smf, out=sig2_smf)  # the variances are not read again
+
+    def score_block(start, stop, z, smf_blk, mc_blk):
+        f_blk = _marginal_draws(moments, start + 1, stop + 1, z)
+        step = max(1, _CHUNK_VALUES // smf_blk[0].size)
+        for d in range(0, n_smf_draws, step):
+            chunk = slice(d, d + step)
+            _observe(lam_smf[chunk], f_blk[chunk], sd_smf[chunk], smf_blk[chunk])
+        mcmc_pred_mean[start:stop] = _observe(
+            store.lambdas, store.states[:, start + 1 : stop + 1], sd_mc, mc_blk
+        ).mean(axis=0)
         cov_blk = coverage_probability(
             smf_blk.reshape(n_smf_draws, -1), mc_blk.reshape(store.n_draws, -1), levels
         )
         for level in levels:
             cov_acc[int(level)][start:stop] = cov_blk[int(level)].reshape(-1, n)
-        del smf_blk, mc_fit, mc_blk  # free this block before drawing the next
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        scoring = None
+        for start in range(0, T, _TIME_BLOCK):
+            stop = min(start + _TIME_BLOCK, T)
+            steps = stop - start
+            z = rng.standard_normal((n_smf_draws, steps, moments.mean.shape[-1]))
+            smf_blk = rng.standard_normal((n_smf_draws, steps, n))
+            mc_blk = rng.standard_normal((store.n_draws, steps, n))
+            if scoring is not None:
+                scoring.result()
+            scoring = worker.submit(score_block, start, stop, z, smf_blk, mc_blk)
+            del z, smf_blk, mc_blk  # the worker holds the only reference
+        if scoring is not None:
+            scoring.result()
+    smf_pred_mean = moments.mean[1:] @ loadings.mean.T
     pm_errors["insample"] = posterior_mean_errors(smf_pred_mean, mcmc_pred_mean)
     coverage["insample"] = cov_acc
 

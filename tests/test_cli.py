@@ -421,6 +421,8 @@ def test_fit_settings_by_flags_and_by_config_agree(sim_dir, tmp_path):
         pytest.param(["forecast", "--smf-draws=-1"], None, "draws", id="forecast-negative-draws"),
         pytest.param(["compare", "--smf-draws", "0"], None, "draws", id="compare-zero-draws"),
         pytest.param(["compare", "--horizons=-1"], None, "horizons", id="compare-negative-horizons"),
+        pytest.param(["compare", "--levels", "50,50"], None, "levels", id="compare-repeated-levels"),
+        pytest.param(["compare"], '{"levels": []}', "levels", id="config-no-levels"),
         pytest.param(["fit", "--tolerance", "nan"], None, "--tolerance", id="tolerance-nan"),
         pytest.param(["fit", "--eta-grid", "nan"], None, "--eta-grid", id="eta-grid-nan"),
         pytest.param(["fit", "--eta-lambda", "inf"], None, "--eta-lambda", id="eta-lambda-inf"),
@@ -457,6 +459,7 @@ def test_malformed_input_is_reported_without_traceback(
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "forecast_draws.npz").exists()
+    assert not (tmp_path / "out" / "report_summary.json").exists()
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

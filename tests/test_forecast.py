@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -23,9 +25,13 @@ def _insample_smf(state, moments, n_draws, seed):
     """In-sample draws as ``compare_posteriors`` makes them, all steps at once."""
     rng = np.random.default_rng(seed)
     sigma2, lam, _ = forecast._draw_variational_theta(state, n_draws, rng)
-    T = moments.mean.shape[0] - 1
-    states = forecast._marginal_draws(moments, 1, T + 1, n_draws, rng)
-    return forecast._observe(lam, states, np.sqrt(sigma2), rng)[1]
+    T, s = moments.mean.shape[0] - 1, moments.mean.shape[1]
+    states = forecast._marginal_draws(
+        moments, 1, T + 1, rng.standard_normal((n_draws, T, s))
+    )
+    noisy = rng.standard_normal((n_draws, T, lam.shape[1]))
+    forecast._observe(lam, states, np.sqrt(sigma2), noisy)
+    return noisy
 
 
 def test_point_forecast_in_degenerate_limit(small_fit):
@@ -98,8 +104,9 @@ def test_mcmc_predictive_paths(small_fit):
     assert out.shape == (200, 2, pan.n)
     # in sample, every stored draw is observed, as compare_posteriors does
     rng = np.random.default_rng(3)
-    fitted, ins = forecast._observe(
-        store.lambdas, store.states[:, 1:], np.sqrt(store.sigma2), rng
+    ins = rng.standard_normal((store.n_draws, pan.T, pan.n))
+    fitted = forecast._observe(
+        store.lambdas, store.states[:, 1:], np.sqrt(store.sigma2), ins
     )
     assert ins.shape == fitted.shape == (store.n_draws, pan.T, pan.n)
     assert np.isfinite(ins).all()
@@ -175,6 +182,14 @@ def test_coverage_rejects_non_finite_draws():
             forecast.coverage_probability(good, bad)
 
 
+def test_coverage_rejects_repeated_or_no_levels():
+    # One table per distinct level: a repeated level would be dropped.
+    draws = np.ones((5, 2))
+    for levels in ((50, 95, 50), ()):
+        with pytest.raises(DomainError, match="levels"):
+            forecast.coverage_probability(draws, draws, levels=levels)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 450, 2500])
 def test_sorted_quantiles_equal_numpy_linear_quantiles_bitwise(n):
     rng = np.random.default_rng(n)
@@ -189,15 +204,18 @@ def test_sorted_quantiles_equal_numpy_linear_quantiles_bitwise(n):
         assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_coverage_probability_equals_per_level_quantile_reference_bitwise():
-    def reference(smf, mcmc, levels):
-        out = {}
-        for level in levels:
-            alpha = 0.5 * (1.0 - level / 100.0)
-            lo, hi = np.quantile(smf, [alpha, 1.0 - alpha], axis=0)
-            out[level] = 100.0 * ((mcmc >= lo) & (mcmc <= hi)).mean(axis=0)
-        return out
+def _quantile_coverage(smf, mcmc, levels):
+    """Coverage per level from numpy's own quantiles, one level at a time."""
+    out = {}
+    for level in levels:
+        alpha = 0.5 * (1.0 - level / 100.0)
+        lo, hi = np.quantile(smf, [alpha, 1.0 - alpha], axis=0)
+        out[level] = 100.0 * ((mcmc >= lo) & (mcmc <= hi)).mean(axis=0)
+    return out
 
+
+def test_coverage_probability_equals_per_level_quantile_reference_bitwise():
+    reference = _quantile_coverage
     rng = np.random.default_rng(9)
     levels = (1, 50, 75, 95, 99)
     for _ in range(10):
@@ -289,3 +307,140 @@ def test_insample_smf_draws_cover_observations(small_fit):
     lo, hi = np.quantile(ins, [0.025, 0.975], axis=0)
     inside = ((pan.values >= lo) & (pan.values <= hi))[pan.mask]
     assert inside.mean() > 0.85
+
+
+@pytest.fixture(scope="module")
+def small_store(small_fit):
+    pan, spec, prior, _, _ = small_fit
+    return gibbs.run_gibbs(
+        pan, spec, prior, gibbs.GibbsConfig(n_draws=120, burn_in_fraction=0.25, seed=6)
+    )
+
+
+@pytest.fixture(scope="module")
+def lagged_fit():
+    """r=2, p=1 (s=4) on T=35 with series 4 never observed, and a short chain."""
+    spec = ModelSpec(n=5, r=2, p=1)
+    prior = default_prior(spec)
+    pan, _, _ = random_masked_panel(spec, T=35, seed=31, missing_prob=0.1)
+    mask = pan.mask.copy()
+    mask[:, 4] = False
+    mask[-1, 0] = True
+    pan = type(pan)(
+        values=np.where(mask, pan.values, np.nan), mask=mask, names=pan.names
+    )
+    state, moments, _ = vi.fit_smf(pan, spec, prior, tolerance=1e-6, max_iters=80)
+    store = gibbs.run_gibbs(
+        pan, spec, prior, gibbs.GibbsConfig(n_draws=80, burn_in_fraction=0.25, seed=4)
+    )
+    return state, moments, store
+
+
+def _serial_insample(state, moments, store, n_smf_draws, seed, levels):
+    """The in-sample block loop of ``compare_posteriors``, run serially.
+
+    The stream is replayed up to the loop (parameter and factor-path draws),
+    then each time block draws its states, SMF noise and MCMC noise and is
+    scored at once, with numpy's quantiles for the coverage.
+    """
+    rng = np.random.default_rng(seed)
+    sig2, lam, _ = forecast._draw_variational_theta(state, n_smf_draws, rng)
+    T, s = moments.mean.shape[0] - 1, moments.mean.shape[1]
+    n, r = lam.shape[1], state.transition.mean.shape[0]
+    rng.standard_normal((n_smf_draws, T, r))  # the factor-path draws
+    sd_smf, sd_mc = np.sqrt(sig2), np.sqrt(store.sigma2)
+    mc_mean = np.zeros((T, n))
+    cov = {level: np.zeros((T, n)) for level in levels}
+    for start in range(0, T, forecast._TIME_BLOCK):
+        stop = min(start + forecast._TIME_BLOCK, T)
+        steps = stop - start
+        z = rng.standard_normal((n_smf_draws, steps, s))
+        states = forecast._marginal_draws(moments, start + 1, stop + 1, z)
+        smf = rng.standard_normal((n_smf_draws, steps, n))
+        forecast._observe(lam, states, sd_smf, smf)
+        mc = rng.standard_normal((store.n_draws, steps, n))
+        mc_fit = forecast._observe(
+            store.lambdas, store.states[:, start + 1 : stop + 1], sd_mc, mc
+        )
+        mc_mean[start:stop] = mc_fit.mean(axis=0)
+        blk = _quantile_coverage(
+            smf.reshape(n_smf_draws, -1), mc.reshape(store.n_draws, -1), levels
+        )
+        for level in levels:
+            cov[level][start:stop] = blk[level].reshape(steps, n)
+    smf_mean = moments.mean[1:] @ state.loadings.mean.T
+    return forecast.posterior_mean_errors(smf_mean, mc_mean), cov
+
+
+def _assert_reports_equal_bitwise(a, b):
+    assert a.pm_errors == b.pm_errors and a.levels == b.levels
+    assert list(a.coverage) == list(b.coverage)
+    for block, per_level in a.coverage.items():
+        assert list(per_level) == list(b.coverage[block])
+        for level, cov in per_level.items():
+            want = b.coverage[block][level]
+            assert_array_equal(cov.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("fixture", ["small", "lagged"])
+def test_compare_pipeline_equals_serial_block_loop_bitwise(
+    fixture, small_fit, small_store, lagged_fit, monkeypatch
+):
+    # T = 40 and 35, not multiples of the 16-step time block; s = 1 and s = 4,
+    # the latter with one series never observed.
+    if fixture == "small":
+        _, _, _, state, moments = small_fit
+        store = small_store
+    else:
+        state, moments, store = lagged_fit
+    levels, n_draws, seed = (50, 80, 95), 300, 12
+    report = forecast.compare_posteriors(
+        state, moments, store, horizons=2, n_smf_draws=n_draws, seed=seed,
+        levels=levels,
+    )
+    pm_want, cov_want = _serial_insample(state, moments, store, n_draws, seed, levels)
+    assert report.pm_errors["insample"] == pm_want
+    for level in levels:
+        got = report.coverage["insample"][level]
+        assert_array_equal(got.view(np.int64), cov_want[level].view(np.int64))
+    # Chunks of a few values (one draw, one element) move no bit of any block.
+    monkeypatch.setattr(forecast, "_CHUNK_VALUES", 7)
+    chunked = forecast.compare_posteriors(
+        state, moments, store, horizons=2, n_smf_draws=n_draws, seed=seed,
+        levels=levels,
+    )
+    _assert_reports_equal_bitwise(report, chunked)
+
+
+def test_compare_worker_error_reaches_caller_and_thread_exits(lagged_fit, monkeypatch):
+    state, moments, store = lagged_fit
+    before = threading.active_count()
+    forecast.compare_posteriors(state, moments, store, horizons=1, n_smf_draws=50)
+    assert threading.active_count() == before
+
+    # A non-finite lagged state coordinate (s > r) reaches only the in-sample
+    # block of steps 16..31, which is scored on the worker thread.
+    states = store.states.copy()
+    states[3, 20, 2] = np.inf
+    bad = gibbs.DrawStore(
+        lambdas=store.lambdas, sigma2=store.sigma2, phi=store.phi, states=states,
+        seed=store.seed, thin=store.thin, burn_in=store.burn_in,
+        rejections=store.rejections,
+    )
+    raised = []
+    real = forecast.coverage_probability
+
+    def spy(smf, mcmc, levels=(50, 75, 95)):
+        try:
+            return real(smf, mcmc, levels)
+        except DomainError as exc:
+            raised.append((threading.current_thread(), exc))
+            raise
+
+    monkeypatch.setattr(forecast, "coverage_probability", spy)
+    with pytest.raises(DomainError, match="MCMC draw set") as excinfo:
+        forecast.compare_posteriors(state, moments, bad, horizons=1, n_smf_draws=50)
+    [(thread, exc)] = raised
+    assert thread is not threading.main_thread()
+    assert excinfo.value is exc
+    assert threading.active_count() == before
