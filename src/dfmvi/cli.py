@@ -477,14 +477,15 @@ def cmd_gibbs(args, parser) -> int:
         identification=tuple(tuple(a) for a in cfg["identification"]),
         thin=cfg["thin"],
     )
+    sampler_started = time.perf_counter()
     store = gibbs.run_gibbs(pan, spec, prior, config)
+    sampler_time = time.perf_counter() - sampler_started
     gibbs.save_draws(store, os.path.join(args.out, "draws.npz"))
-    wall = time.perf_counter() - started
     _write_manifest(
-        args, cfg, _model_fingerprint(args.panel, cfg), wall,
+        args, cfg, _model_fingerprint(args.panel, cfg), time.perf_counter() - started,
         stored_draws=store.n_draws,
         rejections=store.rejections,
-        sampler_wall_time_s=wall,
+        sampler_wall_time_s=sampler_time,
     )
     return 0
 

@@ -10,6 +10,13 @@ without data, the last one included, needs no special case;
 identification is enforced by zero restrictions and sign rejection on
 anchor loadings.
 
+A chain's constants are built once: ``run_gibbs`` makes one
+``Restrictions`` (all loadings free without anchors), whose restriction
+masks, identity padding and anchor rows are cached on it, and the origin
+precision is cached on the prior (``PriorSpec.init_state_prec``).  Every
+sweep reads them, and its banded solve calls LAPACK ``dpbtrs`` directly, so
+the draws are bit for bit those of a sweep that rebuilt them.
+
 Draw storage is columnar: arrays ``lambda`` (D, n, s), ``sigma2`` (D, n),
 ``phi`` (D, r, s) and ``states`` (D, T+1, s) in draw order, serialized
 together in one ``.npz`` archive with the seed and bookkeeping.
@@ -22,7 +29,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import stdtr, stdtrit
 
 from . import statespace, vi
@@ -132,20 +138,19 @@ def sample_states_ffbs(
     """
     r, s = phi.shape
     scaled = lambdas / sigma2[:, None]
-    resid = np.hstack([np.eye(r), -phi])
     band, info, _ = statespace.path_precision(
         panel,
         scaled[:, :, None] * lambdas[:, None, :],
         scaled,
-        resid.T @ resid,
-        np.linalg.inv(prior.init_state_cov),
+        statespace.residual_gram(phi),
+        prior.init_state_prec,
     )
     chol = statespace.band_cholesky(band, r)
     eps = rng.standard_normal(info.size)
     shock = chol[0] * eps
     for d in range(1, r + s):
         shock[d:] += chol[d, :-d] * eps[:-d]
-    z = scipy.linalg.cho_solve_banded((chol, True), info + shock, check_finite=False)
+    z = statespace.band_solve(chol, info + shock)
     return statespace.path_states(z, r, s).copy()
 
 
@@ -198,6 +203,8 @@ def sample_parameters(
     Returns (loadings, noise variances, transition, rejection count).
     """
     r = spec.r
+    if restrictions is None:
+        restrictions = identification_restrictions(spec, [])
     f = states[1:]
     post, root = vi.loading_posterior(
         panel, f, f[:, :, None] * f[:, None, :], prior, restrictions
@@ -208,9 +215,8 @@ def sample_parameters(
             post.mean[rows], root[rows], post.noise_df[rows], post.noise_scale[rows], rng
         )
 
-    sigma2, lambdas = draw(np.arange(panel.n))
-    anchors = {} if restrictions is None else dict(restrictions.positive)
-    positive = np.array(list(anchors.items()), dtype=int).reshape(-1, 2)
+    sigma2, lambdas = draw(slice(None))
+    positive = restrictions.anchors
     rejected = positive[lambdas[positive[:, 0], positive[:, 1]] <= 0]
     rejections = 0
     for _ in range(max_rejects - 1):
@@ -270,16 +276,12 @@ def run_gibbs(
             "keep fewer draws with --thin"
         )
     rng = np.random.default_rng(config.seed)
-    restrictions = (
-        identification_restrictions(spec, list(config.identification))
-        if config.identification
-        else None
-    )
+    # Built once: every sweep reads its cached masks and anchor rows.
+    restrictions = identification_restrictions(spec, list(config.identification))
     start = vi.init_from_pca(
         panel, spec, prior, seed=config.seed, restrictions=restrictions
     )
-    if restrictions is not None:
-        start, _ = vi.align_identification_signs(start, None, restrictions)
+    start, _ = vi.align_identification_signs(start, None, restrictions)
     lambdas = start.loadings.mean.copy()
     sigma2 = start.loadings.noise_scale.copy()
     phi = start.transition.mean.copy()

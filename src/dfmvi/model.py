@@ -9,7 +9,8 @@ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +35,17 @@ class ModelSpec:
         return self.r * (self.p + 1)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class PriorSpec:
-    """Prior hyperparameters.
+    """Prior hyperparameters, held as read-only float copies.
+
+    The constants derived from them (the origin precision and the
+    log-determinants the objective uses) are computed once, on first use.
 
     Attributes
     ----------
@@ -53,6 +62,43 @@ class PriorSpec:
     init_state_cov: np.ndarray
     noise_df: np.ndarray
     noise_scale: np.ndarray
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = np.array(getattr(self, field.name), dtype=float)
+            object.__setattr__(self, field.name, _read_only(value))
+
+    @cached_property
+    def init_state_prec(self) -> np.ndarray:
+        """Inverse origin covariance, the precision the state path starts from."""
+        return _read_only(np.linalg.inv(self.init_state_cov))
+
+    @cached_property
+    def init_state_logdet(self) -> float:
+        """log|F0| of the origin covariance."""
+        return float(np.linalg.slogdet(self.init_state_cov)[1])
+
+    @cached_property
+    def trans_prec_logdet(self) -> float:
+        """log|W^-1| of the transition column precision."""
+        return float(np.linalg.slogdet(self.trans_prec)[1])
+
+    def free_blocks(self, free: np.ndarray) -> tuple[Restrictions, np.ndarray]:
+        """Zero restrictions of an (n, s) free mask, with the masks they cache,
+        and log|V^-1| of the free block of V^-1 for each row.
+
+        Both are kept for the last mask passed: a fit passes the same mask at
+        every iteration.
+        """
+        key = (free.shape, free.tobytes())
+        kept = self.__dict__.get("_free_blocks")
+        if kept is None or kept[0] != key:
+            masks = Restrictions(free, ())
+            logdets = _read_only(np.linalg.slogdet(masks.pad(self.loading_prec))[1])
+            kept = (key, masks, logdets)
+            # A frozen dataclass: store beside the fields, as cached_property does.
+            self.__dict__["_free_blocks"] = kept
+        return kept[1], kept[2]
 
 
 def minnesota_prior(
@@ -160,19 +206,51 @@ class Restrictions:
 
     ``free[i, k]`` is False where the loading of variable i on state
     coordinate k is constrained to zero; ``positive`` lists (variable,
-    state coordinate) pairs whose loading must be positive.
+    state coordinate) pairs whose loading must be positive.  The masks
+    derived from them are computed once, on first use, and are read-only.
     """
 
     free: np.ndarray
     positive: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        free = np.asarray(self.free, dtype=bool).copy()
-        free.flags.writeable = False
-        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "free", _read_only(np.array(self.free, dtype=bool)))
         object.__setattr__(
             self, "positive", tuple((int(i), int(k)) for i, k in self.positive)
         )
+
+    @cached_property
+    def free_pairs(self) -> np.ndarray:
+        """(n, s, s) mask of the entries inside each row's free block."""
+        return _read_only(self.free[:, :, None] & self.free[:, None, :])
+
+    @cached_property
+    def padding(self) -> np.ndarray:
+        """(n, s, s) identity on each row's restricted coordinates, else zero."""
+        return _read_only(np.eye(self.free.shape[1]) * ~self.free[:, None, :])
+
+    @cached_property
+    def anchors(self) -> np.ndarray:
+        """(k, 2) (variable, coordinate) rows of the sign restrictions, one
+        per variable (the last listed wins)."""
+        pairs = list(dict(self.positive).items())
+        return _read_only(np.array(pairs, dtype=int).reshape(-1, 2))
+
+    def restrict(self, a: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Zero every entry of an (n, s, s) stack outside row i's free block.
+
+        ``rows`` selects the rows of the restrictions that ``a`` stacks.
+        """
+        return np.where(self.free_pairs[rows], a, 0.0)
+
+    def pad(self, a: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Free block of ``a`` per row, identity on the restricted coordinates.
+
+        After a permutation each matrix is then block diagonal with an
+        identity block, so its log-determinant, Cholesky factor and solves on
+        the free coordinates are exactly those of the free block.
+        """
+        return self.restrict(a, rows) + self.padding[rows]
 
 
 def identification_restrictions(

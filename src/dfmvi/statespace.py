@@ -25,6 +25,14 @@ A time step without data, the last one included, adds no data precision
 and needs no special case.  The dense and augmented-filter oracles that
 validate this module live in ``dfmvi.oracles``.
 
+The origin precision is an argument, so callers pass the one their prior
+caches (``PriorSpec.init_state_prec``) instead of inverting the origin
+covariance per call.  Factorizations and solves call LAPACK through scipy
+(``dpbtrf``, ``dpbtrs``, ``dpotrs``) without its checking wrappers, and
+``np.linalg`` where numpy factors.  Keep each in its library: numpy's and
+scipy's Cholesky factors can differ in the last bits, which changes the
+draws.
+
 Conventions: time-major arrays; index t = 0 is the pre-sample state, data
 run t = 1..T.  ``y_star[t-1]`` refers to time t.
 """
@@ -34,8 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import lapack
 
 from .errors import NumericalError
 from .panel import TimeSeriesPanel
@@ -68,9 +75,24 @@ def chol_factor(a: np.ndarray, context: str = "") -> np.ndarray:
     )
 
 
+def _check_solve(info: int, routine: str) -> None:
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+
+
 def chol_inverse(chol_lower: np.ndarray) -> np.ndarray:
+    """Inverse of L L' from its lower Cholesky factor (one ``dpotrs`` call)."""
     eye = np.eye(chol_lower.shape[0])
-    return scipy.linalg.cho_solve((chol_lower, True), eye, check_finite=False)
+    inv, info = lapack.dpotrs(chol_lower, eye, lower=1, overwrite_b=1)
+    _check_solve(info, "dpotrs")
+    return inv
+
+
+def band_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve Q x = rhs from the lower banded Cholesky factor of Q (``dpbtrs``)."""
+    x, info = lapack.dpbtrs(chol, rhs, lower=1)
+    _check_solve(info, "dpbtrs")
+    return x
 
 
 def batched_cholesky(a: np.ndarray, context) -> np.ndarray:
@@ -112,18 +134,27 @@ def path_precision(
     obs_prec = (panel.mask_float @ eq_prec.reshape(n, s * s)).reshape(T, s, s)
     obs_info = panel.zero_filled @ eq_info
 
-    windows = np.broadcast_to(trans_block, (T, width, width)).copy()
-    windows[:, :s, :s] += obs_prec[::-1]
-    windows[-1, r:, r:] += origin_prec
-    # Window k = T - t starts at coordinate r k.
+    # windows[:, :, k] is window k = T - t, which starts at coordinate r k;
+    # time runs along the last axis, so each update is one pass over T.
+    windows = np.empty((width, width, T))
+    windows[:] = trans_block[:, :, None]
+    windows[:s, :s] += obs_prec[::-1].transpose(1, 2, 0)
+    windows[r:, r:, -1] += origin_prec
     band = np.zeros((width, r * T + s))
     info = np.zeros(r * T + s)
     for j in range(width):
-        for d in range(width - j):
-            band[d, j : j + r * T : r] += windows[:, j + d, j]
+        # Column j of every window: its entry [j + d, j] is Q at [d, r k + j].
+        band[: width - j, j : j + r * T : r] += windows[j:, j]
     for j in range(s):
         info[j : j + r * T : r] += obs_info[::-1, j]
     return band, info, obs_info
+
+
+def residual_gram(trans: np.ndarray) -> np.ndarray:
+    """A'A of the transition residual f_t - Phi x_{t-1}, A = [I, -Phi]."""
+    r = trans.shape[0]
+    resid = np.concatenate((np.eye(r), -trans), axis=1)
+    return resid.T @ resid
 
 
 def band_cholesky(band: np.ndarray, r: int) -> np.ndarray:
@@ -135,7 +166,7 @@ def band_cholesky(band: np.ndarray, r: int) -> np.ndarray:
         If the precision is not positive definite (names the time step of
         the first coordinate whose leading minor fails).
     """
-    chol, fail = scipy.linalg.lapack.dpbtrf(band, lower=1)
+    chol, fail = lapack.dpbtrf(band, lower=1)
     if fail:
         T = (band.shape[1] - band.shape[0]) // r + 1
         raise NumericalError(
@@ -145,8 +176,16 @@ def band_cholesky(band: np.ndarray, r: int) -> np.ndarray:
 
 
 def path_states(z: np.ndarray, r: int, s: int) -> np.ndarray:
-    """The (T+1, s) states x_0..x_T of a path z, as a read-only view."""
-    return sliding_window_view(z, s)[::r][::-1]
+    """The (T+1, s) states x_0..x_T of a contiguous path z, as one read-only
+    strided view.
+
+    x_t starts at coordinate r (T - t), so the rows step back r coordinates.
+    """
+    T = (z.size - s) // r
+    step = z.itemsize
+    view = np.ndarray((T + 1, s), z.dtype, z, r * T * step, (-r * step, step))
+    view.flags.writeable = False
+    return view
 
 
 def _compose_scan(trans: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -233,7 +272,7 @@ def build_collapsed_system(
     noise_prec: np.ndarray,
     trans_mean: np.ndarray,
     trans_cov: np.ndarray,
-    init_state_cov: np.ndarray,
+    origin_prec: np.ndarray,
 ) -> SsmParams:
     """Assemble the path precision of the variational state density.
 
@@ -241,17 +280,17 @@ def build_collapsed_system(
     mu_i mu_i' / tau_i + V_i and information mu_i / tau_i per available
     cell, and every transition window the block
     E[A'A] = [[I, -M], [-M', M'M + r V]], A = [I, -Phi].  The origin
-    carries the inverse prior state covariance.  The name is the one the
-    benchmark's tracer times; nothing is collapsed.
+    carries ``origin_prec``, the inverse prior state covariance
+    (``PriorSpec.init_state_prec``).  The name is the one the benchmark's
+    tracer times; nothing is collapsed.
     """
     r = trans_mean.shape[0]
     eq_info = loading_mean * noise_prec[:, None]
     eq_prec = eq_info[:, :, None] * loading_mean[:, None, :] + loading_covs
-    resid = np.hstack([np.eye(r), -trans_mean])
-    trans_block = resid.T @ resid
+    trans_block = residual_gram(trans_mean)
     trans_block[r:, r:] += r * trans_cov
     band, info, y_star = path_precision(
-        panel, eq_prec, eq_info, trans_block, np.linalg.inv(init_state_cov)
+        panel, eq_prec, eq_info, trans_block, origin_prec
     )
     return SsmParams(
         band=band,
@@ -269,7 +308,7 @@ def kalman_filter(params: SsmParams) -> FilterResult:
     recursion, only one banded Cholesky and one banded solve.
     """
     chol = band_cholesky(params.band, params.r)
-    z = scipy.linalg.cho_solve_banded((chol, True), params.info, check_finite=False)
+    z = band_solve(chol, params.info)
     return FilterResult(
         chol=chol,
         mean=path_states(z, params.r, params.s).copy(),

@@ -30,7 +30,7 @@ from scipy.special import gammaln
 
 from . import statespace
 from .errors import DomainError, NumericalError
-from .model import ModelSpec, PriorSpec, Restrictions
+from .model import ModelSpec, PriorSpec, Restrictions, identification_restrictions
 from .panel import TimeSeriesPanel
 from .statespace import SsmParams, StateMoments
 
@@ -83,21 +83,6 @@ class FitReport:
     wall_time: float
 
 
-def _restrict_to_free(a: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Zero every entry of an (n, s, s) stack outside row i's free block."""
-    return np.where(free[:, :, None] & free[:, None, :], a, 0.0)
-
-
-def _pad_restricted(a: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Free block of ``a`` per row, identity on the restricted coordinates.
-
-    After a permutation each matrix is then block diagonal with an identity
-    block, so its log-determinant, Cholesky factor and solves on the free
-    coordinates are exactly those of the free block.
-    """
-    return _restrict_to_free(a, free) + np.eye(free.shape[1]) * ~free[:, None, :]
-
-
 def loading_posterior(
     panel: TimeSeriesPanel,
     mean: np.ndarray,
@@ -109,7 +94,8 @@ def loading_posterior(
 
     ``mean`` (T, s) and ``second_moment`` (T, s, s) are the state moments of
     times 1..T.  Zero restrictions enter as identity rows and columns with a
-    zero right-hand side; one batched Cholesky solves every equation, and
+    zero right-hand side (the masks cached on ``restrictions``; None leaves
+    every loading free); one batched Cholesky solves every equation, and
     equations without observations take their prior exactly.  Returns the
     posterior (exact zeros on restricted entries) and roots R R' = cov.
 
@@ -120,7 +106,9 @@ def loading_posterior(
         scale is not positive (both name the first such equation).
     """
     s = mean.shape[1]
-    free = np.ones((panel.n, s), dtype=bool) if restrictions is None else restrictions.free
+    if restrictions is None:
+        restrictions = Restrictions(np.ones((panel.n, s), dtype=bool), ())
+    free = restrictions.free
     T, n = panel.values.shape
     counts = panel.counts
     empty = counts == 0
@@ -128,13 +116,13 @@ def loading_posterior(
     rhs = np.where(free, panel.zero_filled.T @ mean, 0.0)
     ssq = panel.sums_of_squares
 
-    prec = _pad_restricted(gram + prior.loading_prec, free)
+    prec = restrictions.pad(gram + prior.loading_prec)
     chol = statespace.batched_cholesky(
         prec, lambda i: f"loading posterior, equation {i}"
     )
     chol_inv = np.linalg.inv(chol)
-    root = _restrict_to_free(chol_inv.swapaxes(-1, -2), free)
-    cov = _restrict_to_free(statespace.symmetrize(root @ chol_inv), free)
+    root = restrictions.restrict(chol_inv.swapaxes(-1, -2))
+    cov = restrictions.restrict(statespace.symmetrize(root @ chol_inv))
     mu = np.einsum("iab,ib->ia", cov, rhs)
     quad = np.einsum("ia,iab,ib->i", mu, prec, mu)
 
@@ -147,9 +135,9 @@ def loading_posterior(
             "inconsistent with the data"
         )
     if empty.any():
-        prior_prec = _pad_restricted(prior.loading_prec, free[empty])
-        cov[empty] = _restrict_to_free(
-            statespace.symmetrize(np.linalg.inv(prior_prec)), free[empty]
+        prior_prec = restrictions.pad(prior.loading_prec, empty)
+        cov[empty] = restrictions.restrict(
+            statespace.symmetrize(np.linalg.inv(prior_prec)), empty
         )
     posterior = LoadingsVariational(
         mean=np.where(free & ~empty[:, None], mu, 0.0),
@@ -233,7 +221,7 @@ def update_states(
         loadings.noise_prec,
         transition.mean,
         transition.cov,
-        prior.init_state_cov,
+        prior.init_state_prec,
     )
     moments = statespace.kalman_smoother(statespace.kalman_filter(params), params)
     return moments, params
@@ -269,10 +257,9 @@ def compute_elbo(
             "observation counts"
         )
 
-    sign0, logdet_f0 = np.linalg.slogdet(prior.init_state_cov)
     f_terms = (
         -0.5 * counts.sum() * _LNPI
-        - 0.5 * logdet_f0
+        - 0.5 * prior.init_state_logdet
         - 0.5 * moments.prec_logdet
         - 0.5 * (params.data_quad - moments.info_quad)
     )
@@ -280,10 +267,11 @@ def compute_elbo(
     # Restricted entries are exact zeros, and identity padding leaves each
     # log-determinant that of the free block; the mean quadratic is scaled
     # by the expected noise precision (averaging over the noise variance).
+    # The masks and the prior's log-determinants are constants of the fit.
     free, cov, mu = loadings.free, loadings.cov, loadings.mean
     v_inv = prior.loading_prec
-    _, logdet_vinv = np.linalg.slogdet(_pad_restricted(v_inv, free))
-    _, logdet_cov = np.linalg.slogdet(_pad_restricted(cov, free))
+    masks, logdet_vinv = prior.free_blocks(free)
+    _, logdet_cov = np.linalg.slogdet(masks.pad(cov))
     lam_terms = float(
         np.sum(
             0.5 * free.sum(axis=1)
@@ -294,13 +282,12 @@ def compute_elbo(
     )
 
     w_inv = prior.trans_prec
-    sign_w, logdet_winv = np.linalg.slogdet(w_inv)
-    sign_p, logdet_pcov = np.linalg.slogdet(transition.cov)
+    _, logdet_pcov = np.linalg.slogdet(transition.cov)
     phi_terms = (
         0.5 * r * s
         - 0.5 * r * float(np.sum(w_inv * transition.cov))
         - 0.5 * float(np.sum((transition.mean @ w_inv) * transition.mean))
-        + 0.5 * r * (logdet_winv + logdet_pcov)
+        + 0.5 * r * (prior.trans_prec_logdet + logdet_pcov)
     )
 
     nu_q, tau_q = loadings.noise_df, loadings.noise_scale
@@ -455,6 +442,8 @@ def fit_smf(
         warnings.warn("fewer series than factors; the model is weakly identified")
 
     start = time.perf_counter()
+    if restrictions is None:  # once, so every iteration reads the same masks
+        restrictions = identification_restrictions(spec, [])
     state = init if init is not None else init_from_pca(
         panel, spec, prior, seed=seed, restrictions=restrictions
     )
@@ -485,7 +474,7 @@ def fit_smf(
             converged = True
             break
 
-    if restrictions is not None and restrictions.positive:
+    if restrictions.positive:
         state, moments = align_identification_signs(state, moments, restrictions)
 
     report = FitReport(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfmvi.model import ModelSpec, default_prior
-from dfmvi.panel import TimeSeriesPanel
+from dfmvi.panel import TimeSeriesPanel, from_arrays
 from dfmvi.sim import simulate_dfm, stationary_sim_config
 from dfmvi.statespace import StateMoments
 
@@ -40,6 +40,22 @@ def random_masked_panel(spec: ModelSpec, T: int, seed: int, missing_prob=0.35):
         cfg,
         states,
     )
+
+
+def empty_edge_panel(spec: ModelSpec, T: int, seed: int) -> TimeSeriesPanel:
+    """Masked simulated panel whose last row and last column hold no data."""
+    pan, _, _ = random_masked_panel(spec, T=T, seed=seed, missing_prob=0.2)
+    values = pan.values.copy()
+    values[-1] = np.nan
+    values[:, -1] = np.nan
+    return from_arrays(values)
+
+
+def assert_same_bits(actual, desired) -> None:
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, NaN payloads count."""
+    actual, desired = np.asarray(actual), np.asarray(desired)
+    assert actual.dtype == desired.dtype and actual.shape == desired.shape
+    assert actual.tobytes() == desired.tobytes()
 
 
 @pytest.fixture

@@ -139,6 +139,13 @@ def test_gibbs_artifacts(gibbs_dir):
     assert (gibbs_dir / "draws.npz").exists()
 
 
+def test_gibbs_manifest_times_the_sampler_without_the_command_io(gibbs_dir):
+    # The panel read and the draw-store write count in the command's wall
+    # time only, as the fit's own timer leaves them out.
+    manifest = json.loads((gibbs_dir / "manifest.json").read_text())
+    assert 0 < manifest["sampler_wall_time_s"] < manifest["wall_time_s"]
+
+
 def test_compare_reports(sim_dir, fit_dir, gibbs_dir, tmp_path):
     out = tmp_path / "cmp"
     code = _run(

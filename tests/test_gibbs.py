@@ -8,7 +8,8 @@ from dfmvi.errors import DomainError, NumericalError
 from dfmvi.model import ModelSpec, PriorSpec, default_prior, identification_restrictions
 from dfmvi.panel import from_arrays
 from dfmvi.oracles import dense_fixed_moments
-from tests.conftest import random_masked_panel
+from tests import reference_kernels
+from tests.conftest import assert_same_bits, empty_edge_panel, random_masked_panel
 
 
 def test_config_validation():
@@ -470,3 +471,47 @@ def test_sign_restriction_without_posterior_mass_raises_after_max_rejects():
             from_arrays(y), states, spec, prior, restr,
             np.random.default_rng(46), max_rejects=5,
         )
+
+
+@pytest.mark.parametrize("anchored", [True, False], ids=["anchored", "unanchored"])
+@pytest.mark.parametrize("r, p", [(1, 0), (1, 1), (2, 1)], ids=["s1", "s2", "s4"])
+def test_run_gibbs_equals_the_reference_chain_bitwise(r, p, anchored):
+    # The last time step and the last series hold no data.
+    spec = ModelSpec(n=6, r=r, p=p)
+    pan = empty_edge_panel(spec, T=30, seed=60 + 10 * r + p)
+    prior = default_prior(spec)
+    anchors = tuple((k, k) for k in range(r)) if anchored else ()
+    config = gibbs.GibbsConfig(
+        n_draws=12, burn_in_fraction=0.25, seed=61, identification=anchors
+    )
+    store = gibbs.run_gibbs(pan, spec, prior, config)
+    restr = identification_restrictions(spec, list(anchors)) if anchors else None
+    sweeps, rejections = reference_kernels.run_gibbs(pan, spec, prior, config, restr)
+    kept = sweeps[config.burn_in():]
+    for k, got in enumerate((store.lambdas, store.sigma2, store.phi, store.states)):
+        assert_same_bits(got, np.stack([sweep[k] for sweep in kept]))
+    assert store.rejections == rejections
+
+
+def test_sweeps_with_truncated_sign_draws_equal_the_reference_bitwise(monkeypatch):
+    # Weak anchors with max_rejects=2 reach the exact truncated draw.
+    spec, pan, states, prior = _two_anchor_case()
+    restr = identification_restrictions(spec, [(0, 0), (1, 1)])
+    weak = np.random.default_rng(42).standard_normal(states.shape)
+    truncated = []
+    exact = gibbs._draw_sign_truncated
+    monkeypatch.setattr(
+        gibbs, "_draw_sign_truncated", lambda *args: truncated.append(1) or exact(*args)
+    )
+    for seed in range(20):
+        draws = []
+        for module in (gibbs, reference_kernels):
+            rng = np.random.default_rng(seed)
+            lam, sig, phi, rej = module.sample_parameters(
+                pan, weak, spec, prior, restr, rng, max_rejects=2
+            )
+            path = module.sample_states_ffbs(pan, lam, sig, phi, prior, rng)
+            draws.append((lam, sig, phi, rej, path))
+        for got, want in zip(*draws):
+            assert_same_bits(got, want)
+    assert truncated

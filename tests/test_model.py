@@ -8,6 +8,7 @@ from dfmvi.errors import DomainError
 from dfmvi.model import (
     ModelSpec,
     PriorSpec,
+    Restrictions,
     default_prior,
     identification_restrictions,
     minnesota_prior,
@@ -200,3 +201,68 @@ def test_default_prior_composition():
     assert_allclose(prior.loading_prec, np.diag([1.0, 4.0]))
     assert_allclose(prior.init_state_cov, np.eye(2))
     assert_allclose(prior.noise_df, np.ones(3))
+
+
+def _write_fails(a):
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = 0
+
+
+def test_prior_holds_read_only_copies_and_caches_bitwise_constants():
+    spec = ModelSpec(n=3, r=2, p=1)
+    rng = np.random.default_rng(5)
+    root = rng.standard_normal((spec.s, spec.s))
+    f0 = root @ root.T + np.eye(spec.s)
+    v_inv, w_inv = minnesota_prior(spec)
+    prior = validate_prior(
+        PriorSpec(
+            loading_prec=v_inv,
+            trans_prec=w_inv,
+            init_state_cov=f0,
+            noise_df=np.ones(3),
+            noise_scale=np.ones(3),
+        ),
+        spec,
+    )
+    source = np.eye(spec.s)
+    copied = PriorSpec(source, source, source, np.ones(3), np.ones(3))
+    source[0, 0] = 7.0
+    assert copied.loading_prec[0, 0] == 1.0
+    for name in ("loading_prec", "trans_prec", "init_state_cov", "noise_df", "noise_scale"):
+        _write_fails(getattr(prior, name))
+    # computed on first use only, then kept
+    assert "init_state_prec" not in vars(prior)
+    prec = prior.init_state_prec
+    assert prior.init_state_prec is prec
+    assert prec.tobytes() == np.linalg.inv(prior.init_state_cov).tobytes()
+    _write_fails(prec)
+    assert prior.init_state_logdet == np.linalg.slogdet(prior.init_state_cov)[1]
+    assert prior.trans_prec_logdet == np.linalg.slogdet(prior.trans_prec)[1]
+    free = identification_restrictions(spec, [(0, 0), (2, 1)]).free
+    masks, logdets = prior.free_blocks(free)
+    assert_array_equal(masks.free, free)
+    block = np.where(free[:, :, None] & free[:, None, :], prior.loading_prec, 0.0)
+    padded = block + np.eye(spec.s) * ~free[:, None, :]
+    assert logdets.tobytes() == np.linalg.slogdet(padded)[1].tobytes()
+    again = prior.free_blocks(free.copy())
+    assert again[0] is masks and again[1] is logdets
+    assert prior.free_blocks(np.ones_like(free))[0] is not masks
+    _write_fails(logdets)
+
+
+def test_restrictions_cache_read_only_masks_and_anchor_rows():
+    spec = ModelSpec(n=4, r=2, p=1)
+    restr = identification_restrictions(spec, [(0, 0), (2, 1)])
+    free = restr.free
+    assert "free_pairs" not in vars(restr)
+    assert_array_equal(restr.free_pairs, free[:, :, None] & free[:, None, :])
+    assert_array_equal(restr.padding, np.eye(spec.s) * ~free[:, None, :])
+    assert restr.anchors.tolist() == [[0, 0], [2, 1]]
+    assert restr.free_pairs is restr.free_pairs and restr.padding is restr.padding
+    for mask in (restr.free, restr.free_pairs, restr.padding, restr.anchors):
+        _write_fails(mask)
+    a = np.random.default_rng(6).standard_normal((4, spec.s, spec.s))
+    assert_array_equal(restr.pad(a)[1:3], restr.pad(a[1:3], slice(1, 3)))
+    # one anchor row per variable, the last listed one winning
+    assert Restrictions(free, ((0, 0), (0, 1))).anchors.tolist() == [[0, 1]]
+    assert Restrictions(free, ()).anchors.shape == (0, 2)

@@ -28,7 +28,7 @@ def _system(values, lam, noise_var, trans, trans_cov=None, loading_cov=None,
         1.0 / np.asarray(noise_var, dtype=float),
         trans,
         np.zeros((s, s)) if trans_cov is None else np.asarray(trans_cov),
-        np.eye(s) if init_cov is None else np.asarray(init_cov),
+        np.eye(s) if init_cov is None else np.linalg.inv(init_cov),
     )
 
 
@@ -237,7 +237,7 @@ def test_build_system_matches_per_step_ops():
     loadings, transition = state.loadings, state.transition
     params = statespace.build_collapsed_system(
         pan, loadings.mean, loadings.cov, loadings.noise_prec,
-        transition.mean, transition.cov, prior.init_state_cov,
+        transition.mean, transition.cov, prior.init_state_prec,
     )
     T, r, s = pan.T, spec.r, spec.s
     a = np.hstack([np.eye(r), -transition.mean])

@@ -14,6 +14,8 @@ from dfmvi.model import (
 from dfmvi.panel import from_arrays
 from dfmvi.oracles import dense_fixed_moments, dense_gaussian_oracle, mc_elbo_oracle
 from dfmvi.sim import simulate_dfm, stationary_sim_config
+from tests import reference_kernels
+from tests.conftest import assert_same_bits, empty_edge_panel
 from tests.conftest import point_mass_moments as _point_mass_moments
 from tests.conftest import random_masked_panel
 
@@ -542,3 +544,30 @@ def test_loading_update_names_first_non_positive_definite_equation():
         vi.update_loadings(
             from_arrays(values), _point_mass_moments(factors, 1), prior
         )
+
+
+@pytest.mark.parametrize("anchored", [True, False], ids=["anchored", "unanchored"])
+@pytest.mark.parametrize("r, p", [(1, 0), (1, 1), (2, 1)], ids=["s1", "s2", "s4"])
+def test_fit_equals_the_reference_fit_bitwise(r, p, anchored):
+    # The last time step and the last series hold no data.
+    spec = ModelSpec(n=6, r=r, p=p)
+    pan = empty_edge_panel(spec, T=30, seed=70 + 10 * r + p)
+    prior = default_prior(spec)
+    restr = (
+        identification_restrictions(spec, [(k, k) for k in range(r)]) if anchored else None
+    )
+    state, moments, report = vi.fit_smf(
+        pan, spec, prior, restrictions=restr, max_iters=60, seed=71
+    )
+    want_state, want_moments, want_trace = reference_kernels.fit_smf(
+        pan, spec, prior, restr, max_iters=60, seed=71
+    )
+    assert_same_bits(report.elbo_trace, want_trace)
+    for name in ("mean", "cov", "second_moment", "lag_one", "prec_logdet", "info_quad"):
+        assert_same_bits(getattr(moments, name), getattr(want_moments, name))
+    for got, want in (
+        (state.loadings, want_state.loadings),
+        (state.transition, want_state.transition),
+    ):
+        for name, value in vars(want).items():
+            assert_same_bits(getattr(got, name), value)
