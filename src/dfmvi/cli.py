@@ -484,7 +484,7 @@ def cmd_gibbs(args, parser) -> int:
     _write_manifest(
         args, cfg, _model_fingerprint(args.panel, cfg), time.perf_counter() - started,
         stored_draws=store.n_draws,
-        rejections=store.rejections,
+        sign_flips=store.sign_flips,
         sampler_wall_time_s=sampler_time,
     )
     return 0

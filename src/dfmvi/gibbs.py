@@ -6,30 +6,25 @@ and then the parameters given the states (the batched conjugate
 regressions of ``vi.loading_posterior`` and ``vi.transition_posterior``,
 drawn by the shared ``vi.draw_loadings`` and ``vi.draw_transition``).
 Missing data enter only through the availability mask, so a time step
-without data, the last one included, needs no special case;
-identification is enforced by zero restrictions and sign rejection on
-anchor loadings.
+without data, the last one included, needs no special case.
+
+Identification is enforced by zero restrictions and a sign fold onto the
+anchor loadings (:func:`sample_parameters`), exact for a prior that
+couples no anchored factor with another (:func:`check_sign_fold`).
 
 A chain's constants are built once: ``run_gibbs`` makes one
-``Restrictions`` (all loadings free without anchors), whose restriction
-masks, identity padding and anchor rows are cached on it, and the origin
-precision is cached on the prior (``PriorSpec.init_state_prec``).  Every
-sweep reads them, and its banded solve calls LAPACK ``dpbtrs`` directly, so
-the draws are bit for bit those of a sweep that rebuilt them.
-
-Draw storage is columnar: arrays ``lambda`` (D, n, s), ``sigma2`` (D, n),
-``phi`` (D, r, s) and ``states`` (D, T+1, s) in draw order, serialized
-together in one ``.npz`` archive with the seed and bookkeeping.
+``Restrictions``, whose masks and anchor rows are cached on it, and the
+origin precision is cached on the prior.  Draws are stored columnar, in
+draw order, in one ``.npz`` archive (:class:`DrawStore`).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
 
 from . import statespace, vi
 from .errors import DomainError
@@ -74,7 +69,7 @@ class DrawStore:
     seed: int
     thin: int
     burn_in: int
-    rejections: int
+    sign_flips: int  # factors folded onto their anchors, summed over sweeps
 
     @property
     def n_draws(self) -> int:
@@ -82,31 +77,22 @@ class DrawStore:
 
 
 def save_draws(store: DrawStore, path) -> None:
-    np.savez(
-        path,
-        lambdas=store.lambdas,
-        sigma2=store.sigma2,
-        phi=store.phi,
-        states=store.states,
-        seed=np.asarray(store.seed),
-        thin=np.asarray(store.thin),
-        burn_in=np.asarray(store.burn_in),
-        rejections=np.asarray(store.rejections),
-    )
+    np.savez(path, **{f.name: getattr(store, f.name) for f in fields(DrawStore)})
 
 
 def load_draws(path) -> DrawStore:
+    """Read a draw store; a missing key raises DomainError naming it and the file."""
+    names = [f.name for f in fields(DrawStore)]
     with np.load(path) as data:
-        return DrawStore(
-            lambdas=data["lambdas"],
-            sigma2=data["sigma2"],
-            phi=data["phi"],
-            states=data["states"],
-            seed=int(data["seed"]),
-            thin=int(data["thin"]),
-            burn_in=int(data["burn_in"]),
-            rejections=int(data["rejections"]),
-        )
+        missing = [name for name in names if name not in data.files]
+        if missing:
+            raise DomainError(
+                f"draw store {path} has no {', '.join(missing)}; it was written by "
+                "an older version or is damaged: rerun dfmvi gibbs"
+            )
+        arrays = {name: data[name] for name in names}
+    # The bookkeeping scalars are stored as 0-d arrays.
+    return DrawStore(**{k: a if a.ndim else int(a) for k, a in arrays.items()})
 
 
 def sample_states_ffbs(
@@ -154,32 +140,23 @@ def sample_states_ffbs(
     return statespace.path_states(z, r, s).copy()
 
 
-def _draw_sign_truncated(post, rejected, rng, max_rejects):
-    """Exact (noise variance, loading row) draws of anchors cut at zero.
+def check_sign_fold(prior: PriorSpec, restrictions: Restrictions, r: int) -> None:
+    """Raise DomainError unless folding onto the anchors is exact.
 
-    For each (equation, coordinate) pair in ``rejected``, the anchor's sole
-    free loading is mu + sqrt(scale cov) times a Student t with the
-    posterior degrees of freedom; it is drawn by inversion on its positive
-    side, then the noise variance given it, scaled inverse chi-square with
-    one more degree of freedom.  Raises DomainError for a row with other
-    free loadings or a positive side without representable mass.
+    Flipping an anchored factor (sign matrix D) must leave the prior
+    unchanged: D M D = M for M each of ``loading_prec``, ``trans_prec`` and
+    ``init_state_cov``.  The fold also needs at most one anchor per factor,
+    which :func:`identification_restrictions` enforces.
     """
-    rows, coord = rejected.T
-    mu, var = post.mean[rows, coord], post.cov[rows, coord, coord]
-    df, scale = post.noise_df[rows], post.noise_scale[rows]
-    alone = post.free[rows, coord] & (post.free[rows].sum(axis=1) == 1)
-    width = np.where(alone, np.sqrt(scale * var), 1.0)
-    mass = np.where(alone, stdtr(df, mu / width), 0.0)
-    if np.any(mass == 0.0):
-        raise DomainError(
-            f"sign restriction on variable {rows[np.argmax(mass == 0.0)]} rejected "
-            f"{max_rejects} draws; choose a different identifying variable"
-        )
-    lam_c = mu - width * stdtrit(df, mass * (1.0 - rng.random(rows.size)))
-    sigma2 = (df * scale + (lam_c - mu) ** 2 / var) / rng.chisquare(df + 1)
-    lam = np.zeros((rows.size, post.mean.shape[1]))
-    lam[np.arange(rows.size), coord] = lam_c
-    return sigma2, lam
+    for k in restrictions.anchors[:, 1] % r:
+        signs = vi.factor_signs(np.arange(r) == k, prior.loading_prec.shape[0])
+        for name in ("loading_prec", "trans_prec", "init_state_cov"):
+            m = getattr(prior, name)
+            if not np.array_equal(signs[:, None] * m * signs, m):
+                raise DomainError(
+                    f"prior {name} couples anchored factor {k} with another factor; "
+                    "the sign fold needs a prior invariant under flipping it"
+                )
 
 
 def sample_parameters(
@@ -189,18 +166,21 @@ def sample_parameters(
     prior: PriorSpec,
     restrictions: Restrictions | None,
     rng: np.random.Generator,
-    max_rejects: int = 1000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Conjugate parameter draws given a state path.
+    """Conjugate parameter draws given a state path, folded onto the anchors.
 
     All loading/noise pairs are drawn at once from the conditionals of
-    :func:`vi.loading_posterior` on the path.  Equations whose sign
-    restriction rejects are redrawn together; one still rejected after
-    ``max_rejects`` draws is drawn exactly from its sign-truncated
-    conditional, so a chain whose anchor loading drifts to zero does not
-    stall.  The transition block is one matrix-normal draw.
+    :func:`vi.loading_posterior` on the path, unrestricted in sign, then the
+    transition block as one matrix-normal draw.  Each anchored factor whose
+    anchor loading came out negative is then flipped: its loading columns
+    at every lag, its transition row and columns, and its coordinates of
+    ``states``, in place, so path and parameters stay one joint draw.  The
+    likelihood and a prior passing :func:`check_sign_fold` are invariant
+    under the flip and the sweep is equivariant under it, so the folded
+    chain targets the sign-restricted posterior exactly (Frühwirth-Schnatter,
+    JASA 2001; Aßmann, Boysen-Hogrefe & Pape, J. Econometrics 2016).
 
-    Returns (loadings, noise variances, transition, rejection count).
+    Returns (loadings, noise variances, transition, factors folded).
     """
     r = spec.r
     if restrictions is None:
@@ -209,33 +189,20 @@ def sample_parameters(
     post, root = vi.loading_posterior(
         panel, f, f[:, :, None] * f[:, None, :], prior, restrictions
     )
-
-    def draw(rows):
-        return vi.draw_loadings(
-            post.mean[rows], root[rows], post.noise_df[rows], post.noise_scale[rows], rng
-        )
-
-    sigma2, lambdas = draw(slice(None))
-    positive = restrictions.anchors
-    rejected = positive[lambdas[positive[:, 0], positive[:, 1]] <= 0]
-    rejections = 0
-    for _ in range(max_rejects - 1):
-        if not rejected.size:
-            break
-        rows = rejected[:, 0]
-        rejections += rows.size
-        sigma2[rows], lambdas[rows] = draw(rows)
-        rejected = rejected[lambdas[rows, rejected[:, 1]] <= 0]
-    if rejected.size:
-        rows = rejected[:, 0]
-        rejections += rows.size
-        sigma2[rows], lambdas[rows] = _draw_sign_truncated(
-            post, rejected, rng, max_rejects
-        )
-
+    sigma2, lambdas = vi.draw_loadings(post.mean, root, post.noise_df, post.noise_scale, rng)
     fprev = states[:-1]
     trans = vi.transition_posterior(fprev.T @ fprev, f[:, :r].T @ fprev, prior)
-    return lambdas, sigma2, vi.draw_transition(trans, rng), rejections
+    phi = vi.draw_transition(trans, rng)
+
+    anchors = restrictions.anchors
+    folded = anchors[lambdas[anchors[:, 0], anchors[:, 1]] < 0, 1] % r
+    if folded.size:
+        signs = vi.factor_signs(np.isin(np.arange(r), folded), spec.s)
+        # where(), not a bare product: a restricted 0.0 times -1 is -0.0.
+        lambdas = np.where(restrictions.free, lambdas * signs, 0.0)
+        phi *= signs[:r, None] * signs
+        states *= signs
+    return lambdas, sigma2, phi, int(folded.size)
 
 
 def _physical_memory() -> int | None:
@@ -262,7 +229,8 @@ def run_gibbs(
     ------
     DomainError
         If the float64 draw store of the kept draws would exceed the
-        machine's physical memory (states its size and points to thinning).
+        machine's physical memory (states its size and points to thinning),
+        or if the sign fold would not be exact (:func:`check_sign_fold`).
     """
     r, s = spec.r, spec.s
     burn = config.burn_in()
@@ -278,6 +246,7 @@ def run_gibbs(
     rng = np.random.default_rng(config.seed)
     # Built once: every sweep reads its cached masks and anchor rows.
     restrictions = identification_restrictions(spec, list(config.identification))
+    check_sign_fold(prior, restrictions, r)
     start = vi.init_from_pca(
         panel, spec, prior, seed=config.seed, restrictions=restrictions
     )
@@ -290,14 +259,14 @@ def run_gibbs(
     out_sig = np.empty((kept, spec.n))
     out_phi = np.empty((kept, r, s))
     out_states = np.empty((kept, panel.T + 1, s))
-    rejections = 0
+    sign_flips = 0
     k = 0
     for d in range(1, config.n_draws + 1):
         states = sample_states_ffbs(panel, lambdas, sigma2, phi, prior, rng)
-        lambdas, sigma2, phi, rej = sample_parameters(
+        lambdas, sigma2, phi, flips = sample_parameters(
             panel, states, spec, prior, restrictions, rng
         )
-        rejections += rej
+        sign_flips += flips
         if d > burn and (d - burn - 1) % config.thin == 0:
             out_lam[k] = lambdas
             out_sig[k] = sigma2
@@ -312,5 +281,5 @@ def run_gibbs(
         seed=config.seed,
         thin=config.thin,
         burn_in=burn,
-        rejections=rejections,
+        sign_flips=sign_flips,
     )

@@ -251,7 +251,7 @@ def compute_elbo(
     r = transition.mean.shape[0]
     # The closed form substitutes the identity noise_df = prior df + count;
     # off-manifold inputs would silently evaluate the wrong quantity.
-    if not np.allclose(loadings.noise_df, prior.noise_df + counts):
+    if not np.array_equal(loadings.noise_df, prior.noise_df + counts):
         raise DomainError(
             "loadings noise_df must equal prior noise_df plus the per-variable "
             "observation counts"
@@ -362,6 +362,12 @@ def init_from_pca(
     return VariationalState(loadings=loadings, transition=transition)
 
 
+def factor_signs(flips: np.ndarray, s: int) -> np.ndarray:
+    """(s,) state-coordinate signs of flipping the factors an (r,) bool mask
+    marks: -1 on every lag of each flipped factor, +1 elsewhere."""
+    return np.where(np.tile(flips, s // len(flips)), -1.0, 1.0)
+
+
 def flip_factor_signs(
     state: VariationalState,
     moments: StateMoments | None,
@@ -376,7 +382,7 @@ def flip_factor_signs(
     """
     loadings, transition = state.loadings, state.transition
     r, s = transition.mean.shape
-    signs = np.where(np.tile(np.asarray(flips, dtype=bool), s // r), -1.0, 1.0)
+    signs = factor_signs(flips, s)
     outer = signs[:, None] * signs
     new_state = VariationalState(
         loadings=replace(loadings, mean=loadings.mean * signs, cov=loadings.cov * outer),
@@ -430,7 +436,8 @@ def fit_smf(
     since the updates guarantee ascent.
 
     Returns the final parameters, the state moments consistent with them,
-    and a fit report.
+    and a fit report.  A starting state ``init`` must carry the free
+    loading mask of ``restrictions`` (DomainError otherwise).
     """
     if not tolerance > 0:  # also false for NaN
         raise DomainError(f"tolerance must be positive, got {tolerance!r}")
@@ -444,6 +451,15 @@ def fit_smf(
     start = time.perf_counter()
     if restrictions is None:  # once, so every iteration reads the same masks
         restrictions = identification_restrictions(spec, [])
+    if init is not None and not np.array_equal(init.loadings.free, restrictions.free):
+        # The first objective would be taken under init's mask and every
+        # later one under the restrictions', so the ascent would not hold.
+        rows = np.flatnonzero(np.any(init.loadings.free != restrictions.free, axis=1))
+        raise DomainError(
+            "init loadings' free mask differs from the restrictions' in rows "
+            f"{rows.tolist()}: init {init.loadings.free[rows].tolist()}, "
+            f"restrictions {restrictions.free[rows].tolist()}"
+        )
     state = init if init is not None else init_from_pca(
         panel, spec, prior, seed=seed, restrictions=restrictions
     )

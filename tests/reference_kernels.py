@@ -3,7 +3,7 @@
 Each function rebuilds every constant on every call, through the library
 wrappers the kernels used before they cached them: the inverse origin
 covariance by ``np.linalg.inv``, ``[I, -Phi]`` by ``np.hstack``, the
-restriction masks and identity padding per call, the anchor array from a
+restriction masks and identity padding per call, the anchor signs from a
 dict, the solves by ``scipy.linalg.cho_solve_banded`` and ``cho_solve``, the
 path states by ``sliding_window_view`` and the prior log-determinants of the
 objective by ``np.linalg.slogdet`` at every iteration.  The library must
@@ -18,7 +18,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
-from dfmvi import gibbs, statespace, vi
+from dfmvi import statespace, vi
 from dfmvi.statespace import FilterResult, SsmParams
 
 
@@ -128,42 +128,33 @@ def sample_states_ffbs(panel, lambdas, sigma2, phi, prior, rng):
     return path_states(z, r, s).copy()
 
 
-def sample_parameters(panel, states, spec, prior, restrictions, rng, max_rejects=1000):
+def sample_parameters(panel, states, spec, prior, restrictions, rng):
     r = spec.r
     f = states[1:]
     post, root = loading_posterior(panel, f, f[:, :, None] * f[:, None, :], prior, restrictions)
-
-    def draw(rows):
-        return vi.draw_loadings(
-            post.mean[rows], root[rows], post.noise_df[rows], post.noise_scale[rows], rng
-        )
-
-    sigma2, lambdas = draw(np.arange(panel.n))
-    anchors = {} if restrictions is None else dict(restrictions.positive)
-    positive = np.array(list(anchors.items()), dtype=int).reshape(-1, 2)
-    rejected = positive[lambdas[positive[:, 0], positive[:, 1]] <= 0]
-    rejections = 0
-    for _ in range(max_rejects - 1):
-        if not rejected.size:
-            break
-        rows = rejected[:, 0]
-        rejections += rows.size
-        sigma2[rows], lambdas[rows] = draw(rows)
-        rejected = rejected[lambdas[rows, rejected[:, 1]] <= 0]
-    if rejected.size:
-        rows = rejected[:, 0]
-        rejections += rows.size
-        sigma2[rows], lambdas[rows] = gibbs._draw_sign_truncated(
-            post, rejected, rng, max_rejects
-        )
+    sigma2, lambdas = vi.draw_loadings(
+        post.mean, root, post.noise_df, post.noise_scale, rng
+    )
     fprev = states[:-1]
     trans = transition_posterior(fprev.T @ fprev, f[:, :r].T @ fprev, prior)
-    return lambdas, sigma2, vi.draw_transition(trans, rng), rejections
+    phi = vi.draw_transition(trans, rng)
+    anchors = {} if restrictions is None else dict(restrictions.positive)
+    signs = np.ones(spec.s)
+    flips = 0
+    for var, coord in anchors.items():
+        if lambdas[var, coord] < 0:
+            signs[coord % r :: r] = -1.0
+            flips += 1
+    if flips:
+        lambdas = np.where(restrictions.free, lambdas * signs, 0.0)
+        phi = phi * np.outer(signs[:r], signs)
+        states[:] = states * signs
+    return lambdas, sigma2, phi, flips
 
 
 def run_gibbs(panel, spec, prior, config, restrictions):
     """Every sweep of one chain, burn-in included, as (lambda, sigma2, phi,
-    states) tuples, and the total rejection count."""
+    states) tuples, and the total count of folded factors."""
     rng = np.random.default_rng(config.seed)
     start = init_from_pca(panel, spec, prior, config.seed, restrictions)
     if restrictions is not None:
@@ -171,15 +162,15 @@ def run_gibbs(panel, spec, prior, config, restrictions):
     lambdas = start.loadings.mean.copy()
     sigma2 = start.loadings.noise_scale.copy()
     phi = start.transition.mean.copy()
-    sweeps, rejections = [], 0
+    sweeps, sign_flips = [], 0
     for _ in range(config.n_draws):
         states = sample_states_ffbs(panel, lambdas, sigma2, phi, prior, rng)
-        lambdas, sigma2, phi, rej = sample_parameters(
+        lambdas, sigma2, phi, flips = sample_parameters(
             panel, states, spec, prior, restrictions, rng
         )
-        rejections += rej
+        sign_flips += flips
         sweeps.append((lambdas, sigma2, phi, states))
-    return sweeps, rejections
+    return sweeps, sign_flips
 
 
 # -- CAVI fit -----------------------------------------------------------------

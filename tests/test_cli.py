@@ -136,6 +136,7 @@ def test_missing_panel_exits_with_usage(tmp_path, capsys):
 def test_gibbs_artifacts(gibbs_dir):
     manifest = json.loads((gibbs_dir / "manifest.json").read_text())
     assert manifest["stored_draws"] == 480
+    assert manifest["sign_flips"] >= 0 and "rejections" not in manifest
     assert (gibbs_dir / "draws.npz").exists()
 
 
@@ -611,3 +612,28 @@ def test_forecast_and_compare_refuse_missing_or_foreign_moments(
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
         assert not (tmp_path / command / "forecast_draws.npz").exists()
+
+
+def test_compare_and_forecast_refuse_a_draw_store_without_a_key(
+    sim_dir, fit_dir, gibbs_dir, tmp_path, capsys
+):
+    # A store from before the sign fold holds ``rejections``, not ``sign_flips``.
+    gibbs = tmp_path / "gibbs"
+    shutil.copytree(gibbs_dir, gibbs)
+    path = gibbs / "draws.npz"
+    with np.load(path) as data:
+        stored = dict(data)
+    stored["rejections"] = stored.pop("sign_flips")
+    np.savez(path, **stored)
+    common = [
+        "--panel", str(sim_dir / "panel.csv"), "--fit", str(fit_dir),
+        "--gibbs", str(gibbs),
+    ]
+    for argv in (
+        ["compare", *common, "--out", str(tmp_path / "cmp")],
+        ["forecast", "--source", "gibbs", *common, "--out", str(tmp_path / "fc")],
+    ):
+        assert _run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert "sign_flips" in err and "rerun dfmvi gibbs" in err

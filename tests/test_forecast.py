@@ -252,7 +252,7 @@ def test_compare_posterior_with_itself(small_fit):
         ) @ root.T
     store = gibbs.DrawStore(
         lambdas=lam, sigma2=sig2, phi=phi, states=states,
-        seed=0, thin=1, burn_in=0, rejections=0,
+        seed=0, thin=1, burn_in=0, sign_flips=0,
     )
     report = forecast.compare_posteriors(
         state, moments, store, horizons=1, n_smf_draws=30_000, seed=3
@@ -425,7 +425,7 @@ def test_compare_worker_error_reaches_caller_and_thread_exits(lagged_fit, monkey
     bad = gibbs.DrawStore(
         lambdas=store.lambdas, sigma2=store.sigma2, phi=store.phi, states=states,
         seed=store.seed, thin=store.thin, burn_in=store.burn_in,
-        rejections=store.rejections,
+        sign_flips=store.sign_flips,
     )
     raised = []
     real = forecast.coverage_probability

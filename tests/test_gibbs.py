@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
-from dfmvi import gibbs, sim, vi
+from dfmvi import gibbs, sim
 from dfmvi.errors import DomainError, NumericalError
 from dfmvi.model import ModelSpec, PriorSpec, default_prior, identification_restrictions
 from dfmvi.panel import from_arrays
@@ -389,88 +391,156 @@ class _CountingRng:
     def standard_normal(self, size):
         return self.rng.standard_normal(size)
 
-    def random(self, size):
-        return self.rng.random(size)
 
-
-def test_sign_redraw_counts_each_redrawn_equation():
-    # Weak anchors (states unrelated to the anchor series) reject often;
-    # each rejection redraws exactly the rejected equations.
+def test_each_sweep_draws_every_equation_once():
+    # Weak anchors (states unrelated to the anchor series) often come out
+    # negative; the fold flips them instead of drawing again.
     spec, pan, states, prior = _two_anchor_case()
     restr = identification_restrictions(spec, [(0, 0), (1, 1)])
     weak = np.random.default_rng(42).standard_normal(states.shape)
     total = 0
     for seed in range(40):
         rng = _CountingRng(seed)
-        lam, _, _, rejections = gibbs.sample_parameters(
-            pan, weak, spec, prior, restr, rng
+        lam, _, _, flips = gibbs.sample_parameters(
+            pan, weak.copy(), spec, prior, restr, rng
         )
-        assert rng.chisquare_sizes[0] == spec.n
-        assert rejections == sum(rng.chisquare_sizes[1:])
+        assert rng.chisquare_sizes == [spec.n]
         assert lam[0, 0] > 0 and lam[1, 1] > 0
-        assert lam[0, 1] == 0.0 and lam[1, 0] == 0.0
-        total += rejections
+        assert_same_bits(lam[[0, 1], [1, 0]], np.zeros(2))
+        total += flips
     assert total > 0
 
 
-def test_sign_restricted_draw_after_max_rejects_is_exact():
-    # Past max_rejects the rejected equations are drawn from the truncated
-    # conditional, whose anchor coordinate is a Student t cut at zero.
-    spec, pan, states, prior = _two_anchor_case()
-    restr = identification_restrictions(spec, [(0, 0), (1, 1)])
-    f = states[1:]
-    flipped = f * np.array([-1.0, 1.0])
-    post, _ = vi.loading_posterior(
-        pan, flipped, flipped[:, :, None] * flipped[:, None, :], prior, restr
-    )
-    rng = np.random.default_rng(43)
-    n_draws = 20_000
-    pairs = np.repeat(np.array([[0, 0]]), n_draws, axis=0)
-    sig, lam = gibbs._draw_sign_truncated(post, pairs, rng, max_rejects=1)
-    assert np.all(lam[:, 0] > 0) and np.all(lam[:, 1:] == 0.0)
-    loc = post.mean[0, 0]
-    width = np.sqrt(post.noise_scale[0] * post.cov[0, 0, 0])
-    law = stats.t(df=post.noise_df[0], loc=loc, scale=width)
-    assert law.sf(0.0) < 0.2  # the sign region is the minor side
-    ks = stats.kstest(lam[:, 0], lambda x: 1.0 - law.sf(x) / law.sf(0.0))
-    assert ks.pvalue > 0.01
-    # noise variances against brute-force rejection from the joint law
-    ref_rng = np.random.default_rng(44)
-    m = 400_000
-    ref_sig = post.noise_df[0] * post.noise_scale[0] / ref_rng.chisquare(
-        post.noise_df[0], m
-    )
-    ref_lam = loc + np.sqrt(ref_sig * post.cov[0, 0, 0]) * ref_rng.standard_normal(m)
-    ref_sig = ref_sig[ref_lam > 0]
-    se = np.sqrt(sig.var() / n_draws + ref_sig.var() / ref_sig.size)
-    assert abs(sig.mean() - ref_sig.mean()) < 4 * se
+@pytest.mark.parametrize("r, p", [(1, 1), (2, 1)])
+def test_anchored_draw_is_the_unanchored_draw_folded(r, p):
+    # Equal seeds and equal free masks: the anchored draw negates, at every
+    # lag, each factor whose anchor loading the unanchored draw left negative.
+    spec = ModelSpec(n=5, r=r, p=p)
+    pan, _, states = random_masked_panel(spec, T=20, seed=47 + r, missing_prob=0.1)
+    prior = default_prior(spec)
+    anchored = identification_restrictions(spec, [(k, k) for k in range(r)])
+    unanchored = gibbs.Restrictions(anchored.free, ())
+    weak = np.random.default_rng(48).standard_normal(states.shape)
+    folded_any = kept_any = False
+    for seed in range(30):
+        path_a, path_u = weak.copy(), weak.copy()
+        lam_a, sig_a, phi_a, flips = gibbs.sample_parameters(
+            pan, path_a, spec, prior, anchored, np.random.default_rng(seed)
+        )
+        lam_u, sig_u, phi_u, none = gibbs.sample_parameters(
+            pan, path_u, spec, prior, unanchored, np.random.default_rng(seed)
+        )
+        negative = np.diag(lam_u[:r, :r]) < 0
+        signs = np.repeat(np.where(negative, -1.0, 1.0)[None], p + 1, axis=0).ravel()
+        assert (flips, none) == (negative.sum(), 0)
+        assert_same_bits(sig_a, sig_u)
+        assert_array_equal(lam_a, lam_u * signs)
+        assert_same_bits(lam_a[~anchored.free], np.zeros((~anchored.free).sum()))
+        assert_array_equal(phi_a, np.outer(signs[:r], signs) * phi_u)
+        assert_array_equal(path_a, weak * signs)
+        assert_same_bits(path_u, weak)
+        assert np.all(np.diag(lam_a[:r, :r]) > 0)
+        folded_any |= bool(negative.any())
+        kept_any |= bool(not negative.all())
+    assert folded_any and kept_any
 
 
-def test_sign_restriction_without_posterior_mass_raises_after_max_rejects():
-    spec = ModelSpec(n=2, r=1, p=0)
-    rng_data = np.random.default_rng(45)
-    T = 60
-    states = rng_data.standard_normal((T + 1, 1))
-    y = np.stack(
-        [-2.0 * states[1:, 0] + 1e-9 * rng_data.standard_normal(T),
-         rng_data.standard_normal(T)],
-        axis=1,
-    )
-    # flat loading prior: the anchor's conditional sits at -2 with a width
-    # of order 1e-7, so its positive side has no representable mass
+def test_anchored_chain_is_calibrated():
+    # Simulation-based calibration under the anchor (0, 0): each replicate's
+    # truth is a prior draw folded so that lambda_00 > 0, a draw from the
+    # sign-restricted prior, and the chain starts from it.  Ranks of the
+    # anchor loading, another loading (whose sign the fold sets) and the
+    # transition among the thinned draws must be uniform.
+    spec = ModelSpec(n=3, r=1, p=0)
+    nu0, tau0 = 5.0, 1.0
     prior = PriorSpec(
-        loading_prec=1e-12 * np.eye(1),
+        loading_prec=np.eye(1),
         trans_prec=np.eye(1),
         init_state_cov=np.eye(1),
-        noise_df=np.ones(2),
-        noise_scale=np.full(2, 1e-30),
+        noise_df=np.full(3, nu0),
+        noise_scale=np.full(3, tau0),
     )
     restr = identification_restrictions(spec, [(0, 0)])
-    with pytest.raises(DomainError, match=r"variable 0 rejected 5 draws"):
-        gibbs.sample_parameters(
-            from_arrays(y), states, spec, prior, restr,
-            np.random.default_rng(46), max_rejects=5,
-        )
+    T, reps, L, thin, burn = 10, 120, 59, 6, 50
+    ranks = {"anchor loading": [], "other loading": [], "transition": []}
+    flips = 0
+    for k in range(reps):
+        rep_rng = np.random.default_rng(2000 + k)
+        sig2 = nu0 * tau0 / rep_rng.chisquare(nu0, size=3)
+        lam = np.sqrt(sig2)[:, None] * rep_rng.standard_normal((3, 1))
+        phi = rep_rng.standard_normal((1, 1))
+        f = np.zeros((T + 1, 1))
+        f[0] = rep_rng.standard_normal()
+        for t in range(1, T + 1):
+            f[t] = phi[0, 0] * f[t - 1] + rep_rng.standard_normal()
+        if lam[0, 0] < 0:
+            lam, f = -lam, -f
+        y = f[1:] * lam[:, 0] + rep_rng.standard_normal((T, 3)) * np.sqrt(sig2)
+        pan = from_arrays(y)
+        cl, cs, cp = lam.copy(), sig2.copy(), phi.copy()
+        chain_rng = np.random.default_rng(60_000 + k)
+        kept = []
+        for d in range(burn + L * thin):
+            states = gibbs.sample_states_ffbs(pan, cl, cs, cp, prior, chain_rng)
+            cl, cs, cp, folded = gibbs.sample_parameters(
+                pan, states, spec, prior, restr, chain_rng
+            )
+            flips += folded
+            assert cl[0, 0] > 0
+            if d >= burn and (d - burn) % thin == 0:
+                kept.append((cl[0, 0], cl[1, 0], cp[0, 0]))
+        truth = (lam[0, 0], lam[1, 0], phi[0, 0])
+        for name, draws, value in zip(ranks, np.transpose(kept), truth):
+            ranks[name].append(int(np.sum(draws < value)))
+    assert flips > 0
+    bins = 6
+    for name, rank_list in ranks.items():
+        counts = np.bincount(np.asarray(rank_list) * bins // (L + 1), minlength=bins)
+        pvalue = stats.chisquare(counts).pvalue
+        assert pvalue > 0.01 / 3, f"{name} ranks non-uniform, p={pvalue:.4f}"
+
+
+@pytest.mark.parametrize("name", ["loading_prec", "trans_prec", "init_state_cov"])
+def test_prior_coupling_an_anchored_factor_is_refused(name):
+    spec = ModelSpec(n=4, r=2, p=0)
+    pan, _, _ = random_masked_panel(spec, T=10, seed=70, missing_prob=0.1)
+    coupled = np.array([[1.0, 0.3], [0.3, 1.0]])
+    prior = dataclasses.replace(default_prior(spec), **{name: coupled})
+    config = gibbs.GibbsConfig(
+        n_draws=20, burn_in_fraction=0.1, seed=0, identification=((0, 0),)
+    )
+    with pytest.raises(DomainError, match=f"{name} couples anchored factor 0"):
+        gibbs.run_gibbs(pan, spec, prior, config)
+    # without an anchor nothing is folded, so the coupling is allowed
+    unanchored = gibbs.GibbsConfig(n_draws=20, burn_in_fraction=0.1, seed=0)
+    assert gibbs.run_gibbs(pan, spec, prior, unanchored).sign_flips == 0
+
+
+def test_prior_coupling_the_lags_of_one_factor_is_allowed():
+    # The fold flips a factor at every lag together, so coupling its own
+    # lags leaves the prior invariant.
+    spec = ModelSpec(n=4, r=1, p=1)
+    pan, _, _ = random_masked_panel(spec, T=10, seed=71, missing_prob=0.1)
+    prior = dataclasses.replace(
+        default_prior(spec),
+        loading_prec=np.array([[1.0, 0.3], [0.3, 4.0]]),
+        init_state_cov=np.array([[1.0, 0.5], [0.5, 1.0]]),
+    )
+    config = gibbs.GibbsConfig(
+        n_draws=20, burn_in_fraction=0.1, seed=0, identification=((0, 0),)
+    )
+    assert np.all(gibbs.run_gibbs(pan, spec, prior, config).lambdas[:, 0, 0] > 0)
+
+
+def test_two_anchors_on_one_factor_are_refused():
+    spec = ModelSpec(n=4, r=1, p=1)
+    pan, _, _ = random_masked_panel(spec, T=10, seed=72, missing_prob=0.1)
+    prior = default_prior(spec)
+    config = gibbs.GibbsConfig(
+        n_draws=20, burn_in_fraction=0.1, seed=0, identification=((0, 0), (1, 0))
+    )
+    with pytest.raises(DomainError, match="factor 0 anchored more than once"):
+        gibbs.run_gibbs(pan, spec, prior, config)
 
 
 @pytest.mark.parametrize("anchored", [True, False], ids=["anchored", "unanchored"])
@@ -486,32 +556,31 @@ def test_run_gibbs_equals_the_reference_chain_bitwise(r, p, anchored):
     )
     store = gibbs.run_gibbs(pan, spec, prior, config)
     restr = identification_restrictions(spec, list(anchors)) if anchors else None
-    sweeps, rejections = reference_kernels.run_gibbs(pan, spec, prior, config, restr)
+    sweeps, sign_flips = reference_kernels.run_gibbs(pan, spec, prior, config, restr)
     kept = sweeps[config.burn_in():]
     for k, got in enumerate((store.lambdas, store.sigma2, store.phi, store.states)):
         assert_same_bits(got, np.stack([sweep[k] for sweep in kept]))
-    assert store.rejections == rejections
+    assert store.sign_flips == sign_flips
 
 
-def test_sweeps_with_truncated_sign_draws_equal_the_reference_bitwise(monkeypatch):
-    # Weak anchors with max_rejects=2 reach the exact truncated draw.
+def test_folded_sweeps_equal_the_reference_bitwise():
+    # Weak anchors fold often: the folded parameters, the path folded in
+    # place and the next state draw all match the reference.
     spec, pan, states, prior = _two_anchor_case()
     restr = identification_restrictions(spec, [(0, 0), (1, 1)])
     weak = np.random.default_rng(42).standard_normal(states.shape)
-    truncated = []
-    exact = gibbs._draw_sign_truncated
-    monkeypatch.setattr(
-        gibbs, "_draw_sign_truncated", lambda *args: truncated.append(1) or exact(*args)
-    )
+    total = 0
     for seed in range(20):
         draws = []
         for module in (gibbs, reference_kernels):
             rng = np.random.default_rng(seed)
-            lam, sig, phi, rej = module.sample_parameters(
-                pan, weak, spec, prior, restr, rng, max_rejects=2
+            path = weak.copy()
+            lam, sig, phi, flips = module.sample_parameters(
+                pan, path, spec, prior, restr, rng
             )
-            path = module.sample_states_ffbs(pan, lam, sig, phi, prior, rng)
-            draws.append((lam, sig, phi, rej, path))
+            after = module.sample_states_ffbs(pan, lam, sig, phi, prior, rng)
+            draws.append((lam, sig, phi, flips, path, after))
         for got, want in zip(*draws):
             assert_same_bits(got, want)
-    assert truncated
+        total += draws[0][3]
+    assert total > 0

@@ -378,6 +378,19 @@ def test_fit_with_identification_restrictions():
     assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
 
 
+def test_fit_refuses_an_init_with_another_free_mask():
+    # An unanchored start would have its first objective evaluated under a
+    # mask the restrictions do not share.
+    spec = ModelSpec(n=4, r=1, p=1)
+    prior = default_prior(spec)
+    pan, _, _ = random_masked_panel(spec, T=30, seed=90, missing_prob=0.1)
+    restr = identification_restrictions(spec, [(0, 0)])
+    init = vi.init_from_pca(pan, spec, prior, seed=0)
+    match = r"rows \[0\]: init \[\[True, True\]\], restrictions \[\[True, False\]\]"
+    with pytest.raises(DomainError, match=match):
+        vi.fit_smf(pan, spec, prior, init=init, restrictions=restr)
+
+
 def test_state_dict_round_trip(tiny_spec, tiny_prior):
     pan, _, _ = random_masked_panel(tiny_spec, T=6, seed=91, missing_prob=0.2)
     state, _, _ = vi.fit_smf(pan, tiny_spec, tiny_prior, tolerance=1e-6, max_iters=50)
