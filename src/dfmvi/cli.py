@@ -14,8 +14,11 @@ stores its final state moments, which ``forecast`` and ``compare`` read in
 place of parsing the panel and running the state pass.  ``compare`` and
 ``forecast --source gibbs`` refuse fit and Gibbs artifacts whose
 configuration hashes differ.  The computing modules (``vi``, ``gibbs``,
-``forecast``, ``statespace``) and with them scipy are imported by the
-commands that use them, so ``simulate`` loads numpy only.
+``forecast``, ``statespace``) are imported by the commands that use them,
+so ``simulate`` loads numpy only.  They load scipy only when they factor a
+path precision or build a fit's constants, so ``fit`` and ``gibbs`` load
+it and ``forecast`` and ``compare`` do not.  The parser is built once per
+process, which saves its construction for in-process callers.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 import numpy as np
 
@@ -590,25 +594,28 @@ def cmd_compare(args, parser) -> int:
 # parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``args.command`` holds the command's name; :func:`main` runs the
+    ``cmd_<name>`` it finds on this module at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="dfmvi",
         description="Variational and MCMC estimation of dynamic factor models "
         "with arbitrary missing data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Looked up on each call, so a wrapped ``cmd_*`` module attribute is the
-    # one that ``main`` runs.
     commands = {
-        "simulate": (cmd_simulate, "generate a synthetic panel"),
-        "fit": (cmd_fit, "variational fit"),
-        "gibbs": (cmd_gibbs, "Gibbs sampler benchmark"),
-        "forecast": (cmd_forecast, "predictive draws from a fit"),
-        "compare": (cmd_compare, "compare a fit against a Gibbs run"),
+        "simulate": "generate a synthetic panel",
+        "fit": "variational fit",
+        "gibbs": "Gibbs sampler benchmark",
+        "forecast": "predictive draws from a fit",
+        "compare": "compare a fit against a Gibbs run",
     }
-    for command, (func, text) in commands.items():
+    for command, text in commands.items():
         p = sub.add_parser(command, help=text)
-        p.set_defaults(func=func)
         if command != "simulate":
             p.add_argument("--panel", required=True)
         if command in ("forecast", "compare"):
@@ -637,7 +644,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        # Looked up on each call, so a wrapped ``cmd_*`` module attribute is
+        # the one that runs.
+        return globals()[f"cmd_{args.command}"](args, parser)
     except (DfmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -230,6 +230,11 @@ class Restrictions:
         return _read_only(np.eye(self.free.shape[1]) * ~self.free[:, None, :])
 
     @cached_property
+    def half_free(self) -> np.ndarray:
+        """(n,) half the number of free coordinates in each row."""
+        return _read_only(0.5 * self.free.sum(axis=1))
+
+    @cached_property
     def anchors(self) -> np.ndarray:
         """(k, 2) (variable, coordinate) rows of the sign restrictions, one
         per variable (the last listed wins)."""

@@ -31,7 +31,12 @@ covariance per call.  Factorizations and solves call LAPACK through scipy
 (``dpbtrf``, ``dpbtrs``, ``dpotrs``) without its checking wrappers, and
 ``np.linalg`` where numpy factors.  Keep each in its library: numpy's and
 scipy's Cholesky factors can differ in the last bits, which changes the
-draws.
+draws.  scipy's LAPACK module is imported on the first factorization, so
+importing this module loads numpy only.  The smoother inverts its
+triangular diagonal blocks by forward substitution in numpy
+(:func:`lower_inverse`), as stable as the LU route (Higham 2002, ch. 8);
+on 1 x 1 blocks it is the reciprocal, bit for bit what ``np.linalg.inv``
+gives.
 
 Conventions: time-major arrays; index t = 0 is the pre-sample state, data
 run t = 1..T.  ``y_star[t-1]`` refers to time t.
@@ -40,9 +45,9 @@ run t = 1..T.  ``y_star[t-1]`` refers to time t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NumericalError
 from .panel import TimeSeriesPanel
@@ -75,6 +80,14 @@ def chol_factor(a: np.ndarray, context: str = "") -> np.ndarray:
     )
 
 
+@cache
+def _lapack():
+    """scipy's LAPACK module, imported on first use."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _check_solve(info: int, routine: str) -> None:
     if info:
         raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
@@ -83,14 +96,14 @@ def _check_solve(info: int, routine: str) -> None:
 def chol_inverse(chol_lower: np.ndarray) -> np.ndarray:
     """Inverse of L L' from its lower Cholesky factor (one ``dpotrs`` call)."""
     eye = np.eye(chol_lower.shape[0])
-    inv, info = lapack.dpotrs(chol_lower, eye, lower=1, overwrite_b=1)
+    inv, info = _lapack().dpotrs(chol_lower, eye, lower=1, overwrite_b=1)
     _check_solve(info, "dpotrs")
     return inv
 
 
 def band_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve Q x = rhs from the lower banded Cholesky factor of Q (``dpbtrs``)."""
-    x, info = lapack.dpbtrs(chol, rhs, lower=1)
+    x, info = _lapack().dpbtrs(chol, rhs, lower=1)
     _check_solve(info, "dpbtrs")
     return x
 
@@ -166,7 +179,7 @@ def band_cholesky(band: np.ndarray, r: int) -> np.ndarray:
         If the precision is not positive definite (names the time step of
         the first coordinate whose leading minor fails).
     """
-    chol, fail = lapack.dpbtrf(band, lower=1)
+    chol, fail = _lapack().dpbtrf(band, lower=1)
     if fail:
         T = (band.shape[1] - band.shape[0]) // r + 1
         raise NumericalError(
@@ -211,6 +224,51 @@ def _compose_scan(trans: np.ndarray, noise: np.ndarray) -> np.ndarray:
     step = trans[2::2]
     out[2::2] = noise[2::2] + step @ out[1 : n - 1 : 2] @ step.swapaxes(-1, -2)
     return out
+
+
+def lower_inverse(d: np.ndarray) -> np.ndarray:
+    """Inverses of a (T, r, r) stack of lower-triangular matrices.
+
+    Forward substitution, one entry of the inverse at a time, each vectorised
+    over the stack; only the lower triangles of ``d`` are read.
+    """
+    r = d.shape[-1]
+    x = np.zeros_like(d)
+    for i in range(r):
+        x[:, i, i] = 1.0 / d[:, i, i]
+        for j in range(i):
+            acc = d[:, i, j] * x[:, j, j]
+            for k in range(j + 1, i):
+                acc += d[:, i, k] * x[:, k, j]
+            x[:, i, j] = -acc / d[:, i, i]
+    return x
+
+
+@lru_cache(maxsize=8)
+def _block_positions(r: int, s: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`kalman_smoother` reads its blocks in a banded factor.
+
+    L[i, k] sits at band[i - k, k], position i - k + (r + s) k of the band
+    flattened column by column.  The first T (r + s) r positions are the
+    (r + s) x r column blocks L[r m + a, r m + b] of f_t, m = T - t, in the
+    order t = 1..T; the last s s are the trailing s x s block L_0.  Entries
+    above a block's diagonal are flagged False in the second array (their
+    position is 0).  Built once per (r, s, T); both arrays are read-only.
+    """
+    width = r + s
+    a, b = np.arange(width)[:, None], np.arange(r)
+    col = r * np.arange(T - 1, -1, -1)[:, None, None] + b
+    a0, b0 = np.arange(s)[:, None], np.arange(s)
+    lower = np.concatenate(
+        [np.broadcast_to(a >= b, (T, width, r)).ravel(), (a0 >= b0).ravel()]
+    )
+    where = np.concatenate(
+        [(a - b + width * col).ravel(), (a0 - b0 + width * (r * T + b0)).ravel()]
+    )
+    where[~lower] = 0
+    where.flags.writeable = False
+    lower.flags.writeable = False
+    return where, lower
 
 
 @dataclass(frozen=True)
@@ -328,18 +386,17 @@ def kalman_smoother(filt: FilterResult, params: SsmParams) -> StateMoments:
     blockdiag((D D')^-1, 0).  The covariances of x_0..x_T follow from
     Cov[x_0] = (L_0 L_0')^-1, L_0 the trailing s x s block, by
     :func:`_compose_scan`, and Cov[f_t, x_{t-1}] is the top r rows of
-    K_t Cov[x_{t-1}].  The name is the one the benchmark's tracer times.
+    K_t Cov[x_{t-1}].  The blocks are gathered at positions built once per
+    (r, s, T) (:func:`_block_positions`), and the D are inverted by
+    :func:`lower_inverse`.  The name is the one the benchmark's tracer times.
     """
     r, s, T = params.r, params.s, params.T
-    chol = filt.chol
-    # L[i, k] sits at chol[i - k, k]; negative offsets fall above the
-    # diagonal and are cleared by tril.
-    rows = np.arange(r + s)[:, None]
-    cols = chol[:, : r * T].reshape(r + s, T, r)[rows - np.arange(r), :, np.arange(r)]
-    blocks = np.tril(cols.transpose(2, 0, 1))[::-1]
-    origin = np.tril(chol[rows[:s] - np.arange(s), r * T + np.arange(s)])
+    where, lower = _block_positions(r, s, T)
+    entries = np.where(lower, filt.chol.ravel(order="F")[where], 0.0)
+    blocks = entries[: T * (r + s) * r].reshape(T, r + s, r)
+    origin = entries[T * (r + s) * r :].reshape(s, s)
 
-    diag_inv = np.linalg.inv(blocks[:, :r])
+    diag_inv = lower_inverse(blocks[:, :r])
     diag_inv_t = diag_inv.swapaxes(-1, -2)
     trans = np.zeros((T + 1, s, s))
     trans[1:, :r] = -diag_inv_t @ blocks[:, r:].swapaxes(-1, -2)

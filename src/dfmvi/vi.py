@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import statespace
 from .errors import DomainError, NumericalError
@@ -83,6 +82,65 @@ class FitReport:
     wall_time: float
 
 
+@dataclass(frozen=True)
+class _FitConstants:
+    """Read-only constants of the loadings update and the objective for one
+    prior on one panel.
+
+    Each is the leading part of the expression it serves, evaluated in that
+    expression's order, so every result keeps the bits of the expression
+    written out.  ``panel`` is held so that no other panel matches it.
+    """
+
+    panel: TimeSeriesPanel
+    empty: np.ndarray  # (n,) equations without observations
+    observed: np.ndarray  # (n,) the others
+    any_empty: bool
+    noise_df: np.ndarray  # nu_0 + counts, the posterior degrees of freedom
+    noise_ss: np.ndarray  # nu_0 tau_0 + sum_t y_ti^2
+    state_terms: float  # -1/2 sum counts log pi - 1/2 log|F0|
+    noise_gammaln: np.ndarray  # gammaln(nu_q / 2) - gammaln(nu_0 / 2)
+    half_df: np.ndarray  # nu_q / 2
+    prior_noise_terms: np.ndarray  # nu_0 / 2 log(nu_0 tau_0)
+    prior_ss: np.ndarray  # nu_0 tau_0
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+def _fit_constants(panel: TimeSeriesPanel, prior: PriorSpec) -> _FitConstants:
+    """The prior's constants on this panel, built on the first call and kept
+    on the prior for the last panel passed: a fit or a chain passes the same
+    panel at every iteration."""
+    kept = prior.__dict__.get("_fit_constants")
+    if kept is None or kept.panel is not panel:
+        from scipy.special import gammaln
+
+        counts = panel.counts
+        nu_0, tau_0 = prior.noise_df, prior.noise_scale
+        empty = counts == 0
+        noise_df = nu_0 + counts
+        prior_ss = nu_0 * tau_0
+        kept = _FitConstants(
+            panel=panel,
+            empty=empty,
+            observed=~empty,
+            any_empty=bool(empty.any()),
+            noise_df=noise_df,
+            noise_ss=prior_ss + panel.sums_of_squares,
+            state_terms=-0.5 * counts.sum() * _LNPI - 0.5 * prior.init_state_logdet,
+            noise_gammaln=gammaln(0.5 * noise_df) - gammaln(0.5 * nu_0),
+            half_df=0.5 * noise_df,
+            prior_noise_terms=0.5 * nu_0 * np.log(prior_ss),
+            prior_ss=prior_ss,
+        )
+        # A frozen dataclass: keep beside its fields, as PriorSpec.free_blocks does.
+        prior.__dict__["_fit_constants"] = kept
+    return kept
+
+
 def loading_posterior(
     panel: TimeSeriesPanel,
     mean: np.ndarray,
@@ -110,11 +168,9 @@ def loading_posterior(
         restrictions = Restrictions(np.ones((panel.n, s), dtype=bool), ())
     free = restrictions.free
     T, n = panel.values.shape
-    counts = panel.counts
-    empty = counts == 0
+    consts = _fit_constants(panel, prior)
     gram = (panel.mask_float.T @ second_moment.reshape(T, s * s)).reshape(n, s, s)
     rhs = np.where(free, panel.zero_filled.T @ mean, 0.0)
-    ssq = panel.sums_of_squares
 
     prec = restrictions.pad(gram + prior.loading_prec)
     chol = statespace.batched_cholesky(
@@ -126,23 +182,23 @@ def loading_posterior(
     mu = np.einsum("iab,ib->ia", cov, rhs)
     quad = np.einsum("ia,iab,ib->i", mu, prec, mu)
 
-    noise_df = prior.noise_df + counts
-    scale = (prior.noise_df * prior.noise_scale + ssq - quad) / noise_df
-    bad = np.flatnonzero(~empty & (scale <= 0.0))
+    scale = (consts.noise_ss - quad) / consts.noise_df
+    bad = np.flatnonzero(consts.observed & (scale <= 0.0))
     if bad.size:
         raise NumericalError(
             f"nonpositive noise scale for equation {bad[0]}; state moments are "
             "inconsistent with the data"
         )
-    if empty.any():
+    empty = consts.empty
+    if consts.any_empty:
         prior_prec = restrictions.pad(prior.loading_prec, empty)
         cov[empty] = restrictions.restrict(
             statespace.symmetrize(np.linalg.inv(prior_prec)), empty
         )
     posterior = LoadingsVariational(
-        mean=np.where(free & ~empty[:, None], mu, 0.0),
+        mean=np.where(free & consts.observed[:, None], mu, 0.0),
         cov=cov,
-        noise_df=noise_df,
+        noise_df=consts.noise_df,
         noise_scale=np.where(empty, prior.noise_scale, scale),
         free=free,
     )
@@ -246,20 +302,21 @@ def compute_elbo(
     when variational equals prior), and a noise part (the scaled-inverse-
     chi-square bookkeeping).
     """
-    counts = panel.counts
     s = loadings.mean.shape[1]
     r = transition.mean.shape[0]
     # The closed form substitutes the identity noise_df = prior df + count;
-    # off-manifold inputs would silently evaluate the wrong quantity.
-    if not np.array_equal(loadings.noise_df, prior.noise_df + counts):
+    # off-manifold inputs would silently evaluate the wrong quantity.  The
+    # terms that depend on the prior and the panel alone are constants of the
+    # fit, and each is the leading part of its expression.
+    consts = _fit_constants(panel, prior)
+    if not np.array_equal(loadings.noise_df, consts.noise_df):
         raise DomainError(
             "loadings noise_df must equal prior noise_df plus the per-variable "
             "observation counts"
         )
 
     f_terms = (
-        -0.5 * counts.sum() * _LNPI
-        - 0.5 * prior.init_state_logdet
+        consts.state_terms
         - 0.5 * moments.prec_logdet
         - 0.5 * (params.data_quad - moments.info_quad)
     )
@@ -274,7 +331,7 @@ def compute_elbo(
     _, logdet_cov = np.linalg.slogdet(masks.pad(cov))
     lam_terms = float(
         np.sum(
-            0.5 * free.sum(axis=1)
+            masks.half_free
             - 0.5 * np.einsum("ab,iab->i", v_inv, cov)
             - 0.5 * np.einsum("ia,ab,ib->i", mu, v_inv, mu) / loadings.noise_scale
             + 0.5 * (logdet_vinv + logdet_cov)
@@ -290,15 +347,13 @@ def compute_elbo(
         + 0.5 * r * (prior.trans_prec_logdet + logdet_pcov)
     )
 
-    nu_q, tau_q = loadings.noise_df, loadings.noise_scale
-    nu_0, tau_0 = prior.noise_df, prior.noise_scale
+    ss_q, tau_q = loadings.noise_df * loadings.noise_scale, loadings.noise_scale
     sigma_terms = float(
         np.sum(
-            gammaln(0.5 * nu_q)
-            - gammaln(0.5 * nu_0)
-            - 0.5 * nu_q * np.log(nu_q * tau_q)
-            + 0.5 * nu_0 * np.log(nu_0 * tau_0)
-            + 0.5 * (nu_q * tau_q - nu_0 * tau_0) / tau_q
+            consts.noise_gammaln
+            - consts.half_df * np.log(ss_q)
+            + consts.prior_noise_terms
+            + 0.5 * (ss_q - consts.prior_ss) / tau_q
         )
     )
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dfmvi import vi
 from dfmvi.model import ModelSpec, default_prior
 from dfmvi.panel import TimeSeriesPanel, from_arrays
 from dfmvi.sim import simulate_dfm, stationary_sim_config
@@ -40,6 +41,27 @@ def random_masked_panel(spec: ModelSpec, T: int, seed: int, missing_prob=0.35):
         cfg,
         states,
     )
+
+
+def random_variational(rng, pan, spec, trans_mean=None):
+    """Random loadings and transition densities for a panel."""
+    n, r, s = pan.n, spec.r, spec.s
+    prior = default_prior(spec)
+    a = rng.standard_normal((n, s, s))
+    b = rng.standard_normal((s, s))
+    loadings = vi.LoadingsVariational(
+        mean=rng.normal(0.0, 0.7, (n, s)),
+        cov=0.1 * (a @ a.swapaxes(1, 2)) / s + 0.05 * np.eye(s),
+        noise_df=prior.noise_df + pan.counts,
+        noise_scale=rng.uniform(0.3, 1.0, n),
+        free=np.ones((n, s), dtype=bool),
+    )
+    if trans_mean is None:
+        trans_mean = rng.uniform(-0.4, 0.6, (r, s)) / (spec.p + 1)
+    transition = vi.TransitionVariational(
+        mean=trans_mean, cov=0.05 * (b @ b.T) / s + 0.01 * np.eye(s)
+    )
+    return loadings, transition, prior
 
 
 def empty_edge_panel(spec: ModelSpec, T: int, seed: int) -> TimeSeriesPanel:

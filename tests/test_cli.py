@@ -98,6 +98,35 @@ print(dfmvi.fit_smf is dfmvi.vi.fit_smf is fit_smf)
     assert (tmp_path / "panel.csv").exists()
 
 
+def test_forecast_and_compare_load_no_scipy(sim_dir, fit_dir, gibbs_dir, tmp_path):
+    # A fresh interpreter: the computing modules import without scipy, and
+    # forecast and compare, which factor nothing, never load it; fit does.
+    code = f"""
+import sys
+import dfmvi.cli, dfmvi.forecast, dfmvi.gibbs, dfmvi.vi, dfmvi.statespace
+from dfmvi import cli
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(loaded())
+common = ["--panel", {str(sim_dir / "panel.csv")!r}, "--fit", {str(fit_dir)!r},
+          "--horizons", "2", "--smf-draws", "100"]
+assert cli.main(["forecast", *common, "--out", {str(tmp_path / "forecast")!r}]) == 0
+assert cli.main(["compare", *common, "--gibbs", {str(gibbs_dir)!r},
+                 "--out", {str(tmp_path / "compare")!r}]) == 0
+print(loaded())
+assert cli.main(["fit", "--panel", {str(sim_dir / "panel.csv")!r},
+                 "--out", {str(tmp_path / "fit")!r}, "--max-iters", "3"]) == 0
+print("scipy" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(dfmvi.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == ["[]", "[]", "True"]
+
+
 def test_fit_artifacts_and_monotone_trace(fit_dir):
     rows = list(csv.reader((fit_dir / "elbo_trace.csv").open()))
     assert rows[0] == ["iteration", "elbo"]
@@ -381,6 +410,27 @@ def test_command_options(command, flags):
     sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
     options = {s for action in sub._actions for s in action.option_strings}
     assert options - {"-h", "--help"} == set(flags.split())
+
+
+def test_cached_parser_runs_the_current_command_function(sim_dir, monkeypatch):
+    # The parser is built once; main still runs whatever cmd_fit the module
+    # holds when it is called, and one parser serves two commands in turn.
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    seen = []
+    monkeypatch.setattr(cli, "cmd_fit", lambda args, p: seen.append(args) or 0)
+    assert cli.main(["fit", "--panel", str(sim_dir / "panel.csv"), "--out", "x",
+                     "--seed", "4"]) == 0
+    assert [(a.command, a.seed, a.out) for a in seen] == [("fit", 4, "x")]
+    args = parser.parse_args(["simulate", "--out", "y", "--t", "30", "--ragged", "0:9"])
+    assert (args.command, args.out, args.T, args.ragged, args.seed) == (
+        "simulate", "y", 30, "0:9", None
+    )
+    args = parser.parse_args(["forecast", "--panel", "p", "--fit", "f", "--out", "z"])
+    assert (args.command, args.source, args.horizons, args.gibbs) == (
+        "forecast", "smf", None, None
+    )
+    assert not hasattr(args, "ragged")
 
 
 def test_fit_settings_by_flags_and_by_config_agree(sim_dir, tmp_path):

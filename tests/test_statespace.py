@@ -12,7 +12,7 @@ from dfmvi.errors import NumericalError
 from dfmvi.model import ModelSpec, default_prior
 from dfmvi.panel import TimeSeriesPanel, from_arrays
 from dfmvi.oracles import dense_gaussian_oracle
-from tests.conftest import random_masked_panel
+from tests.conftest import random_masked_panel, random_variational
 
 
 def _system(values, lam, noise_var, trans, trans_cov=None, loading_cov=None,
@@ -318,27 +318,6 @@ def test_returned_covariances_symmetric():
         assert np.abs(arr - arr.swapaxes(-1, -2)).max() <= 1e-12
 
 
-def _random_variational(rng, pan, spec, trans_mean=None):
-    """Random loadings and transition densities for a panel."""
-    n, r, s = pan.n, spec.r, spec.s
-    prior = default_prior(spec)
-    a = rng.standard_normal((n, s, s))
-    b = rng.standard_normal((s, s))
-    loadings = vi.LoadingsVariational(
-        mean=rng.normal(0.0, 0.7, (n, s)),
-        cov=0.1 * (a @ a.swapaxes(1, 2)) / s + 0.05 * np.eye(s),
-        noise_df=prior.noise_df + pan.counts,
-        noise_scale=rng.uniform(0.3, 1.0, n),
-        free=np.ones((n, s), dtype=bool),
-    )
-    if trans_mean is None:
-        trans_mean = rng.uniform(-0.4, 0.6, (r, s)) / (spec.p + 1)
-    transition = vi.TransitionVariational(
-        mean=trans_mean, cov=0.05 * (b @ b.T) / s + 0.01 * np.eye(s)
-    )
-    return loadings, transition, prior
-
-
 def _masked_panel(rng, T, n, empty_rows=(), empty_cols=()):
     mask = rng.random((T, n)) > 0.3
     mask[list(empty_rows)] = False
@@ -357,7 +336,7 @@ def _assert_matches_dense_oracle(pan, loadings, transition, prior):
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 37, 64, 65])
-@pytest.mark.parametrize("r, p", [(1, 0), (1, 1), (2, 1)])
+@pytest.mark.parametrize("r, p", [(1, 0), (1, 1), (2, 1), (3, 0), (3, 1)])
 def test_scan_matches_dense_oracle_across_split_levels(T, r, p):
     # Odd and even lengths at every level of the odd-even scan, with whole
     # empty rows, the last one included.
@@ -365,7 +344,39 @@ def test_scan_matches_dense_oracle_across_split_levels(T, r, p):
     spec = ModelSpec(n=3, r=r, p=p)
     empty = {T - 1} | set(np.flatnonzero(rng.random(T) < 0.2).tolist())
     pan = _masked_panel(rng, T, spec.n, empty)
-    _assert_matches_dense_oracle(pan, *_random_variational(rng, pan, spec))
+    _assert_matches_dense_oracle(pan, *random_variational(rng, pan, spec))
+
+
+def test_lower_inverse_matches_the_lu_inverse():
+    # Forward substitution against np.linalg.inv: the reciprocal bit for bit
+    # at r = 1, and to rounding above it; the upper triangles are not read.
+    rng = np.random.default_rng(71)
+    for r in (1, 2, 3, 4):
+        d = np.tril(rng.uniform(-0.5, 0.5, (50, r, r)))
+        d[:, np.arange(r), np.arange(r)] = rng.uniform(0.5, 2.0, (50, r))
+        want = np.linalg.inv(d)
+        upper = np.triu_indices(r, 1)
+        d[:, upper[0], upper[1]] = np.nan
+        got = statespace.lower_inverse(d)
+        if r == 1:
+            assert got.tobytes() == want.tobytes()
+        assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("p, T", [(0, 200), (1, 1000)], ids=["desk", "long"])
+def test_one_factor_moments_equal_the_lu_inverse_ones_bitwise(p, T):
+    # At r = 1 the substitution is a reciprocal: the moments are the bits of
+    # the smoother that inverts its diagonal blocks with np.linalg.inv.
+    spec = ModelSpec(n=25, r=1, p=p)
+    pan, _, _ = random_masked_panel(spec, T=T, seed=17 + p, missing_prob=0.1)
+    prior = default_prior(spec)
+    state = vi.init_from_pca(pan, spec, prior, seed=3)
+    got, _ = vi.update_states(pan, state.loadings, state.transition, prior)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statespace, "lower_inverse", np.linalg.inv)
+        want, _ = vi.update_states(pan, state.loadings, state.transition, prior)
+    for name in ("cov", "second_moment", "lag_one"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_scan_near_unit_root_long_path_stays_finite():
@@ -374,7 +385,7 @@ def test_scan_near_unit_root_long_path_stays_finite():
     rng = np.random.default_rng(98)
     spec = ModelSpec(n=3, r=1, p=0)
     pan = _masked_panel(rng, 400, spec.n, range(150, 200))
-    params = _random_variational(rng, pan, spec, trans_mean=np.array([[0.98]]))
+    params = random_variational(rng, pan, spec, trans_mean=np.array([[0.98]]))
     with np.errstate(over="raise", invalid="raise"):
         _assert_matches_dense_oracle(pan, *params)
 
@@ -399,7 +410,7 @@ def test_kernel_matches_dense_and_augmented_oracles(
     pan = _masked_panel(
         rng, T, n, [t for t in empty_rows if t < T], [i for i in empty_cols if i < n]
     )
-    loadings, transition, prior = _random_variational(rng, pan, spec)
+    loadings, transition, prior = random_variational(rng, pan, spec)
     moments = _assert_matches_dense_oracle(pan, loadings, transition, prior)
     if pan.mask[-1].any():  # otherwise Sigma_theta at T is zero
         _, _, _, aug_ll = oracles.augmented_moments(

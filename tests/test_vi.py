@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -17,7 +19,7 @@ from dfmvi.sim import simulate_dfm, stationary_sim_config
 from tests import reference_kernels
 from tests.conftest import assert_same_bits, empty_edge_panel
 from tests.conftest import point_mass_moments as _point_mass_moments
-from tests.conftest import random_masked_panel
+from tests.conftest import random_masked_panel, random_variational
 
 
 def test_update_loadings_no_data_reduces_to_prior():
@@ -584,3 +586,82 @@ def test_fit_equals_the_reference_fit_bitwise(r, p, anchored):
     ):
         for name, value in vars(want).items():
             assert_same_bits(getattr(got, name), value)
+
+
+def test_one_prior_on_two_panels_equals_fresh_priors_bitwise():
+    # The prior keeps its constants for the last panel passed: alternating
+    # fits and chains on two panels with different counts (one with an
+    # empty series) must give the bits of runs that each get a fresh prior.
+    spec = ModelSpec(n=6, r=1, p=1)
+    panels = (
+        empty_edge_panel(spec, T=30, seed=81),
+        random_masked_panel(spec, T=30, seed=82, missing_prob=0.4)[0],
+    )
+    assert not np.array_equal(panels[0].counts, panels[1].counts)
+    config = gibbs.GibbsConfig(
+        n_draws=10, burn_in_fraction=0.2, seed=83, identification=((0, 0),)
+    )
+    restr = identification_restrictions(spec, [(0, 0)])
+
+    def runs(prior_for):
+        out = []
+        for pan in panels + panels:
+            _, _, report = vi.fit_smf(
+                pan, spec, prior_for(), restrictions=restr, max_iters=30, seed=84
+            )
+            out.append((report.elbo_trace,))
+        for pan in panels + panels:
+            store = gibbs.run_gibbs(pan, spec, prior_for(), config)
+            out.append((store.lambdas, store.sigma2, store.phi, store.states))
+        return out
+
+    shared = default_prior(spec, nu=2.0, tau2=0.8)
+    for got, want in zip(
+        runs(lambda: shared), runs(lambda: default_prior(spec, nu=2.0, tau2=0.8))
+    ):
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+
+
+def test_fit_constants_are_read_only_and_kept_per_panel():
+    spec = ModelSpec(n=4, r=1, p=0)
+    prior = default_prior(spec)
+    pan = random_masked_panel(spec, T=20, seed=85)[0]
+    other = random_masked_panel(spec, T=20, seed=85)[0]
+    consts = vi._fit_constants(pan, prior)
+    assert vi._fit_constants(pan, prior) is consts
+    # an equal panel that is another object gets its own constants
+    assert vi._fit_constants(other, prior) is not consts
+    assert vi._fit_constants(other, prior).panel is other
+    assert_array_equal(consts.noise_df, prior.noise_df + pan.counts)
+    for name, value in vars(consts).items():
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0
+
+
+@pytest.mark.parametrize("seed", range(0, 60, 20))
+def test_objective_equals_the_reference_objective_bitwise(seed):
+    # Random priors and variational parameters, which vary the rounding of
+    # each term far more than a fit's trace does: the kept constants must
+    # enter in the order of the expression written out.
+    for case in range(seed, seed + 20):
+        rng = np.random.default_rng(case)
+        spec = ModelSpec(n=8, r=1 + case % 2, p=case % 3 // 2)
+        pan = random_masked_panel(spec, T=25, seed=case)[0]
+        loadings, transition, prior = random_variational(rng, pan, spec)
+        root = rng.standard_normal((spec.s, spec.s))
+        prior = PriorSpec(
+            prior.loading_prec,
+            prior.trans_prec,
+            root @ root.T + np.eye(spec.s),
+            np.full(spec.n, rng.uniform(0.5, 4.0)),
+            np.full(spec.n, rng.uniform(0.2, 2.0)),
+        )
+        loadings = replace(loadings, noise_df=prior.noise_df + pan.counts)
+        moments, params = vi.update_states(pan, loadings, transition, prior)
+        got = vi.compute_elbo(pan, loadings, transition, moments, prior, params)
+        want = reference_kernels.compute_elbo(
+            pan, loadings, transition, moments, prior, params
+        )
+        assert_same_bits(got, want)
