@@ -28,7 +28,8 @@ import numpy as np
 
 from . import statespace, vi
 from .errors import DomainError
-from .model import ModelSpec, PriorSpec, Restrictions, identification_restrictions
+from .model import ModelSpec, PriorSpec, Restrictions, check_sign_fold, factor_signs
+from .model import identification_restrictions
 from .panel import TimeSeriesPanel
 
 
@@ -140,25 +141,6 @@ def sample_states_ffbs(
     return statespace.path_states(z, r, s).copy()
 
 
-def check_sign_fold(prior: PriorSpec, restrictions: Restrictions, r: int) -> None:
-    """Raise DomainError unless folding onto the anchors is exact.
-
-    Flipping an anchored factor (sign matrix D) must leave the prior
-    unchanged: D M D = M for M each of ``loading_prec``, ``trans_prec`` and
-    ``init_state_cov``.  The fold also needs at most one anchor per factor,
-    which :func:`identification_restrictions` enforces.
-    """
-    for k in restrictions.anchors[:, 1] % r:
-        signs = vi.factor_signs(np.arange(r) == k, prior.loading_prec.shape[0])
-        for name in ("loading_prec", "trans_prec", "init_state_cov"):
-            m = getattr(prior, name)
-            if not np.array_equal(signs[:, None] * m * signs, m):
-                raise DomainError(
-                    f"prior {name} couples anchored factor {k} with another factor; "
-                    "the sign fold needs a prior invariant under flipping it"
-                )
-
-
 def sample_parameters(
     panel: TimeSeriesPanel,
     states: np.ndarray,
@@ -197,7 +179,7 @@ def sample_parameters(
     anchors = restrictions.anchors
     folded = anchors[lambdas[anchors[:, 0], anchors[:, 1]] < 0, 1] % r
     if folded.size:
-        signs = vi.factor_signs(np.isin(np.arange(r), folded), spec.s)
+        signs = factor_signs(np.isin(np.arange(r), folded), spec.s)
         # where(), not a bare product: a restricted 0.0 times -1 is -0.0.
         lambdas = np.where(restrictions.free, lambdas * signs, 0.0)
         phi *= signs[:r, None] * signs

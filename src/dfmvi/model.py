@@ -269,19 +269,50 @@ def identification_restrictions(
     rotation up to nothing at all (sign flips included).
     """
     free = np.ones((spec.n, spec.s), dtype=bool)
-    positive = []
-    seen_factors, seen_vars = set(), set()
     for var, fac in anchors:
         if not (0 <= var < spec.n) or not (0 <= fac < spec.r):
             raise DomainError(f"anchor ({var}, {fac}) out of range")
-        if fac in seen_factors:
-            raise DomainError(f"factor {fac} anchored more than once")
-        if var in seen_vars:
-            raise DomainError(f"variable {var} anchors more than one factor")
-        seen_factors.add(fac)
-        seen_vars.add(var)
         free[var, :] = False
         free[var, fac] = True
-        positive.append((var, fac))
-    return Restrictions(free=free, positive=tuple(positive))
+    restrictions = Restrictions(free=free, positive=tuple(anchors))
+    _check_one_anchor_each(restrictions, spec.r)
+    return restrictions
 
+
+def factor_signs(flips: np.ndarray, s: int) -> np.ndarray:
+    """(s,) state-coordinate signs of flipping the factors an (r,) bool mask
+    marks: -1 on every lag of each flipped factor, +1 elsewhere."""
+    return np.where(np.tile(flips, s // len(flips)), -1.0, 1.0)
+
+
+def _check_one_anchor_each(restrictions: Restrictions, r: int) -> None:
+    """Raise DomainError if a factor or a variable anchors more than once."""
+    variables = [var for var, _ in restrictions.positive]
+    factors = [coord % r for _, coord in restrictions.positive]
+    for fac in factors:
+        if factors.count(fac) > 1:
+            raise DomainError(f"factor {fac} anchored more than once")
+    for var in variables:
+        if variables.count(var) > 1:
+            raise DomainError(f"variable {var} anchors more than one factor")
+
+
+def check_sign_fold(prior: PriorSpec, restrictions: Restrictions, r: int) -> None:
+    """Raise DomainError unless folding onto the anchors is exact.
+
+    The fit's sign alignment and the chain's fold flip each anchored factor
+    whose anchor loading is negative.  That leaves the posterior unchanged
+    only if each factor and each variable anchors at most once and the
+    prior is invariant under the flip (sign matrix D): D M D = M for M each
+    of ``loading_prec``, ``trans_prec`` and ``init_state_cov``.
+    """
+    _check_one_anchor_each(restrictions, r)
+    for k in restrictions.anchors[:, 1] % r:
+        signs = factor_signs(np.arange(r) == k, prior.loading_prec.shape[0])
+        for name in ("loading_prec", "trans_prec", "init_state_cov"):
+            m = getattr(prior, name)
+            if not np.array_equal(signs[:, None] * m * signs, m):
+                raise DomainError(
+                    f"prior {name} couples anchored factor {k} with another factor; "
+                    "the sign fold needs a prior invariant under flipping it"
+                )

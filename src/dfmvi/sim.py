@@ -147,13 +147,12 @@ def stationary_sim_config(
     T: int,
     seed: int = 0,
     missing: tuple = (),
-    anchor_loading: float = 1.0,
 ) -> SimConfig:
     """Convenience DGP: stationary transition, unit-scale loadings.
 
-    The first variable of each factor gets a fixed positive contemporaneous
-    loading so the same variable can serve as an identification anchor,
-    which needs r <= n.
+    The first variable of each factor gets a unit contemporaneous loading
+    and no other, so the same variable can serve as an identification
+    anchor, which needs r <= n.
     """
     n, r, s = spec.n, spec.r, spec.s
     if r > n:
@@ -172,7 +171,7 @@ def stationary_sim_config(
     loadings = rng.normal(0.0, 0.7, size=(n, s))
     for j in range(r):
         loadings[j, :] = 0.0
-        loadings[j, j] = anchor_loading
+        loadings[j, j] = 1.0
     noise_var = rng.uniform(0.3, 1.0, size=n)
     return SimConfig(
         spec=spec,

@@ -14,9 +14,11 @@ r (T - t), so its lagged coordinates are exact copies.
   density: the expected data precision mu mu'/tau + V of each equation and
   the expected transition block E[A'A], whose extra r V term is the
   shrinkage that parameter uncertainty puts on the factors.
-  :func:`kalman_filter` factors Q once and solves for the mean path;
-  :func:`kalman_smoother` reads the factor as an affine recursion
-  x_t = K_t x_{t-1} + noise over time and gets the marginal and lag-one
+  :func:`kalman_filter` factors Q = L L' once and solves Q z = b, and
+  returns the two arrays; :func:`kalman_smoother` reads the mean path,
+  log|Q| and b' Q^-1 b off them, which is all the objective needs of the
+  path precision, and reads the factor as an affine recursion
+  x_t = K_t x_{t-1} + noise over time to get the marginal and lag-one
   covariance blocks from one associative (odd-even) scan over its steps
   (Sarkka and Garcia-Fernandez, IEEE TAC 2021), about 2 log2 T batched
   products instead of a loop over the path coordinates.
@@ -277,14 +279,12 @@ class SsmParams:
 
     ``band``/``info`` are Q and b from :func:`path_precision`; ``y_star``
     holds the (T, s) per-step information vectors summed into b, so
-    ``y_star.shape[0]`` is the number of time steps; ``data_quad`` is
-    sum_ti mask_ti y_ti^2 / tau_i, the data part of the objective.
+    ``y_star.shape[0]`` is the number of time steps.
     """
 
     band: np.ndarray  # (r + s, r T + s)
     info: np.ndarray  # (r T + s,)
     y_star: np.ndarray  # (T, s)
-    data_quad: float
     r: int
 
     @property
@@ -294,16 +294,6 @@ class SsmParams:
     @property
     def s(self) -> int:
         return self.band.shape[0] - self.r
-
-
-@dataclass(frozen=True)
-class FilterResult:
-    """Banded factor of Q, the mean path, log|Q| and b' Q^-1 b."""
-
-    chol: np.ndarray  # (r + s, r T + s), lower band storage
-    mean: np.ndarray  # (T+1, s), index 0 is the origin state
-    prec_logdet: float
-    info_quad: float
 
 
 @dataclass(frozen=True)
@@ -350,40 +340,33 @@ def build_collapsed_system(
     band, info, y_star = path_precision(
         panel, eq_prec, eq_info, trans_block, origin_prec
     )
-    return SsmParams(
-        band=band,
-        info=info,
-        y_star=y_star,
-        data_quad=float(panel.sums_of_squares @ noise_prec),
-        r=r,
-    )
+    return SsmParams(band=band, info=info, y_star=y_star, r=r)
 
 
-def kalman_filter(params: SsmParams) -> FilterResult:
+def kalman_filter(params: SsmParams) -> tuple[np.ndarray, np.ndarray]:
     """Factor the path precision once and solve for the mean path.
 
-    The name is the one the benchmark's tracer times; there is no forward
-    recursion, only one banded Cholesky and one banded solve.
+    Returns the lower banded Cholesky factor L of Q = L L' and the path
+    z = Q^-1 b.  The name is the one the benchmark's tracer times; there is
+    no forward recursion, only one banded Cholesky and one banded solve.
     """
     chol = band_cholesky(params.band, params.r)
-    z = band_solve(chol, params.info)
-    return FilterResult(
-        chol=chol,
-        mean=path_states(z, params.r, params.s).copy(),
-        prec_logdet=2.0 * float(np.log(chol[0]).sum()),
-        info_quad=float(params.info @ z),
-    )
+    return chol, band_solve(chol, params.info)
 
 
-def kalman_smoother(filt: FilterResult, params: SsmParams) -> StateMoments:
-    """State moments from an associative scan over the banded factor.
+def kalman_smoother(chol: np.ndarray, z: np.ndarray, params: SsmParams) -> StateMoments:
+    """State moments from the banded factor and the solved path.
 
-    With Q = L L', z = L^-T eps for standard normal eps.  Column block
-    j = T - t of L holds the r coordinates of f_t: a lower-triangular
-    diagonal block D and the s x r block l below it, on x_{t-1}.  So
-    f_t = -D^-T l' x_{t-1} + D^-T eps_t, and x_t = K_t x_{t-1} + noise with
-    K_t = [[-D^-T l'], [I, 0]] and noise covariance E_t =
-    blockdiag((D D')^-1, 0).  The covariances of x_0..x_T follow from
+    The mean path is read off z (:func:`path_states`), log|Q| off the
+    diagonal of L, and b' Q^-1 b is b' z.  The covariances come from an
+    associative scan over the factor.
+
+    With Q = L L', the path less its mean is L^-T eps for standard normal
+    eps.  Column block j = T - t of L holds the r coordinates of f_t: a
+    lower-triangular diagonal block D and the s x r block l below it, on
+    x_{t-1}.  So f_t = -D^-T l' x_{t-1} + D^-T eps_t, and
+    x_t = K_t x_{t-1} + noise with K_t = [[-D^-T l'], [I, 0]] and noise
+    covariance E_t = blockdiag((D D')^-1, 0).  The covariances of x_0..x_T follow from
     Cov[x_0] = (L_0 L_0')^-1, L_0 the trailing s x s block, by
     :func:`_compose_scan`, and Cov[f_t, x_{t-1}] is the top r rows of
     K_t Cov[x_{t-1}].  The blocks are gathered at positions built once per
@@ -392,7 +375,7 @@ def kalman_smoother(filt: FilterResult, params: SsmParams) -> StateMoments:
     """
     r, s, T = params.r, params.s, params.T
     where, lower = _block_positions(r, s, T)
-    entries = np.where(lower, filt.chol.ravel(order="F")[where], 0.0)
+    entries = np.where(lower, chol.ravel(order="F")[where], 0.0)
     blocks = entries[: T * (r + s) * r].reshape(T, r + s, r)
     origin = entries[T * (r + s) * r :].reshape(s, s)
 
@@ -407,12 +390,12 @@ def kalman_smoother(filt: FilterResult, params: SsmParams) -> StateMoments:
     cov = symmetrize(_compose_scan(trans, noise))
     lag_cov = trans[1:, :r] @ cov[:-1]
 
-    mean = filt.mean
+    mean = path_states(z, r, s).copy()
     return StateMoments(
         mean=mean,
         cov=cov,
         second_moment=cov + mean[:, :, None] * mean[:, None, :],
         lag_one=lag_cov + mean[1:, :r, None] * mean[:-1, None, :],
-        prec_logdet=filt.prec_logdet,
-        info_quad=filt.info_quad,
+        prec_logdet=2.0 * float(np.log(chol[0]).sum()),
+        info_quad=float(params.info @ z),
     )

@@ -29,9 +29,10 @@ import numpy as np
 
 from . import statespace
 from .errors import DomainError, NumericalError
-from .model import ModelSpec, PriorSpec, Restrictions, identification_restrictions
+from .model import ModelSpec, PriorSpec, Restrictions, check_sign_fold, factor_signs
+from .model import identification_restrictions
 from .panel import TimeSeriesPanel
-from .statespace import SsmParams, StateMoments
+from .statespace import StateMoments
 
 _LNPI = float(np.log(np.pi))
 
@@ -78,7 +79,6 @@ class FitReport:
     elbo_trace: np.ndarray
     iterations: int
     converged: bool
-    final_criteria: float
     wall_time: float
 
 
@@ -264,11 +264,11 @@ def update_states(
     loadings: LoadingsVariational,
     transition: TransitionVariational,
     prior: PriorSpec,
-) -> tuple[StateMoments, SsmParams]:
+) -> StateMoments:
     """Assemble the path precision under the current parameters and invert it.
 
-    Returns the state moments together with the assembled system, whose
-    data quadratic feeds the objective.
+    Returns the state moments, which carry log|Q| and b' Q^-1 b for the
+    objective.
     """
     params = statespace.build_collapsed_system(
         panel,
@@ -279,8 +279,7 @@ def update_states(
         transition.cov,
         prior.init_state_prec,
     )
-    moments = statespace.kalman_smoother(statespace.kalman_filter(params), params)
-    return moments, params
+    return statespace.kalman_smoother(*statespace.kalman_filter(params), params)
 
 
 def compute_elbo(
@@ -289,18 +288,17 @@ def compute_elbo(
     transition: TransitionVariational,
     moments: StateMoments,
     prior: PriorSpec,
-    params: SsmParams,
     return_terms: bool = False,
 ):
     """Evidence lower bound for a consistent (parameters, state pass) pair.
 
-    ``moments``/``params`` must come from :func:`update_states` under the
-    same ``loadings``/``transition`` passed here.  Terms group into a state
-    part (log|F0|, log|Q| and the data quadratic less b' Q^-1 b of the path
-    precision), a loadings part and a
-    transition part (negative Gaussian divergences from their priors, zero
-    when variational equals prior), and a noise part (the scaled-inverse-
-    chi-square bookkeeping).
+    ``moments`` must come from :func:`update_states` under the same
+    ``loadings``/``transition`` passed here.  Terms group into a state part
+    (log|F0|, log|Q| and b' Q^-1 b from the moments, and the data quadratic
+    sum_ti mask_ti y_ti^2 / tau_i), a loadings part and a transition part
+    (negative Gaussian divergences from their priors, zero when variational
+    equals prior), and a noise part (the scaled-inverse-chi-square
+    bookkeeping).
     """
     s = loadings.mean.shape[1]
     r = transition.mean.shape[0]
@@ -315,10 +313,11 @@ def compute_elbo(
             "observation counts"
         )
 
+    data_quad = float(panel.sums_of_squares @ loadings.noise_prec)
     f_terms = (
         consts.state_terms
         - 0.5 * moments.prec_logdet
-        - 0.5 * (params.data_quad - moments.info_quad)
+        - 0.5 * (data_quad - moments.info_quad)
     )
 
     # Restricted entries are exact zeros, and identity padding leaves each
@@ -417,12 +416,6 @@ def init_from_pca(
     return VariationalState(loadings=loadings, transition=transition)
 
 
-def factor_signs(flips: np.ndarray, s: int) -> np.ndarray:
-    """(s,) state-coordinate signs of flipping the factors an (r,) bool mask
-    marks: -1 on every lag of each flipped factor, +1 elsewhere."""
-    return np.where(np.tile(flips, s // len(flips)), -1.0, 1.0)
-
-
 def flip_factor_signs(
     state: VariationalState,
     moments: StateMoments | None,
@@ -433,14 +426,20 @@ def flip_factor_signs(
     Flipping factor k negates its state coordinates at every lag.  Sign
     flips leave second moments, covariances and the objective unchanged;
     only loading means, transition rows/columns and state means change
-    sign patterns.
+    sign patterns.  Restricted loading entries stay exact +0.0.
     """
     loadings, transition = state.loadings, state.transition
     r, s = transition.mean.shape
     signs = factor_signs(flips, s)
     outer = signs[:, None] * signs
+    # where(), not a bare product: a restricted 0.0 times -1 is -0.0.
+    masks = Restrictions(loadings.free, ())
     new_state = VariationalState(
-        loadings=replace(loadings, mean=loadings.mean * signs, cov=loadings.cov * outer),
+        loadings=replace(
+            loadings,
+            mean=np.where(masks.free, loadings.mean * signs, 0.0),
+            cov=masks.restrict(loadings.cov * outer),
+        ),
         transition=TransitionVariational(
             mean=transition.mean * outer[:r], cov=transition.cov * outer
         ),
@@ -492,7 +491,9 @@ def fit_smf(
 
     Returns the final parameters, the state moments consistent with them,
     and a fit report.  A starting state ``init`` must carry the free
-    loading mask of ``restrictions`` (DomainError otherwise).
+    loading mask of ``restrictions``, and anchored restrictions must pass
+    :func:`dfmvi.model.check_sign_fold` with the prior, since the fit ends
+    by flipping factors onto their anchors (DomainError otherwise).
     """
     if not tolerance > 0:  # also false for NaN
         raise DomainError(f"tolerance must be positive, got {tolerance!r}")
@@ -506,6 +507,8 @@ def fit_smf(
     start = time.perf_counter()
     if restrictions is None:  # once, so every iteration reads the same masks
         restrictions = identification_restrictions(spec, [])
+    if restrictions.positive:
+        check_sign_fold(prior, restrictions, spec.r)
     if init is not None and not np.array_equal(init.loadings.free, restrictions.free):
         # The first objective would be taken under init's mask and every
         # later one under the restrictions', so the ascent would not hold.
@@ -518,20 +521,16 @@ def fit_smf(
     state = init if init is not None else init_from_pca(
         panel, spec, prior, seed=seed, restrictions=restrictions
     )
-    moments, params = update_states(panel, state.loadings, state.transition, prior)
-    elbo = compute_elbo(
-        panel, state.loadings, state.transition, moments, prior, params
-    )
+    moments = update_states(panel, state.loadings, state.transition, prior)
+    elbo = compute_elbo(panel, state.loadings, state.transition, moments, prior)
     trace = [elbo]
     converged = False
     for iterations in range(1, max_iters + 1):
         loadings = update_loadings(panel, moments, prior, restrictions)
         transition = update_transition(moments, prior)
         state = VariationalState(loadings=loadings, transition=transition)
-        moments, params = update_states(panel, loadings, transition, prior)
-        elbo_new = compute_elbo(
-            panel, loadings, transition, moments, prior, params
-        )
+        moments = update_states(panel, loadings, transition, prior)
+        elbo_new = compute_elbo(panel, loadings, transition, moments, prior)
         if elbo_new < elbo - 1e-8 * abs(elbo):
             raise NumericalError(
                 f"objective decreased at iteration {iterations}: "
@@ -552,7 +551,6 @@ def fit_smf(
         elbo_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,
-        final_criteria=float(criteria),
         wall_time=time.perf_counter() - start,
     )
     return state, moments, report

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from dfmvi import statespace, vi
-from dfmvi.statespace import FilterResult, SsmParams
+from dfmvi.statespace import SsmParams
 
 
 def restrict_to_free(a, free):
@@ -186,36 +186,26 @@ def update_states(panel, loadings, transition, prior):
     band, info, y_star = path_precision(
         panel, eq_prec, eq_info, trans_block, np.linalg.inv(prior.init_state_cov)
     )
-    params = SsmParams(
-        band=band,
-        info=info,
-        y_star=y_star,
-        data_quad=float(panel.sums_of_squares @ loadings.noise_prec),
-        r=r,
-    )
+    params = SsmParams(band=band, info=info, y_star=y_star, r=r)
     chol = statespace.band_cholesky(band, r)
     z = scipy.linalg.cho_solve_banded((chol, True), info, check_finite=False)
-    filt = FilterResult(
-        chol=chol,
-        mean=path_states(z, r, params.s).copy(),
-        prec_logdet=2.0 * float(np.log(chol[0]).sum()),
-        info_quad=float(info @ z),
-    )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statespace, "chol_inverse", chol_inverse)
-        return statespace.kalman_smoother(filt, params), params
+        mp.setattr(statespace, "path_states", path_states)
+        return statespace.kalman_smoother(chol, z, params)
 
 
-def compute_elbo(panel, loadings, transition, moments, prior, params):
+def compute_elbo(panel, loadings, transition, moments, prior):
     counts = panel.counts
     s = loadings.mean.shape[1]
     r = transition.mean.shape[0]
     _, logdet_f0 = np.linalg.slogdet(prior.init_state_cov)
+    data_quad = float(panel.sums_of_squares @ loadings.noise_prec)
     f_terms = (
         -0.5 * counts.sum() * float(np.log(np.pi))
         - 0.5 * logdet_f0
         - 0.5 * moments.prec_logdet
-        - 0.5 * (params.data_quad - moments.info_quad)
+        - 0.5 * (data_quad - moments.info_quad)
     )
     free, cov, mu = loadings.free, loadings.cov, loadings.mean
     v_inv = prior.loading_prec
@@ -255,8 +245,8 @@ def compute_elbo(panel, loadings, transition, moments, prior, params):
 def fit_smf(panel, spec, prior, restrictions, tolerance=1e-7, max_iters=500, seed=0):
     """The CAVI loop of ``vi.fit_smf``: (state, moments, ELBO trace)."""
     state = init_from_pca(panel, spec, prior, seed, restrictions)
-    moments, params = update_states(panel, state.loadings, state.transition, prior)
-    elbo = compute_elbo(panel, state.loadings, state.transition, moments, prior, params)
+    moments = update_states(panel, state.loadings, state.transition, prior)
+    elbo = compute_elbo(panel, state.loadings, state.transition, moments, prior)
     trace = [elbo]
     for _ in range(max_iters):
         f = moments.mean[1:]
@@ -267,8 +257,8 @@ def fit_smf(panel, spec, prior, restrictions, tolerance=1e-7, max_iters=500, see
             moments.second_moment[:-1].sum(axis=0), moments.lag_one.sum(axis=0), prior
         )
         state = vi.VariationalState(loadings=loadings, transition=transition)
-        moments, params = update_states(panel, loadings, transition, prior)
-        elbo_new = compute_elbo(panel, loadings, transition, moments, prior, params)
+        moments = update_states(panel, loadings, transition, prior)
+        elbo_new = compute_elbo(panel, loadings, transition, moments, prior)
         criteria = (elbo_new - elbo) / max(
             0.5 * (abs(elbo_new) + abs(elbo)), np.finfo(float).tiny
         )

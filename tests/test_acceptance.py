@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dfmvi import cli, gibbs, oracles, statespace, vi
+from dfmvi import cli, gibbs, oracles, vi
 from dfmvi.model import ModelSpec, PriorSpec, default_prior
 from dfmvi.panel import from_arrays, load_csv, standardize
 from dfmvi.oracles import dense_fixed_moments, dense_gaussian_oracle, mc_elbo_oracle
@@ -131,7 +131,7 @@ def test_criterion_02_smoother_exactness():
     """Collapsed smoother matches the dense oracle on 50 random instances."""
     worst = 0.0
     for pan, spec, prior, state in _random_instances(50):
-        moments, _ = vi.update_states(pan, state.loadings, state.transition, prior)
+        moments = vi.update_states(pan, state.loadings, state.transition, prior)
         oracle = dense_gaussian_oracle(pan, state, prior)
         second = oracle.marg_cov + oracle.mean[:, :, None] * oracle.mean[:, None, :]
         for got, want in (
@@ -152,7 +152,7 @@ def test_criterion_03_collapse_equivalence():
     worst_l = 0.0
     for pan, spec, prior, state in _random_instances(50):
         loadings, transition = state.loadings, state.transition
-        moments, params = vi.update_states(pan, loadings, transition, prior)
+        moments = vi.update_states(pan, loadings, transition, prior)
         aug_mean, aug_cov, aug_lag, aug_ll = oracles.augmented_moments(
             pan.values, pan.mask, loadings.mean, loadings.cov,
             loadings.noise_scale, transition.mean, transition.cov,
@@ -165,9 +165,8 @@ def test_criterion_03_collapse_equivalence():
             float(np.abs(moments.lag_one - aug_lag).max()),
         )
         assert worst_m < 1e-8
-        filt = statespace.kalman_filter(params)
         dec = oracles.decomposed_loglik(
-            pan, loadings, transition, prior, filt.prec_logdet, filt.info_quad
+            pan, loadings, transition, prior, moments.prec_logdet, moments.info_quad
         )
         worst_l = max(worst_l, abs(dec - aug_ll))
         assert worst_l < 1e-8
@@ -188,12 +187,8 @@ def test_criterion_04_elbo_formula_against_mc_oracle():
         state, _, _ = vi.fit_smf(
             pan, spec, prior, tolerance=1e-9, max_iters=3 + k, seed=k
         )
-        moments, params = vi.update_states(
-            pan, state.loadings, state.transition, prior
-        )
-        exact = vi.compute_elbo(
-            pan, state.loadings, state.transition, moments, prior, params
-        )
+        moments = vi.update_states(pan, state.loadings, state.transition, prior)
+        exact = vi.compute_elbo(pan, state.loadings, state.transition, moments, prior)
         est, se = mc_elbo_oracle(pan, state, prior, n_samples=1_000_000, seed=k)
         zs.append((exact - est) / se)
         assert abs(exact - est) < 3 * se, f"instance {k}: z = {zs[-1]:.2f}"
@@ -244,15 +239,11 @@ def test_criterion_07_rotation_invariance(small_run):
     pan, _ = standardize(load_csv(small_run["panel"]))
     spec = ModelSpec(n=25, r=1, p=0)
     prior = default_prior(spec)
-    moments, params = vi.update_states(pan, state.loadings, state.transition, prior)
-    elbo = vi.compute_elbo(
-        pan, state.loadings, state.transition, moments, prior, params
-    )
+    moments = vi.update_states(pan, state.loadings, state.transition, prior)
+    elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, prior)
     flipped, _ = vi.flip_factor_signs(state, None, np.array([True]))
-    fl_m, fl_p = vi.update_states(pan, flipped.loadings, flipped.transition, prior)
-    fl_elbo = vi.compute_elbo(
-        pan, flipped.loadings, flipped.transition, fl_m, prior, fl_p
-    )
+    fl_m = vi.update_states(pan, flipped.loadings, flipped.transition, prior)
+    fl_elbo = vi.compute_elbo(pan, flipped.loadings, flipped.transition, fl_m, prior)
     assert abs(fl_elbo - elbo) < 1e-8, f"objective moved by {fl_elbo - elbo:.2e}"
     print(
         f"ACCEPTANCE 7 [rotation invariance]: PASS "

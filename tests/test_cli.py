@@ -630,7 +630,7 @@ def test_stored_moments_equal_the_fits_bitwise(
     # before the moments were stored gives the same bits.
     std, _ = panel_mod.standardize(panel_mod.load_csv(panel))
     prior = cli._prepare_model(std, manifest["config"])[1]
-    recomputed, _ = vi.update_states(std, state.loadings, state.transition, prior)
+    recomputed = vi.update_states(std, state.loadings, state.transition, prior)
     for want in (returned[0][1], recomputed):
         for field in dataclasses.fields(want):
             got, expected = getattr(moments, field.name), getattr(want, field.name)

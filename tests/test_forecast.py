@@ -50,7 +50,7 @@ def test_point_forecast_in_degenerate_limit(small_fit):
     )
     # with all posterior spreads collapsed, every in-sample draw equals the
     # plug-in fitted value
-    moments_t, _ = vi.update_states(pan, tight.loadings, tight.transition, prior)
+    moments_t = vi.update_states(pan, tight.loadings, tight.transition, prior)
     ins = _insample_smf(tight, moments_t, n_draws=64, seed=0)
     want = moments_t.mean[1:] @ tight.loadings.mean.T
     assert ins.std(axis=0).max() < 1e-6

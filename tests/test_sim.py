@@ -183,12 +183,8 @@ def test_mc_oracle_near_point_mass_parameters(tiny_spec, tiny_prior):
     est1, se1 = mc_elbo_oracle(pan, tight, tiny_prior, n_samples=50_000, seed=0)
     est2, se2 = mc_elbo_oracle(pan, tight, tiny_prior, n_samples=50_000, seed=99)
     assert abs(est1 - est2) < 6 * (se1 + se2)
-    moments, params = vi.update_states(
-        pan, tight.loadings, tight.transition, tiny_prior
-    )
-    exact = vi.compute_elbo(
-        pan, tight.loadings, tight.transition, moments, tiny_prior, params
-    )
+    moments = vi.update_states(pan, tight.loadings, tight.transition, tiny_prior)
+    exact = vi.compute_elbo(pan, tight.loadings, tight.transition, moments, tiny_prior)
     assert abs(exact - est1) < 4 * se1
 
 
@@ -209,12 +205,8 @@ def test_mc_log_marginal_bounds_elbo(tiny_spec, tiny_prior):
     state, _, report = vi.fit_smf(
         pan, tiny_spec, tiny_prior, tolerance=1e-9, max_iters=200
     )
-    moments, params = vi.update_states(
-        pan, state.loadings, state.transition, tiny_prior
-    )
-    elbo = vi.compute_elbo(
-        pan, state.loadings, state.transition, moments, tiny_prior, params
-    )
+    moments = vi.update_states(pan, state.loadings, state.transition, tiny_prior)
+    elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, tiny_prior)
     logml, se = mc_log_marginal(pan, state, tiny_prior, n_samples=200_000, seed=2)
     assert elbo <= logml + 3 * se
 

@@ -33,7 +33,7 @@ def _system(values, lam, noise_var, trans, trans_cov=None, loading_cov=None,
 
 
 def _moments(params):
-    return statespace.kalman_smoother(statespace.kalman_filter(params), params)
+    return statespace.kalman_smoother(*statespace.kalman_filter(params), params)
 
 
 def _dense_precision(band):
@@ -75,7 +75,6 @@ def test_collapse_all_missing_step():
     assert_allclose(params.y_star[1], [0.0], atol=0)
     assert_allclose(params.band[:, 1], empty.band[:, 1], atol=0)
     assert_allclose(empty.info, np.zeros(4), atol=0)
-    assert empty.data_quad == 0.0
 
 
 def test_collapse_scalar_hand_values():
@@ -90,7 +89,6 @@ def test_collapse_scalar_hand_values():
     assert_allclose(_dense_precision(params.band), q, atol=1e-15)
     assert_allclose(params.info, [6.0, 0.0], atol=0)
     assert_allclose(params.y_star, [[6.0]], atol=0)
-    assert params.data_quad == 9.0
     moments = _moments(params)
     det = 6.0 * 1.45 - 0.25
     assert_allclose(moments.prec_logdet, math.log(det), rtol=1e-14)
@@ -107,7 +105,7 @@ def test_collapse_masked_content_ignored():
         [[3.0, np.nan]], lam=[[2.0], [1e9]], noise_var=[1.0, 1e-9], trans=[[0.5]],
         loading_cov=np.array([[[0.0]], [[1e9]]]),
     )
-    for field in ("band", "info", "y_star", "data_quad"):
+    for field in ("band", "info", "y_star"):
         assert_allclose(getattr(padded, field), getattr(base, field), atol=0)
 
 
@@ -195,7 +193,7 @@ def test_filter_names_first_non_positive_definite_innovation_step():
         np.eye(s),
     )
     params = statespace.SsmParams(
-        band=band, info=np.zeros(T + s), y_star=np.zeros((T, s)), data_quad=0.0, r=1
+        band=band, info=np.zeros(T + s), y_star=np.zeros((T, s)), r=1
     )
     with pytest.raises(NumericalError, match=r"at time step 3\b"):
         statespace.kalman_filter(params)
@@ -262,7 +260,14 @@ def test_build_system_matches_per_step_ops():
     q[r * T :, r * T :] += np.linalg.inv(prior.init_state_cov)
     assert_allclose(_dense_precision(params.band), q, atol=1e-12)
     assert_allclose(params.info, info, atol=1e-12)
-    assert_allclose(params.data_quad, quad, rtol=1e-12)
+    # The objective's state term reads the data quadratic summed cell by cell.
+    moments = vi.update_states(pan, loadings, transition, prior)
+    _, terms = vi.compute_elbo(
+        pan, loadings, transition, moments, prior, return_terms=True
+    )
+    state_terms = vi._fit_constants(pan, prior).state_terms
+    want = state_terms - 0.5 * moments.prec_logdet - 0.5 * (quad - moments.info_quad)
+    assert_allclose(terms["state"], want, rtol=1e-12)
 
 
 def test_smoother_matches_dense_oracle_random_instances():
@@ -272,7 +277,7 @@ def test_smoother_matches_dense_oracle_random_instances():
         pan, cfg, _ = random_masked_panel(spec, T=int(rng.integers(3, 7)), seed=30 + k)
         prior = default_prior(spec)
         state = vi.init_from_pca(pan, spec, prior, seed=k)
-        moments, _ = vi.update_states(pan, state.loadings, state.transition, prior)
+        moments = vi.update_states(pan, state.loadings, state.transition, prior)
         oracle = dense_gaussian_oracle(pan, state, prior)
         assert_allclose(moments.mean, oracle.mean, atol=1e-8)
         assert_allclose(moments.cov, oracle.marg_cov, atol=1e-8)
@@ -292,7 +297,7 @@ def test_collapsed_matches_augmented_and_decomposition():
         prior = default_prior(spec)
         state = vi.init_from_pca(pan, spec, prior, seed=k)
         loadings, transition = state.loadings, state.transition
-        moments, params = vi.update_states(pan, loadings, transition, prior)
+        moments = vi.update_states(pan, loadings, transition, prior)
         aug_mean, aug_cov, aug_lag, aug_ll = oracles.augmented_moments(
             pan.values, pan.mask, loadings.mean, loadings.cov,
             loadings.noise_scale, transition.mean, transition.cov,
@@ -301,9 +306,8 @@ def test_collapsed_matches_augmented_and_decomposition():
         assert_allclose(moments.mean, aug_mean, atol=1e-8)
         assert_allclose(moments.cov, aug_cov, atol=1e-8)
         assert_allclose(moments.lag_one, aug_lag, atol=1e-8)
-        filt = statespace.kalman_filter(params)
         dec = oracles.decomposed_loglik(
-            pan, loadings, transition, prior, filt.prec_logdet, filt.info_quad
+            pan, loadings, transition, prior, moments.prec_logdet, moments.info_quad
         )
         assert_allclose(dec, aug_ll, atol=1e-8)
 
@@ -313,7 +317,7 @@ def test_returned_covariances_symmetric():
     pan, _, _ = random_masked_panel(spec, T=6, seed=77)
     prior = default_prior(spec)
     state = vi.init_from_pca(pan, spec, prior, seed=0)
-    moments, params = vi.update_states(pan, state.loadings, state.transition, prior)
+    moments = vi.update_states(pan, state.loadings, state.transition, prior)
     for arr in (moments.cov, moments.second_moment):
         assert np.abs(arr - arr.swapaxes(-1, -2)).max() <= 1e-12
 
@@ -327,7 +331,7 @@ def _masked_panel(rng, T, n, empty_rows=(), empty_cols=()):
 
 
 def _assert_matches_dense_oracle(pan, loadings, transition, prior):
-    moments, _ = vi.update_states(pan, loadings, transition, prior)
+    moments = vi.update_states(pan, loadings, transition, prior)
     oracle = oracles.dense_variational_moments(pan, loadings, transition, prior)
     assert_allclose(moments.mean, oracle.mean, atol=1e-8)
     assert_allclose(moments.cov, oracle.marg_cov, atol=1e-8)
@@ -371,10 +375,10 @@ def test_one_factor_moments_equal_the_lu_inverse_ones_bitwise(p, T):
     pan, _, _ = random_masked_panel(spec, T=T, seed=17 + p, missing_prob=0.1)
     prior = default_prior(spec)
     state = vi.init_from_pca(pan, spec, prior, seed=3)
-    got, _ = vi.update_states(pan, state.loadings, state.transition, prior)
+    got = vi.update_states(pan, state.loadings, state.transition, prior)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statespace, "lower_inverse", np.linalg.inv)
-        want, _ = vi.update_states(pan, state.loadings, state.transition, prior)
+        want = vi.update_states(pan, state.loadings, state.transition, prior)
     for name in ("cov", "second_moment", "lag_one"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 

@@ -10,10 +10,11 @@ from dfmvi.errors import DomainError, NumericalError
 from dfmvi.model import (
     ModelSpec,
     PriorSpec,
+    Restrictions,
     default_prior,
     identification_restrictions,
 )
-from dfmvi.panel import from_arrays
+from dfmvi.panel import from_arrays, standardize
 from dfmvi.oracles import dense_fixed_moments, dense_gaussian_oracle, mc_elbo_oracle
 from dfmvi.sim import simulate_dfm, stationary_sim_config
 from tests import reference_kernels
@@ -139,7 +140,7 @@ def test_update_states_tight_parameters_approach_fixed_smoother():
     tight_trans = vi.TransitionVariational(
         mean=state.transition.mean, cov=state.transition.cov * 1e-9
     )
-    moments, _ = vi.update_states(pan, tight_loadings, tight_trans, prior)
+    moments = vi.update_states(pan, tight_loadings, tight_trans, prior)
     fixed = dense_fixed_moments(
         pan,
         state.loadings.mean,
@@ -166,7 +167,7 @@ def test_update_states_parameter_uncertainty_shrinks_states():
             noise_scale=state.loadings.noise_scale,
             free=state.loadings.free,
         )
-        moments, _ = vi.update_states(pan, loadings, state.transition, prior)
+        moments = vi.update_states(pan, loadings, state.transition, prior)
         norms.append(np.linalg.norm(moments.mean))
     assert norms[0] > norms[1] > norms[2]
 
@@ -176,7 +177,7 @@ def test_update_states_pipeline_matches_dense_oracle():
     pan, _, _ = random_masked_panel(spec, T=4, seed=11, missing_prob=0.25)
     prior = default_prior(spec)
     state = vi.init_from_pca(pan, spec, prior, seed=3)
-    moments, _ = vi.update_states(pan, state.loadings, state.transition, prior)
+    moments = vi.update_states(pan, state.loadings, state.transition, prior)
     oracle = dense_gaussian_oracle(pan, state, prior)
     assert_allclose(moments.mean, oracle.mean, atol=1e-8)
     assert_allclose(moments.cov, oracle.marg_cov, atol=1e-8)
@@ -200,12 +201,50 @@ def test_elbo_zero_divergence_at_prior(tiny_spec, tiny_prior):
         mean=np.zeros((tiny_spec.r, s)),
         cov=np.linalg.inv(tiny_prior.trans_prec),
     )
-    moments, params = vi.update_states(pan, loadings, transition, tiny_prior)
+    moments = vi.update_states(pan, loadings, transition, tiny_prior)
     _, terms = vi.compute_elbo(
-        pan, loadings, transition, moments, tiny_prior, params, return_terms=True
+        pan, loadings, transition, moments, tiny_prior, return_terms=True
     )
     assert_allclose(terms["loadings"], 0.0, atol=1e-12)
     assert_allclose(terms["transition"], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "values, noise_scale, quad",
+    [
+        pytest.param([[3.0]], [1.0], 9.0, id="scalar"),
+        # a missing cell adds nothing, whatever its variable's noise
+        pytest.param([[3.0, np.nan]], [1.0, 1e-9], 9.0, id="masked-cell"),
+        # a step without data adds nothing
+        pytest.param(
+            [[1.0, 2.0], [np.nan, np.nan], [0.5, -1.0]], [1.0, 0.5], 11.25,
+            id="empty-step",
+        ),
+        pytest.param(np.full((3, 2), np.nan), [1.0, 1.0], 0.0, id="no-data"),
+    ],
+)
+def test_elbo_data_quadratic_hand_values(values, noise_scale, quad):
+    # The state term is the fit's constant less half of log|Q| and of the
+    # data quadratic sum_ti mask_ti y_ti^2 / tau_i less b' Q^-1 b.  The same
+    # expression with the quadratic worked out by hand gives the same bits.
+    pan = from_arrays(np.asarray(values, dtype=float))
+    spec = ModelSpec(n=pan.n, r=1, p=0)
+    prior = default_prior(spec)
+    loadings = vi.LoadingsVariational(
+        mean=np.ones((pan.n, 1)),
+        cov=np.full((pan.n, 1, 1), 0.1),
+        noise_df=prior.noise_df + pan.counts,
+        noise_scale=np.asarray(noise_scale),
+        free=np.ones((pan.n, 1), dtype=bool),
+    )
+    transition = vi.TransitionVariational(mean=np.array([[0.5]]), cov=np.array([[0.2]]))
+    moments = vi.update_states(pan, loadings, transition, prior)
+    _, terms = vi.compute_elbo(
+        pan, loadings, transition, moments, prior, return_terms=True
+    )
+    state_terms = vi._fit_constants(pan, prior).state_terms
+    want = state_terms - 0.5 * moments.prec_logdet - 0.5 * (quad - moments.info_quad)
+    assert terms["state"] == want
 
 
 def test_elbo_matches_mc_oracle(tiny_spec, tiny_prior):
@@ -214,11 +253,9 @@ def test_elbo_matches_mc_oracle(tiny_spec, tiny_prior):
         state, _, _ = vi.fit_smf(
             pan, tiny_spec, tiny_prior, tolerance=1e-9, max_iters=4 + k
         )
-        moments, params = vi.update_states(
-            pan, state.loadings, state.transition, tiny_prior
-        )
+        moments = vi.update_states(pan, state.loadings, state.transition, tiny_prior)
         exact = vi.compute_elbo(
-            pan, state.loadings, state.transition, moments, tiny_prior, params
+            pan, state.loadings, state.transition, moments, tiny_prior
         )
         est, se = mc_elbo_oracle(pan, state, tiny_prior, n_samples=200_000, seed=k)
         assert abs(exact - est) < 3 * se
@@ -227,9 +264,7 @@ def test_elbo_matches_mc_oracle(tiny_spec, tiny_prior):
 def test_elbo_requires_consistent_noise_df(tiny_spec, tiny_prior):
     pan, _, _ = random_masked_panel(tiny_spec, T=3, seed=23, missing_prob=0.2)
     state = vi.init_from_pca(pan, tiny_spec, tiny_prior, seed=0)
-    moments, params = vi.update_states(
-        pan, state.loadings, state.transition, tiny_prior
-    )
+    moments = vi.update_states(pan, state.loadings, state.transition, tiny_prior)
     broken = vi.LoadingsVariational(
         mean=state.loadings.mean,
         cov=state.loadings.cov,
@@ -238,7 +273,7 @@ def test_elbo_requires_consistent_noise_df(tiny_spec, tiny_prior):
         free=state.loadings.free,
     )
     with pytest.raises(DomainError, match="noise_df"):
-        vi.compute_elbo(pan, broken, state.transition, moments, tiny_prior, params)
+        vi.compute_elbo(pan, broken, state.transition, moments, tiny_prior)
 
 
 def test_fit_monotone_and_converges_over_seeds():
@@ -333,12 +368,8 @@ def test_init_from_pca_finite_initial_elbo():
     for seed in range(4):
         pan, _, _ = random_masked_panel(spec, T=12, seed=70 + seed, missing_prob=0.3)
         state = vi.init_from_pca(pan, spec, prior, seed=seed)
-        moments, params = vi.update_states(
-            pan, state.loadings, state.transition, prior
-        )
-        elbo = vi.compute_elbo(
-            pan, state.loadings, state.transition, moments, prior, params
-        )
+        moments = vi.update_states(pan, state.loadings, state.transition, prior)
+        elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, prior)
         assert np.isfinite(elbo)
 
 
@@ -347,18 +378,12 @@ def test_rotation_invariance_sign_flip(tiny_spec, tiny_prior):
     state, moments, report = vi.fit_smf(
         pan, tiny_spec, tiny_prior, tolerance=1e-8, max_iters=300
     )
-    moments, params = vi.update_states(
-        pan, state.loadings, state.transition, tiny_prior
-    )
-    elbo = vi.compute_elbo(
-        pan, state.loadings, state.transition, moments, tiny_prior, params
-    )
+    moments = vi.update_states(pan, state.loadings, state.transition, tiny_prior)
+    elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, tiny_prior)
     flipped, _ = vi.flip_factor_signs(state, moments, np.array([True]))
-    fl_moments, fl_params = vi.update_states(
-        pan, flipped.loadings, flipped.transition, tiny_prior
-    )
+    fl_moments = vi.update_states(pan, flipped.loadings, flipped.transition, tiny_prior)
     fl_elbo = vi.compute_elbo(
-        pan, flipped.loadings, flipped.transition, fl_moments, tiny_prior, fl_params
+        pan, flipped.loadings, flipped.transition, fl_moments, tiny_prior
     )
     assert abs(fl_elbo - elbo) < 1e-8
 
@@ -378,6 +403,55 @@ def test_fit_with_identification_restrictions():
     assert state.loadings.mean[0, 0] > 0
     trace = report.elbo_trace
     assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
+
+
+def test_fit_refuses_a_prior_coupling_an_anchored_factor():
+    # The fit ends by flipping factor 0 onto a positive anchor loading.
+    # Under this prior the flip lowers the objective (-2174.66 at the end
+    # of the trace, -2187.64 for the flipped state), so the returned state
+    # would not be the one the trace scores.
+    spec = ModelSpec(n=12, r=2, p=0)
+    pan, _ = simulate_dfm(stationary_sim_config(spec, T=120, seed=0))
+    prior = replace(
+        default_prior(spec), loading_prec=np.array([[1.0, 0.6], [0.6, 1.0]])
+    )
+    restr = identification_restrictions(spec, [(0, 0)])
+    with pytest.raises(DomainError, match="loading_prec couples anchored factor 0"):
+        vi.fit_smf(pan, spec, prior, restrictions=restr)
+
+
+@pytest.mark.parametrize(
+    "positive, match",
+    [
+        pytest.param(((0, 0), (4, 0)), "factor 0 anchored more than once", id="factor"),
+        pytest.param(
+            ((0, 0), (0, 1)), "variable 0 anchors more than one factor", id="variable"
+        ),
+    ],
+)
+def test_fit_refuses_hand_built_restrictions_that_anchor_twice(positive, match):
+    spec = ModelSpec(n=12, r=2, p=0)
+    pan, _ = simulate_dfm(stationary_sim_config(spec, T=120, seed=0))
+    restr = Restrictions(np.ones((spec.n, spec.s), dtype=bool), positive)
+    with pytest.raises(DomainError, match=match):
+        vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
+
+
+def test_fit_sign_flip_leaves_restricted_loadings_positive_zero(monkeypatch):
+    # Both anchored factors converge with negative anchor loadings and are
+    # flipped; a restricted 0.0 times -1 would be stored as -0.0.
+    spec = ModelSpec(n=12, r=2, p=1)
+    pan, _ = standardize(simulate_dfm(stationary_sim_config(spec, T=120, seed=0))[0])
+    restr = identification_restrictions(spec, [(0, 0), (1, 1)])
+    flips, flip = [], vi.flip_factor_signs
+    monkeypatch.setattr(
+        vi, "flip_factor_signs", lambda *a: flips.append(a[2].tolist()) or flip(*a)
+    )
+    state, _, _ = vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
+    assert flips == [[True, True]]
+    assert not np.signbit(state.loadings.mean[~restr.free]).any()
+    assert not np.signbit(state.loadings.cov[~restr.free_pairs]).any()
+    assert np.all(state.loadings.mean[[0, 1], [0, 1]] > 0)
 
 
 def test_fit_refuses_an_init_with_another_free_mask():
@@ -412,7 +486,7 @@ def _restricted_three_factor_case():
     prior = default_prior(spec, nu=2.0, tau2=0.5)
     restr = identification_restrictions(spec, [(0, 0), (1, 1), (2, 2)])
     state = vi.init_from_pca(pan, spec, prior, seed=4, restrictions=restr)
-    moments, _ = vi.update_states(pan, state.loadings, state.transition, prior)
+    moments = vi.update_states(pan, state.loadings, state.transition, prior)
     return spec, pan, prior, restr, moments
 
 
@@ -519,10 +593,8 @@ def test_batched_elbo_loadings_term_matches_per_equation_reference():
     spec, pan, prior, restr, moments = _restricted_three_factor_case()
     loadings = vi.update_loadings(pan, moments, prior, restr)
     transition = vi.update_transition(moments, prior)
-    moments, params = vi.update_states(pan, loadings, transition, prior)
-    _, terms = vi.compute_elbo(
-        pan, loadings, transition, moments, prior, params, return_terms=True
-    )
+    moments = vi.update_states(pan, loadings, transition, prior)
+    _, terms = vi.compute_elbo(pan, loadings, transition, moments, prior, return_terms=True)
     want = 0.0
     for i in range(spec.n):
         idx = np.flatnonzero(loadings.free[i])
@@ -659,9 +731,9 @@ def test_objective_equals_the_reference_objective_bitwise(seed):
             np.full(spec.n, rng.uniform(0.2, 2.0)),
         )
         loadings = replace(loadings, noise_df=prior.noise_df + pan.counts)
-        moments, params = vi.update_states(pan, loadings, transition, prior)
-        got = vi.compute_elbo(pan, loadings, transition, moments, prior, params)
+        moments = vi.update_states(pan, loadings, transition, prior)
+        got = vi.compute_elbo(pan, loadings, transition, moments, prior)
         want = reference_kernels.compute_elbo(
-            pan, loadings, transition, moments, prior, params
+            pan, loadings, transition, moments, prior
         )
         assert_same_bits(got, want)
