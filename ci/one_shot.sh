@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# The pipeline simulate -> fit -> gibbs -> compare -> forecast on a tiny
+# panel, run twice: through the installed `dfmvi` console script, one process
+# per command, and through `dfmvi.cli.main`, all five commands in one process
+# (where gibbs reuses the panel fit parsed).  Every artifact except the
+# manifests, which record wall times, must be byte-identical between the two.
+#
+# Usage: bash ci/one_shot.sh [WORKDIR]   (default: a new temporary directory)
+set -euo pipefail
+
+work=${1:-$(mktemp -d)}
+
+# One command per line, with ROOT standing for the run's output directory.
+steps='simulate --out ROOT/sim --n 6 --t 40 --seed 7 --missing-rate 0.1 --ragged 0:35,1:38
+fit --panel ROOT/sim/panel.csv --out ROOT/fit --seed 3 --identify 0:0
+gibbs --panel ROOT/sim/panel.csv --out ROOT/gibbs --seed 3 --identify 0:0 --draws 300
+compare --panel ROOT/sim/panel.csv --fit ROOT/fit --gibbs ROOT/gibbs --out ROOT/compare --horizons 2 --smf-draws 200
+forecast --panel ROOT/sim/panel.csv --fit ROOT/fit --out ROOT/forecast --horizons 2 --smf-draws 200'
+
+while read -r line; do
+    # shellcheck disable=SC2086  # the line is split into the command's words
+    dfmvi ${line//ROOT/$work/one_shot}
+done <<< "$steps"
+
+STEPS=${steps//ROOT/$work/in_process} python - <<'PY'
+import os
+import shlex
+
+from dfmvi.cli import main
+
+for line in os.environ["STEPS"].splitlines():
+    if main(shlex.split(line)) != 0:
+        raise SystemExit(f"in-process command failed: {line}")
+PY
+
+cd "$work"
+diff <(cd one_shot && find . -type f | sort) <(cd in_process && find . -type f | sort)
+count=0
+while read -r file; do
+    cmp "one_shot/$file" "in_process/$file"
+    count=$((count + 1))
+done < <(cd one_shot && find . -type f ! -name manifest.json | sort)
+echo "one-shot and in-process runs agree on $count artifacts in $work"

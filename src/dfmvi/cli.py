@@ -9,16 +9,21 @@ the model fingerprint are all built from these two tables.  Every command
 reads an optional declarative JSON config (flags override config values),
 writes its artifacts under a fixed set of filenames in the output
 directory, and records a manifest carrying the config echo, a hash of the
-estimation-relevant configuration, the seed and wall time.  ``fit`` also
-stores its final state moments, which ``forecast`` and ``compare`` read in
-place of parsing the panel and running the state pass.  ``compare`` and
-``forecast --source gibbs`` refuse fit and Gibbs artifacts whose
-configuration hashes differ.  The computing modules (``vi``, ``gibbs``,
-``forecast``, ``statespace``) are imported by the commands that use them,
-so ``simulate`` loads numpy only.  They load scipy only when they factor a
-path precision or build a fit's constants, so ``fit`` and ``gibbs`` load
-it and ``forecast`` and ``compare`` do not.  The parser is built once per
-process, which saves its construction for in-process callers.
+estimation-relevant configuration, the seed and wall time.  ``fit`` and
+``gibbs`` read the panel file once and record the SHA-256 of the bytes they
+parse.  The last panel parsed is kept, keyed by that digest and the
+standardization setting, so an in-process caller that fits and samples one
+panel parses it once; an edited file never matches.  ``fit`` also stores its
+final state moments, which ``forecast`` and ``compare`` read in place of
+parsing the panel and running the state pass.  Text artifacts are written as
+UTF-8 whatever the locale.  ``compare`` and ``forecast --source gibbs``
+refuse fit and Gibbs artifacts whose configuration hashes differ.  The
+computing modules (``vi``, ``gibbs``, ``forecast``, ``statespace``) are
+imported by the commands that use them, so ``simulate`` loads numpy only.
+They load scipy only when they factor a path precision or build a fit's
+constants, so ``fit`` and ``gibbs`` load it and ``forecast`` and
+``compare`` do not.  The parser is built once per process, which saves its
+construction for in-process callers.
 """
 
 from __future__ import annotations
@@ -206,9 +211,9 @@ def _hash_config(cfg: dict) -> str:
     ).hexdigest()
 
 
-def _model_fingerprint(panel_path, cfg) -> dict:
+def _model_fingerprint(panel_sha, cfg) -> dict:
     return {
-        "panel_sha256": _panel_sha(panel_path),
+        "panel_sha256": panel_sha,
         **{k: cfg[k] for k in _MODEL_KEYS if k != "seed"},
         "standardize": bool(cfg["standardize"]),
     }
@@ -221,7 +226,7 @@ def _write_json(path, obj) -> None:
 
 
 def _write_rows(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -267,17 +272,42 @@ def _prepare_model(pan, cfg):
     return spec, default_prior(spec, **{k: float(cfg[k]) for k in _PRIOR_KEYS})
 
 
+# The last panel fit or gibbs read: {(sha256, standardize): (panel, record)}.
+# It holds one entry, keyed by the file's content, so an in-process caller
+# that fits and samples one panel parses its bytes once.
+_last_panel = {}
+
+
+def _read_panel(path, standardize):
+    """The panel file's SHA-256, its panel (standardized if asked) and the
+    standardization record (None if not).
+
+    The file is read once, and the digest and the panel come from the same
+    bytes.  A panel whose bytes and standardization match the last one read
+    in this process is not parsed again; a failed parse is not kept.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    sha = hashlib.sha256(data).hexdigest()
+    key = (sha, bool(standardize))
+    if key not in _last_panel:
+        _last_panel.clear()
+        raw = panel_mod.load_csv(path, data=data)
+        _last_panel[key] = panel_mod.standardize(raw) if standardize else (raw, None)
+    return sha, *_last_panel[key]
+
+
 def _load_model(args, cfg):
-    """Panel, standardization record, spec and prior for fit and gibbs.
+    """Panel digest, panel, standardization record, spec and prior for fit
+    and gibbs.
 
     Resolves the anchors and the panel width into ``cfg``.
     """
-    raw = panel_mod.load_csv(args.panel)
-    pan, record = panel_mod.standardize(raw) if cfg["standardize"] else (raw, None)
+    sha, pan, record = _read_panel(args.panel, cfg["standardize"])
     cfg["identification"] = _parse_identify(cfg["identification"], list(pan.names))
     spec, prior = _prepare_model(pan, cfg)
     cfg["n"] = spec.n
-    return pan, record, spec, prior
+    return sha, pan, record, spec, prior
 
 
 def _load_fit_run(args):
@@ -400,7 +430,7 @@ def cmd_fit(args, parser) -> int:
     from . import vi
 
     cfg, started = _open_run(args, parser, _KEYS["fit"], (args.panel, "panel file"))
-    pan, record, spec, prior = _load_model(args, cfg)
+    sha, pan, record, spec, prior = _load_model(args, cfg)
 
     grid_log = []
     if cfg["eta_grid"]:
@@ -418,7 +448,7 @@ def cmd_fit(args, parser) -> int:
         state, moments, report = _run_fit(pan, spec, prior, cfg)
 
     fit_time = time.perf_counter() - started
-    fingerprint = _model_fingerprint(args.panel, cfg)
+    fingerprint = _model_fingerprint(sha, cfg)
     _write_json(
         os.path.join(args.out, "variational.json"),
         {
@@ -448,7 +478,8 @@ def cmd_fit(args, parser) -> int:
         ),
     )
     if record is not None:
-        with open(os.path.join(args.out, "standardization.json"), "w") as fh:
+        path = os.path.join(args.out, "standardization.json")
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(record.to_json() + "\n")
     np.savez(
         os.path.join(args.out, _MOMENTS_FILE),
@@ -473,7 +504,7 @@ def cmd_gibbs(args, parser) -> int:
     from . import gibbs
 
     cfg, started = _open_run(args, parser, _KEYS["gibbs"], (args.panel, "panel file"))
-    pan, _, spec, prior = _load_model(args, cfg)
+    sha, pan, _, spec, prior = _load_model(args, cfg)
     config = gibbs.GibbsConfig(
         n_draws=cfg["draws"],
         burn_in_fraction=float(cfg["burn_in_fraction"]),
@@ -486,7 +517,7 @@ def cmd_gibbs(args, parser) -> int:
     sampler_time = time.perf_counter() - sampler_started
     gibbs.save_draws(store, os.path.join(args.out, "draws.npz"))
     _write_manifest(
-        args, cfg, _model_fingerprint(args.panel, cfg), time.perf_counter() - started,
+        args, cfg, _model_fingerprint(sha, cfg), time.perf_counter() - started,
         stored_draws=store.n_draws,
         sign_flips=store.sign_flips,
         sampler_wall_time_s=sampler_time,
@@ -567,7 +598,8 @@ def cmd_compare(args, parser) -> int:
     # The rows csv.writer would give: fixed block names and repr floats need
     # no quoting, and each (block, level) chunk is written at once.  Coverage
     # takes few distinct values, so repr runs once per distinct bit pattern.
-    with open(os.path.join(args.out, "report_coverage.csv"), "w", newline="") as fh:
+    path = os.path.join(args.out, "report_coverage.csv")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("block,level,element,coverage_pct\r\n")
         for block, per_level in report.coverage.items():
             for level, cov in per_level.items():

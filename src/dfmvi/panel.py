@@ -10,6 +10,7 @@ their priors during estimation.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -110,26 +111,33 @@ def from_arrays(values: np.ndarray, names=None) -> TimeSeriesPanel:
     return TimeSeriesPanel(values=values, mask=~np.isnan(values), names=tuple(names))
 
 
-def load_csv(path, missing_token: str = "") -> TimeSeriesPanel:
+def load_csv(path, missing_token: str = "", data: bytes | None = None) -> TimeSeriesPanel:
     """Read a panel from a UTF-8 CSV file with a header of variable names.
 
     Each subsequent row is one time step.  Cells equal to ``missing_token``
-    (after stripping surrounding whitespace) are treated as missing.
+    (after stripping surrounding whitespace) are treated as missing.  A
+    leading UTF-8 byte-order mark is dropped.  ``data``, when given, is the
+    file's content already read; ``path`` then only names it in errors.
 
     Raises
     ------
     PanelFormatError
-        On an empty file, ragged rows (a blank line counts as a row of zero
-        fields unless only blank lines follow it), or cells that parse as
-        neither a number nor the missing token (the error names the row and
-        column).
+        On bytes that are not UTF-8, an empty file, ragged rows (a blank
+        line counts as a row of zero fields unless only blank lines follow
+        it), or cells that parse as neither a number nor the missing token
+        (the error names the row and column).
     DomainError
         On a cell that parses to an infinite value (names the time step and
         column) or a variable name that appears twice.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise PanelFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     while rows and not rows[-1]:
         rows.pop()  # blank lines after the last data row
     if not rows:

@@ -426,19 +426,22 @@ def flip_factor_signs(
     Flipping factor k negates its state coordinates at every lag.  Sign
     flips leave second moments, covariances and the objective unchanged;
     only loading means, transition rows/columns and state means change
-    sign patterns.  Restricted loading entries stay exact +0.0.
+    sign patterns.  Exact zeros in the loadings stay +0.0: the restricted
+    entries, and the free ones of a series with no observations, which keep
+    the prior's zeros.
     """
     loadings, transition = state.loadings, state.transition
     r, s = transition.mean.shape
     signs = factor_signs(flips, s)
     outer = signs[:, None] * signs
-    # where(), not a bare product: a restricted 0.0 times -1 is -0.0.
+    # where(), not a bare product: a restricted 0.0 times -1 is -0.0.  Adding
+    # +0.0 turns a free -0.0 into +0.0 and leaves every nonzero bit.
     masks = Restrictions(loadings.free, ())
     new_state = VariationalState(
         loadings=replace(
             loadings,
-            mean=np.where(masks.free, loadings.mean * signs, 0.0),
-            cov=masks.restrict(loadings.cov * outer),
+            mean=np.where(masks.free, loadings.mean * signs, 0.0) + 0.0,
+            cov=masks.restrict(loadings.cov * outer) + 0.0,
         ),
         transition=TransitionVariational(
             mean=transition.mean * outer[:r], cov=transition.cov * outer

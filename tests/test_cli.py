@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -17,6 +18,41 @@ from dfmvi import cli, panel as panel_mod, vi
 
 def _run(argv):
     return cli.main(argv)
+
+
+def _fresh(argv, **env):
+    """Run ``dfmvi`` with ``argv`` in a new interpreter, as the console script
+    does, with ``env`` added to the environment; returns the process."""
+    src = os.path.dirname(os.path.dirname(dfmvi.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys; from dfmvi.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True, text=True,
+    )
+
+
+def _count_calls(monkeypatch, *targets):
+    """Wrap each (module, name) so that a call appends the name to the
+    returned list."""
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in targets:
+        count(module, name)
+    return calls
+
+
+_PANEL_READS = ((panel_mod, "load_csv"), (panel_mod, "standardize"))
 
 
 @pytest.fixture(scope="module")
@@ -575,20 +611,7 @@ def test_state_pass_runs_once_per_command(
 ):
     # Once per pipeline, that is: in fit.  forecast and compare read the
     # fit's stored moments, and hash the panel without parsing it.
-    calls = []
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(vi, "update_states")
-    count(panel_mod, "load_csv")
-    count(panel_mod, "standardize")
+    calls = _count_calls(monkeypatch, (vi, "update_states"), *_PANEL_READS)
     argv = [
         command, "--panel", str(sim_dir / "panel.csv"), "--fit", str(fit_dir),
         "--gibbs", str(gibbs_dir), "--out", str(tmp_path / "out"),
@@ -687,3 +710,142 @@ def test_compare_and_forecast_refuse_a_draw_store_without_a_key(
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
         assert "sign_flips" in err and "rerun dfmvi gibbs" in err
+
+
+# ---------------------------------------------------------------------------
+# fit and gibbs keep the last panel they read, keyed by its bytes.  Each test
+# reads its own panel first where it needs the entry, since the entry
+# outlives a test.
+
+
+def _artifacts(directory):
+    """Every artifact's bytes, the manifest's model fingerprint for the
+    manifest (its wall times differ between runs)."""
+    return {
+        name: json.loads(path.read_text())["model"]
+        if name == "manifest.json" else path.read_bytes()
+        for name, path in ((p.name, p) for p in sorted(directory.iterdir()))
+    }
+
+
+def test_reused_panel_gives_the_artifacts_of_fresh_interpreters(sim_dir, tmp_path):
+    # In this process gibbs and the second fit reuse the first fit's panel;
+    # in fresh interpreters each command parses it.
+    panel = ["--panel", str(sim_dir / "panel.csv")]
+    commands = {
+        "fit": ["fit", "--seed", "3", "--identify", "0:0"],
+        "gibbs": ["gibbs", "--seed", "3", "--identify", "0:0", "--draws", "200"],
+        "refit": ["fit", "--seed", "5", "--identify", "0:0", "--max-iters", "20"],
+    }
+    for label, argv in commands.items():
+        assert _run(argv + panel + ["--out", str(tmp_path / "warm" / label)]) == 0
+    for label, argv in commands.items():
+        proc = _fresh(argv + panel + ["--out", str(tmp_path / "cold" / label)])
+        assert proc.returncode == 0, proc.stderr
+    for label in commands:
+        warm = _artifacts(tmp_path / "warm" / label)
+        assert warm == _artifacts(tmp_path / "cold" / label)
+        assert warm["manifest.json"]["panel_sha256"] == hashlib.sha256(
+            (sim_dir / "panel.csv").read_bytes()
+        ).hexdigest()
+
+
+def test_a_panel_read_again_is_not_parsed_again(sim_dir, tmp_path, monkeypatch):
+    panel = ["--panel", str(sim_dir / "panel.csv")]
+    assert _run(["fit", *panel, "--out", str(tmp_path / "first"), "--max-iters", "3"]) == 0
+    calls = _count_calls(monkeypatch, *_PANEL_READS)
+    assert _run(["gibbs", *panel, "--out", str(tmp_path / "gibbs"), "--draws", "20"]) == 0
+    assert _run(["fit", *panel, "--out", str(tmp_path / "fit"), "--max-iters", "3"]) == 0
+    assert calls == []
+
+
+def test_new_bytes_at_the_same_path_are_parsed_again(sim_dir, tmp_path, monkeypatch):
+    path = tmp_path / "panel.csv"
+    first = (sim_dir / "panel.csv").read_bytes()
+    path.write_bytes(first)
+    argv = ["fit", "--panel", str(path), "--max-iters", "3"]
+    assert _run(argv + ["--out", str(tmp_path / "first")]) == 0
+    edited = first.replace(b"\r\n", b"\n")  # the same cells, other bytes
+    path.write_bytes(edited)
+    calls = _count_calls(monkeypatch, *_PANEL_READS)
+    assert _run(argv + ["--out", str(tmp_path / "edited")]) == 0
+    assert calls == ["load_csv", "standardize"]
+    manifest = json.loads((tmp_path / "edited" / "manifest.json").read_text())
+    assert manifest["model"]["panel_sha256"] == hashlib.sha256(edited).hexdigest()
+    assert manifest["model"]["panel_sha256"] != hashlib.sha256(first).hexdigest()
+
+
+def test_unstandardized_run_does_not_get_the_standardized_panel(
+    sim_dir, tmp_path, monkeypatch
+):
+    panel = ["--panel", str(sim_dir / "panel.csv"), "--max-iters", "3"]
+    assert _run(["fit", *panel, "--out", str(tmp_path / "standardized")]) == 0
+    calls = _count_calls(monkeypatch, *_PANEL_READS)
+    fitted, fit_smf = [], vi.fit_smf
+    monkeypatch.setattr(
+        vi, "fit_smf", lambda pan, *a, **k: fitted.append(pan) or fit_smf(pan, *a, **k)
+    )
+    argv = ["fit", *panel, "--out", str(tmp_path / "raw"), "--no-standardize"]
+    assert _run(argv) == 0
+    assert calls == ["load_csv"]
+    raw = panel_mod.load_csv(sim_dir / "panel.csv")
+    assert fitted[0].values.tobytes() == raw.values.tobytes()
+    assert not (tmp_path / "raw" / "standardization.json").exists()
+
+
+@pytest.mark.parametrize(
+    "body, reads, named",
+    [
+        pytest.param("a,b\n1,x\n", ["load_csv"], "panel.csv: row 2, column 'b'", id="parse"),
+        pytest.param(
+            "a,b\n1,2\n1,3\n", ["load_csv", "standardize"], "column 'a' has zero",
+            id="standardize",
+        ),
+    ],
+)
+def test_a_failed_panel_read_is_not_kept(tmp_path, monkeypatch, capsys, body, reads, named):
+    path = tmp_path / "panel.csv"
+    path.write_text(body)
+    calls = _count_calls(monkeypatch, *_PANEL_READS)
+    for _ in range(2):
+        assert _run(["fit", "--panel", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+    assert calls == reads * 2
+
+
+def test_fit_reads_a_panel_with_a_byte_order_mark(sim_dir, tmp_path):
+    # The BOM is not part of the first name, so var1 can anchor; the
+    # manifest records the digest of the file's own bytes.
+    plain = (sim_dir / "panel.csv").read_bytes()
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + plain)
+    argv = ["fit", "--seed", "3", "--identify", "var1:0", "--max-iters", "20"]
+    for name, path in (("bom", tmp_path / "bom.csv"), ("plain", sim_dir / "panel.csv")):
+        assert _run(argv + ["--panel", str(path), "--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["model"]["panel_sha256"] == hashlib.sha256(
+            path.read_bytes()
+        ).hexdigest()
+    for name in ("elbo_trace.csv", "states.csv", "standardization.json"):
+        assert (tmp_path / "bom" / name).read_bytes() == (
+            tmp_path / "plain" / name
+        ).read_bytes()
+
+
+def test_text_artifacts_are_utf8_under_the_c_locale(tmp_path):
+    # Under the C locale without UTF-8 mode, a file opened without an
+    # encoding is ASCII and cannot hold the name.
+    rng = np.random.default_rng(0)
+    pan = panel_mod.from_arrays(rng.standard_normal((40, 3)), ["\u00d6lpreis", "b", "c"])
+    panel_mod.write_csv(pan, tmp_path / "panel.csv")
+    env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    panel = ["--panel", str(tmp_path / "panel.csv")]
+    for argv in (
+        ["fit", *panel, "--out", str(tmp_path / "fit"), "--max-iters", "5"],
+        ["forecast", *panel, "--fit", str(tmp_path / "fit"), "--out",
+         str(tmp_path / "fc"), "--horizons", "1", "--smf-draws", "20"],
+    ):
+        proc = _fresh(argv, **env)
+        assert proc.returncode == 0, proc.stderr
+    text = (tmp_path / "fc" / "forecast_summary.csv").read_bytes().decode("utf-8")
+    assert "\n\u00d6lpreis,1," in text.replace("\r\n", "\n")

@@ -72,6 +72,34 @@ def test_load_csv_custom_missing_token(tmp_path):
     assert not pan.mask[0, 0] and pan.mask[1, 0]
 
 
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a BOM; it is not part of the
+    # first name.
+    text = "var1,b\n1.5,\n-2.25,3.0\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = load_csv(plain), load_csv(bom)
+    assert got.names == want.names == ("var1", "b")
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.mask.tobytes() == want.mask.tobytes()
+
+
+def test_load_csv_parses_given_bytes_and_names_the_path(tmp_path):
+    # The bytes are parsed as they are; the path, never opened, names them.
+    pan = load_csv(tmp_path / "absent.csv", data="a,\u00d6l\n1,2\n".encode("utf-8"))
+    assert pan.names == ("a", "\u00d6l")
+    with pytest.raises(PanelFormatError, match=r"absent\.csv: row 2, column 'a'"):
+        load_csv(tmp_path / "absent.csv", data=b"a\nx\n")
+
+
+def test_load_csv_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("\u00d6l,b\n1,2\n".encode("latin-1"))
+    with pytest.raises(PanelFormatError, match=r"latin1\.csv: not UTF-8 text"):
+        load_csv(path)
+
+
 def test_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     values = rng.standard_normal((7, 3)) * np.pi

@@ -12,6 +12,7 @@ from dfmvi.model import (
     PriorSpec,
     Restrictions,
     default_prior,
+    factor_signs,
     identification_restrictions,
 )
 from dfmvi.panel import from_arrays, standardize
@@ -452,6 +453,36 @@ def test_fit_sign_flip_leaves_restricted_loadings_positive_zero(monkeypatch):
     assert not np.signbit(state.loadings.mean[~restr.free]).any()
     assert not np.signbit(state.loadings.cov[~restr.free_pairs]).any()
     assert np.all(state.loadings.mean[[0, 1], [0, 1]] > 0)
+
+
+@pytest.mark.parametrize(
+    "r, p, anchors",
+    [pytest.param(1, 0, [(0, 0)], id="s1"), pytest.param(2, 1, [(0, 0), (1, 1)], id="r2p1")],
+)
+def test_fit_sign_flip_leaves_an_empty_series_loadings_positive_zero(
+    monkeypatch, r, p, anchors
+):
+    # Series 11 has no observations, so its free loading means (and, at
+    # s > 1, its covariances off the factor blocks) keep the prior's exact
+    # zeros; a flipped factor must store them as +0.0 and keep every other bit.
+    spec = ModelSpec(n=12, r=r, p=p)
+    values = simulate_dfm(stationary_sim_config(spec, T=120, seed=0))[0].values.copy()
+    values[:, 11] = np.nan
+    pan, _ = standardize(from_arrays(values))
+    restr = identification_restrictions(spec, anchors)
+    calls, flip = [], vi.flip_factor_signs
+    monkeypatch.setattr(vi, "flip_factor_signs", lambda *a: calls.append(a) or flip(*a))
+    state, _, _ = vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
+    (before, _, flips), = calls
+    assert flips.any()
+    assert np.all(before.loadings.mean[11] == 0.0)
+    mean, cov = state.loadings.mean, state.loadings.cov
+    assert not np.signbit(mean[mean == 0.0]).any()
+    assert not np.signbit(cov[cov == 0.0]).any()
+    signs = factor_signs(flips, spec.s)
+    outer = signs[:, None] * signs
+    assert_same_bits(mean[mean != 0.0], (before.loadings.mean * signs)[mean != 0.0])
+    assert_same_bits(cov[cov != 0.0], (before.loadings.cov * outer)[cov != 0.0])
 
 
 def test_fit_refuses_an_init_with_another_free_mask():
