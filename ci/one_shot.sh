@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# The pipeline simulate -> fit -> gibbs -> compare -> forecast on a tiny
-# panel, run twice: through the installed `dfmvi` console script, one process
+# The pipeline simulate -> fit -> gibbs -> compare -> forecast on two tiny
+# panels, run twice: through the installed `dfmvi` console script, one process
 # per command, and through `dfmvi.cli.main`, all five commands in one process
 # (where gibbs reuses the panel fit parsed).  Every artifact except the
 # manifests, which record wall times, must be byte-identical between the two.
+# The second panel is fitted and sampled at r=2, p=1 with one anchor per
+# factor; its chain starts from a principal-component start that both anchors
+# fold, so the sign fold runs at s > 1 from the first sweep.
 #
 # Usage: bash ci/one_shot.sh [WORKDIR]   (default: a new temporary directory)
 set -euo pipefail
@@ -15,7 +18,12 @@ steps='simulate --out ROOT/sim --n 6 --t 40 --seed 7 --missing-rate 0.1 --ragged
 fit --panel ROOT/sim/panel.csv --out ROOT/fit --seed 3 --identify 0:0
 gibbs --panel ROOT/sim/panel.csv --out ROOT/gibbs --seed 3 --identify 0:0 --draws 300
 compare --panel ROOT/sim/panel.csv --fit ROOT/fit --gibbs ROOT/gibbs --out ROOT/compare --horizons 2 --smf-draws 200
-forecast --panel ROOT/sim/panel.csv --fit ROOT/fit --out ROOT/forecast --horizons 2 --smf-draws 200'
+forecast --panel ROOT/sim/panel.csv --fit ROOT/fit --out ROOT/forecast --horizons 2 --smf-draws 200
+simulate --out ROOT/sim2 --n 8 --r 2 --p 1 --t 60 --seed 2 --missing-rate 0.1 --ragged 6:55,7:57
+fit --panel ROOT/sim2/panel.csv --out ROOT/fit2 --seed 4 --r 2 --p 1 --identify 0:0 --identify 1:1
+gibbs --panel ROOT/sim2/panel.csv --out ROOT/gibbs2 --seed 4 --r 2 --p 1 --identify 0:0 --identify 1:1 --draws 300
+compare --panel ROOT/sim2/panel.csv --fit ROOT/fit2 --gibbs ROOT/gibbs2 --out ROOT/compare2 --horizons 2 --smf-draws 200
+forecast --panel ROOT/sim2/panel.csv --fit ROOT/fit2 --out ROOT/forecast2 --horizons 2 --smf-draws 200'
 
 while read -r line; do
     # shellcheck disable=SC2086  # the line is split into the command's words

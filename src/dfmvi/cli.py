@@ -43,6 +43,15 @@ from . import __version__, panel as panel_mod, sim
 from .errors import DfmError, DomainError
 from .model import ModelSpec, default_prior, identification_restrictions
 
+
+def _argv_text(arg: str) -> str:
+    """An argument read as UTF-8 whatever the locale: Python keeps each byte
+    the locale cannot decode as a lone surrogate (U+DC80-U+DCFF)."""
+    if any("\udc80" <= c <= "\udcff" for c in arg):
+        return os.fsencode(arg).decode("utf-8", "surrogateescape")
+    return arg
+
+
 # key: (default, flag, extra argparse keywords).  Int and float settings
 # take their flag's type from the default.
 _SETTINGS = {
@@ -57,7 +66,8 @@ _SETTINGS = {
     "tau2": (1.0, "--tau2", {}),
     "standardize": (True, "--no-standardize", {"action": "store_false"}),
     "identification": (
-        [], "--identify", {"action": "append", "metavar": "VAR:FACTOR"},
+        [], "--identify",
+        {"action": "append", "metavar": "VAR:FACTOR", "type": _argv_text},
     ),
     "seed": (0, "--seed", {}),
     "tolerance": (1e-7, "--tolerance", {}),
@@ -298,8 +308,8 @@ def _read_panel(path, standardize):
 
 
 def _load_model(args, cfg):
-    """Panel digest, panel, standardization record, spec and prior for fit
-    and gibbs.
+    """Panel digest, panel, standardization record, spec, prior and the
+    command's one ``Restrictions`` for fit and gibbs.
 
     Resolves the anchors and the panel width into ``cfg``.
     """
@@ -307,7 +317,8 @@ def _load_model(args, cfg):
     cfg["identification"] = _parse_identify(cfg["identification"], list(pan.names))
     spec, prior = _prepare_model(pan, cfg)
     cfg["n"] = spec.n
-    return sha, pan, record, spec, prior
+    restrictions = identification_restrictions(spec, cfg["identification"])
+    return sha, pan, record, spec, prior, restrictions
 
 
 def _load_fit_run(args):
@@ -411,41 +422,32 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
-def _run_fit(pan, spec, prior, cfg):
-    from . import vi
-
-    anchors = cfg["identification"]
-    return vi.fit_smf(
-        pan,
-        spec,
-        prior,
-        tolerance=float(cfg["tolerance"]),
-        max_iters=cfg["max_iters"],
-        restrictions=identification_restrictions(spec, anchors) if anchors else None,
-        seed=cfg["seed"],
-    )
-
-
 def cmd_fit(args, parser) -> int:
     from . import vi
 
     cfg, started = _open_run(args, parser, _KEYS["fit"], (args.panel, "panel file"))
-    sha, pan, record, spec, prior = _load_model(args, cfg)
+    sha, pan, record, spec, prior, restrictions = _load_model(args, cfg)
 
-    grid_log = []
-    if cfg["eta_grid"]:
-        best = None
-        for eta in map(float, cfg["eta_grid"]):
-            trial = dict(cfg, eta_lambda=eta, eta_phi=eta)
-            fit = _run_fit(pan, *_prepare_model(pan, trial), trial)
-            elbo = fit[2].elbo_trace[-1]
+    # One selection loop, over the grid's priors or the configured prior
+    # alone: the highest final bound wins, the first of equal ones.
+    grid = [float(eta) for eta in cfg["eta_grid"]]
+    grid_log, best = [], None
+    for eta in grid or [None]:
+        if eta is not None:
+            prior = _prepare_model(pan, dict(cfg, eta_lambda=eta, eta_phi=eta))[1]
+        fit = vi.fit_smf(
+            pan, spec, prior,
+            tolerance=float(cfg["tolerance"]), max_iters=cfg["max_iters"],
+            restrictions=restrictions, seed=cfg["seed"],
+        )
+        elbo = fit[2].elbo_trace[-1]
+        if grid:
             grid_log.append({"eta": eta, "elbo": float(elbo)})
-            if best is None or elbo > best[0]:
-                best = (elbo, eta, fit)
-        _, eta, (state, moments, report) = best
+        if best is None or elbo > best[0]:
+            best = (elbo, eta, fit)
+    _, eta, (state, moments, report) = best
+    if grid:
         cfg["eta_lambda"] = cfg["eta_phi"] = eta
-    else:
-        state, moments, report = _run_fit(pan, spec, prior, cfg)
 
     fit_time = time.perf_counter() - started
     fingerprint = _model_fingerprint(sha, cfg)
@@ -504,16 +506,15 @@ def cmd_gibbs(args, parser) -> int:
     from . import gibbs
 
     cfg, started = _open_run(args, parser, _KEYS["gibbs"], (args.panel, "panel file"))
-    sha, pan, _, spec, prior = _load_model(args, cfg)
+    sha, pan, _, spec, prior, restrictions = _load_model(args, cfg)
     config = gibbs.GibbsConfig(
         n_draws=cfg["draws"],
         burn_in_fraction=float(cfg["burn_in_fraction"]),
         seed=cfg["seed"],
-        identification=tuple(tuple(a) for a in cfg["identification"]),
         thin=cfg["thin"],
     )
     sampler_started = time.perf_counter()
-    store = gibbs.run_gibbs(pan, spec, prior, config)
+    store = gibbs.run_gibbs(pan, spec, prior, config, restrictions)
     sampler_time = time.perf_counter() - sampler_started
     gibbs.save_draws(store, os.path.join(args.out, "draws.npz"))
     _write_manifest(

@@ -10,12 +10,15 @@ without data, the last one included, needs no special case.
 
 Identification is enforced by zero restrictions and a sign fold onto the
 anchor loadings (:func:`sample_parameters`), exact for a prior that
-couples no anchored factor with another (:func:`check_sign_fold`).
+couples no anchored factor with another (:func:`model.check_sign_fold`).
+``run_gibbs`` takes the same ``Restrictions`` as :func:`vi.fit_smf`, checks
+them the same way (:func:`vi.run_restrictions`) and folds by the same rule,
+:meth:`Restrictions.flips`.
 
-A chain's constants are built once: ``run_gibbs`` makes one
-``Restrictions``, whose masks and anchor rows are cached on it, and the
-origin precision is cached on the prior.  Draws are stored columnar, in
-draw order, in one ``.npz`` archive (:class:`DrawStore`).
+A chain's constants are built once: its anchor rows on its
+``Restrictions``, its origin precision, masks and panel constants on the
+prior.  Draws are stored columnar, in draw order, in one ``.npz`` archive
+(:class:`DrawStore`).
 """
 
 from __future__ import annotations
@@ -28,23 +31,17 @@ import numpy as np
 
 from . import statespace, vi
 from .errors import DomainError
-from .model import ModelSpec, PriorSpec, Restrictions, check_sign_fold, factor_signs
-from .model import identification_restrictions
+from .model import ModelSpec, PriorSpec, Restrictions, factor_signs
 from .panel import TimeSeriesPanel
 
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Sampler run configuration.
-
-    ``identification`` lists (variable, factor) anchors; each zeroes the
-    variable's other loadings and restricts the anchored one positive.
-    """
+    """Sampler run configuration."""
 
     n_draws: int = 200_000
     burn_in_fraction: float = 0.10
     seed: int = 0
-    identification: tuple[tuple[int, int], ...] = ()
     thin: int = 1
 
     def __post_init__(self):
@@ -165,8 +162,6 @@ def sample_parameters(
     Returns (loadings, noise variances, transition, factors folded).
     """
     r = spec.r
-    if restrictions is None:
-        restrictions = identification_restrictions(spec, [])
     f = states[1:]
     post, root = vi.loading_posterior(
         panel, f, f[:, :, None] * f[:, None, :], prior, restrictions
@@ -176,15 +171,15 @@ def sample_parameters(
     trans = vi.transition_posterior(fprev.T @ fprev, f[:, :r].T @ fprev, prior)
     phi = vi.draw_transition(trans, rng)
 
-    anchors = restrictions.anchors
-    folded = anchors[lambdas[anchors[:, 0], anchors[:, 1]] < 0, 1] % r
-    if folded.size:
-        signs = factor_signs(np.isin(np.arange(r), folded), spec.s)
-        # where(), not a bare product: a restricted 0.0 times -1 is -0.0.
-        lambdas = np.where(restrictions.free, lambdas * signs, 0.0)
-        phi *= signs[:r, None] * signs
-        states *= signs
-    return lambdas, sigma2, phi, int(folded.size)
+    flips = None if restrictions is None else restrictions.flips(lambdas, r)
+    if flips is None:
+        return lambdas, sigma2, phi, 0
+    signs = factor_signs(flips, spec.s)
+    # where(), not a bare product: a restricted 0.0 times -1 is -0.0.
+    lambdas = np.where(restrictions.free, lambdas * signs, 0.0)
+    phi *= signs[:r, None] * signs
+    states *= signs
+    return lambdas, sigma2, phi, int(np.count_nonzero(flips))
 
 
 def _physical_memory() -> int | None:
@@ -200,11 +195,13 @@ def run_gibbs(
     spec: ModelSpec,
     prior: PriorSpec,
     config: GibbsConfig,
+    restrictions: Restrictions | None = None,
 ) -> DrawStore:
     """Run one chain: alternate state and parameter draws, keep the tail.
 
-    The chain starts from the principal-component regression initializer
-    (sign-aligned to the anchors) and is fully determined by the seed.
+    ``restrictions`` are those :func:`vi.fit_smf` takes (None: none).  The
+    chain starts from the principal-component regression initializer,
+    folded onto the anchors, and is fully determined by the seed.
     Explosive transition draws are retained, not rejected.
 
     Raises
@@ -212,7 +209,8 @@ def run_gibbs(
     DomainError
         If the float64 draw store of the kept draws would exceed the
         machine's physical memory (states its size and points to thinning),
-        or if the sign fold would not be exact (:func:`check_sign_fold`).
+        or as :func:`vi.run_restrictions` does: the panel is too short for
+        the loading lags, or the sign fold would not be exact.
     """
     r, s = spec.r, spec.s
     burn = config.burn_in()
@@ -225,14 +223,14 @@ def run_gibbs(
             f"but the machine has {memory / 2**30:.2f} GiB of physical memory; "
             "keep fewer draws with --thin"
         )
+    restrictions = vi.run_restrictions(panel, spec, prior, restrictions)
     rng = np.random.default_rng(config.seed)
-    # Built once: every sweep reads its cached masks and anchor rows.
-    restrictions = identification_restrictions(spec, list(config.identification))
-    check_sign_fold(prior, restrictions, r)
     start = vi.init_from_pca(
         panel, spec, prior, seed=config.seed, restrictions=restrictions
     )
-    start, _ = vi.align_identification_signs(start, None, restrictions)
+    flips = restrictions.flips(start.loadings.mean, r)
+    if flips is not None:
+        start, _ = vi.flip_factor_signs(start, None, flips)
     lambdas = start.loadings.mean.copy()
     sigma2 = start.loadings.noise_scale.copy()
     phi = start.transition.mean.copy()

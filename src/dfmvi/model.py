@@ -83,23 +83,6 @@ class PriorSpec:
         """log|W^-1| of the transition column precision."""
         return float(np.linalg.slogdet(self.trans_prec)[1])
 
-    def free_blocks(self, free: np.ndarray) -> tuple[Restrictions, np.ndarray]:
-        """Zero restrictions of an (n, s) free mask, with the masks they cache,
-        and log|V^-1| of the free block of V^-1 for each row.
-
-        Both are kept for the last mask passed: a fit passes the same mask at
-        every iteration.
-        """
-        key = (free.shape, free.tobytes())
-        kept = self.__dict__.get("_free_blocks")
-        if kept is None or kept[0] != key:
-            masks = Restrictions(free, ())
-            logdets = _read_only(np.linalg.slogdet(masks.pad(self.loading_prec))[1])
-            kept = (key, masks, logdets)
-            # A frozen dataclass: store beside the fields, as cached_property does.
-            self.__dict__["_free_blocks"] = kept
-        return kept[1], kept[2]
-
 
 def minnesota_prior(
     spec: ModelSpec,
@@ -230,16 +213,26 @@ class Restrictions:
         return _read_only(np.eye(self.free.shape[1]) * ~self.free[:, None, :])
 
     @cached_property
-    def half_free(self) -> np.ndarray:
-        """(n,) half the number of free coordinates in each row."""
-        return _read_only(0.5 * self.free.sum(axis=1))
-
-    @cached_property
     def anchors(self) -> np.ndarray:
         """(k, 2) (variable, coordinate) rows of the sign restrictions, one
         per variable (the last listed wins)."""
         pairs = list(dict(self.positive).items())
         return _read_only(np.array(pairs, dtype=int).reshape(-1, 2))
+
+    def flips(self, loading_mean: np.ndarray, r: int) -> np.ndarray | None:
+        """(r,) mask of the anchored factors whose anchor loading in the
+        (n, s) ``loading_mean`` is negative, or None when nothing folds.
+
+        The one sign rule of the fit's final alignment, the chain's start and
+        every Gibbs sweep.
+        """
+        anchors = self.anchors
+        negative = loading_mean[anchors[:, 0], anchors[:, 1]] < 0
+        if not negative.any():
+            return None
+        mask = np.zeros(r, dtype=bool)
+        mask[anchors[negative, 1] % r] = True
+        return mask
 
     def restrict(self, a: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Zero every entry of an (n, s, s) stack outside row i's free block.
@@ -300,10 +293,10 @@ def _check_one_anchor_each(restrictions: Restrictions, r: int) -> None:
 def check_sign_fold(prior: PriorSpec, restrictions: Restrictions, r: int) -> None:
     """Raise DomainError unless folding onto the anchors is exact.
 
-    The fit's sign alignment and the chain's fold flip each anchored factor
-    whose anchor loading is negative.  That leaves the posterior unchanged
-    only if each factor and each variable anchors at most once and the
-    prior is invariant under the flip (sign matrix D): D M D = M for M each
+    The fit's final alignment, the chain's start and every sweep flip the
+    factors :meth:`Restrictions.flips` marks.  That leaves the posterior
+    unchanged only if each factor and each variable anchors at most once and
+    the prior is invariant under the flip (sign matrix D): D M D = M for M each
     of ``loading_prec``, ``trans_prec`` and ``init_state_cov``.
     """
     _check_one_anchor_each(restrictions, r)

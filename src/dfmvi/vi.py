@@ -85,14 +85,19 @@ class FitReport:
 @dataclass(frozen=True)
 class _FitConstants:
     """Read-only constants of the loadings update and the objective for one
-    prior on one panel.
+    prior on one panel under one free loading mask.
 
     Each is the leading part of the expression it serves, evaluated in that
     expression's order, so every result keeps the bits of the expression
-    written out.  ``panel`` is held so that no other panel matches it.
+    written out.  ``panel`` is held so that no other panel matches it, and
+    ``free_key`` holds the mask's bytes.
     """
 
     panel: TimeSeriesPanel
+    free_key: bytes
+    masks: Restrictions  # the zero restrictions of the mask, no anchors
+    half_free: np.ndarray  # (n,) half the number of free coordinates per row
+    logdet_vinv: np.ndarray  # (n,) log|V^-1| of each row's free block
     empty: np.ndarray  # (n,) equations without observations
     observed: np.ndarray  # (n,) the others
     any_empty: bool
@@ -110,12 +115,15 @@ class _FitConstants:
                 value.flags.writeable = False
 
 
-def _fit_constants(panel: TimeSeriesPanel, prior: PriorSpec) -> _FitConstants:
-    """The prior's constants on this panel, built on the first call and kept
-    on the prior for the last panel passed: a fit or a chain passes the same
-    panel at every iteration."""
+def _fit_constants(
+    panel: TimeSeriesPanel, prior: PriorSpec, free: np.ndarray
+) -> _FitConstants:
+    """The prior's constants on this panel under the (n, s) free mask, built
+    on the first call and kept on the prior for the last (panel, mask) pair
+    passed: a fit or a chain passes the same pair at every iteration."""
     kept = prior.__dict__.get("_fit_constants")
-    if kept is None or kept.panel is not panel:
+    key = free.tobytes()  # the shape is the prior's and the panel's
+    if kept is None or kept.panel is not panel or kept.free_key != key:
         from scipy.special import gammaln
 
         counts = panel.counts
@@ -123,8 +131,13 @@ def _fit_constants(panel: TimeSeriesPanel, prior: PriorSpec) -> _FitConstants:
         empty = counts == 0
         noise_df = nu_0 + counts
         prior_ss = nu_0 * tau_0
+        masks = Restrictions(free, ())
         kept = _FitConstants(
             panel=panel,
+            free_key=key,
+            masks=masks,
+            half_free=0.5 * masks.free.sum(axis=1),
+            logdet_vinv=np.linalg.slogdet(masks.pad(prior.loading_prec))[1],
             empty=empty,
             observed=~empty,
             any_empty=bool(empty.any()),
@@ -136,7 +149,7 @@ def _fit_constants(panel: TimeSeriesPanel, prior: PriorSpec) -> _FitConstants:
             prior_noise_terms=0.5 * nu_0 * np.log(prior_ss),
             prior_ss=prior_ss,
         )
-        # A frozen dataclass: keep beside its fields, as PriorSpec.free_blocks does.
+        # A frozen dataclass: keep beside its fields, as cached_property does.
         prior.__dict__["_fit_constants"] = kept
     return kept
 
@@ -152,10 +165,11 @@ def loading_posterior(
 
     ``mean`` (T, s) and ``second_moment`` (T, s, s) are the state moments of
     times 1..T.  Zero restrictions enter as identity rows and columns with a
-    zero right-hand side (the masks cached on ``restrictions``; None leaves
-    every loading free); one batched Cholesky solves every equation, and
-    equations without observations take their prior exactly.  Returns the
-    posterior (exact zeros on restricted entries) and roots R R' = cov.
+    zero right-hand side (the masks that :func:`_fit_constants` keeps for
+    the free mask of ``restrictions``; None leaves every loading free); one
+    batched Cholesky solves every equation, and equations without
+    observations take their prior exactly.  Returns the posterior (exact
+    zeros on restricted entries) and roots R R' = cov.
 
     Raises
     ------
@@ -164,21 +178,20 @@ def loading_posterior(
         scale is not positive (both name the first such equation).
     """
     s = mean.shape[1]
-    if restrictions is None:
-        restrictions = Restrictions(np.ones((panel.n, s), dtype=bool), ())
-    free = restrictions.free
     T, n = panel.values.shape
-    consts = _fit_constants(panel, prior)
+    free = np.ones((n, s), dtype=bool) if restrictions is None else restrictions.free
+    consts = _fit_constants(panel, prior, free)
+    masks, free = consts.masks, consts.masks.free
     gram = (panel.mask_float.T @ second_moment.reshape(T, s * s)).reshape(n, s, s)
     rhs = np.where(free, panel.zero_filled.T @ mean, 0.0)
 
-    prec = restrictions.pad(gram + prior.loading_prec)
+    prec = masks.pad(gram + prior.loading_prec)
     chol = statespace.batched_cholesky(
         prec, lambda i: f"loading posterior, equation {i}"
     )
     chol_inv = np.linalg.inv(chol)
-    root = restrictions.restrict(chol_inv.swapaxes(-1, -2))
-    cov = restrictions.restrict(statespace.symmetrize(root @ chol_inv))
+    root = masks.restrict(chol_inv.swapaxes(-1, -2))
+    cov = masks.restrict(statespace.symmetrize(root @ chol_inv))
     mu = np.einsum("iab,ib->ia", cov, rhs)
     quad = np.einsum("ia,iab,ib->i", mu, prec, mu)
 
@@ -191,8 +204,8 @@ def loading_posterior(
         )
     empty = consts.empty
     if consts.any_empty:
-        prior_prec = restrictions.pad(prior.loading_prec, empty)
-        cov[empty] = restrictions.restrict(
+        prior_prec = masks.pad(prior.loading_prec, empty)
+        cov[empty] = masks.restrict(
             statespace.symmetrize(np.linalg.inv(prior_prec)), empty
         )
     posterior = LoadingsVariational(
@@ -306,7 +319,7 @@ def compute_elbo(
     # off-manifold inputs would silently evaluate the wrong quantity.  The
     # terms that depend on the prior and the panel alone are constants of the
     # fit, and each is the leading part of its expression.
-    consts = _fit_constants(panel, prior)
+    consts = _fit_constants(panel, prior, loadings.free)
     if not np.array_equal(loadings.noise_df, consts.noise_df):
         raise DomainError(
             "loadings noise_df must equal prior noise_df plus the per-variable "
@@ -324,16 +337,15 @@ def compute_elbo(
     # log-determinant that of the free block; the mean quadratic is scaled
     # by the expected noise precision (averaging over the noise variance).
     # The masks and the prior's log-determinants are constants of the fit.
-    free, cov, mu = loadings.free, loadings.cov, loadings.mean
+    cov, mu = loadings.cov, loadings.mean
     v_inv = prior.loading_prec
-    masks, logdet_vinv = prior.free_blocks(free)
-    _, logdet_cov = np.linalg.slogdet(masks.pad(cov))
+    _, logdet_cov = np.linalg.slogdet(consts.masks.pad(cov))
     lam_terms = float(
         np.sum(
-            masks.half_free
+            consts.half_free
             - 0.5 * np.einsum("ab,iab->i", v_inv, cov)
             - 0.5 * np.einsum("ia,ab,ib->i", mu, v_inv, mu) / loadings.noise_scale
-            + 0.5 * (logdet_vinv + logdet_cov)
+            + 0.5 * (consts.logdet_vinv + logdet_cov)
         )
     )
 
@@ -458,20 +470,18 @@ def flip_factor_signs(
     )
 
 
-def align_identification_signs(
-    state: VariationalState,
-    moments: StateMoments | None,
-    restrictions: Restrictions,
-) -> tuple[VariationalState, StateMoments | None]:
-    """Flip factors so every sign-restricted loading mean is positive."""
-    r = state.transition.mean.shape[0]
-    flips = np.zeros(r, dtype=bool)
-    for var, coord in restrictions.positive:
-        if state.loadings.mean[var, coord] < 0:
-            flips[coord % r] = True
-    if not flips.any():
-        return state, moments
-    return flip_factor_signs(state, moments, flips)
+def run_restrictions(
+    panel: TimeSeriesPanel, spec: ModelSpec, prior: PriorSpec, restrictions
+) -> Restrictions:
+    """The restrictions a fit or a chain runs under, built once if None (no
+    restrictions); DomainError if the panel is too short for the loading lags
+    or the sign fold would not be exact (:func:`check_sign_fold`)."""
+    if panel.T <= spec.p + 1:
+        raise DomainError(f"need T > p + 1 = {spec.p + 1}, got T = {panel.T}")
+    if restrictions is None:
+        restrictions = identification_restrictions(spec, [])
+    check_sign_fold(prior, restrictions, spec.r)
+    return restrictions
 
 
 def fit_smf(
@@ -493,25 +503,20 @@ def fit_smf(
     since the updates guarantee ascent.
 
     Returns the final parameters, the state moments consistent with them,
-    and a fit report.  A starting state ``init`` must carry the free
-    loading mask of ``restrictions``, and anchored restrictions must pass
-    :func:`dfmvi.model.check_sign_fold` with the prior, since the fit ends
-    by flipping factors onto their anchors (DomainError otherwise).
+    and a fit report.  ``restrictions`` are checked and defaulted by
+    :func:`run_restrictions`, as :func:`dfmvi.gibbs.run_gibbs` does, since the
+    fit ends by flipping the factors :meth:`Restrictions.flips` marks.  A
+    starting state ``init`` must carry their free loading mask.
     """
     if not tolerance > 0:  # also false for NaN
         raise DomainError(f"tolerance must be positive, got {tolerance!r}")
     if max_iters < 1:
         raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
-    if panel.T <= spec.p + 1:
-        raise DomainError(f"need T > p + 1 = {spec.p + 1}, got T = {panel.T}")
+    restrictions = run_restrictions(panel, spec, prior, restrictions)
     if panel.n < spec.r:
         warnings.warn("fewer series than factors; the model is weakly identified")
 
     start = time.perf_counter()
-    if restrictions is None:  # once, so every iteration reads the same masks
-        restrictions = identification_restrictions(spec, [])
-    if restrictions.positive:
-        check_sign_fold(prior, restrictions, spec.r)
     if init is not None and not np.array_equal(init.loadings.free, restrictions.free):
         # The first objective would be taken under init's mask and every
         # later one under the restrictions', so the ascent would not hold.
@@ -547,8 +552,9 @@ def fit_smf(
             converged = True
             break
 
-    if restrictions.positive:
-        state, moments = align_identification_signs(state, moments, restrictions)
+    flips = restrictions.flips(state.loadings.mean, spec.r)
+    if flips is not None:
+        state, moments = flip_factor_signs(state, moments, flips)
 
     report = FitReport(
         elbo_trace=np.asarray(trace),

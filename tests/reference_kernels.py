@@ -3,8 +3,9 @@
 Each function rebuilds every constant on every call, through the library
 wrappers the kernels used before they cached them: the inverse origin
 covariance by ``np.linalg.inv``, ``[I, -Phi]`` by ``np.hstack``, the
-restriction masks and identity padding per call, the anchor signs from a
-dict, the solves by ``scipy.linalg.cho_solve_banded`` and ``cho_solve``, the
+restriction masks and identity padding per call, the sweep's anchor signs
+from a dict and the start's and the fit's sign alignment by a loop over the
+sign restrictions (``_align``), the solves by ``scipy.linalg.cho_solve_banded`` and ``cho_solve``, the
 path states by ``sliding_window_view`` and the prior log-determinants of the
 objective by ``np.linalg.slogdet`` at every iteration.  The library must
 reproduce these chains bit for bit.
@@ -152,13 +153,26 @@ def sample_parameters(panel, states, spec, prior, restrictions, rng):
     return lambdas, sigma2, phi, flips
 
 
+def _align(state, moments, restrictions):
+    """Flip factors so every sign-restricted loading mean is positive: the
+    loop over ``positive`` that ``Restrictions.flips`` replaced."""
+    r = state.transition.mean.shape[0]
+    flips = np.zeros(r, dtype=bool)
+    for var, coord in restrictions.positive:
+        if state.loadings.mean[var, coord] < 0:
+            flips[coord % r] = True
+    if not flips.any():
+        return state, moments
+    return vi.flip_factor_signs(state, moments, flips)
+
+
 def run_gibbs(panel, spec, prior, config, restrictions):
     """Every sweep of one chain, burn-in included, as (lambda, sigma2, phi,
     states) tuples, and the total count of folded factors."""
     rng = np.random.default_rng(config.seed)
     start = init_from_pca(panel, spec, prior, config.seed, restrictions)
     if restrictions is not None:
-        start, _ = vi.align_identification_signs(start, None, restrictions)
+        start, _ = _align(start, None, restrictions)
     lambdas = start.loadings.mean.copy()
     sigma2 = start.loadings.noise_scale.copy()
     phi = start.transition.mean.copy()
@@ -267,5 +281,5 @@ def fit_smf(panel, spec, prior, restrictions, tolerance=1e-7, max_iters=500, see
         if criteria <= tolerance:
             break
     if restrictions is not None and restrictions.positive:
-        state, moments = vi.align_identification_signs(state, moments, restrictions)
+        state, moments = _align(state, moments, restrictions)
     return state, moments, np.asarray(trace)

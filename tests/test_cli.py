@@ -629,8 +629,8 @@ def test_stored_moments_equal_the_fits_bitwise(
     sim_dir, tmp_path, monkeypatch, sign, flips
 ):
     # On the simulated panel the anchor loading converges negative, so
-    # fit_smf's align_identification_signs flips the factor; with every
-    # column negated it converges positive and nothing is flipped.
+    # fit_smf's final alignment (Restrictions.flips) flips the factor; with
+    # every column negated it converges positive and nothing is flipped.
     pan = panel_mod.load_csv(sim_dir / "panel.csv")
     panel = tmp_path / "panel.csv"
     panel_mod.write_csv(panel_mod.from_arrays(sign * pan.values, pan.names), panel)
@@ -849,3 +849,32 @@ def test_text_artifacts_are_utf8_under_the_c_locale(tmp_path):
         assert proc.returncode == 0, proc.stderr
     text = (tmp_path / "fc" / "forecast_summary.csv").read_bytes().decode("utf-8")
     assert "\n\u00d6lpreis,1," in text.replace("\r\n", "\n")
+
+
+def test_a_non_ascii_anchor_name_resolves_under_the_c_locale(tmp_path):
+    # The C locale cannot decode the name's UTF-8 bytes in argv, so Python
+    # hands them over as lone surrogates; the anchor must still find column 1.
+    rng = np.random.default_rng(0)
+    pan = panel_mod.from_arrays(rng.standard_normal((40, 3)), ["b", "Ölpreis", "c"])
+    panel_mod.write_csv(pan, tmp_path / "panel.csv")
+    env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = _fresh(
+        ["fit", "--panel", str(tmp_path / "panel.csv"), "--out", str(tmp_path / "fit"),
+         "--max-iters", "5", "--identify", "Ölpreis:0"],
+        **env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "fit" / "manifest.json").read_text("utf-8"))
+    assert manifest["config"]["identification"] == [[1, 0]]
+
+
+@pytest.mark.parametrize("command", ["fit", "gibbs"])
+def test_a_panel_too_short_for_its_lags_is_refused(tmp_path, capsys, command):
+    sim = tmp_path / "sim"
+    assert _run(["simulate", "--out", str(sim), "--n", "5", "--t", "3"]) == 0
+    extra = ["--draws", "20"] if command == "gibbs" else []
+    for p in (2, 5):
+        argv = [command, "--panel", str(sim / "panel.csv"), "--out", str(tmp_path / "run"),
+                "--p", str(p), *extra]
+        assert _run(argv) == 1
+        assert f"need T > p + 1 = {p + 1}, got T = 3" in capsys.readouterr().err

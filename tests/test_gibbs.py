@@ -7,7 +7,13 @@ from scipy import stats
 
 from dfmvi import gibbs, sim
 from dfmvi.errors import DomainError, NumericalError
-from dfmvi.model import ModelSpec, PriorSpec, default_prior, identification_restrictions
+from dfmvi.model import (
+    ModelSpec,
+    PriorSpec,
+    Restrictions,
+    default_prior,
+    identification_restrictions,
+)
 from dfmvi.panel import from_arrays
 from dfmvi.oracles import dense_fixed_moments
 from tests import reference_kernels
@@ -185,11 +191,10 @@ def test_run_gibbs_deterministic_and_restricted():
     spec = ModelSpec(n=3, r=1, p=0)
     pan, _, _ = random_masked_panel(spec, T=12, seed=11, missing_prob=0.2)
     prior = default_prior(spec)
-    config = gibbs.GibbsConfig(
-        n_draws=300, burn_in_fraction=0.1, seed=42, identification=((0, 0),)
-    )
-    a = gibbs.run_gibbs(pan, spec, prior, config)
-    b = gibbs.run_gibbs(pan, spec, prior, config)
+    config = gibbs.GibbsConfig(n_draws=300, burn_in_fraction=0.1, seed=42)
+    restr = identification_restrictions(spec, [(0, 0)])
+    a = gibbs.run_gibbs(pan, spec, prior, config, restr)
+    b = gibbs.run_gibbs(pan, spec, prior, config, restr)
     assert_array_equal(a.lambdas, b.lambdas)
     assert_array_equal(a.states, b.states)
     assert a.n_draws == 270
@@ -506,14 +511,12 @@ def test_prior_coupling_an_anchored_factor_is_refused(name):
     pan, _, _ = random_masked_panel(spec, T=10, seed=70, missing_prob=0.1)
     coupled = np.array([[1.0, 0.3], [0.3, 1.0]])
     prior = dataclasses.replace(default_prior(spec), **{name: coupled})
-    config = gibbs.GibbsConfig(
-        n_draws=20, burn_in_fraction=0.1, seed=0, identification=((0, 0),)
-    )
+    config = gibbs.GibbsConfig(n_draws=20, burn_in_fraction=0.1, seed=0)
+    restr = identification_restrictions(spec, [(0, 0)])
     with pytest.raises(DomainError, match=f"{name} couples anchored factor 0"):
-        gibbs.run_gibbs(pan, spec, prior, config)
+        gibbs.run_gibbs(pan, spec, prior, config, restr)
     # without an anchor nothing is folded, so the coupling is allowed
-    unanchored = gibbs.GibbsConfig(n_draws=20, burn_in_fraction=0.1, seed=0)
-    assert gibbs.run_gibbs(pan, spec, prior, unanchored).sign_flips == 0
+    assert gibbs.run_gibbs(pan, spec, prior, config).sign_flips == 0
 
 
 def test_prior_coupling_the_lags_of_one_factor_is_allowed():
@@ -526,21 +529,22 @@ def test_prior_coupling_the_lags_of_one_factor_is_allowed():
         loading_prec=np.array([[1.0, 0.3], [0.3, 4.0]]),
         init_state_cov=np.array([[1.0, 0.5], [0.5, 1.0]]),
     )
-    config = gibbs.GibbsConfig(
-        n_draws=20, burn_in_fraction=0.1, seed=0, identification=((0, 0),)
-    )
-    assert np.all(gibbs.run_gibbs(pan, spec, prior, config).lambdas[:, 0, 0] > 0)
+    config = gibbs.GibbsConfig(n_draws=20, burn_in_fraction=0.1, seed=0)
+    restr = identification_restrictions(spec, [(0, 0)])
+    store = gibbs.run_gibbs(pan, spec, prior, config, restr)
+    assert np.all(store.lambdas[:, 0, 0] > 0)
 
 
 def test_two_anchors_on_one_factor_are_refused():
     spec = ModelSpec(n=4, r=1, p=1)
     pan, _, _ = random_masked_panel(spec, T=10, seed=72, missing_prob=0.1)
     prior = default_prior(spec)
-    config = gibbs.GibbsConfig(
-        n_draws=20, burn_in_fraction=0.1, seed=0, identification=((0, 0), (1, 0))
-    )
+    config = gibbs.GibbsConfig(n_draws=20, burn_in_fraction=0.1, seed=0)
+    # identification_restrictions refuses these anchors itself; built by hand,
+    # run_gibbs must refuse them too.
+    restr = Restrictions(np.ones((spec.n, spec.s), dtype=bool), ((0, 0), (1, 0)))
     with pytest.raises(DomainError, match="factor 0 anchored more than once"):
-        gibbs.run_gibbs(pan, spec, prior, config)
+        gibbs.run_gibbs(pan, spec, prior, config, restr)
 
 
 @pytest.mark.parametrize("anchored", [True, False], ids=["anchored", "unanchored"])
@@ -550,12 +554,11 @@ def test_run_gibbs_equals_the_reference_chain_bitwise(r, p, anchored):
     spec = ModelSpec(n=6, r=r, p=p)
     pan = empty_edge_panel(spec, T=30, seed=60 + 10 * r + p)
     prior = default_prior(spec)
-    anchors = tuple((k, k) for k in range(r)) if anchored else ()
-    config = gibbs.GibbsConfig(
-        n_draws=12, burn_in_fraction=0.25, seed=61, identification=anchors
+    config = gibbs.GibbsConfig(n_draws=12, burn_in_fraction=0.25, seed=61)
+    restr = (
+        identification_restrictions(spec, [(k, k) for k in range(r)]) if anchored else None
     )
-    store = gibbs.run_gibbs(pan, spec, prior, config)
-    restr = identification_restrictions(spec, list(anchors)) if anchors else None
+    store = gibbs.run_gibbs(pan, spec, prior, config, restr)
     sweeps, sign_flips = reference_kernels.run_gibbs(pan, spec, prior, config, restr)
     kept = sweeps[config.burn_in():]
     for k, got in enumerate((store.lambdas, store.sigma2, store.phi, store.states)):

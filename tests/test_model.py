@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dfmvi import vi
 from dfmvi.errors import DomainError
 from dfmvi.model import (
     ModelSpec,
@@ -20,6 +23,7 @@ from dfmvi.vi import (
     VariationalState,
     flip_factor_signs,
 )
+from tests import reference_kernels
 
 
 def test_spec_static_dimension():
@@ -238,16 +242,6 @@ def test_prior_holds_read_only_copies_and_caches_bitwise_constants():
     _write_fails(prec)
     assert prior.init_state_logdet == np.linalg.slogdet(prior.init_state_cov)[1]
     assert prior.trans_prec_logdet == np.linalg.slogdet(prior.trans_prec)[1]
-    free = identification_restrictions(spec, [(0, 0), (2, 1)]).free
-    masks, logdets = prior.free_blocks(free)
-    assert_array_equal(masks.free, free)
-    block = np.where(free[:, :, None] & free[:, None, :], prior.loading_prec, 0.0)
-    padded = block + np.eye(spec.s) * ~free[:, None, :]
-    assert logdets.tobytes() == np.linalg.slogdet(padded)[1].tobytes()
-    again = prior.free_blocks(free.copy())
-    assert again[0] is masks and again[1] is logdets
-    assert prior.free_blocks(np.ones_like(free))[0] is not masks
-    _write_fails(logdets)
 
 
 def test_restrictions_cache_read_only_masks_and_anchor_rows():
@@ -266,3 +260,37 @@ def test_restrictions_cache_read_only_masks_and_anchor_rows():
     # one anchor row per variable, the last listed one winning
     assert Restrictions(free, ((0, 0), (0, 1))).anchors.tolist() == [[0, 1]]
     assert Restrictions(free, ()).anchors.shape == (0, 2)
+
+
+def test_restrictions_flips_follow_the_reference_alignment(monkeypatch):
+    # The reference is the loop over the sign restrictions that the fit and
+    # the chain start used before; it hands its mask to flip_factor_signs.
+    spec = ModelSpec(n=5, r=2, p=1)
+    rng = np.random.default_rng(87)
+    wanted = []
+    monkeypatch.setattr(
+        vi, "flip_factor_signs", lambda state, moments, flips: wanted.append(flips)
+    )
+    seen = set()
+    for anchors in ([(0, 0), (1, 1)], [(3, 1)], [(4, 0)], [(2, 1), (1, 0)]):
+        restr = identification_restrictions(spec, anchors)
+        for _ in range(25):
+            mean = np.where(restr.free, rng.standard_normal((spec.n, spec.s)), 0.0)
+            state = VariationalState(
+                loadings=SimpleNamespace(mean=mean),
+                transition=SimpleNamespace(mean=np.zeros((spec.r, spec.s))),
+            )
+            reference_kernels._align(state, None, restr)
+            got = restr.flips(mean, spec.r)
+            if not wanted:
+                assert got is None
+                seen.add("none")
+                continue
+            want = wanted.pop()
+            assert got.dtype == bool and got.tolist() == want.tolist()
+            seen.add(tuple(want.tolist()))
+    assert {"none", (True, False), (False, True), (True, True)} <= seen
+    # No anchors, or no negative anchor loading: nothing folds.
+    mean = -np.ones((spec.n, spec.s))
+    assert identification_restrictions(spec, []).flips(mean, spec.r) is None
+    assert identification_restrictions(spec, [(0, 0)]).flips(-mean, spec.r) is None

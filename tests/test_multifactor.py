@@ -115,11 +115,9 @@ def test_gibbs_two_factor_anchors_hold():
     pan, _ = simulate_dfm(cfg)
     pan, _ = standardize(pan)
     prior = default_prior(spec)
-    config = gibbs.GibbsConfig(
-        n_draws=250, burn_in_fraction=0.2, seed=6,
-        identification=((0, 0), (1, 1)),
-    )
-    store = gibbs.run_gibbs(pan, spec, prior, config)
+    config = gibbs.GibbsConfig(n_draws=250, burn_in_fraction=0.2, seed=6)
+    restr = identification_restrictions(spec, [(0, 0), (1, 1)])
+    store = gibbs.run_gibbs(pan, spec, prior, config, restr)
     assert np.all(store.lambdas[:, 0, 0] > 0)
     assert np.all(store.lambdas[:, 1, 1] > 0)
     assert np.all(store.lambdas[:, 0, 1:] == 0.0)

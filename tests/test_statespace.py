@@ -265,7 +265,7 @@ def test_build_system_matches_per_step_ops():
     _, terms = vi.compute_elbo(
         pan, loadings, transition, moments, prior, return_terms=True
     )
-    state_terms = vi._fit_constants(pan, prior).state_terms
+    state_terms = vi._fit_constants(pan, prior, loadings.free).state_terms
     want = state_terms - 0.5 * moments.prec_logdet - 0.5 * (quad - moments.info_quad)
     assert_allclose(terms["state"], want, rtol=1e-12)
 

@@ -243,7 +243,7 @@ def test_elbo_data_quadratic_hand_values(values, noise_scale, quad):
     _, terms = vi.compute_elbo(
         pan, loadings, transition, moments, prior, return_terms=True
     )
-    state_terms = vi._fit_constants(pan, prior).state_terms
+    state_terms = vi._fit_constants(pan, prior, loadings.free).state_terms
     want = state_terms - 0.5 * moments.prec_logdet - 0.5 * (quad - moments.info_quad)
     assert terms["state"] == want
 
@@ -701,9 +701,7 @@ def test_one_prior_on_two_panels_equals_fresh_priors_bitwise():
         random_masked_panel(spec, T=30, seed=82, missing_prob=0.4)[0],
     )
     assert not np.array_equal(panels[0].counts, panels[1].counts)
-    config = gibbs.GibbsConfig(
-        n_draws=10, burn_in_fraction=0.2, seed=83, identification=((0, 0),)
-    )
+    config = gibbs.GibbsConfig(n_draws=10, burn_in_fraction=0.2, seed=83)
     restr = identification_restrictions(spec, [(0, 0)])
 
     def runs(prior_for):
@@ -714,7 +712,7 @@ def test_one_prior_on_two_panels_equals_fresh_priors_bitwise():
             )
             out.append((report.elbo_trace,))
         for pan in panels + panels:
-            store = gibbs.run_gibbs(pan, spec, prior_for(), config)
+            store = gibbs.run_gibbs(pan, spec, prior_for(), config, restr)
             out.append((store.lambdas, store.sigma2, store.phi, store.states))
         return out
 
@@ -727,16 +725,28 @@ def test_one_prior_on_two_panels_equals_fresh_priors_bitwise():
 
 
 def test_fit_constants_are_read_only_and_kept_per_panel():
-    spec = ModelSpec(n=4, r=1, p=0)
+    spec = ModelSpec(n=4, r=2, p=1)
     prior = default_prior(spec)
     pan = random_masked_panel(spec, T=20, seed=85)[0]
     other = random_masked_panel(spec, T=20, seed=85)[0]
-    consts = vi._fit_constants(pan, prior)
-    assert vi._fit_constants(pan, prior) is consts
+    free = identification_restrictions(spec, [(0, 0), (2, 1)]).free
+    consts = vi._fit_constants(pan, prior, free)
+    # an equal mask that is another array matches
+    assert vi._fit_constants(pan, prior, free.copy()) is consts
     # an equal panel that is another object gets its own constants
-    assert vi._fit_constants(other, prior) is not consts
-    assert vi._fit_constants(other, prior).panel is other
+    assert vi._fit_constants(other, prior, free) is not consts
+    assert vi._fit_constants(other, prior, free).panel is other
     assert_array_equal(consts.noise_df, prior.noise_df + pan.counts)
+    # the masks, and log|V^-1| of each free block bit for bit
+    assert_array_equal(consts.masks.free, free)
+    assert consts.masks.positive == ()
+    block = np.where(free[:, :, None] & free[:, None, :], prior.loading_prec, 0.0)
+    padded = block + np.eye(spec.s) * ~free[:, None, :]
+    assert consts.logdet_vinv.tobytes() == np.linalg.slogdet(padded)[1].tobytes()
+    # a new mask on the same panel rebuilds them
+    rebuilt = vi._fit_constants(pan, prior, np.ones_like(free))
+    assert rebuilt is not consts and rebuilt.masks is not consts.masks
+    assert_array_equal(rebuilt.masks.free, np.ones_like(free))
     for name, value in vars(consts).items():
         if isinstance(value, np.ndarray):
             with pytest.raises(ValueError, match="read-only"):
