@@ -2,8 +2,9 @@
 
 Draws a panel and its true state paths from given parameters, or from a
 stationary convenience configuration, and blanks cells by composable
-missingness patterns.  Needs numpy only; the brute-force test oracles
-that check the estimators against these panels are in ``dfmvi.oracles``.
+missingness patterns.  Needs numpy only.  The brute-force oracles that
+check the estimators against these panels are test code and live beside
+the tests (``tests/oracles.py``), outside the package.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 from .errors import DomainError
 from .model import ModelSpec
 from .panel import TimeSeriesPanel
-
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,6 @@ def companion(trans: np.ndarray) -> np.ndarray:
     out[:r, :] = trans
     out[r:, : s - r] = np.eye(s - r)
     return out
-
-
-def state_noise_cov(r: int, s: int) -> np.ndarray:
-    """Covariance of the state innovation: identity on the top r coordinates."""
-    q = np.zeros((s, s))
-    q[:r, :r] = np.eye(r)
-    return q
 
 
 def spectral_radius(trans: np.ndarray) -> float:
@@ -162,7 +155,11 @@ def stationary_sim_config(
     rng = np.random.default_rng(seed + 982451653)
     while True:
         trans = rng.uniform(-0.4, 0.8, size=(r, s))
-        trans[:, : r * spec.p] *= 0.3  # keep higher-lag pull mild
+        # Damps lags 1..p by 0.3 and leaves the last lag, p + 1, at full
+        # strength.  Kept: damping the higher lags instead redraws every
+        # p >= 1 panel, the benchmark's and its reference objectives among
+        # them.
+        trans[:, : r * spec.p] *= 0.3
         if spectral_radius(trans) < 0.95:
             break
         trans *= 0.8

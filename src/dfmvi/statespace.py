@@ -25,7 +25,7 @@ r (T - t), so its lagged coordinates are exact copies.
 
 A time step without data, the last one included, adds no data precision
 and needs no special case.  The dense and augmented-filter oracles that
-validate this module live in ``dfmvi.oracles``.
+validate this module are test code, in ``tests/oracles.py``.
 
 The origin precision is an argument, so callers pass the one their prior
 caches (``PriorSpec.init_state_prec``) instead of inverting the origin
@@ -34,11 +34,12 @@ covariance per call.  Factorizations and solves call LAPACK through scipy
 ``np.linalg`` where numpy factors.  Keep each in its library: numpy's and
 scipy's Cholesky factors can differ in the last bits, which changes the
 draws.  scipy's LAPACK module is imported on the first factorization, so
-importing this module loads numpy only.  The smoother inverts its
-triangular diagonal blocks by forward substitution in numpy
-(:func:`lower_inverse`), as stable as the LU route (Higham 2002, ch. 8);
-on 1 x 1 blocks it is the reciprocal, bit for bit what ``np.linalg.inv``
-gives.
+importing this module loads numpy only.  One triangular inverse,
+forward substitution in numpy (:func:`lower_inverse`), serves the
+smoother's diagonal blocks and the batched Cholesky factors of the loading
+regressions (``vi.loading_posterior``).  It is as stable as the LU route
+(Higham 2002, ch. 8), and on 1 x 1 blocks it is the reciprocal, bit for
+bit what ``np.linalg.inv`` gives.
 
 Conventions: time-major arrays; index t = 0 is the pre-sample state, data
 run t = 1..T.  ``y_star[t-1]`` refers to time t.
@@ -229,7 +230,7 @@ def _compose_scan(trans: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 
 def lower_inverse(d: np.ndarray) -> np.ndarray:
-    """Inverses of a (T, r, r) stack of lower-triangular matrices.
+    """Inverses of a (k, r, r) stack of lower-triangular matrices.
 
     Forward substitution, one entry of the inverse at a time, each vectorised
     over the stack; only the lower triangles of ``d`` are read.

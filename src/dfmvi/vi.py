@@ -100,7 +100,7 @@ class _FitConstants:
     logdet_vinv: np.ndarray  # (n,) log|V^-1| of each row's free block
     empty: np.ndarray  # (n,) equations without observations
     observed: np.ndarray  # (n,) the others
-    any_empty: bool
+    empty_cov: np.ndarray  # (k, s, s) the prior covariance of the k empty rows
     noise_df: np.ndarray  # nu_0 + counts, the posterior degrees of freedom
     noise_ss: np.ndarray  # nu_0 tau_0 + sum_t y_ti^2
     state_terms: float  # -1/2 sum counts log pi - 1/2 log|F0|
@@ -132,6 +132,7 @@ def _fit_constants(
         noise_df = nu_0 + counts
         prior_ss = nu_0 * tau_0
         masks = Restrictions(free, ())
+        empty_cov = np.linalg.inv(masks.pad(prior.loading_prec, empty))
         kept = _FitConstants(
             panel=panel,
             free_key=key,
@@ -140,7 +141,7 @@ def _fit_constants(
             logdet_vinv=np.linalg.slogdet(masks.pad(prior.loading_prec))[1],
             empty=empty,
             observed=~empty,
-            any_empty=bool(empty.any()),
+            empty_cov=masks.restrict(statespace.symmetrize(empty_cov), empty),
             noise_df=noise_df,
             noise_ss=prior_ss + panel.sums_of_squares,
             state_terms=-0.5 * counts.sum() * _LNPI - 0.5 * prior.init_state_logdet,
@@ -167,9 +168,11 @@ def loading_posterior(
     times 1..T.  Zero restrictions enter as identity rows and columns with a
     zero right-hand side (the masks that :func:`_fit_constants` keeps for
     the free mask of ``restrictions``; None leaves every loading free); one
-    batched Cholesky solves every equation, and equations without
-    observations take their prior exactly.  Returns the posterior (exact
-    zeros on restricted entries) and roots R R' = cov.
+    batched Cholesky factor L, inverted by the smoother's substitution
+    (:func:`statespace.lower_inverse`), solves every equation, and
+    equations without observations take their prior exactly.  Returns the
+    posterior (exact zeros on restricted entries) and roots R = L^-T,
+    R R' = cov.
 
     Raises
     ------
@@ -189,7 +192,7 @@ def loading_posterior(
     chol = statespace.batched_cholesky(
         prec, lambda i: f"loading posterior, equation {i}"
     )
-    chol_inv = np.linalg.inv(chol)
+    chol_inv = statespace.lower_inverse(chol)
     root = masks.restrict(chol_inv.swapaxes(-1, -2))
     cov = masks.restrict(statespace.symmetrize(root @ chol_inv))
     mu = np.einsum("iab,ib->ia", cov, rhs)
@@ -203,11 +206,7 @@ def loading_posterior(
             "inconsistent with the data"
         )
     empty = consts.empty
-    if consts.any_empty:
-        prior_prec = masks.pad(prior.loading_prec, empty)
-        cov[empty] = masks.restrict(
-            statespace.symmetrize(np.linalg.inv(prior_prec)), empty
-        )
+    cov[empty] = consts.empty_cov
     posterior = LoadingsVariational(
         mean=np.where(free & consts.observed[:, None], mu, 0.0),
         cov=cov,

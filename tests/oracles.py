@@ -9,7 +9,8 @@ Carlo averaging over the variational densities.  The Monte Carlo oracle
 draws the parameters with the shared ``vi.draw_loadings`` and
 ``vi.draw_transition`` but evaluates log q itself, so a wrong draw shows
 as a biased estimate.  Desk-scale only; hard size caps keep the dense
-constructions honest.
+constructions honest.  Test code: it lives beside the tests, not in the
+installed package.
 """
 
 from __future__ import annotations
@@ -21,12 +22,19 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln, logsumexp
 
-from . import vi
-from .errors import DomainError, NumericalError
-from .sim import companion, state_noise_cov
+from dfmvi import vi
+from dfmvi.errors import DomainError, NumericalError
+from dfmvi.sim import companion
 
 _DENSE_CAP = 512  # room for a 400-step scalar path; the prior fill is O(T^2)
 _LN2PI = float(np.log(2.0 * np.pi))
+
+
+def state_noise_cov(r: int, s: int) -> np.ndarray:
+    """Covariance of the state innovation: identity on the top r coordinates."""
+    q = np.zeros((s, s))
+    q[:r, :r] = np.eye(r)
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 Each function rebuilds every constant on every call, through the library
 wrappers the kernels used before they cached them: the inverse origin
-covariance by ``np.linalg.inv``, ``[I, -Phi]`` by ``np.hstack``, the
-restriction masks and identity padding per call, the sweep's anchor signs
-from a dict and the start's and the fit's sign alignment by a loop over the
-sign restrictions (``_align``), the solves by ``scipy.linalg.cho_solve_banded`` and ``cho_solve``, the
-path states by ``sliding_window_view`` and the prior log-determinants of the
-objective by ``np.linalg.slogdet`` at every iteration.  The library must
+covariance and the prior covariance of equations without data by
+``np.linalg.inv``, ``[I, -Phi]`` by ``np.hstack``, the restriction masks
+and identity padding per call, the sweep's anchor signs from a dict and the
+start's and the fit's sign alignment by a loop over the sign restrictions
+(``_align``), the solves by ``scipy.linalg.cho_solve_banded`` and
+``cho_solve``, the path states by ``sliding_window_view`` and the prior
+log-determinants of the objective by ``np.linalg.slogdet`` at every
+iteration.  The loading regressions invert their Cholesky factors by
+``statespace.lower_inverse``, as the library does; ``test_statespace.py``
+checks that inverse against the LU one.  The library must
 reproduce these chains bit for bit.
 """
 
@@ -41,7 +45,7 @@ def loading_posterior(panel, mean, second_moment, prior, restrictions=None):
     rhs = np.where(free, panel.zero_filled.T @ mean, 0.0)
     prec = pad_restricted(gram + prior.loading_prec, free)
     chol = statespace.batched_cholesky(prec, lambda i: f"equation {i}")
-    chol_inv = np.linalg.inv(chol)
+    chol_inv = statespace.lower_inverse(chol)
     root = restrict_to_free(chol_inv.swapaxes(-1, -2), free)
     cov = restrict_to_free(statespace.symmetrize(root @ chol_inv), free)
     mu = np.einsum("iab,ib->ia", cov, rhs)

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dfmvi import cli, gibbs, oracles, vi
+from dfmvi import cli, gibbs, vi
 from dfmvi.model import ModelSpec, PriorSpec, default_prior
 from dfmvi.panel import from_arrays, load_csv, standardize
-from dfmvi.oracles import dense_fixed_moments, dense_gaussian_oracle, mc_elbo_oracle
 from dfmvi.sim import RaggedEdge, RandomMissing, simulate_dfm, stationary_sim_config
+from tests import oracles
 from tests.conftest import point_mass_moments, random_masked_panel
+from tests.oracles import dense_fixed_moments, dense_gaussian_oracle, mc_elbo_oracle
 
 RAGGED_CUTOFFS = {18: 196, 19: 194, 20: 192, 21: 190, 22: 188, 23: 186, 24: 184}
 

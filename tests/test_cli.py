@@ -110,11 +110,14 @@ def test_simulate_artifacts(sim_dir):
 
 
 def test_import_and_simulate_load_no_scipy(tmp_path):
-    # A fresh interpreter: the package and the simulate command need numpy
-    # only, and fit_smf is still served from the package.
+    # A fresh interpreter: the package, the generator and the simulate
+    # command need numpy only, fit_smf is still served from the package, and
+    # the package holds no test code (the oracles live in tests/).
     code = f"""
+import pkgutil
 import sys
 import dfmvi
+import dfmvi.sim
 from dfmvi import cli
 argv = ["simulate", "--out", {str(tmp_path)!r}, "--n", "6", "--t", "30",
         "--missing-rate", "0.1", "--ragged", "0:25", "--periodic", "1:2"]
@@ -123,6 +126,11 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 import dfmvi.vi
 from dfmvi import fit_smf
 print(dfmvi.fit_smf is dfmvi.vi.fit_smf is fit_smf)
+print("oracles" in {{m.name for m in pkgutil.iter_modules(dfmvi.__path__)}})
+try:
+    import dfmvi.oracles
+except ModuleNotFoundError as exc:
+    print(exc.name)
 """
     src = os.path.dirname(os.path.dirname(dfmvi.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -130,7 +138,7 @@ print(dfmvi.fit_smf is dfmvi.vi.fit_smf is fit_smf)
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.splitlines() == ["[]", "True"]
+    assert out.splitlines() == ["[]", "True", "False", "dfmvi.oracles"]
     assert (tmp_path / "panel.csv").exists()
 
 

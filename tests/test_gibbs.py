@@ -15,9 +15,9 @@ from dfmvi.model import (
     identification_restrictions,
 )
 from dfmvi.panel import from_arrays
-from dfmvi.oracles import dense_fixed_moments
 from tests import reference_kernels
 from tests.conftest import assert_same_bits, empty_edge_panel, random_masked_panel
+from tests.oracles import dense_fixed_moments, state_noise_cov
 
 
 def test_config_validation():
@@ -47,7 +47,7 @@ def test_state_draws_without_data_follow_prior_process():
         )
         # marginal covariances follow the unobserved state recursion
         trans = sim.companion(phi)
-        noise = sim.state_noise_cov(1, spec.s)
+        noise = state_noise_cov(1, spec.s)
         want_cov = [prior.init_state_cov]
         for _ in range(4):
             want_cov.append(trans @ want_cov[-1] @ trans.T + noise)

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dfmvi import gibbs, oracles, vi
+from dfmvi import gibbs, vi
 from dfmvi.model import ModelSpec, default_prior, identification_restrictions
 from dfmvi.panel import TimeSeriesPanel, standardize
-from dfmvi.oracles import dense_gaussian_oracle
 from dfmvi.sim import (
     PeriodicMissing,
     RandomMissing,
     simulate_dfm,
     stationary_sim_config,
 )
+from tests import oracles
 from tests.conftest import random_masked_panel
+from tests.oracles import dense_gaussian_oracle
 
 
 @pytest.fixture(scope="module")

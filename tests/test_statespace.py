@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dfmvi import oracles, statespace, vi
+from dfmvi import gibbs, statespace, vi
 from dfmvi.errors import NumericalError
-from dfmvi.model import ModelSpec, default_prior
+from dfmvi.model import ModelSpec, default_prior, identification_restrictions
 from dfmvi.panel import TimeSeriesPanel, from_arrays
-from dfmvi.oracles import dense_gaussian_oracle
-from tests.conftest import random_masked_panel, random_variational
+from tests import oracles
+from tests.conftest import assert_same_bits, empty_edge_panel, random_masked_panel
+from tests.conftest import random_variational
+from tests.oracles import dense_gaussian_oracle
 
 
 def _system(values, lam, noise_var, trans, trans_cov=None, loading_cov=None,
@@ -367,20 +370,76 @@ def test_lower_inverse_matches_the_lu_inverse():
         assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("p, T", [(0, 200), (1, 1000)], ids=["desk", "long"])
-def test_one_factor_moments_equal_the_lu_inverse_ones_bitwise(p, T):
-    # At r = 1 the substitution is a reciprocal: the moments are the bits of
-    # the smoother that inverts its diagonal blocks with np.linalg.inv.
+def _state_pass(p, T):
+    """The one-factor state pass on a 25-series panel from a fixed start."""
     spec = ModelSpec(n=25, r=1, p=p)
     pan, _, _ = random_masked_panel(spec, T=T, seed=17 + p, missing_prob=0.1)
     prior = default_prior(spec)
     state = vi.init_from_pca(pan, spec, prior, seed=3)
-    got = vi.update_states(pan, state.loadings, state.transition, prior)
+
+    def run():
+        moments = vi.update_states(pan, state.loadings, state.transition, prior)
+        return [moments.cov, moments.second_moment, moments.lag_one]
+
+    return run
+
+
+def _fit_and_chain(r, p, chain):
+    """An anchored fit and, if ``chain``, an anchored chain on a panel whose
+    last time step and last series hold no data."""
+    spec = ModelSpec(n=6, r=r, p=p)
+    pan = empty_edge_panel(spec, T=30, seed=90 + 10 * r + p)
+    prior = default_prior(spec)
+    restr = identification_restrictions(spec, [(k, k) for k in range(r)])
+    config = gibbs.GibbsConfig(n_draws=40, burn_in_fraction=0.25, seed=61)
+
+    def run():
+        state, moments, report = vi.fit_smf(
+            pan, spec, prior, restrictions=restr, max_iters=200, seed=71
+        )
+        out = [
+            report.iterations,
+            *vars(state.loadings).values(),
+            *vars(state.transition).values(),
+            moments.mean,
+            moments.cov,
+        ]
+        if chain:
+            store = gibbs.run_gibbs(pan, spec, prior, config, restr)
+            out += [
+                store.lambdas, store.sigma2, store.phi, store.states, store.sign_flips
+            ]
+        return out
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "make, atol",
+    [
+        (partial(_state_pass, 0, 200), 0.0),
+        (partial(_state_pass, 1, 1000), 0.0),
+        (partial(_fit_and_chain, 1, 0, True), 0.0),
+        (partial(_fit_and_chain, 2, 1, False), 1e-12),
+    ],
+    ids=["desk", "long", "fit-and-chain", "s4-fit"],
+)
+def test_one_factor_moments_equal_the_lu_inverse_ones_bitwise(make, atol):
+    # With every triangular inverse taken by np.linalg.inv instead of
+    # substitution.  At r = 1 the smoother's blocks are 1 x 1, and at s = 1
+    # so are the loading regressions' factors: there the substitution is a
+    # reciprocal, and the state pass, the fit and the chain keep their bits.
+    # At s = 4 the fit moves by rounding only.
+    run = make()
+    got = run()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statespace, "lower_inverse", np.linalg.inv)
-        want = vi.update_states(pan, state.loadings, state.transition, prior)
-    for name in ("cov", "second_moment", "lag_one"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        want = run()
+    for a, b in zip(got, want, strict=True):
+        if atol:
+            assert_allclose(a, b, rtol=0, atol=atol)
+        else:
+            assert_same_bits(a, b)
 
 
 def test_scan_near_unit_root_long_path_stays_finite():

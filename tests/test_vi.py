@@ -16,12 +16,12 @@ from dfmvi.model import (
     identification_restrictions,
 )
 from dfmvi.panel import from_arrays, standardize
-from dfmvi.oracles import dense_fixed_moments, dense_gaussian_oracle, mc_elbo_oracle
 from dfmvi.sim import simulate_dfm, stationary_sim_config
 from tests import reference_kernels
 from tests.conftest import assert_same_bits, empty_edge_panel
 from tests.conftest import point_mass_moments as _point_mass_moments
 from tests.conftest import random_masked_panel, random_variational
+from tests.oracles import dense_fixed_moments, dense_gaussian_oracle, mc_elbo_oracle
 
 
 def test_update_loadings_no_data_reduces_to_prior():
@@ -340,8 +340,14 @@ def test_fit_warns_fewer_series_than_factors():
     prior = default_prior(spec)
     rng = np.random.default_rng(0)
     pan = from_arrays(rng.standard_normal((12, 1)))
-    with pytest.warns(UserWarning, match="fewer series"):
+    # One series spans one principal component, so the start also pads the
+    # second factor's proxy with noise and says so.
+    with pytest.warns(UserWarning) as record:
         vi.fit_smf(pan, spec, prior, tolerance=1e-5, max_iters=30)
+    assert [str(w.message) for w in record] == [
+        "fewer series than factors; the model is weakly identified",
+        "panel has deficient rank; padding factor proxies with noise",
+    ]
 
 
 def test_init_from_pca_deterministic(tiny_spec, tiny_prior):
