@@ -11,7 +11,7 @@ Importing the package loads numpy only: ``fit_smf`` is looked up in
 __version__ = "0.1.0"
 
 from .errors import DfmError, DomainError, NumericalError, PanelFormatError
-from .model import ModelSpec, PriorSpec, default_prior, minnesota_prior, validate_prior
+from .model import ModelSpec, PriorSpec, default_prior, minnesota_prior
 from .panel import TimeSeriesPanel, load_csv, standardize, unstandardize, write_csv
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "TimeSeriesPanel",
     "default_prior",
     "minnesota_prior",
-    "validate_prior",
     "load_csv",
     "standardize",
     "unstandardize",

@@ -209,9 +209,10 @@ def run_gibbs(
     DomainError
         If the float64 draw store of the kept draws would exceed the
         machine's physical memory (states its size and points to thinning),
-        or as :func:`vi.run_restrictions` does: the panel is too short for
-        the loading lags, or the sign fold would not be exact.
+        or as :func:`vi.run_restrictions` does: an input does not fit
+        ``spec``, the panel is too short or the sign fold would not be exact.
     """
+    restrictions = vi.run_restrictions(panel, spec, prior, restrictions)
     r, s = spec.r, spec.s
     burn = config.burn_in()
     kept = (config.n_draws - burn + config.thin - 1) // config.thin
@@ -223,7 +224,6 @@ def run_gibbs(
             f"but the machine has {memory / 2**30:.2f} GiB of physical memory; "
             "keep fewer draws with --thin"
         )
-    restrictions = vi.run_restrictions(panel, spec, prior, restrictions)
     rng = np.random.default_rng(config.seed)
     start = vi.init_from_pca(
         panel, spec, prior, seed=config.seed, restrictions=restrictions

@@ -5,6 +5,9 @@ static state dimension is always s = r(p + 1).  Priors follow a conjugate
 layout: per-equation Gaussian loadings scaled by an inverse-chi-square
 noise variance, a matrix-normal transition block, and a Gaussian origin
 state.
+
+A ``PriorSpec`` and a ``Restrictions`` check themselves when built; that
+they and a panel fit one ``ModelSpec`` is checked by ``vi.run_restrictions``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
+from .panel import read_only
 
 
 @dataclass(frozen=True)
@@ -35,17 +39,15 @@ class ModelSpec:
         return self.r * (self.p + 1)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class PriorSpec:
     """Prior hyperparameters, held as read-only float copies.
 
-    The constants derived from them (the origin precision and the
-    log-determinants the objective uses) are computed once, on first use.
+    Built only if the matrices share one size and the vectors one length
+    and all are finite, proper and definite as listed below (else
+    DomainError); the matrices are symmetrized.  The constants derived from
+    them (the origin precision and the log-determinants the objective uses)
+    are computed once, on first use.
 
     Attributes
     ----------
@@ -64,14 +66,45 @@ class PriorSpec:
     noise_scale: np.ndarray
 
     def __post_init__(self):
-        for field in fields(self):
-            value = np.array(getattr(self, field.name), dtype=float)
-            object.__setattr__(self, field.name, _read_only(value))
+        v_inv, w_inv, f0, nu, tau2 = (
+            np.array(getattr(self, field.name), dtype=float) for field in fields(self)
+        )
+        s = max(len(v_inv), 1) if v_inv.ndim else 1
+        for name, mat in (("loading_prec", v_inv), ("trans_prec", w_inv), ("init_state_cov", f0)):
+            if mat.shape != (s, s):
+                raise DomainError(f"{name} must be {s} x {s}, got {mat.shape}")
+        if nu.ndim != 1 or not len(nu) or tau2.shape != nu.shape:
+            raise DomainError(
+                f"noise_df and noise_scale must have one length, got {nu.shape} "
+                f"and {tau2.shape}"
+            )
+        for field, value in zip(fields(self), (v_inv, w_inv, f0, nu, tau2)):
+            if not np.isfinite(value).all():
+                raise DomainError(f"{field.name} must be finite")
+        if np.any(nu <= 0) or np.any(tau2 <= 0):
+            raise DomainError(
+                "noise_df and noise_scale must be strictly positive; "
+                "improper priors leave the objective undefined"
+            )
+        v_inv = 0.5 * (v_inv + v_inv.T)
+        w_inv = 0.5 * (w_inv + w_inv.T)
+        f0 = 0.5 * (f0 + f0.T)
+        tol = 1e-10 * max(1.0, float(np.abs(v_inv).max()), float(np.abs(w_inv).max()))
+        if np.linalg.eigvalsh(v_inv).min() < -tol:
+            raise DomainError("loading_prec is not positive semidefinite")
+        if np.linalg.eigvalsh(w_inv).min() < -tol:
+            raise DomainError("trans_prec is not positive semidefinite")
+        try:
+            np.linalg.cholesky(f0)
+        except np.linalg.LinAlgError:
+            raise DomainError("init_state_cov is not positive definite") from None
+        for field, value in zip(fields(self), (v_inv, w_inv, f0, nu, tau2)):
+            object.__setattr__(self, field.name, read_only(value))
 
     @cached_property
     def init_state_prec(self) -> np.ndarray:
         """Inverse origin covariance, the precision the state path starts from."""
-        return _read_only(np.linalg.inv(self.init_state_cov))
+        return read_only(np.linalg.inv(self.init_state_cov))
 
     @cached_property
     def init_state_logdet(self) -> float:
@@ -125,61 +158,12 @@ def default_prior(
 ) -> PriorSpec:
     """Minnesota precisions, identity origin covariance, unit noise prior."""
     v_inv, w_inv = minnesota_prior(spec, eta_lambda, eta_phi, ell_lambda, ell_phi)
-    return validate_prior(
-        PriorSpec(
-            loading_prec=v_inv,
-            trans_prec=w_inv,
-            init_state_cov=np.eye(spec.s),
-            noise_df=np.full(spec.n, float(nu)),
-            noise_scale=np.full(spec.n, float(tau2)),
-        ),
-        spec,
-    )
-
-
-def validate_prior(prior: PriorSpec, spec: ModelSpec) -> PriorSpec:
-    """Check dimensions and definiteness, returning a normalized copy.
-
-    Symmetry is enforced by averaging with the transpose.  PSD of the
-    precisions is verified through an eigenvalue bound and PD of the origin
-    covariance through a Cholesky factorization.  Improper priors (zero
-    degrees of freedom or scales) are rejected since they leave the
-    objective undefined.
-    """
-    s, n = spec.s, spec.n
-    v_inv = np.asarray(prior.loading_prec, dtype=float)
-    w_inv = np.asarray(prior.trans_prec, dtype=float)
-    f0 = np.asarray(prior.init_state_cov, dtype=float)
-    nu = np.asarray(prior.noise_df, dtype=float)
-    tau2 = np.asarray(prior.noise_scale, dtype=float)
-    for name, mat in (("loading_prec", v_inv), ("trans_prec", w_inv), ("init_state_cov", f0)):
-        if mat.shape != (s, s):
-            raise DomainError(f"{name} must be {s} x {s}, got {mat.shape}")
-    if nu.shape != (n,) or tau2.shape != (n,):
-        raise DomainError(f"noise_df and noise_scale must have length {n}")
-    if np.any(nu <= 0) or np.any(tau2 <= 0):
-        raise DomainError(
-            "noise_df and noise_scale must be strictly positive; "
-            "improper priors leave the objective undefined"
-        )
-    v_inv = 0.5 * (v_inv + v_inv.T)
-    w_inv = 0.5 * (w_inv + w_inv.T)
-    f0 = 0.5 * (f0 + f0.T)
-    tol = 1e-10 * max(1.0, float(np.abs(v_inv).max()), float(np.abs(w_inv).max()))
-    if np.linalg.eigvalsh(v_inv).min() < -tol:
-        raise DomainError("loading_prec is not positive semidefinite")
-    if np.linalg.eigvalsh(w_inv).min() < -tol:
-        raise DomainError("trans_prec is not positive semidefinite")
-    try:
-        np.linalg.cholesky(f0)
-    except np.linalg.LinAlgError:
-        raise DomainError("init_state_cov is not positive definite") from None
     return PriorSpec(
         loading_prec=v_inv,
         trans_prec=w_inv,
-        init_state_cov=f0,
-        noise_df=nu,
-        noise_scale=tau2,
+        init_state_cov=np.eye(spec.s),
+        noise_df=np.full(spec.n, float(nu)),
+        noise_scale=np.full(spec.n, float(tau2)),
     )
 
 
@@ -189,35 +173,46 @@ class Restrictions:
 
     ``free[i, k]`` is False where the loading of variable i on state
     coordinate k is constrained to zero; ``positive`` lists (variable,
-    state coordinate) pairs whose loading must be positive.  The masks
-    derived from them are computed once, on first use, and are read-only.
+    state coordinate) pairs whose loading must be positive; each must index
+    a free entry of ``free``, else DomainError.  The masks derived from them
+    are computed once, on first use, and are read-only.
     """
 
     free: np.ndarray
     positive: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "free", _read_only(np.array(self.free, dtype=bool)))
-        object.__setattr__(
-            self, "positive", tuple((int(i), int(k)) for i, k in self.positive)
-        )
+        free = read_only(np.array(self.free, dtype=bool))
+        if free.ndim != 2:
+            raise DomainError(f"free must be an n x s mask, got shape {free.shape}")
+        positive = tuple((int(i), int(k)) for i, k in self.positive)
+        for i, k in positive:
+            if not (0 <= i < free.shape[0] and 0 <= k < free.shape[1]):
+                raise DomainError(
+                    f"anchor ({i}, {k}) lies outside the {free.shape[0]} x "
+                    f"{free.shape[1]} loading mask"
+                )
+            if not free[i, k]:
+                raise DomainError(f"anchor ({i}, {k}) is on a zero-restricted loading")
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "positive", positive)
 
     @cached_property
     def free_pairs(self) -> np.ndarray:
         """(n, s, s) mask of the entries inside each row's free block."""
-        return _read_only(self.free[:, :, None] & self.free[:, None, :])
+        return read_only(self.free[:, :, None] & self.free[:, None, :])
 
     @cached_property
     def padding(self) -> np.ndarray:
         """(n, s, s) identity on each row's restricted coordinates, else zero."""
-        return _read_only(np.eye(self.free.shape[1]) * ~self.free[:, None, :])
+        return read_only(np.eye(self.free.shape[1]) * ~self.free[:, None, :])
 
     @cached_property
     def anchors(self) -> np.ndarray:
         """(k, 2) (variable, coordinate) rows of the sign restrictions, one
         per variable (the last listed wins)."""
         pairs = list(dict(self.positive).items())
-        return _read_only(np.array(pairs, dtype=int).reshape(-1, 2))
+        return read_only(np.array(pairs, dtype=int).reshape(-1, 2))
 
     def flips(self, loading_mean: np.ndarray, r: int) -> np.ndarray | None:
         """(r,) mask of the anchored factors whose anchor loading in the
@@ -267,9 +262,8 @@ def identification_restrictions(
             raise DomainError(f"anchor ({var}, {fac}) out of range")
         free[var, :] = False
         free[var, fac] = True
-    restrictions = Restrictions(free=free, positive=tuple(anchors))
-    _check_one_anchor_each(restrictions, spec.r)
-    return restrictions
+    _check_one_anchor_each(anchors, spec.r)
+    return Restrictions(free=free, positive=tuple(anchors))
 
 
 def factor_signs(flips: np.ndarray, s: int) -> np.ndarray:
@@ -278,10 +272,11 @@ def factor_signs(flips: np.ndarray, s: int) -> np.ndarray:
     return np.where(np.tile(flips, s // len(flips)), -1.0, 1.0)
 
 
-def _check_one_anchor_each(restrictions: Restrictions, r: int) -> None:
-    """Raise DomainError if a factor or a variable anchors more than once."""
-    variables = [var for var, _ in restrictions.positive]
-    factors = [coord % r for _, coord in restrictions.positive]
+def _check_one_anchor_each(positive, r: int) -> None:
+    """Raise DomainError if a factor or a variable of the (variable, state
+    coordinate) pairs ``positive`` anchors more than once."""
+    variables = [var for var, _ in positive]
+    factors = [coord % r for _, coord in positive]
     for fac in factors:
         if factors.count(fac) > 1:
             raise DomainError(f"factor {fac} anchored more than once")
@@ -299,7 +294,7 @@ def check_sign_fold(prior: PriorSpec, restrictions: Restrictions, r: int) -> Non
     the prior is invariant under the flip (sign matrix D): D M D = M for M each
     of ``loading_prec``, ``trans_prec`` and ``init_state_cov``.
     """
-    _check_one_anchor_each(restrictions, r)
+    _check_one_anchor_each(restrictions.positive, r)
     for k in restrictions.anchors[:, 1] % r:
         signs = factor_signs(np.arange(r) == k, prior.loading_prec.shape[0])
         for name in ("loading_prec", "trans_prec", "init_state_cov"):

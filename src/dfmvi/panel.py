@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,25 +80,26 @@ class TimeSeriesPanel:
     @cached_property
     def mask_float(self) -> np.ndarray:
         """The mask as 1.0 (available) and 0.0 (missing)."""
-        return _read_only(self.mask.astype(float))
+        return read_only(self.mask.astype(float))
 
     @cached_property
     def zero_filled(self) -> np.ndarray:
         """Values with missing cells set to 0.0."""
-        return _read_only(np.where(self.mask, self.values, 0.0))
+        return read_only(np.where(self.mask, self.values, 0.0))
 
     @cached_property
     def counts(self) -> np.ndarray:
         """Available observations per column, as floats."""
-        return _read_only(self.mask_float.sum(axis=0))
+        return read_only(self.mask_float.sum(axis=0))
 
     @cached_property
     def sums_of_squares(self) -> np.ndarray:
         """Sum of the squared available values per column."""
-        return _read_only((self.mask_float * self.zero_filled**2).sum(axis=0))
+        return read_only((self.mask_float * self.zero_filled**2).sum(axis=0))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it."""
     a.flags.writeable = False
     return a
 
@@ -213,7 +214,7 @@ class StandardizationRecord:
 
     mean: np.ndarray
     scale: np.ndarray
-    degenerate: np.ndarray = field(default=None)
+    degenerate: np.ndarray
 
     def to_json(self) -> str:
         return json.dumps(

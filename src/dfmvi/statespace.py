@@ -64,23 +64,25 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def chol_factor(a: np.ndarray, context: str = "") -> np.ndarray:
-    """Lower Cholesky factor, retrying with diagonal jitter.
-
-    Jitter of 1e-10 is added to the diagonal at most three times before a
-    NumericalError is raised with the given context string.
+def chol_factor(a: np.ndarray, context: str) -> np.ndarray:
+    """Lower Cholesky factor of a matrix, or of a (k, s, s) stack in one
+    batched call, retrying each matrix that is not positive definite with
+    1e-10 added to its diagonal at most three times; then NumericalError names
+    ``context`` (in a stack followed by the index of the failing entry).
     """
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        if a.ndim == 3:
+            return np.stack([chol_factor(m, f"{context} {j}") for j, m in enumerate(a)])
     mat = a
-    for attempt in range(_MAX_JITTER_TRIES + 1):
+    for _ in range(_MAX_JITTER_TRIES):
+        mat = mat + _JITTER * np.eye(a.shape[-1])
         try:
             return np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
-            if attempt == _MAX_JITTER_TRIES:
-                break
-            mat = mat + _JITTER * np.eye(a.shape[-1])
-    raise NumericalError(
-        f"matrix not positive definite after jitter{': ' + context if context else ''}"
-    )
+            pass
+    raise NumericalError(f"matrix not positive definite after jitter: {context}")
 
 
 @cache
@@ -109,19 +111,6 @@ def band_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x, info = _lapack().dpbtrs(chol, rhs, lower=1)
     _check_solve(info, "dpbtrs")
     return x
-
-
-def batched_cholesky(a: np.ndarray, context) -> np.ndarray:
-    """Lower Cholesky factors of a (k, s, s) stack in one batched call.
-
-    Falls back to :func:`chol_factor` entry by entry when the stack holds a
-    matrix that is not positive definite, so the jitter retries apply and
-    the error carries ``context(j)`` for the first failing entry j.
-    """
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return np.stack([chol_factor(m, context=context(j)) for j, m in enumerate(a)])
 
 
 def path_precision(

@@ -189,9 +189,7 @@ def loading_posterior(
     rhs = np.where(free, panel.zero_filled.T @ mean, 0.0)
 
     prec = masks.pad(gram + prior.loading_prec)
-    chol = statespace.batched_cholesky(
-        prec, lambda i: f"loading posterior, equation {i}"
-    )
+    chol = statespace.chol_factor(prec, "loading posterior, equation")
     chol_inv = statespace.lower_inverse(chol)
     root = masks.restrict(chol_inv.swapaxes(-1, -2))
     cov = masks.restrict(statespace.symmetrize(root @ chol_inv))
@@ -253,7 +251,7 @@ def transition_posterior(
     ``gram`` is the sum over t of x_{t-1} x_{t-1}' and ``cross`` that of
     f_t x_{t-1}', with f_t the top r coordinates of the state x_t.
     """
-    chol = statespace.chol_factor(gram + prior.trans_prec, context="transition update")
+    chol = statespace.chol_factor(gram + prior.trans_prec, "transition update")
     cov = statespace.symmetrize(statespace.chol_inverse(chol))
     return TransitionVariational(mean=cross @ cov, cov=cov)
 
@@ -473,12 +471,27 @@ def run_restrictions(
     panel: TimeSeriesPanel, spec: ModelSpec, prior: PriorSpec, restrictions
 ) -> Restrictions:
     """The restrictions a fit or a chain runs under, built once if None (no
-    restrictions); DomainError if the panel is too short for the loading lags
-    or the sign fold would not be exact (:func:`check_sign_fold`)."""
-    if panel.T <= spec.p + 1:
-        raise DomainError(f"need T > p + 1 = {spec.p + 1}, got T = {panel.T}")
+    restrictions): the one check of the inputs against ``spec``.
+
+    DomainError, naming the input and both sizes, if the panel's width, the
+    prior's matrices or vectors or the restrictions' mask do not fit ``spec``;
+    DomainError too if the panel is too short for the loading lags or the sign
+    fold would not be exact (:func:`check_sign_fold`).
+    """
     if restrictions is None:
         restrictions = identification_restrictions(spec, [])
+    n, s = spec.n, spec.s
+    for name, got, want in (
+        ("panel width", (panel.n,), (n,)),
+        ("prior matrix shape", prior.loading_prec.shape, (s, s)),
+        ("prior vector length", prior.noise_df.shape, (n,)),
+        ("restrictions' free mask shape", restrictions.free.shape, (n, s)),
+    ):
+        if got != want:
+            got, want = (" x ".join(map(str, dims)) for dims in (got, want))
+            raise DomainError(f"{name} is {got} but the spec needs {want}")
+    if panel.T <= spec.p + 1:
+        raise DomainError(f"need T > p + 1 = {spec.p + 1}, got T = {panel.T}")
     check_sign_fold(prior, restrictions, spec.r)
     return restrictions
 

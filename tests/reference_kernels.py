@@ -44,7 +44,7 @@ def loading_posterior(panel, mean, second_moment, prior, restrictions=None):
     gram = (panel.mask_float.T @ second_moment.reshape(T, s * s)).reshape(n, s, s)
     rhs = np.where(free, panel.zero_filled.T @ mean, 0.0)
     prec = pad_restricted(gram + prior.loading_prec, free)
-    chol = statespace.batched_cholesky(prec, lambda i: f"equation {i}")
+    chol = statespace.chol_factor(prec, "equation")
     chol_inv = statespace.lower_inverse(chol)
     root = restrict_to_free(chol_inv.swapaxes(-1, -2), free)
     cov = restrict_to_free(statespace.symmetrize(root @ chol_inv), free)
@@ -73,7 +73,7 @@ def chol_inverse(chol_lower):
 
 
 def transition_posterior(gram, cross, prior):
-    chol = statespace.chol_factor(gram + prior.trans_prec, context="transition update")
+    chol = statespace.chol_factor(gram + prior.trans_prec, "transition update")
     cov = statespace.symmetrize(chol_inverse(chol))
     return vi.TransitionVariational(mean=cross @ cov, cov=cov)
 

@@ -15,7 +15,6 @@ from dfmvi.model import (
     default_prior,
     identification_restrictions,
     minnesota_prior,
-    validate_prior,
 )
 from dfmvi.vi import (
     LoadingsVariational,
@@ -82,74 +81,96 @@ def test_minnesota_diagonal_with_equal_blocks(r, p, eta, ell):
             assert np.all(block == block[0])
 
 
-def test_validate_prior_accepts_identity(tiny_spec):
-    prior = PriorSpec(
-        loading_prec=np.eye(1),
-        trans_prec=np.eye(1),
-        init_state_cov=np.eye(1),
-        noise_df=np.ones(2),
-        noise_scale=np.ones(2),
+def _prior(**changes) -> dict:
+    """Keyword arguments of a valid s = 2, n = 3 prior, with ``changes``."""
+    fields = dict(
+        loading_prec=np.eye(2),
+        trans_prec=np.eye(2),
+        init_state_cov=np.eye(2),
+        noise_df=np.ones(3),
+        noise_scale=np.ones(3),
     )
-    validated = validate_prior(prior, tiny_spec)
-    assert_allclose(validated.loading_prec, np.eye(1))
+    return fields | changes
+
+
+def test_validate_prior_accepts_identity():
+    prior = PriorSpec(**_prior())
+    assert_array_equal(prior.loading_prec, np.eye(2))
+    assert_array_equal(prior.noise_df, np.ones(3))
 
 
 def test_validate_prior_rejects_indefinite_init_cov():
-    spec = ModelSpec(n=2, r=2, p=0)
-    prior = PriorSpec(
-        loading_prec=np.eye(2),
-        trans_prec=np.eye(2),
-        init_state_cov=np.diag([1.0, -0.5]),
-        noise_df=np.ones(2),
-        noise_scale=np.ones(2),
-    )
-    with pytest.raises(DomainError, match="init_state_cov"):
-        validate_prior(prior, spec)
+    # A prior checks itself when it is built.
+    with pytest.raises(DomainError, match="init_state_cov is not positive definite"):
+        PriorSpec(**_prior(init_state_cov=np.diag([1.0, -0.5])))
 
 
 def test_validate_prior_symmetrizes_tiny_asymmetry():
-    spec = ModelSpec(n=1, r=2, p=0)
     v = np.eye(2)
     v[0, 1] = 1e-14
-    prior = PriorSpec(
-        loading_prec=v,
-        trans_prec=np.eye(2),
-        init_state_cov=np.eye(2),
-        noise_df=np.ones(1),
-        noise_scale=np.ones(1),
-    )
-    validated = validate_prior(prior, spec)
-    assert_array_equal(validated.loading_prec, validated.loading_prec.T)
+    prior = PriorSpec(**_prior(loading_prec=v))
+    assert_array_equal(prior.loading_prec, prior.loading_prec.T)
+    assert prior.loading_prec[0, 1] == 0.5e-14
 
 
 def test_validate_prior_rejects_improper():
-    spec = ModelSpec(n=1, r=1, p=0)
     with pytest.raises(DomainError, match="improper"):
-        validate_prior(
-            PriorSpec(
-                loading_prec=np.eye(1),
-                trans_prec=np.eye(1),
-                init_state_cov=np.eye(1),
-                noise_df=np.zeros(1),
-                noise_scale=np.ones(1),
-            ),
-            spec,
-        )
+        PriorSpec(**_prior(noise_df=np.zeros(3)))
 
 
 def test_validate_prior_dimension_mismatch():
-    spec = ModelSpec(n=1, r=2, p=0)
-    with pytest.raises(DomainError, match="loading_prec"):
-        validate_prior(
-            PriorSpec(
-                loading_prec=np.eye(3),
-                trans_prec=np.eye(2),
-                init_state_cov=np.eye(2),
-                noise_df=np.ones(1),
-                noise_scale=np.ones(1),
-            ),
-            spec,
-        )
+    # Mixed sizes are refused when the prior is built; a prior sized for
+    # another spec is refused by fit_smf and run_gibbs (test_vi.py).
+    with pytest.raises(DomainError, match=r"trans_prec must be 3 x 3, got \(2, 2\)"):
+        PriorSpec(**_prior(loading_prec=np.eye(3)))
+
+
+_REFUSED_PRIORS = {
+    "matrix-size": (
+        {"trans_prec": np.eye(3)},
+        r"trans_prec must be 2 x 2, got \(3, 3\)",
+    ),
+    "vector-matrix": ({"loading_prec": np.ones(2)}, r"loading_prec must be 2 x 2"),
+    "empty-matrix": ({"loading_prec": np.zeros((0, 0))}, r"loading_prec must be 1 x 1"),
+    "vector-length": (
+        {"noise_scale": np.ones(2)},
+        r"one length, got \(3,\) and \(2,\)",
+    ),
+    "scalar-vector": ({"noise_df": 1.0}, r"one length, got \(\)"),
+    "empty-vector": ({"noise_df": np.ones(0), "noise_scale": np.ones(0)}, "one length"),
+    "zero-scale": ({"noise_scale": np.array([1.0, 0.0, 1.0])}, "improper"),
+    "negative-df": ({"noise_df": -np.ones(3)}, "improper"),
+    "nan-df": ({"noise_df": np.array([1.0, np.nan, 1.0])}, "noise_df must be finite"),
+    "inf-matrix": ({"trans_prec": np.diag([np.inf, 1.0])}, "trans_prec must be finite"),
+    "indefinite-loading": (
+        {"loading_prec": np.array([[1.0, 2.0], [2.0, 1.0]])},
+        "loading_prec is not positive semidefinite",
+    ),
+    "indefinite-transition": (
+        {"trans_prec": np.diag([1.0, -1e-3])},
+        "trans_prec is not positive semidefinite",
+    ),
+    "singular-origin": (
+        {"init_state_cov": np.zeros((2, 2))},
+        "init_state_cov is not positive definite",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "changes, match", _REFUSED_PRIORS.values(), ids=_REFUSED_PRIORS.keys()
+)
+def test_a_hand_built_prior_is_refused_when_it_is_built(changes, match):
+    with pytest.raises(DomainError, match=match):
+        PriorSpec(**_prior(**changes))
+
+
+def test_a_semidefinite_precision_within_tolerance_is_accepted():
+    # The precisions may be singular (a flat direction), and an eigenvalue
+    # down to -1e-10 relative to the largest entry counts as zero.
+    flat = np.zeros((2, 2))
+    prior = PriorSpec(**_prior(loading_prec=np.diag([1.0, -5e-11]), trans_prec=flat))
+    assert prior.loading_prec[1, 1] == -5e-11
 
 
 def test_identification_restrictions_anchor_scheme():
@@ -218,15 +239,12 @@ def test_prior_holds_read_only_copies_and_caches_bitwise_constants():
     root = rng.standard_normal((spec.s, spec.s))
     f0 = root @ root.T + np.eye(spec.s)
     v_inv, w_inv = minnesota_prior(spec)
-    prior = validate_prior(
-        PriorSpec(
-            loading_prec=v_inv,
-            trans_prec=w_inv,
-            init_state_cov=f0,
-            noise_df=np.ones(3),
-            noise_scale=np.ones(3),
-        ),
-        spec,
+    prior = PriorSpec(
+        loading_prec=v_inv,
+        trans_prec=w_inv,
+        init_state_cov=f0,
+        noise_df=np.ones(3),
+        noise_scale=np.ones(3),
     )
     source = np.eye(spec.s)
     copied = PriorSpec(source, source, source, np.ones(3), np.ones(3))
@@ -257,9 +275,36 @@ def test_restrictions_cache_read_only_masks_and_anchor_rows():
         _write_fails(mask)
     a = np.random.default_rng(6).standard_normal((4, spec.s, spec.s))
     assert_array_equal(restr.pad(a)[1:3], restr.pad(a[1:3], slice(1, 3)))
-    # one anchor row per variable, the last listed one winning
-    assert Restrictions(free, ((0, 0), (0, 1))).anchors.tolist() == [[0, 1]]
+    # one anchor row per variable, the last listed one winning (on an
+    # all-free mask: free[0] restricts coordinate 1, so (0, 1) is refused)
+    all_free = np.ones_like(free)
+    assert Restrictions(all_free, ((0, 0), (0, 1))).anchors.tolist() == [[0, 1]]
     assert Restrictions(free, ()).anchors.shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "positive, match",
+    [
+        (((9, 0),), r"anchor \(9, 0\) lies outside the 6 x 2"),
+        (((0, 2),), r"anchor \(0, 2\) lies outside the 6 x 2"),
+        (((-1, 0),), r"anchor \(-1, 0\) lies outside"),
+        (((0, 0), (1, 1)), r"anchor \(1, 1\) is on a zero-restricted"),
+    ],
+    ids=["variable", "coordinate", "negative", "restricted"],
+)
+def test_restrictions_refuse_anchors_outside_or_off_the_free_mask(positive, match):
+    # Out of range, an anchor would index outside the loading mean in flips;
+    # on a restricted coordinate it reads an exact zero, so its factor would
+    # never fold.
+    free = np.ones((6, 2), dtype=bool)
+    free[1, 1] = False
+    with pytest.raises(DomainError, match=match):
+        Restrictions(free, positive)
+
+
+def test_restrictions_refuse_a_mask_that_is_not_a_matrix():
+    with pytest.raises(DomainError, match=r"n x s mask, got shape \(6,\)"):
+        Restrictions(np.ones(6, dtype=bool), ((0, 0),))
 
 
 def test_restrictions_flips_follow_the_reference_alignment(monkeypatch):

@@ -195,6 +195,9 @@ def test_standardization_record_json_round_trip():
     assert_array_equal(back.mean, rec.mean)
     assert_array_equal(back.scale, rec.scale)
     assert_array_equal(back.degenerate, rec.degenerate)
+    # No default: a record without the flags could not be written.
+    with pytest.raises(TypeError, match="degenerate"):
+        StandardizationRecord(mean=rec.mean, scale=rec.scale)
 
 
 @settings(deadline=None, max_examples=40)

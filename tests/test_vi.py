@@ -648,26 +648,50 @@ def test_batched_elbo_loadings_term_matches_per_equation_reference():
 
 
 def test_loading_update_names_first_non_positive_definite_equation():
-    # An indefinite (unvalidated) prior precision that only the data of
-    # equation 0 can outweigh: the batched Cholesky fails, and the
-    # per-equation fallback names equation 1 after its jitter retries.
+    # An indefinite second moment at the one time step that equations 1 and
+    # 2 observe, which only the data of equation 0 outweigh: the batched
+    # Cholesky fails, and the per-equation fallback names equation 1 after
+    # its jitter retries.
     spec = ModelSpec(n=3, r=1, p=0)
     rng = np.random.default_rng(63)
     T = 30
-    factors = rng.standard_normal((T + 1, 1))
+    mean = rng.standard_normal((T, 1))
+    second_moment = mean[:, :, None] ** 2
+    second_moment[0] = -5.0
     values = rng.standard_normal((T, 3))
     values[1:, 1:] = np.nan
-    prior = PriorSpec(
-        loading_prec=np.array([[-25.0]]),
-        trans_prec=np.eye(1),
-        init_state_cov=np.eye(1),
-        noise_df=np.ones(3),
-        noise_scale=np.ones(3),
-    )
     with pytest.raises(NumericalError, match=r"equation 1$"):
-        vi.update_loadings(
-            from_arrays(values), _point_mass_moments(factors, 1), prior
+        vi.loading_posterior(
+            from_arrays(values), mean, second_moment, default_prior(spec)
         )
+
+
+@pytest.mark.parametrize("run", ["fit", "gibbs"])
+@pytest.mark.parametrize(
+    "width, prior_spec, mask_shape, match",
+    [
+        (5, (6, 1, 1), (6, 2), "panel width is 5 but the spec needs 6"),
+        (6, (7, 1, 1), (6, 2), "prior vector length is 7 but the spec needs 6"),
+        (6, (6, 1, 0), (6, 2), "prior matrix shape is 1 x 1 but the spec needs 2 x 2"),
+        (6, (6, 1, 1), (6, 4), "free mask shape is 6 x 4 but the spec needs 6 x 2"),
+        (6, (6, 1, 1), (5, 2), "free mask shape is 5 x 2 but the spec needs 6 x 2"),
+    ],
+    ids=["panel-width", "prior-n", "prior-s", "mask-columns", "mask-rows"],
+)
+def test_fit_and_chain_refuse_inputs_sized_for_another_spec(
+    width, prior_spec, mask_shape, match, run
+):
+    # vi.run_restrictions refuses them before any kernel indexes with them.
+    spec = ModelSpec(n=6, r=1, p=1)
+    pan = from_arrays(np.random.default_rng(4).standard_normal((20, width)))
+    prior = default_prior(ModelSpec(*prior_spec))
+    restr = Restrictions(np.ones(mask_shape, dtype=bool), ((0, 0),))
+    with pytest.raises(DomainError, match=match):
+        if run == "fit":
+            vi.fit_smf(pan, spec, prior, restrictions=restr)
+        else:
+            config = gibbs.GibbsConfig(n_draws=5, burn_in_fraction=0.0, seed=0)
+            gibbs.run_gibbs(pan, spec, prior, config, restr)
 
 
 @pytest.mark.parametrize("anchored", [True, False], ids=["anchored", "unanchored"])
