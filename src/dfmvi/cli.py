@@ -16,14 +16,15 @@ standardization setting, so an in-process caller that fits and samples one
 panel parses it once; an edited file never matches.  ``fit`` also stores its
 final state moments, which ``forecast`` and ``compare`` read in place of
 parsing the panel and running the state pass.  Text artifacts are written as
-UTF-8 whatever the locale.  ``compare`` and ``forecast --source gibbs``
-refuse fit and Gibbs artifacts whose configuration hashes differ.  The
+UTF-8 whatever the locale; the output directory is made at the first write.
+``compare`` and ``forecast --source gibbs`` refuse a Gibbs run without draws
+or manifest, or whose configuration hash differs from the fit's.  The
 computing modules (``vi``, ``gibbs``, ``forecast``, ``statespace``) are
 imported by the commands that use them, so ``simulate`` loads numpy only.
 They load scipy only when they factor a path precision or build a fit's
-constants, so ``fit`` and ``gibbs`` load it and ``forecast`` and
-``compare`` do not.  The parser is built once per process, which saves its
-construction for in-process callers.
+constants, so ``fit`` and ``gibbs`` load it and ``forecast`` and ``compare``
+do not.  The parser is built once per process, which saves its construction
+for in-process callers.
 """
 
 from __future__ import annotations
@@ -207,12 +208,11 @@ def _parse_identify(items, names) -> list:
     return anchors
 
 
-def _panel_sha(path) -> str:
-    h = hashlib.sha256()
+def _hashed_bytes(path) -> tuple[str, bytes]:
+    """A file's SHA-256 and its bytes, read once."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        data = fh.read()
+    return hashlib.sha256(data).hexdigest(), data
 
 
 def _hash_config(cfg: dict) -> str:
@@ -242,9 +242,15 @@ def _write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _out_path(args, name) -> str:
+    """The path of artifact ``name``, making the output directory first."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
 def _write_manifest(args, values, fingerprint, wall_time, **extra) -> None:
     _write_json(
-        os.path.join(args.out, "manifest.json"),
+        _out_path(args, "manifest.json"),
         {
             "command": args.command,
             "package_version": __version__,
@@ -265,19 +271,15 @@ def _require_file(parser, path, what):
 
 
 def _open_run(args, parser, keys, *inputs):
-    """Check the (path, description) inputs, resolve the settings, create
-    the output directory and start the clock."""
+    """Check the (path, description) inputs, resolve the settings and start
+    the clock."""
     for path, what in inputs:
         _require_file(parser, path, what)
-    cfg = _resolve(args, keys)
-    os.makedirs(args.out, exist_ok=True)
-    return cfg, time.perf_counter()
+    return _resolve(args, keys), time.perf_counter()
 
 
 def _prepare_model(pan, cfg):
-    n = cfg["n"] if cfg["n"] is not None else pan.n
-    if n != pan.n:
-        raise DomainError(f"config n = {n} but panel has {pan.n} columns")
+    n = pan.n if cfg["n"] is None else cfg["n"]
     spec = ModelSpec(n=n, r=cfg["r"], p=cfg["p"])
     return spec, default_prior(spec, **{k: float(cfg[k]) for k in _PRIOR_KEYS})
 
@@ -296,9 +298,7 @@ def _read_panel(path, standardize):
     bytes.  A panel whose bytes and standardization match the last one read
     in this process is not parsed again; a failed parse is not kept.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    sha = hashlib.sha256(data).hexdigest()
+    sha, data = _hashed_bytes(path)
     key = (sha, bool(standardize))
     if key not in _last_panel:
         _last_panel.clear()
@@ -337,7 +337,7 @@ def _load_fit_run(args):
         state = vi.state_from_dict(json.load(fh)["state"])
     with open(os.path.join(args.fit, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    sha, fitted = _panel_sha(args.panel), manifest["model"]["panel_sha256"]
+    sha, fitted = _hashed_bytes(args.panel)[0], manifest["model"]["panel_sha256"]
     if sha != fitted:
         raise DomainError(
             f"panel {args.panel} (sha256 {sha}) is not the panel the fit was "
@@ -367,9 +367,15 @@ def _load_fit_run(args):
     return state, manifest, moments, names, record
 
 
-def _require_same_config(fit_manifest, gibbs_dir) -> None:
-    """Refuse a Gibbs run whose configuration hash differs from the fit's."""
-    with open(os.path.join(gibbs_dir, "manifest.json"), encoding="utf-8") as fh:
+def _load_gibbs_run(parser, run_dir, fit_manifest):
+    """The Gibbs run's draw store: a usage error without its draws or
+    manifest, DomainError if its configuration hash differs from the fit's."""
+    from . import gibbs
+
+    store, manifest = (os.path.join(run_dir, f) for f in ("draws.npz", "manifest.json"))
+    _require_file(parser, store, "draw store")
+    _require_file(parser, manifest, "gibbs manifest")
+    with open(manifest, encoding="utf-8") as fh:
         gibbs_manifest = json.load(fh)
     if fit_manifest["config_hash"] != gibbs_manifest["config_hash"]:
         diff = {
@@ -381,6 +387,7 @@ def _require_same_config(fit_manifest, gibbs_dir) -> None:
             "fit and gibbs artifacts were produced under different "
             f"panel/model/identification settings; differing fields: {diff}"
         )
+    return gibbs.load_draws(store)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +412,9 @@ def cmd_simulate(args, parser) -> int:
         spec, T=cfg["T"], seed=cfg["seed"], missing=tuple(missing)
     )
     pan, states = sim.simulate_dfm(config)
-    panel_mod.write_csv(pan, os.path.join(args.out, "panel.csv"))
+    panel_mod.write_csv(pan, _out_path(args, "panel.csv"))
     _write_json(
-        os.path.join(args.out, "truth.json"),
+        _out_path(args, "truth.json"),
         {
             "loadings": config.loadings.tolist(),
             "noise_var": config.noise_var.tolist(),
@@ -452,7 +459,7 @@ def cmd_fit(args, parser) -> int:
     fit_time = time.perf_counter() - started
     fingerprint = _model_fingerprint(sha, cfg)
     _write_json(
-        os.path.join(args.out, "variational.json"),
+        _out_path(args, "variational.json"),
         {
             "state": vi.state_to_dict(state),
             "elbo_trace": [float(v) for v in report.elbo_trace],
@@ -464,13 +471,13 @@ def cmd_fit(args, parser) -> int:
         },
     )
     _write_rows(
-        os.path.join(args.out, "elbo_trace.csv"),
+        _out_path(args, "elbo_trace.csv"),
         ["iteration", "elbo"],
         ([i, repr(float(v))] for i, v in enumerate(report.elbo_trace)),
     )
     sd = np.sqrt(np.clip(np.diagonal(moments.cov, axis1=1, axis2=2), 0.0, None))
     _write_rows(
-        os.path.join(args.out, "states.csv"),
+        _out_path(args, "states.csv"),
         ["t"]
         + [f"mean_{k + 1}" for k in range(spec.s)]
         + [f"sd_{k + 1}" for k in range(spec.s)],
@@ -480,11 +487,11 @@ def cmd_fit(args, parser) -> int:
         ),
     )
     if record is not None:
-        path = os.path.join(args.out, "standardization.json")
+        path = _out_path(args, "standardization.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(record.to_json() + "\n")
     np.savez(
-        os.path.join(args.out, _MOMENTS_FILE),
+        _out_path(args, _MOMENTS_FILE),
         **vars(moments),
         names=np.array(pan.names),
         panel_sha256=np.array(fingerprint["panel_sha256"]),
@@ -516,7 +523,7 @@ def cmd_gibbs(args, parser) -> int:
     sampler_started = time.perf_counter()
     store = gibbs.run_gibbs(pan, spec, prior, config, restrictions)
     sampler_time = time.perf_counter() - sampler_started
-    gibbs.save_draws(store, os.path.join(args.out, "draws.npz"))
+    gibbs.save_draws(store, _out_path(args, "draws.npz"))
     _write_manifest(
         args, cfg, _model_fingerprint(sha, cfg), time.perf_counter() - started,
         stored_draws=store.n_draws,
@@ -527,8 +534,10 @@ def cmd_gibbs(args, parser) -> int:
 
 
 def cmd_forecast(args, parser) -> int:
-    from . import forecast, gibbs
+    from . import forecast
 
+    if args.source == "gibbs" and not args.gibbs:
+        parser.error("--source gibbs requires --gibbs DIR")
     cfg, started = _open_run(
         args, parser, _KEYS["forecast"],
         (args.panel, "panel file"),
@@ -536,11 +545,7 @@ def cmd_forecast(args, parser) -> int:
     )
     state, fit_manifest, moments, names, record = _load_fit_run(args)
     if args.source == "gibbs":
-        if not args.gibbs:
-            parser.error("--source gibbs requires --gibbs DIR")
-        _require_file(parser, os.path.join(args.gibbs, "draws.npz"), "draw store")
-        _require_same_config(fit_manifest, args.gibbs)
-        source = gibbs.load_draws(os.path.join(args.gibbs, "draws.npz"))
+        source = _load_gibbs_run(parser, args.gibbs, fit_manifest)
         n_draws = source.n_draws
     else:
         source, n_draws = (state, moments), cfg["smf_draws"]
@@ -549,11 +554,11 @@ def cmd_forecast(args, parser) -> int:
     )
     if args.original_units and record is not None:
         arr = panel_mod.unstandardize(arr, record)
-    np.savez(os.path.join(args.out, "forecast_draws.npz"), draws=arr)
+    np.savez(_out_path(args, "forecast_draws.npz"), draws=arr)
     mean, qs = forecast.draw_summary(arr, [0.025, 0.25, 0.5, 0.75, 0.975])
     table = np.moveaxis(np.concatenate([mean[None], qs]), 0, -1).tolist()
     _write_rows(
-        os.path.join(args.out, "forecast_summary.csv"),
+        _out_path(args, "forecast_summary.csv"),
         ["variable", "h", "mean", "q2.5", "q25", "median", "q75", "q97.5"],
         (
             [names[i], h + 1] + [repr(v) for v in cells]
@@ -569,18 +574,15 @@ def cmd_forecast(args, parser) -> int:
 
 
 def cmd_compare(args, parser) -> int:
-    from . import forecast, gibbs
+    from . import forecast
 
     cfg, started = _open_run(
         args, parser, _KEYS["compare"],
         (args.panel, "panel file"),
         (os.path.join(args.fit, "variational.json"), "fit artifact"),
-        (os.path.join(args.gibbs, "draws.npz"), "draw store"),
-        (os.path.join(args.gibbs, "manifest.json"), "gibbs manifest"),
     )
     state, fit_manifest, moments, _, _ = _load_fit_run(args)
-    _require_same_config(fit_manifest, args.gibbs)
-    store = gibbs.load_draws(os.path.join(args.gibbs, "draws.npz"))
+    store = _load_gibbs_run(parser, args.gibbs, fit_manifest)
     report = forecast.compare_posteriors(
         state, moments, store,
         horizons=cfg["horizons"],
@@ -589,7 +591,7 @@ def cmd_compare(args, parser) -> int:
         levels=tuple(int(v) for v in cfg["levels"]),
     )
     _write_rows(
-        os.path.join(args.out, "report_pm_errors.csv"),
+        _out_path(args, "report_pm_errors.csv"),
         ["block", "me", "mae", "rmse"],
         (
             [block, repr(errs["me"]), repr(errs["mae"]), repr(errs["rmse"])]
@@ -599,7 +601,7 @@ def cmd_compare(args, parser) -> int:
     # The rows csv.writer would give: fixed block names and repr floats need
     # no quoting, and each (block, level) chunk is written at once.  Coverage
     # takes few distinct values, so repr runs once per distinct bit pattern.
-    path = os.path.join(args.out, "report_coverage.csv")
+    path = _out_path(args, "report_coverage.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("block,level,element,coverage_pct\r\n")
         for block, per_level in report.coverage.items():
@@ -612,7 +614,7 @@ def cmd_compare(args, parser) -> int:
                     [f"{prefix}{e},{text[k]}\r\n" for e, k in enumerate(which.tolist())]
                 ))
     _write_json(
-        os.path.join(args.out, "report_summary.json"),
+        _out_path(args, "report_summary.json"),
         {
             "pm_errors": report.pm_errors,
             "coverage": report.coverage_summary(),

@@ -12,8 +12,8 @@ Identification is enforced by zero restrictions and a sign fold onto the
 anchor loadings (:func:`sample_parameters`), exact for a prior that
 couples no anchored factor with another (:func:`model.check_sign_fold`).
 ``run_gibbs`` takes the same ``Restrictions`` as :func:`vi.fit_smf`, checks
-them the same way (:func:`vi.run_restrictions`) and folds by the same rule,
-:meth:`Restrictions.flips`.
+its inputs and warns of fewer series than factors the same way
+(:func:`vi.run_restrictions`) and folds by the same rule, :meth:`Restrictions.flips`.
 
 A chain's constants are built once: its anchor rows on its
 ``Restrictions``, its origin precision, masks and panel constants on the
@@ -231,9 +231,8 @@ def run_gibbs(
     flips = restrictions.flips(start.loadings.mean, r)
     if flips is not None:
         start, _ = vi.flip_factor_signs(start, None, flips)
-    lambdas = start.loadings.mean.copy()
-    sigma2 = start.loadings.noise_scale.copy()
-    phi = start.transition.mean.copy()
+    lambdas, sigma2 = start.loadings.mean, start.loadings.noise_scale
+    phi = start.transition.mean
 
     out_lam = np.empty((kept, spec.n, s))
     out_sig = np.empty((kept, spec.n))

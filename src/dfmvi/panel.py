@@ -58,12 +58,8 @@ class TimeSeriesPanel:
             )
         if np.any(~np.isnan(values[~mask])):
             raise DomainError("missing cells must hold the NaN marker")
-        values = values.copy()
-        mask = mask.copy()
-        values.flags.writeable = False
-        mask.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "values", read_only(values.copy()))
+        object.__setattr__(self, "mask", read_only(mask.copy()))
         object.__setattr__(self, "names", names)
 
     @property

@@ -53,7 +53,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .errors import NumericalError
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, read_only
 
 _JITTER = 1e-10
 _MAX_JITTER_TRIES = 3
@@ -189,8 +189,7 @@ def path_states(z: np.ndarray, r: int, s: int) -> np.ndarray:
     T = (z.size - s) // r
     step = z.itemsize
     view = np.ndarray((T + 1, s), z.dtype, z, r * T * step, (-r * step, step))
-    view.flags.writeable = False
-    return view
+    return read_only(view)
 
 
 def _compose_scan(trans: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -258,9 +257,7 @@ def _block_positions(r: int, s: int, T: int) -> tuple[np.ndarray, np.ndarray]:
         [(a - b + width * col).ravel(), (a0 - b0 + width * (r * T + b0)).ravel()]
     )
     where[~lower] = 0
-    where.flags.writeable = False
-    lower.flags.writeable = False
-    return where, lower
+    return read_only(where), read_only(lower)
 
 
 @dataclass(frozen=True)

@@ -468,31 +468,48 @@ def flip_factor_signs(
 
 
 def run_restrictions(
-    panel: TimeSeriesPanel, spec: ModelSpec, prior: PriorSpec, restrictions
+    panel: TimeSeriesPanel, spec: ModelSpec, prior: PriorSpec, restrictions, init=None
 ) -> Restrictions:
     """The restrictions a fit or a chain runs under, built once if None (no
     restrictions): the one check of the inputs against ``spec``.
 
-    DomainError, naming the input and both sizes, if the panel's width, the
-    prior's matrices or vectors or the restrictions' mask do not fit ``spec``;
-    DomainError too if the panel is too short for the loading lags or the sign
-    fold would not be exact (:func:`check_sign_fold`).
+    DomainError, naming the input and both sizes, if the panel, the prior, the
+    restrictions' mask or the start ``init`` (its loading mask and transition
+    mean) do not fit ``spec``; DomainError too if the panel is too short for the
+    loading lags, the sign fold would not be exact (:func:`check_sign_fold`) or
+    ``init`` has another free mask.  Warns if there are fewer series than factors.
     """
     if restrictions is None:
         restrictions = identification_restrictions(spec, [])
-    n, s = spec.n, spec.s
+    n, r, s = spec.n, spec.r, spec.s
+    starts = () if init is None else (
+        ("init loadings' free mask shape", init.loadings.free.shape, (n, s)),
+        ("init transition mean shape", init.transition.mean.shape, (r, s)),
+    )
     for name, got, want in (
         ("panel width", (panel.n,), (n,)),
         ("prior matrix shape", prior.loading_prec.shape, (s, s)),
         ("prior vector length", prior.noise_df.shape, (n,)),
         ("restrictions' free mask shape", restrictions.free.shape, (n, s)),
+        *starts,
     ):
         if got != want:
             got, want = (" x ".join(map(str, dims)) for dims in (got, want))
             raise DomainError(f"{name} is {got} but the spec needs {want}")
     if panel.T <= spec.p + 1:
         raise DomainError(f"need T > p + 1 = {spec.p + 1}, got T = {panel.T}")
-    check_sign_fold(prior, restrictions, spec.r)
+    check_sign_fold(prior, restrictions, r)
+    if init is not None and not np.array_equal(init.loadings.free, restrictions.free):
+        # The first objective would be taken under init's mask and every
+        # later one under the restrictions', so the ascent would not hold.
+        rows = np.flatnonzero(np.any(init.loadings.free != restrictions.free, axis=1))
+        raise DomainError(
+            "init loadings' free mask differs from the restrictions' in rows "
+            f"{rows.tolist()}: init {init.loadings.free[rows].tolist()}, "
+            f"restrictions {restrictions.free[rows].tolist()}"
+        )
+    if panel.n < r:
+        warnings.warn("fewer series than factors; the model is weakly identified")
     return restrictions
 
 
@@ -515,29 +532,18 @@ def fit_smf(
     since the updates guarantee ascent.
 
     Returns the final parameters, the state moments consistent with them,
-    and a fit report.  ``restrictions`` are checked and defaulted by
-    :func:`run_restrictions`, as :func:`dfmvi.gibbs.run_gibbs` does, since the
-    fit ends by flipping the factors :meth:`Restrictions.flips` marks.  A
-    starting state ``init`` must carry their free loading mask.
+    and a fit report.  Every input but ``tolerance`` and ``max_iters``, a
+    starting state ``init`` too, is checked (and ``restrictions`` defaulted)
+    by :func:`run_restrictions`, as in :func:`dfmvi.gibbs.run_gibbs`.  The
+    fit ends by flipping the factors :meth:`Restrictions.flips` marks.
     """
     if not tolerance > 0:  # also false for NaN
         raise DomainError(f"tolerance must be positive, got {tolerance!r}")
     if max_iters < 1:
         raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
-    restrictions = run_restrictions(panel, spec, prior, restrictions)
-    if panel.n < spec.r:
-        warnings.warn("fewer series than factors; the model is weakly identified")
+    restrictions = run_restrictions(panel, spec, prior, restrictions, init)
 
     start = time.perf_counter()
-    if init is not None and not np.array_equal(init.loadings.free, restrictions.free):
-        # The first objective would be taken under init's mask and every
-        # later one under the restrictions', so the ascent would not hold.
-        rows = np.flatnonzero(np.any(init.loadings.free != restrictions.free, axis=1))
-        raise DomainError(
-            "init loadings' free mask differs from the restrictions' in rows "
-            f"{rows.tolist()}: init {init.loadings.free[rows].tolist()}, "
-            f"restrictions {restrictions.free[rows].tolist()}"
-        )
     state = init if init is not None else init_from_pca(
         panel, spec, prior, seed=seed, restrictions=restrictions
     )

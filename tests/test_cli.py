@@ -198,12 +198,38 @@ def test_fit_rerun_byte_identical(sim_dir, fit_dir, tmp_path):
         assert (out2 / name).read_bytes() == (fit_dir / name).read_bytes()
 
 
-def test_missing_panel_exits_with_usage(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, missing, named",
+    [
+        pytest.param("fit", "panel.csv", "panel file", id="fit-panel"),
+        pytest.param("forecast", "draws.npz", "draw store", id="forecast-draws"),
+        pytest.param("forecast", "manifest.json", "gibbs manifest", id="forecast-manifest"),
+        pytest.param("compare", "draws.npz", "draw store", id="compare-draws"),
+        pytest.param("compare", "manifest.json", "gibbs manifest", id="compare-manifest"),
+    ],
+)
+def test_missing_panel_exits_with_usage(
+    sim_dir, fit_dir, gibbs_dir, tmp_path, capsys, command, missing, named
+):
+    # A missing panel, or a Gibbs run directory without its draws or its
+    # manifest: a usage error before the output directory is made.
+    if command == "fit":
+        argv = ["fit", "--panel", str(tmp_path / missing)]
+    else:
+        gibbs = tmp_path / "gibbs"
+        shutil.copytree(gibbs_dir, gibbs)
+        (gibbs / missing).unlink()
+        argv = [
+            command, "--panel", str(sim_dir / "panel.csv"), "--fit", str(fit_dir),
+            "--gibbs", str(gibbs),
+        ] + (["--source", "gibbs"] if command == "forecast" else [])
+    argv += ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
-        _run(["fit", "--panel", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
+        _run(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "usage:" in err
+    assert "usage:" in err and f"{named} not found" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gibbs_artifacts(gibbs_dir):
@@ -540,6 +566,8 @@ def test_fit_settings_by_flags_and_by_config_agree(sim_dir, tmp_path):
         pytest.param(["gibbs"], '{"seed": -2}', "--seed", id="config-negative-seed"),
         pytest.param(["fit", "--max-iters", "0"], None, "max_iters", id="max-iters-zero"),
         pytest.param(["fit", "--max-iters=-3"], None, "max_iters", id="max-iters-negative"),
+        pytest.param(["fit", "--n", "5"], None, "panel width", id="fit-n-not-panel-width"),
+        pytest.param(["gibbs", "--n", "5"], None, "panel width", id="gibbs-n-not-panel-width"),
     ],
 )
 def test_malformed_input_is_reported_without_traceback(
@@ -583,7 +611,7 @@ def test_forecast_and_compare_refuse_another_panel(
         assert _run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and fitted["panel_sha256"] in err
-        assert cli._panel_sha(other) in err
+        assert hashlib.sha256(other.read_bytes()).hexdigest() in err
 
 
 def test_original_units_ignore_a_stale_standardization_record(sim_dir, tmp_path):

@@ -335,7 +335,8 @@ def test_fit_rejects_fewer_than_one_iteration(tiny_spec, tiny_prior, max_iters):
         vi.fit_smf(pan, tiny_spec, tiny_prior, max_iters=max_iters)
 
 
-def test_fit_warns_fewer_series_than_factors():
+@pytest.mark.parametrize("run", ["fit", "gibbs"])
+def test_fit_warns_fewer_series_than_factors(run):
     spec = ModelSpec(n=1, r=2, p=0)
     prior = default_prior(spec)
     rng = np.random.default_rng(0)
@@ -343,7 +344,11 @@ def test_fit_warns_fewer_series_than_factors():
     # One series spans one principal component, so the start also pads the
     # second factor's proxy with noise and says so.
     with pytest.warns(UserWarning) as record:
-        vi.fit_smf(pan, spec, prior, tolerance=1e-5, max_iters=30)
+        if run == "fit":
+            vi.fit_smf(pan, spec, prior, tolerance=1e-5, max_iters=30)
+        else:
+            config = gibbs.GibbsConfig(n_draws=5, burn_in_fraction=0.0, seed=0)
+            gibbs.run_gibbs(pan, spec, prior, config)
     assert [str(w.message) for w in record] == [
         "fewer series than factors; the model is weakly identified",
         "panel has deficient rank; padding factor proxies with noise",
@@ -502,6 +507,29 @@ def test_fit_refuses_an_init_with_another_free_mask():
     match = r"rows \[0\]: init \[\[True, True\]\], restrictions \[\[True, False\]\]"
     with pytest.raises(DomainError, match=match):
         vi.fit_smf(pan, spec, prior, init=init, restrictions=restr)
+
+
+@pytest.mark.parametrize(
+    "init_dims, fit_dims, match",
+    [
+        ((6, 1, 0), (5, 1, 0), "init loadings' free mask shape is 6 x 1 but the spec "
+         "needs 5 x 1"),
+        ((5, 1, 1), (5, 2, 0), "init transition mean shape is 1 x 2 but the spec "
+         "needs 2 x 2"),
+        ((5, 1, 0), (5, 1, 1), "init loadings' free mask shape is 5 x 1 but the spec "
+         "needs 5 x 2"),
+    ],
+    ids=["more-series", "r1-p1-on-r2-p0", "p0-on-p1"],
+)
+def test_fit_refuses_an_init_for_another_spec(init_dims, fit_dims, match):
+    # Each start is built for its own spec, on the fit's panel widened to its
+    # width; the r=1, p=1 start on an r=2, p=0 fit has the fit's s = 2.
+    init_spec, spec = ModelSpec(*init_dims), ModelSpec(*fit_dims)
+    values = np.random.default_rng(5).standard_normal((30, init_spec.n))
+    init = vi.init_from_pca(from_arrays(values), init_spec, default_prior(init_spec))
+    pan = from_arrays(values[:, : spec.n])
+    with pytest.raises(DomainError, match=match):
+        vi.fit_smf(pan, spec, default_prior(spec), init=init)
 
 
 def test_state_dict_round_trip(tiny_spec, tiny_prior):
