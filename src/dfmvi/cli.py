@@ -321,12 +321,14 @@ def _load_model(args, cfg):
     return sha, pan, record, spec, prior, restrictions
 
 
-def _load_fit_run(args):
+def _load_fit_run(args, parser):
     """The fit's state, manifest, state moments, panel column names and
     standardization record (None for an unstandardized fit).
 
-    Refuses a panel other than the fit's, and a moments file that is
-    missing or whose panel digest or seed differ from the manifest's.  The
+    The command has checked that ``variational.json`` and ``manifest.json``
+    exist; a standardized fit without its ``standardization.json`` is a usage
+    error too.  Refuses a panel other than the fit's, and a moments file that
+    is missing or whose panel digest or seed differ from the manifest's.  The
     panel itself is only hashed: the moments are the ones ``fit_smf``
     returned, so no state pass runs here.
     """
@@ -362,7 +364,9 @@ def _load_fit_run(args):
         names = data["names"].tolist()
     record = None
     if manifest["config"]["standardize"]:
-        with open(os.path.join(args.fit, "standardization.json"), encoding="utf-8") as fh:
+        path = os.path.join(args.fit, "standardization.json")
+        _require_file(parser, path, "fit standardization record")
+        with open(path, encoding="utf-8") as fh:
             record = panel_mod.StandardizationRecord.from_json(fh.read())
     return state, manifest, moments, names, record
 
@@ -542,8 +546,9 @@ def cmd_forecast(args, parser) -> int:
         args, parser, _KEYS["forecast"],
         (args.panel, "panel file"),
         (os.path.join(args.fit, "variational.json"), "fit artifact"),
+        (os.path.join(args.fit, "manifest.json"), "fit manifest"),
     )
-    state, fit_manifest, moments, names, record = _load_fit_run(args)
+    state, fit_manifest, moments, names, record = _load_fit_run(args, parser)
     if args.source == "gibbs":
         source = _load_gibbs_run(parser, args.gibbs, fit_manifest)
         n_draws = source.n_draws
@@ -580,8 +585,9 @@ def cmd_compare(args, parser) -> int:
         args, parser, _KEYS["compare"],
         (args.panel, "panel file"),
         (os.path.join(args.fit, "variational.json"), "fit artifact"),
+        (os.path.join(args.fit, "manifest.json"), "fit manifest"),
     )
-    state, fit_manifest, moments, _, _ = _load_fit_run(args)
+    state, fit_manifest, moments, _, _ = _load_fit_run(args, parser)
     store = _load_gibbs_run(parser, args.gibbs, fit_manifest)
     report = forecast.compare_posteriors(
         state, moments, store,

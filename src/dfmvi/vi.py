@@ -379,6 +379,30 @@ def compute_elbo(
     return elbo
 
 
+def _leading_scores(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r leading principal-component scores of the centred (T, n) panel
+    ``x``, from the eigenpairs of its smaller Gram matrix.
+
+    Scores are x v for the eigenvectors v of x'x when n <= T, and the
+    eigenvectors of xx' themselves when T < n: each is a left singular
+    vector of x, to scale and sign.  Each is signed so that the panel's
+    summed covariance with it is nonnegative, so the result does not depend
+    on the sign the eigensolver returns.  Returns the (T, r) scores and an
+    (r,) mask of the components the Gram cannot resolve: those whose
+    eigenvalue lambda_j is below 1e-10 max(lambda_1, 1), far above its
+    rounding floor, and the zero columns beyond min(T, n).
+    """
+    T, n = x.shape
+    k = min(r, T, n)
+    lam, vec = np.linalg.eigh(x.T @ x if n <= T else x @ x.T)
+    lam, vec = lam[::-1][:k], vec[:, ::-1][:, :k]
+    scores = np.zeros((T, r))
+    scores[:, :k] = x @ vec if n <= T else vec
+    weak = np.ones(r, dtype=bool)
+    weak[:k] = lam < 1e-10 * max(float(lam[0]), 1.0)
+    return np.where((x.T @ scores).sum(axis=0) < 0.0, -scores, scores), weak
+
+
 def init_from_pca(
     panel: TimeSeriesPanel,
     spec: ModelSpec,
@@ -392,18 +416,21 @@ def init_from_pca(
     principal components (unit sample variance) and their lags form factor
     proxies, and the conjugate regressions on these proxies yield the
     initial loading, noise and transition parameters.
+
+    The components are the leading eigenpairs of the smaller of x'x and xx'
+    (:func:`_leading_scores`), each signed so that the panel's summed
+    covariance with it is nonnegative: the start, and with it the sign of
+    every unanchored fit and chain, is a function of the data and the seed
+    alone.  A component whose eigenvalue is below 1e-10 max(lambda_1, 1), a
+    level the Gram resolves, and each of the r beyond min(T, n), is replaced
+    by seeded noise with a deficient-rank warning.
     """
     rng = np.random.default_rng(seed)
     T, n = panel.T, panel.n
     r, p, s = spec.r, spec.p, spec.s
     x = np.where(panel.mask, panel.values, rng.standard_normal((T, n)))
     x = x - x.mean(axis=0)
-    u, sv, _ = np.linalg.svd(x, full_matrices=False)
-    k = min(r, sv.size)
-    scores = np.zeros((T, r))
-    scores[:, :k] = u[:, :k] * sv[:k]
-    weak = np.ones(r, dtype=bool)
-    weak[:k] = sv[:k] < 1e-10 * max(float(sv[0]) if sv.size else 0.0, 1.0)
+    scores, weak = _leading_scores(x, r)
     if weak.any():
         warnings.warn("panel has deficient rank; padding factor proxies with noise")
         scores[:, weak] = rng.standard_normal((T, int(weak.sum())))
@@ -474,17 +501,22 @@ def run_restrictions(
     restrictions): the one check of the inputs against ``spec``.
 
     DomainError, naming the input and both sizes, if the panel, the prior, the
-    restrictions' mask or the start ``init`` (its loading mask and transition
-    mean) do not fit ``spec``; DomainError too if the panel is too short for the
-    loading lags, the sign fold would not be exact (:func:`check_sign_fold`) or
-    ``init`` has another free mask.  Warns if there are fewer series than factors.
+    restrictions' mask or any array of the start ``init`` do not fit ``spec``;
+    DomainError too if the panel is too short for the loading lags, the sign
+    fold would not be exact (:func:`check_sign_fold`) or ``init`` has another
+    free mask.  Warns if there are fewer series than factors.
     """
     if restrictions is None:
         restrictions = identification_restrictions(spec, [])
     n, r, s = spec.n, spec.r, spec.s
     starts = () if init is None else (
         ("init loadings' free mask shape", init.loadings.free.shape, (n, s)),
+        ("init loadings' mean shape", init.loadings.mean.shape, (n, s)),
+        ("init loadings' covariance shape", init.loadings.cov.shape, (n, s, s)),
+        ("init loadings' noise_df shape", init.loadings.noise_df.shape, (n,)),
+        ("init loadings' noise_scale shape", init.loadings.noise_scale.shape, (n,)),
         ("init transition mean shape", init.transition.mean.shape, (r, s)),
+        ("init transition covariance shape", init.transition.cov.shape, (s, s)),
     )
     for name, got, want in (
         ("panel width", (panel.n,), (n,)),

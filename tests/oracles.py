@@ -5,7 +5,9 @@ moments come from conditioning an explicitly assembled joint Gaussian or
 from a covariance-form filter over the uncollapsed augmented system, whose
 log-likelihood is also rebuilt from the determinant and quadratic form of
 the path precision, and the objective is cross-checked by plain Monte
-Carlo averaging over the variational densities.  The Monte Carlo oracle
+Carlo averaging over the variational densities.  The principal-component
+scores of the start come from a thin singular value decomposition, not the
+Gram eigenpairs ``vi`` uses.  The Monte Carlo oracle
 draws the parameters with the shared ``vi.draw_loadings`` and
 ``vi.draw_transition`` but evaluates log q itself, so a wrong draw shows
 as a biased estimate.  Desk-scale only; hard size caps keep the dense
@@ -490,3 +492,16 @@ def mc_log_marginal(panel, state, prior, n_samples: int = 100_000, seed: int = 0
     w = np.exp(log_w - log_w.max())
     se = float(w.std(ddof=1) / (w.mean() * math.sqrt(n_samples)))
     return log_est, se
+
+
+# ---------------------------------------------------------------------------
+# principal components
+
+
+def leading_scores(x: np.ndarray, r: int) -> np.ndarray:
+    """The min(r, T, n) leading principal-component scores u_k s_k of the
+    (T, n) matrix ``x``, from its thin singular value decomposition, with the
+    signs LAPACK returns."""
+    u, sv, _ = np.linalg.svd(x, full_matrices=False)
+    k = min(r, sv.size)
+    return u[:, :k] * sv[:k]

@@ -202,26 +202,52 @@ def test_fit_rerun_byte_identical(sim_dir, fit_dir, tmp_path):
     "command, missing, named",
     [
         pytest.param("fit", "panel.csv", "panel file", id="fit-panel"),
-        pytest.param("forecast", "draws.npz", "draw store", id="forecast-draws"),
-        pytest.param("forecast", "manifest.json", "gibbs manifest", id="forecast-manifest"),
-        pytest.param("compare", "draws.npz", "draw store", id="compare-draws"),
-        pytest.param("compare", "manifest.json", "gibbs manifest", id="compare-manifest"),
+        pytest.param("forecast", "gibbs/draws.npz", "draw store", id="forecast-draws"),
+        pytest.param(
+            "forecast", "gibbs/manifest.json", "gibbs manifest", id="forecast-manifest"
+        ),
+        pytest.param("compare", "gibbs/draws.npz", "draw store", id="compare-draws"),
+        pytest.param(
+            "compare", "gibbs/manifest.json", "gibbs manifest", id="compare-manifest"
+        ),
+        pytest.param(
+            "forecast", "fit/variational.json", "fit artifact", id="forecast-fit-state"
+        ),
+        pytest.param(
+            "compare", "fit/variational.json", "fit artifact", id="compare-fit-state"
+        ),
+        pytest.param(
+            "forecast", "fit/manifest.json", "fit manifest", id="forecast-fit-manifest"
+        ),
+        pytest.param(
+            "compare", "fit/manifest.json", "fit manifest", id="compare-fit-manifest"
+        ),
+        pytest.param(
+            "forecast", "fit/standardization.json", "fit standardization record",
+            id="forecast-fit-standardization",
+        ),
+        pytest.param(
+            "compare", "fit/standardization.json", "fit standardization record",
+            id="compare-fit-standardization",
+        ),
     ],
 )
 def test_missing_panel_exits_with_usage(
     sim_dir, fit_dir, gibbs_dir, tmp_path, capsys, command, missing, named
 ):
-    # A missing panel, or a Gibbs run directory without its draws or its
-    # manifest: a usage error before the output directory is made.
+    # A missing panel, a Gibbs run directory without its draws or its
+    # manifest, or a fit directory without its state, its manifest or (the
+    # fit is standardized) its standardization record: a usage error before
+    # the output directory is made.
     if command == "fit":
         argv = ["fit", "--panel", str(tmp_path / missing)]
     else:
-        gibbs = tmp_path / "gibbs"
-        shutil.copytree(gibbs_dir, gibbs)
-        (gibbs / missing).unlink()
+        shutil.copytree(fit_dir, tmp_path / "fit")
+        shutil.copytree(gibbs_dir, tmp_path / "gibbs")
+        (tmp_path / missing).unlink()
         argv = [
-            command, "--panel", str(sim_dir / "panel.csv"), "--fit", str(fit_dir),
-            "--gibbs", str(gibbs),
+            command, "--panel", str(sim_dir / "panel.csv"), "--fit", str(tmp_path / "fit"),
+            "--gibbs", str(tmp_path / "gibbs"),
         ] + (["--source", "gibbs"] if command == "forecast" else [])
     argv += ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
@@ -659,17 +685,23 @@ def test_state_pass_runs_once_per_command(
 
 @pytest.mark.parametrize(
     "sign, flips",
-    [pytest.param(1.0, 1, id="flipped"), pytest.param(-1.0, 0, id="unflipped")],
+    [pytest.param(-1.0, 1, id="flipped"), pytest.param(1.0, 0, id="unflipped")],
 )
 def test_stored_moments_equal_the_fits_bitwise(
     sim_dir, tmp_path, monkeypatch, sign, flips
 ):
-    # On the simulated panel the anchor loading converges negative, so
-    # fit_smf's final alignment (Restrictions.flips) flips the factor; with
-    # every column negated it converges positive and nothing is flipped.
+    # Every column is multiplied by the sign of its true loading, so all load
+    # alike and the start, signed by the data, loads positively on each.
+    # With the anchor column negated (sign -1) the anchor loads against the
+    # other five, its loading converges negative and fit_smf's final
+    # alignment (Restrictions.flips) flips the factor; with sign +1 it
+    # converges positive and nothing is flipped.
     pan = panel_mod.load_csv(sim_dir / "panel.csv")
+    truth = json.loads((sim_dir / "truth.json").read_text(encoding="utf-8"))
+    signs = np.sign(np.asarray(truth["loadings"])[:, 0])
+    signs[0] = sign
     panel = tmp_path / "panel.csv"
-    panel_mod.write_csv(panel_mod.from_arrays(sign * pan.values, pan.names), panel)
+    panel_mod.write_csv(panel_mod.from_arrays(signs * pan.values, pan.names), panel)
     returned, flipped = [], []
     fit_smf, flip = vi.fit_smf, vi.flip_factor_signs
     monkeypatch.setattr(
@@ -682,7 +714,7 @@ def test_stored_moments_equal_the_fits_bitwise(
     ) == 0
     assert len(flipped) == flips
     state, manifest, moments, names, _ = cli._load_fit_run(
-        argparse.Namespace(panel=str(panel), fit=str(fit))
+        argparse.Namespace(panel=str(panel), fit=str(fit)), cli.build_parser()
     )
     assert names == list(pan.names)
     # The state pass that forecast and compare ran on the stored state

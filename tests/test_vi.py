@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,8 @@ from tests import reference_kernels
 from tests.conftest import assert_same_bits, empty_edge_panel
 from tests.conftest import point_mass_moments as _point_mass_moments
 from tests.conftest import random_masked_panel, random_variational
-from tests.oracles import dense_fixed_moments, dense_gaussian_oracle, mc_elbo_oracle
+from tests.oracles import dense_fixed_moments, dense_gaussian_oracle, leading_scores
+from tests.oracles import mc_elbo_oracle
 
 
 def test_update_loadings_no_data_reduces_to_prior():
@@ -385,6 +387,53 @@ def test_init_from_pca_finite_initial_elbo():
         assert np.isfinite(elbo)
 
 
+@pytest.mark.parametrize("n, T", [(8, 40), (40, 12), (20, 20)], ids=["tall", "wide", "square"])
+def test_leading_scores_match_the_thin_svd_up_to_sign(n, T):
+    # x'x carries the components when n <= T and xx' when T < n; either way
+    # each score is a left singular vector of the filled, centred panel.
+    spec = ModelSpec(n=n, r=2, p=0)
+    pan, _, _ = random_masked_panel(spec, T=T, seed=7, missing_prob=0.2)
+    x = np.where(pan.mask, pan.values, np.random.default_rng(0).standard_normal((T, n)))
+    x = x - x.mean(axis=0)
+    scores, weak = vi._leading_scores(x, spec.r)
+    oracle = leading_scores(x, spec.r)
+    assert scores.shape == oracle.shape == (T, spec.r) and not weak.any()
+    got, want = (a / np.linalg.norm(a, axis=0) for a in (scores, oracle))
+    assert_allclose(got * np.sign(np.sum(got * want, axis=0)), want, rtol=0, atol=1e-10)
+
+
+def test_start_is_signed_by_the_data():
+    # Each proxy is signed so that the panel's summed covariance with it is
+    # nonnegative.  Negating every column negates the proxies exactly, and
+    # the regressions of the negated panel on them give the same loadings.
+    spec = ModelSpec(n=8, r=2, p=1)
+    prior = default_prior(spec)
+    pan, _ = simulate_dfm(stationary_sim_config(spec, T=40, seed=2))
+    assert pan.mask.all()
+    x = pan.values - pan.values.mean(axis=0)
+    scores, _ = vi._leading_scores(x, spec.r)
+    assert np.all((x.T @ scores).sum(axis=0) >= 0.0)
+    assert_same_bits(vi._leading_scores(-x, spec.r)[0], -scores)
+    start = vi.init_from_pca(pan, spec, prior)
+    negated = vi.init_from_pca(from_arrays(-pan.values), spec, prior)
+    assert_same_bits(negated.loadings.mean, start.loadings.mean)
+
+
+def test_start_warns_on_a_panel_of_deficient_rank():
+    # Two identical columns span one component; a genuine two-factor panel
+    # spans two.
+    spec = ModelSpec(n=2, r=2, p=0)
+    column = np.random.default_rng(3).standard_normal(30)
+    pan = from_arrays(np.column_stack([column, column]))
+    with pytest.warns(UserWarning, match="panel has deficient rank"):
+        vi.init_from_pca(pan, spec, default_prior(spec))
+    spec = ModelSpec(n=10, r=2, p=0)
+    pan, _ = simulate_dfm(stationary_sim_config(spec, T=60, seed=4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vi.init_from_pca(pan, spec, default_prior(spec))
+
+
 def test_rotation_invariance_sign_flip(tiny_spec, tiny_prior):
     pan, _, _ = random_masked_panel(tiny_spec, T=8, seed=80, missing_prob=0.2)
     state, moments, report = vi.fit_smf(
@@ -449,21 +498,52 @@ def test_fit_refuses_hand_built_restrictions_that_anchor_twice(positive, match):
         vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
 
 
-def test_fit_sign_flip_leaves_restricted_loadings_positive_zero(monkeypatch):
-    # Both anchored factors converge with negative anchor loadings and are
-    # flipped; a restricted 0.0 times -1 would be stored as -0.0.
+def _anchors_against_the_rest(spec, negated):
+    """A simulated panel (T = 120, seed 0) whose series load alike on the
+    last factor, each multiplied by the sign of its true loading there, with
+    the anchor series in ``negated`` negated.  The start is signed by the
+    data, so a fit of this panel ends with every anchor loading positive but
+    those of the negated series, whose factors the final fold flips."""
+    config = stationary_sim_config(spec, T=120, seed=0)
+    signs = np.sign(config.loadings[:, spec.r - 1])
+    signs[: spec.r] = 1.0  # the anchors load on their own factor alone
+    signs[list(negated)] = -1.0
+    return simulate_dfm(config)[0].values * signs
+
+
+def _anchored_fit_flips(monkeypatch, negated):
+    """Fit the r = 2, p = 1 panel of :func:`_anchors_against_the_rest` with
+    one anchor per factor, check that the restricted loadings are +0.0 and
+    the anchor loadings positive, and return the flips the fold applied."""
     spec = ModelSpec(n=12, r=2, p=1)
-    pan, _ = standardize(simulate_dfm(stationary_sim_config(spec, T=120, seed=0))[0])
+    pan, _ = standardize(from_arrays(_anchors_against_the_rest(spec, negated)))
     restr = identification_restrictions(spec, [(0, 0), (1, 1)])
     flips, flip = [], vi.flip_factor_signs
     monkeypatch.setattr(
         vi, "flip_factor_signs", lambda *a: flips.append(a[2].tolist()) or flip(*a)
     )
     state, _, _ = vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
-    assert flips == [[True, True]]
     assert not np.signbit(state.loadings.mean[~restr.free]).any()
     assert not np.signbit(state.loadings.cov[~restr.free_pairs]).any()
     assert np.all(state.loadings.mean[[0, 1], [0, 1]] > 0)
+    return flips
+
+
+def test_fit_sign_flip_leaves_restricted_loadings_positive_zero(monkeypatch):
+    # Both anchor series are negated, so both anchored factors converge with
+    # negative anchor loadings and are flipped; a restricted 0.0 times -1
+    # would be stored as -0.0.
+    assert _anchored_fit_flips(monkeypatch, (0, 1)) == [[True, True]]
+
+
+@pytest.mark.parametrize(
+    "negated, expected",
+    [pytest.param((1,), [[False, True]], id="one"), pytest.param((), [], id="none")],
+)
+def test_fit_sign_fold_flips_the_factors_of_negated_anchors_only(
+    monkeypatch, negated, expected
+):
+    assert _anchored_fit_flips(monkeypatch, negated) == expected
 
 
 @pytest.mark.parametrize(
@@ -476,8 +556,9 @@ def test_fit_sign_flip_leaves_an_empty_series_loadings_positive_zero(
     # Series 11 has no observations, so its free loading means (and, at
     # s > 1, its covariances off the factor blocks) keep the prior's exact
     # zeros; a flipped factor must store them as +0.0 and keep every other bit.
+    # Every anchor series is negated, so every anchored factor is flipped.
     spec = ModelSpec(n=12, r=r, p=p)
-    values = simulate_dfm(stationary_sim_config(spec, T=120, seed=0))[0].values.copy()
+    values = _anchors_against_the_rest(spec, range(r))
     values[:, 11] = np.nan
     pan, _ = standardize(from_arrays(values))
     restr = identification_restrictions(spec, anchors)
@@ -485,7 +566,7 @@ def test_fit_sign_flip_leaves_an_empty_series_loadings_positive_zero(
     monkeypatch.setattr(vi, "flip_factor_signs", lambda *a: calls.append(a) or flip(*a))
     state, _, _ = vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
     (before, _, flips), = calls
-    assert flips.any()
+    assert flips.all()
     assert np.all(before.loadings.mean[11] == 0.0)
     mean, cov = state.loadings.mean, state.loadings.cov
     assert not np.signbit(mean[mean == 0.0]).any()
@@ -530,6 +611,35 @@ def test_fit_refuses_an_init_for_another_spec(init_dims, fit_dims, match):
     pan = from_arrays(values[:, : spec.n])
     with pytest.raises(DomainError, match=match):
         vi.fit_smf(pan, spec, default_prior(spec), init=init)
+
+
+@pytest.mark.parametrize(
+    "part, field, match",
+    [
+        ("loadings", "mean", "init loadings' mean shape is 4 x 2 but the spec needs "
+         "5 x 2"),
+        ("loadings", "cov", "init loadings' covariance shape is 4 x 2 x 2 but the "
+         "spec needs 5 x 2 x 2"),
+        ("loadings", "noise_df", "init loadings' noise_df shape is 4 but the spec "
+         "needs 5"),
+        ("loadings", "noise_scale", "init loadings' noise_scale shape is 4 but the "
+         "spec needs 5"),
+        ("transition", "cov", "init transition covariance shape is 1 x 2 but the "
+         "spec needs 2 x 2"),
+    ],
+    ids=["loading-mean", "loading-cov", "noise-df", "noise-scale", "transition-cov"],
+)
+def test_fit_refuses_an_init_array_sized_for_another_spec(part, field, match):
+    # A principal-component start with one array cut by its last row, as a
+    # start for another spec would have it.
+    spec = ModelSpec(n=5, r=2, p=0)
+    pan = from_arrays(np.random.default_rng(5).standard_normal((30, spec.n)))
+    prior = default_prior(spec)
+    init = vi.init_from_pca(pan, spec, prior)
+    block = getattr(init, part)
+    init = replace(init, **{part: replace(block, **{field: getattr(block, field)[:-1]})})
+    with pytest.raises(DomainError, match=match):
+        vi.fit_smf(pan, spec, prior, init=init)
 
 
 def test_state_dict_round_trip(tiny_spec, tiny_prior):
