@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The pipeline simulate -> fit -> gibbs -> compare -> forecast on two tiny
+# The pipeline simulate -> fit -> gibbs -> compare -> forecast on three tiny
 # panels, run twice: through the installed `dfmvi` console script, one process
 # per command, and through `dfmvi.cli.main`, all five commands in one process
 # (where gibbs reuses the panel fit parsed).  Every artifact except the
@@ -8,7 +8,8 @@
 # factor, series 4 for factor 0 and series 0 for factor 1.  Both load against
 # the data-signed principal-component start (-0.50 and -0.51 at seed 4), so
 # the chain's start folds both factors and the sign fold runs at s > 1 from
-# the first sweep.
+# the first sweep.  The third panel is wider than it is long (n=30, T=20), so
+# its principal-component start iterates on xx', not x'x.
 #
 # Usage: bash ci/one_shot.sh [WORKDIR]   (default: a new temporary directory)
 set -euo pipefail
@@ -25,7 +26,12 @@ simulate --out ROOT/sim2 --n 8 --r 2 --p 1 --t 60 --seed 2 --missing-rate 0.1 --
 fit --panel ROOT/sim2/panel.csv --out ROOT/fit2 --seed 4 --r 2 --p 1 --identify 4:0 --identify 0:1
 gibbs --panel ROOT/sim2/panel.csv --out ROOT/gibbs2 --seed 4 --r 2 --p 1 --identify 4:0 --identify 0:1 --draws 300
 compare --panel ROOT/sim2/panel.csv --fit ROOT/fit2 --gibbs ROOT/gibbs2 --out ROOT/compare2 --horizons 2 --smf-draws 200
-forecast --panel ROOT/sim2/panel.csv --fit ROOT/fit2 --out ROOT/forecast2 --horizons 2 --smf-draws 200'
+forecast --panel ROOT/sim2/panel.csv --fit ROOT/fit2 --out ROOT/forecast2 --horizons 2 --smf-draws 200
+simulate --out ROOT/sim3 --n 30 --t 20 --seed 5 --missing-rate 0.1 --ragged 29:17
+fit --panel ROOT/sim3/panel.csv --out ROOT/fit3 --seed 6 --identify 0:0
+gibbs --panel ROOT/sim3/panel.csv --out ROOT/gibbs3 --seed 6 --identify 0:0 --draws 200
+compare --panel ROOT/sim3/panel.csv --fit ROOT/fit3 --gibbs ROOT/gibbs3 --out ROOT/compare3 --horizons 2 --smf-draws 200
+forecast --panel ROOT/sim3/panel.csv --fit ROOT/fit3 --out ROOT/forecast3 --horizons 2 --smf-draws 200'
 
 while read -r line; do
     # shellcheck disable=SC2086  # the line is split into the command's words

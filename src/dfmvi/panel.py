@@ -186,18 +186,25 @@ def write_csv(panel: TimeSeriesPanel, path, missing_token: str = "") -> None:
     """Write a panel in the format read by :func:`load_csv`.
 
     Floats are written with ``repr`` so a write/load round trip reproduces
-    values bit-exactly.
+    values bit-exactly.  The bytes are those of :class:`csv.writer`, built a
+    row at a time: the header and the missing token go through it (a token
+    holding a comma, quote or line break is quoted), and so does a row of one
+    missing cell, which it writes as a quoted empty field, not a blank line.
     """
+    missing = _csv_row([missing_token])[:-2] if missing_token or panel.n == 1 else ""
+    lines = [_csv_row(panel.names)]
+    for values, present in zip(panel.values.tolist(), panel.mask.tolist()):
+        cells = [repr(v) if ok else missing for v, ok in zip(values, present)]
+        lines.append(",".join(cells) + "\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(panel.names)
-        for t in range(panel.T):
-            writer.writerow(
-                [
-                    repr(float(panel.values[t, j])) if panel.mask[t, j] else missing_token
-                    for j in range(panel.n)
-                ]
-            )
+        fh.write("".join(lines))
+
+
+def _csv_row(cells) -> str:
+    """One row as :class:`csv.writer` writes it, line terminator included."""
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    return out.getvalue()
 
 
 @dataclass(frozen=True)

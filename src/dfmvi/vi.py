@@ -379,23 +379,82 @@ def compute_elbo(
     return elbo
 
 
+def _leading_eigenpairs(apply, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k <= m leading eigenpairs of the symmetric positive semidefinite
+    m x m operator ``apply``, by Lanczos iteration.
+
+    The Krylov basis starts from one fixed unit vector, a draw of a
+    constant-seed generator (no caller's stream is touched), and each new
+    vector is orthogonalized against the whole basis by two passes of
+    classical Gram-Schmidt.  The Ritz pairs of the tridiagonal (alpha on the
+    diagonal, beta off it) are checked every 4 steps, and the loop stops at
+    the first of: the k leading Ritz pairs have residual bounds
+    beta_j |s_ji| <= 1e-13 max(theta_1, 1); breakdown, beta_j at that level,
+    when the Ritz pairs are exact and any eigenvalue not found is 0; or m
+    basis vectors, when the tridiagonal is the whole operator in another
+    basis and the result is exact.  So it takes at most m applications, and
+    few when the spectrum has a wide gap after its k leading eigenvalues, as
+    a factor panel's has.
+
+    Returns the (k,) eigenvalues, largest first, and the (m, k) orthonormal
+    eigenvectors; the pairs not found are zero.
+    """
+    basis = np.empty((m, m))
+    tri = np.zeros((m, m))
+    start = np.random.default_rng(0).standard_normal(m)
+    basis[0] = start / np.sqrt(start @ start)
+    top = 1.0  # max(alpha_1, ..., alpha_j, 1) <= max(theta_1, 1)
+    for j in range(m):
+        size = j + 1
+        done = basis[:size]
+        w = apply(basis[j])
+        coef = done @ w
+        w -= coef @ done
+        w -= (done @ w) @ done
+        tri[j, j] = coef[j]
+        top = max(top, coef[j])
+        beta = float(np.sqrt(w @ w))
+        if size == m or beta <= 1e-13 * top or (size >= k and size % 4 == 0):
+            theta, s = np.linalg.eigh(tri[:size, :size])
+            tol = 1e-13 * max(float(theta[-1]), 1.0)
+            if (
+                size == m
+                or beta <= tol
+                or (size >= k and beta * np.abs(s[-1, -k:]).max() <= tol)
+            ):
+                break
+        tri[j, j + 1] = tri[j + 1, j] = beta
+        basis[j + 1] = w / beta
+    found = min(k, size)
+    lam, vec = np.zeros(k), np.zeros((m, k))
+    lam[:found] = theta[::-1][:found]
+    vec[:, :found] = done.T @ s[:, ::-1][:, :found]
+    return lam, vec
+
+
 def _leading_scores(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The r leading principal-component scores of the centred (T, n) panel
-    ``x``, from the eigenpairs of its smaller Gram matrix.
+    ``x``, from the leading eigenpairs of its smaller Gram matrix.
 
-    Scores are x v for the eigenvectors v of x'x when n <= T, and the
-    eigenvectors of xx' themselves when T < n: each is a left singular
-    vector of x, to scale and sign.  Each is signed so that the panel's
-    summed covariance with it is nonnegative, so the result does not depend
-    on the sign the eigensolver returns.  Returns the (T, r) scores and an
-    (r,) mask of the components the Gram cannot resolve: those whose
-    eigenvalue lambda_j is below 1e-10 max(lambda_1, 1), far above its
-    rounding floor, and the zero columns beyond min(T, n).
+    The eigenpairs come from :func:`_leading_eigenpairs`, Lanczos iteration
+    on x'x when n <= T and on xx' when T < n, applied through x without
+    forming the Gram; it stops once the min(r, T, n) leading Ritz pairs
+    reach residual 1e-13 max(lambda_1, 1), and after min(T, n) steps at most.
+    Scores are x v for the eigenvectors v of x'x, and the eigenvectors of
+    xx' themselves: each is a left singular vector of x, to scale and sign.
+    Each is signed so that the panel's summed covariance with it is
+    nonnegative, so the result does not depend on the sign the iteration
+    returns.  Returns the (T, r) scores and an (r,) mask of the components
+    the Gram cannot resolve: those whose eigenvalue lambda_j is below
+    1e-10 max(lambda_1, 1), far above its rounding floor, and the zero
+    columns beyond min(T, n).
     """
     T, n = x.shape
     k = min(r, T, n)
-    lam, vec = np.linalg.eigh(x.T @ x if n <= T else x @ x.T)
-    lam, vec = lam[::-1][:k], vec[:, ::-1][:, :k]
+    if n <= T:
+        lam, vec = _leading_eigenpairs(lambda v: x.T @ (x @ v), n, k)
+    else:
+        lam, vec = _leading_eigenpairs(lambda v: x @ (x.T @ v), T, k)
     scores = np.zeros((T, r))
     scores[:, :k] = x @ vec if n <= T else vec
     weak = np.ones(r, dtype=bool)
@@ -418,12 +477,16 @@ def init_from_pca(
     initial loading, noise and transition parameters.
 
     The components are the leading eigenpairs of the smaller of x'x and xx'
-    (:func:`_leading_scores`), each signed so that the panel's summed
-    covariance with it is nonnegative: the start, and with it the sign of
-    every unanchored fit and chain, is a function of the data and the seed
-    alone.  A component whose eigenvalue is below 1e-10 max(lambda_1, 1), a
-    level the Gram resolves, and each of the r beyond min(T, n), is replaced
-    by seeded noise with a deficient-rank warning.
+    (:func:`_leading_scores`), found by Lanczos iteration that stops once
+    they reach residual 1e-13 max(lambda_1, 1): after min(T, n) steps at
+    most, and after a few when the panel has a factor structure.  Its fixed
+    start vector draws nothing from the seeded stream below.  Each component
+    is signed so that the panel's summed covariance with it is nonnegative:
+    the start, and with it the sign of every unanchored fit and chain, is a
+    function of the data and the seed alone.  A component whose eigenvalue
+    is below 1e-10 max(lambda_1, 1), a level the Gram resolves, and each of
+    the r beyond min(T, n), is replaced by seeded noise with a deficient-rank
+    warning.
     """
     rng = np.random.default_rng(seed)
     T, n = panel.T, panel.n

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -108,6 +110,58 @@ def test_round_trip_bit_exact(tmp_path):
     path = tmp_path / "rt.csv"
     write_csv(pan, path)
     back = load_csv(path)
+    assert back.names == pan.names
+    assert_array_equal(back.mask, pan.mask)
+    assert_array_equal(back.values[back.mask], pan.values[pan.mask])
+
+
+def _csv_writer_bytes(panel, missing_token):
+    """The panel as csv.writer writes it, one cell at a time."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(panel.names)
+    for t in range(panel.T):
+        writer.writerow(
+            [
+                repr(float(panel.values[t, j])) if panel.mask[t, j] else missing_token
+                for j in range(panel.n)
+            ]
+        )
+    return out.getvalue().encode("utf-8")
+
+
+def _ragged_panel():
+    values = np.random.default_rng(4).standard_normal((6, 3)) * 1e-3
+    values[4:, 0] = values[5:, 2] = values[1, 1] = np.nan
+    return from_arrays(values, names=["a,b", 'say "hi"', "c"])
+
+
+def _all_missing_row_panel():
+    values = np.random.default_rng(5).standard_normal((4, 2))
+    values[2] = np.nan
+    return from_arrays(values)
+
+
+@pytest.mark.parametrize(
+    "make, token",
+    [
+        (_ragged_panel, ""),
+        (_ragged_panel, "NA"),
+        (_ragged_panel, "n,a"),
+        (lambda: from_arrays(np.array([[1.5], [np.nan], [-2.0], [np.nan]])), ""),
+        (lambda: from_arrays(np.array([[1.5], [np.nan]]), names=['x "1"']), "NA"),
+        (_all_missing_row_panel, ""),
+        (_all_missing_row_panel, "."),
+    ],
+    ids=["ragged", "ragged-token", "ragged-quoted-token", "one-column",
+         "one-column-token", "missing-row", "missing-row-token"],
+)
+def test_write_csv_matches_csv_writer_bytes_and_round_trips(tmp_path, make, token):
+    pan = make()
+    path = tmp_path / "panel.csv"
+    write_csv(pan, path, missing_token=token)
+    assert path.read_bytes() == _csv_writer_bytes(pan, token)
+    back = load_csv(path, missing_token=token)
     assert back.names == pan.names
     assert_array_equal(back.mask, pan.mask)
     assert_array_equal(back.values[back.mask], pan.values[pan.mask])

@@ -434,6 +434,84 @@ def test_start_warns_on_a_panel_of_deficient_rank():
         vi.init_from_pca(pan, spec, default_prior(spec))
 
 
+def _count_applications(monkeypatch) -> list[int]:
+    """Make vi._leading_eigenpairs count how often it applies its operator;
+    returns the list of counts, one per call."""
+    counts = []
+    lanczos = vi._leading_eigenpairs
+
+    def counted(apply, m, k):
+        counts.append(0)
+
+        def counting(v):
+            counts[-1] += 1
+            return apply(v)
+
+        return lanczos(counting, m, k)
+
+    monkeypatch.setattr(vi, "_leading_eigenpairs", counted)
+    return counts
+
+
+def _assert_scores_match_the_oracle(scores, x, r):
+    oracle = leading_scores(x, r)
+    k = oracle.shape[1]
+    got, want = (a / np.linalg.norm(a, axis=0) for a in (scores[:, :k], oracle))
+    assert_allclose(got * np.sign(np.sum(got * want, axis=0)), want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("T, n", [(90, 60), (60, 90)], ids=["tall", "wide"])
+def test_leading_scores_of_a_flat_spectrum_match_the_thin_svd(T, n):
+    # Pure noise has no gap after its leading eigenvalues, so the iteration
+    # takes most of the m = 60 Krylov vectors (44 here) and must still be
+    # as exact as the SVD.
+    x = np.random.default_rng(11).standard_normal((T, n))
+    x = x - x.mean(axis=0)
+    scores, weak = vi._leading_scores(x, 3)
+    assert not weak.any()
+    _assert_scores_match_the_oracle(scores, x, 3)
+
+
+def test_leading_scores_stop_at_breakdown_on_a_rank_one_panel(monkeypatch):
+    # The Krylov space of a rank-one Gram closes after two vectors: the one
+    # component is exact, the second Ritz value is rounding and the third
+    # component, never found, is a zero column; both are weak.
+    rng = np.random.default_rng(12)
+    values = np.outer(rng.standard_normal(30), rng.standard_normal(5))
+    counts = _count_applications(monkeypatch)
+    x = values - values.mean(axis=0)
+    scores, weak = vi._leading_scores(x, 3)
+    assert counts == [2]
+    assert_array_equal(weak, [False, True, True])
+    assert_array_equal(scores[:, 2], 0.0)
+    _assert_scores_match_the_oracle(scores, x, 1)
+    spec = ModelSpec(n=5, r=3, p=0)
+    with pytest.warns(UserWarning, match="panel has deficient rank"):
+        vi.init_from_pca(from_arrays(values), spec, default_prior(spec))
+
+
+def test_leading_scores_of_a_single_series():
+    x = np.random.default_rng(13).standard_normal((25, 1))
+    x = x - x.mean(axis=0)
+    scores, weak = vi._leading_scores(x, 2)
+    assert_array_equal(weak, [False, True])
+    # m = 1: the one eigenvector is +-1, signed by the data to +1.
+    assert_allclose(scores[:, 0], x[:, 0], rtol=1e-14)
+
+
+def test_leading_scores_of_a_factor_panel_take_few_krylov_steps(monkeypatch):
+    # A factor panel has a wide gap after its leading eigenvalues: the
+    # iteration stops far short of the m = 200 steps a full eigensolve costs.
+    spec = ModelSpec(n=300, r=2, p=1)
+    pan, _ = simulate_dfm(stationary_sim_config(spec, T=200, seed=5))
+    counts = _count_applications(monkeypatch)
+    x = pan.values - pan.values.mean(axis=0)
+    scores, weak = vi._leading_scores(x, spec.r)
+    assert len(counts) == 1 and counts[0] <= 40
+    assert not weak.any()
+    _assert_scores_match_the_oracle(scores, x, spec.r)
+
+
 def test_rotation_invariance_sign_flip(tiny_spec, tiny_prior):
     pan, _, _ = random_masked_panel(tiny_spec, T=8, seed=80, missing_prob=0.2)
     state, moments, report = vi.fit_smf(
