@@ -2,13 +2,14 @@
 
 Commands: ``simulate``, ``fit``, ``gibbs``, ``forecast``, ``compare``.
 Each setting is declared once, in ``_SETTINGS``: its default, its flag and
-any extra argparse keywords; its type is its default's (``n``, whose
-default None means "take it from the panel", is an int).  ``_KEYS`` lists
+any extra argparse keywords; its type is its default's.  ``_KEYS`` lists
 the settings each command reads, and the flags, the config-file checks and
-the model fingerprint are all built from these two tables.  Every command
-reads an optional declarative JSON config (flags override config values),
-writes its artifacts under a fixed set of filenames in the output
-directory, and records a manifest carrying the config echo, a hash of the
+the model fingerprint are all built from these two tables.  ``n`` is a
+``simulate`` setting only: ``fit`` and ``gibbs`` take it from the panel's
+width, and the fingerprint records it.  Every command reads an optional
+declarative JSON config (flags override config values), writes its
+artifacts under a fixed set of filenames in the output directory, and
+records a manifest carrying the config echo, a hash of the
 estimation-relevant configuration, the seed and wall time.  ``fit`` and
 ``gibbs`` read the panel file once and record the SHA-256 of the bytes they
 parse.  The last panel parsed is kept, keyed by that digest and the
@@ -56,7 +57,7 @@ def _argv_text(arg: str) -> str:
 # key: (default, flag, extra argparse keywords).  Int and float settings
 # take their flag's type from the default.
 _SETTINGS = {
-    "n": (None, "--n", {}),
+    "n": (25, "--n", {}),
     "r": (1, "--r", {}),
     "p": (0, "--p", {}),
     "eta_lambda": (1.0, "--eta-lambda", {}),
@@ -94,7 +95,7 @@ _SETTINGS = {
 _MOMENTS_FILE = "moments.npz"
 
 _PRIOR_KEYS = ("eta_lambda", "eta_phi", "ell_lambda", "ell_phi", "nu", "tau2")
-_MODEL_KEYS = ("n", "r", "p", *_PRIOR_KEYS, "standardize", "identification", "seed")
+_MODEL_KEYS = ("r", "p", *_PRIOR_KEYS, "standardize", "identification", "seed")
 _KEYS = {
     "simulate": ("n", "r", "p", "T", "seed", "missing_rate"),
     "fit": _MODEL_KEYS + ("tolerance", "max_iters", "eta_grid"),
@@ -105,8 +106,7 @@ _KEYS = {
 
 
 def _kind(key) -> type:
-    default = _SETTINGS[key][0]
-    return int if default is None else type(default)
+    return type(_SETTINGS[key][0])
 
 
 def _is_kind(value, kind) -> bool:
@@ -134,8 +134,6 @@ def _read_config_file(path) -> dict:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
     for key, value in obj.items():
         kind = _kind(key)
-        if value is None and _SETTINGS[key][0] is None:
-            continue
         if not _is_kind(value, kind):
             raise DomainError(
                 f"config key {key!r} must be of type {kind.__name__}, got {value!r}"
@@ -224,6 +222,7 @@ def _hash_config(cfg: dict) -> str:
 def _model_fingerprint(panel_sha, cfg) -> dict:
     return {
         "panel_sha256": panel_sha,
+        "n": cfg["n"],
         **{k: cfg[k] for k in _MODEL_KEYS if k != "seed"},
         "standardize": bool(cfg["standardize"]),
     }
@@ -279,8 +278,7 @@ def _open_run(args, parser, keys, *inputs):
 
 
 def _prepare_model(pan, cfg):
-    n = pan.n if cfg["n"] is None else cfg["n"]
-    spec = ModelSpec(n=n, r=cfg["r"], p=cfg["p"])
+    spec = ModelSpec(n=pan.n, r=cfg["r"], p=cfg["p"])
     return spec, default_prior(spec, **{k: float(cfg[k]) for k in _PRIOR_KEYS})
 
 
@@ -400,8 +398,6 @@ def _load_gibbs_run(parser, run_dir, fit_manifest):
 
 def cmd_simulate(args, parser) -> int:
     cfg, started = _open_run(args, parser, _KEYS["simulate"])
-    if cfg["n"] is None:
-        cfg["n"] = 25
     spec = ModelSpec(n=cfg["n"], r=cfg["r"], p=cfg["p"])
     missing = []
     if cfg["missing_rate"] != 0:

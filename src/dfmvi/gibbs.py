@@ -13,7 +13,9 @@ anchor loadings (:func:`sample_parameters`), exact for a prior that
 couples no anchored factor with another (:func:`model.check_sign_fold`).
 ``run_gibbs`` takes the same ``Restrictions`` as :func:`vi.fit_smf`, checks
 its inputs and warns of fewer series than factors the same way
-(:func:`vi.run_restrictions`) and folds by the same rule, :meth:`Restrictions.flips`.
+(:func:`vi.run_restrictions`) and folds its start and every sweep by the
+same rule and action as the fit, :meth:`Restrictions.signs` and
+:func:`model.flip`.
 
 A chain's constants are built once: its anchor rows on its
 ``Restrictions``, its origin precision, masks and panel constants on the
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import statespace, vi
 from .errors import DomainError
-from .model import ModelSpec, PriorSpec, Restrictions, factor_signs
+from .model import ModelSpec, PriorSpec, Restrictions, flip
 from .panel import TimeSeriesPanel
 
 
@@ -39,7 +41,7 @@ from .panel import TimeSeriesPanel
 class GibbsConfig:
     """Sampler run configuration."""
 
-    n_draws: int = 200_000
+    n_draws: int
     burn_in_fraction: float = 0.10
     seed: int = 0
     thin: int = 1
@@ -151,13 +153,14 @@ def sample_parameters(
     All loading/noise pairs are drawn at once from the conditionals of
     :func:`vi.loading_posterior` on the path, unrestricted in sign, then the
     transition block as one matrix-normal draw.  Each anchored factor whose
-    anchor loading came out negative is then flipped: its loading columns
-    at every lag, its transition row and columns, and its coordinates of
-    ``states``, in place, so path and parameters stay one joint draw.  The
-    likelihood and a prior passing :func:`check_sign_fold` are invariant
-    under the flip and the sweep is equivariant under it, so the folded
-    chain targets the sign-restricted posterior exactly (Frühwirth-Schnatter,
-    JASA 2001; Aßmann, Boysen-Hogrefe & Pape, J. Econometrics 2016).
+    anchor loading came out negative is then flipped (:func:`model.flip`):
+    its loading columns at every lag, its transition row and columns, and
+    its coordinates of ``states``, in place, so path and parameters stay one
+    joint draw.  The likelihood and a prior passing :func:`check_sign_fold`
+    are invariant under the flip and the sweep is equivariant under it, so
+    the folded chain targets the sign-restricted posterior exactly
+    (Frühwirth-Schnatter, JASA 2001; Aßmann, Boysen-Hogrefe & Pape,
+    J. Econometrics 2016).
 
     Returns (loadings, noise variances, transition, factors folded).
     """
@@ -171,15 +174,12 @@ def sample_parameters(
     trans = vi.transition_posterior(fprev.T @ fprev, f[:, :r].T @ fprev, prior)
     phi = vi.draw_transition(trans, rng)
 
-    flips = None if restrictions is None else restrictions.flips(lambdas, r)
-    if flips is None:
+    signs = None if restrictions is None else restrictions.signs(lambdas, r)
+    if signs is None:
         return lambdas, sigma2, phi, 0
-    signs = factor_signs(flips, spec.s)
-    # where(), not a bare product: a restricted 0.0 times -1 is -0.0.
-    lambdas = np.where(restrictions.free, lambdas * signs, 0.0)
-    phi *= signs[:r, None] * signs
-    states *= signs
-    return lambdas, sigma2, phi, int(np.count_nonzero(flips))
+    lambdas, phi = flip(signs, lambdas, free=restrictions.free), flip(signs, phi, r)
+    states[...] = flip(signs, states)
+    return lambdas, sigma2, phi, int(np.count_nonzero(signs[:r] < 0))
 
 
 def _physical_memory() -> int | None:
@@ -228,11 +228,11 @@ def run_gibbs(
     start = vi.init_from_pca(
         panel, spec, prior, seed=config.seed, restrictions=restrictions
     )
-    flips = restrictions.flips(start.loadings.mean, r)
-    if flips is not None:
-        start, _ = vi.flip_factor_signs(start, None, flips)
     lambdas, sigma2 = start.loadings.mean, start.loadings.noise_scale
     phi = start.transition.mean
+    signs = restrictions.signs(lambdas, r)
+    if signs is not None:
+        lambdas, phi = flip(signs, lambdas, free=restrictions.free), flip(signs, phi, r)
 
     out_lam = np.empty((kept, spec.n, s))
     out_sig = np.empty((kept, spec.n))

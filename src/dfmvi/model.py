@@ -8,6 +8,9 @@ state.
 
 A ``PriorSpec`` and a ``Restrictions`` check themselves when built; that
 they and a panel fit one ``ModelSpec`` is checked by ``vi.run_restrictions``.
+Every sign fold onto the anchors, the fit's, the chain start's and each
+Gibbs sweep's, takes one rule (:meth:`Restrictions.signs`) and one action
+(:func:`flip`).
 """
 
 from __future__ import annotations
@@ -173,9 +176,10 @@ class Restrictions:
 
     ``free[i, k]`` is False where the loading of variable i on state
     coordinate k is constrained to zero; ``positive`` lists (variable,
-    state coordinate) pairs whose loading must be positive; each must index
-    a free entry of ``free``, else DomainError.  The masks derived from them
-    are computed once, on first use, and are read-only.
+    state coordinate) pairs whose loading must be positive, at most one per
+    variable; each must index a free entry of ``free``, else DomainError.
+    The masks derived from them are computed once, on first use, and are
+    read-only.
     """
 
     free: np.ndarray
@@ -186,6 +190,10 @@ class Restrictions:
         if free.ndim != 2:
             raise DomainError(f"free must be an n x s mask, got shape {free.shape}")
         positive = tuple((int(i), int(k)) for i, k in self.positive)
+        variables = [i for i, _ in positive]
+        for i in variables:
+            if variables.count(i) > 1:
+                raise DomainError(f"variable {i} anchors more than one factor")
         for i, k in positive:
             if not (0 <= i < free.shape[0] and 0 <= k < free.shape[1]):
                 raise DomainError(
@@ -209,25 +217,24 @@ class Restrictions:
 
     @cached_property
     def anchors(self) -> np.ndarray:
-        """(k, 2) (variable, coordinate) rows of the sign restrictions, one
-        per variable (the last listed wins)."""
-        pairs = list(dict(self.positive).items())
-        return read_only(np.array(pairs, dtype=int).reshape(-1, 2))
+        """(k, 2) (variable, coordinate) rows of the sign restrictions."""
+        return read_only(np.array(self.positive, dtype=int).reshape(-1, 2))
 
-    def flips(self, loading_mean: np.ndarray, r: int) -> np.ndarray | None:
-        """(r,) mask of the anchored factors whose anchor loading in the
-        (n, s) ``loading_mean`` is negative, or None when nothing folds.
+    def signs(self, loading_mean: np.ndarray, r: int) -> np.ndarray | None:
+        """(s,) signs folding the (n, s) ``loading_mean`` onto the anchors: -1
+        on every lag of each anchored factor whose anchor loading is negative,
+        +1 elsewhere; None when nothing folds.
 
         The one sign rule of the fit's final alignment, the chain's start and
-        every Gibbs sweep.
+        every Gibbs sweep; :func:`flip` applies it.
         """
         anchors = self.anchors
         negative = loading_mean[anchors[:, 0], anchors[:, 1]] < 0
         if not negative.any():
             return None
-        mask = np.zeros(r, dtype=bool)
-        mask[anchors[negative, 1] % r] = True
-        return mask
+        signs = np.ones(r)
+        signs[anchors[negative, 1] % r] = -1.0
+        return signs[np.arange(loading_mean.shape[1]) % r]
 
     def restrict(self, a: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Zero every entry of an (n, s, s) stack outside row i's free block.
@@ -262,44 +269,41 @@ def identification_restrictions(
             raise DomainError(f"anchor ({var}, {fac}) out of range")
         free[var, :] = False
         free[var, fac] = True
-    _check_one_anchor_each(anchors, spec.r)
     return Restrictions(free=free, positive=tuple(anchors))
 
 
-def factor_signs(flips: np.ndarray, s: int) -> np.ndarray:
-    """(s,) state-coordinate signs of flipping the factors an (r,) bool mask
-    marks: -1 on every lag of each flipped factor, +1 elsewhere."""
-    return np.where(np.tile(flips, s // len(flips)), -1.0, 1.0)
+def flip(signs: np.ndarray, a: np.ndarray, rows: int = 0, free=None) -> np.ndarray:
+    """``a`` with its factors flipped by the (s,) ``signs`` D.
 
-
-def _check_one_anchor_each(positive, r: int) -> None:
-    """Raise DomainError if a factor or a variable of the (variable, state
-    coordinate) pairs ``positive`` anchors more than once."""
-    variables = [var for var, _ in positive]
-    factors = [coord % r for _, coord in positive]
-    for fac in factors:
-        if factors.count(fac) > 1:
-            raise DomainError(f"factor {fac} anchored more than once")
-    for var in variables:
-        if variables.count(var) > 1:
-            raise DomainError(f"variable {var} anchors more than one factor")
+    The last axis is multiplied by D and, if ``rows`` > 0, the one before it
+    by D's first ``rows`` entries: a D for loadings and states, D_r a D for a
+    transition (rows = r), D a D for a covariance (rows = s).  Given a loading
+    mask ``free``, entries outside it and exact zeros are +0.0 (0.0 times -1
+    is -0.0).  The only code that multiplies by a sign vector.
+    """
+    a = a * (signs[:rows, None] * signs if rows else signs)
+    return a if free is None else np.where(free, a, 0.0) + 0.0
 
 
 def check_sign_fold(prior: PriorSpec, restrictions: Restrictions, r: int) -> None:
     """Raise DomainError unless folding onto the anchors is exact.
 
     The fit's final alignment, the chain's start and every sweep flip the
-    factors :meth:`Restrictions.flips` marks.  That leaves the posterior
-    unchanged only if each factor and each variable anchors at most once and
-    the prior is invariant under the flip (sign matrix D): D M D = M for M each
-    of ``loading_prec``, ``trans_prec`` and ``init_state_cov``.
+    factors :meth:`Restrictions.signs` marks.  That leaves the posterior
+    unchanged only if each factor anchors at most once (each variable does, by
+    construction) and the prior is invariant under the flip (sign matrix D):
+    D M D = M for M each of ``loading_prec``, ``trans_prec`` and
+    ``init_state_cov``.
     """
-    _check_one_anchor_each(restrictions.positive, r)
-    for k in restrictions.anchors[:, 1] % r:
-        signs = factor_signs(np.arange(r) == k, prior.loading_prec.shape[0])
+    factors = restrictions.anchors[:, 1] % r
+    for k in factors:
+        if np.count_nonzero(factors == k) > 1:
+            raise DomainError(f"factor {k} anchored more than once")
+    for k in factors:
+        signs = np.where(np.arange(prior.loading_prec.shape[0]) % r == k, -1.0, 1.0)
         for name in ("loading_prec", "trans_prec", "init_state_cov"):
             m = getattr(prior, name)
-            if not np.array_equal(signs[:, None] * m * signs, m):
+            if not np.array_equal(flip(signs, m, len(m)), m):
                 raise DomainError(
                     f"prior {name} couples anchored factor {k} with another factor; "
                     "the sign fold needs a prior invariant under flipping it"

@@ -11,6 +11,10 @@ unconditional parameter draws, :func:`draw_loadings` and
 :func:`draw_transition`, serve the Gibbs sweep, the predictive draws and
 the Monte Carlo oracle alike.
 
+The fit ends by folding its factors onto the anchor loadings with the one
+sign rule and action of :mod:`dfmvi.model` (``Restrictions.signs``,
+``model.flip``), which the Gibbs chain's start and sweeps share.
+
 The objective trace records, once per iteration, the exact bound of the
 consistent pair (state density implied by the just-updated parameters,
 those parameters).  Every recorded value is then guaranteed nondecreasing
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import statespace
 from .errors import DomainError, NumericalError
-from .model import ModelSpec, PriorSpec, Restrictions, check_sign_fold, factor_signs
+from .model import ModelSpec, PriorSpec, Restrictions, check_sign_fold, flip
 from .model import identification_restrictions
 from .panel import TimeSeriesPanel
 from .statespace import StateMoments
@@ -516,44 +520,35 @@ def init_from_pca(
 
 
 def flip_factor_signs(
-    state: VariationalState,
-    moments: StateMoments | None,
-    flips: np.ndarray,
-) -> tuple[VariationalState, StateMoments | None]:
-    """Apply a per-factor sign rotation to the variational state and moments.
+    state: VariationalState, moments: StateMoments, signs: np.ndarray
+) -> tuple[VariationalState, StateMoments]:
+    """The variational state and its moments with the factors flipped by the
+    (s,) ``signs`` of :meth:`Restrictions.signs`, through :func:`model.flip`.
 
-    Flipping factor k negates its state coordinates at every lag.  Sign
-    flips leave second moments, covariances and the objective unchanged;
-    only loading means, transition rows/columns and state means change
-    sign patterns.  Exact zeros in the loadings stay +0.0: the restricted
-    entries, and the free ones of a series with no observations, which keep
-    the prior's zeros.
+    Sign flips leave second moments, covariances and the objective unchanged;
+    only loading means, transition rows/columns and state means change sign
+    patterns.  Exact zeros in the loadings stay +0.0: the restricted entries,
+    and the free ones of a series with no observations, which keep the
+    prior's zeros.
     """
-    loadings, transition = state.loadings, state.transition
+    loadings, transition, free = state.loadings, state.transition, state.loadings.free
     r, s = transition.mean.shape
-    signs = factor_signs(flips, s)
-    outer = signs[:, None] * signs
-    # where(), not a bare product: a restricted 0.0 times -1 is -0.0.  Adding
-    # +0.0 turns a free -0.0 into +0.0 and leaves every nonzero bit.
-    masks = Restrictions(loadings.free, ())
     new_state = VariationalState(
         loadings=replace(
             loadings,
-            mean=np.where(masks.free, loadings.mean * signs, 0.0) + 0.0,
-            cov=masks.restrict(loadings.cov * outer) + 0.0,
+            mean=flip(signs, loadings.mean, free=free),
+            cov=flip(signs, loadings.cov, s, free[:, :, None] & free[:, None, :]),
         ),
         transition=TransitionVariational(
-            mean=transition.mean * outer[:r], cov=transition.cov * outer
+            mean=flip(signs, transition.mean, r), cov=flip(signs, transition.cov, s)
         ),
     )
-    if moments is None:
-        return new_state, None
     return new_state, replace(
         moments,
-        mean=moments.mean * signs,
-        cov=moments.cov * outer,
-        second_moment=moments.second_moment * outer,
-        lag_one=moments.lag_one * outer[:r],
+        mean=flip(signs, moments.mean),
+        cov=flip(signs, moments.cov, s),
+        second_moment=flip(signs, moments.second_moment, s),
+        lag_one=flip(signs, moments.lag_one, r),
     )
 
 
@@ -630,7 +625,7 @@ def fit_smf(
     and a fit report.  Every input but ``tolerance`` and ``max_iters``, a
     starting state ``init`` too, is checked (and ``restrictions`` defaulted)
     by :func:`run_restrictions`, as in :func:`dfmvi.gibbs.run_gibbs`.  The
-    fit ends by flipping the factors :meth:`Restrictions.flips` marks.
+    fit ends by flipping the factors :meth:`Restrictions.signs` marks.
     """
     if not tolerance > 0:  # also false for NaN
         raise DomainError(f"tolerance must be positive, got {tolerance!r}")
@@ -665,9 +660,9 @@ def fit_smf(
             converged = True
             break
 
-    flips = restrictions.flips(state.loadings.mean, spec.r)
-    if flips is not None:
-        state, moments = flip_factor_signs(state, moments, flips)
+    signs = restrictions.signs(state.loadings.mean, spec.r)
+    if signs is not None:
+        state, moments = flip_factor_signs(state, moments, signs)
 
     report = FitReport(
         elbo_trace=np.asarray(trace),

@@ -6,16 +6,18 @@ covariance and the prior covariance of equations without data by
 ``np.linalg.inv``, ``[I, -Phi]`` by ``np.hstack``, the restriction masks
 and identity padding per call, the sweep's anchor signs from a dict and the
 start's and the fit's sign alignment by a loop over the sign restrictions
-(``_align``), the solves by ``scipy.linalg.cho_solve_banded`` and
-``cho_solve``, the path states by ``sliding_window_view`` and the prior
-log-determinants of the objective by ``np.linalg.slogdet`` at every
-iteration.  The loading regressions invert their Cholesky factors by
+with the products written out (``_align``), the solves by
+``scipy.linalg.cho_solve_banded`` and ``cho_solve``, the path states by
+``sliding_window_view`` and the prior log-determinants of the objective by
+``np.linalg.slogdet`` at every iteration.  The loading regressions invert their Cholesky factors by
 ``statespace.lower_inverse``, as the library does; ``test_statespace.py``
 checks that inverse against the LU one.  The library must
 reproduce these chains bit for bit.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,17 +159,46 @@ def sample_parameters(panel, states, spec, prior, restrictions, rng):
     return lambdas, sigma2, phi, flips
 
 
-def _align(state, moments, restrictions):
-    """Flip factors so every sign-restricted loading mean is positive: the
-    loop over ``positive`` that ``Restrictions.flips`` replaced."""
-    r = state.transition.mean.shape[0]
-    flips = np.zeros(r, dtype=bool)
+def anchor_signs(loading_mean, restrictions, r):
+    """(s,) signs flipping, at every lag, each factor whose sign-restricted
+    loading in ``loading_mean`` is negative: the loop over ``positive`` that
+    ``Restrictions.signs`` replaced."""
+    signs = np.ones(loading_mean.shape[1])
     for var, coord in restrictions.positive:
-        if state.loadings.mean[var, coord] < 0:
-            flips[coord % r] = True
-    if not flips.any():
+        if loading_mean[var, coord] < 0:
+            signs[coord % r :: r] = -1.0
+    return signs
+
+
+def _align(state, moments, restrictions):
+    """Flip factors so every sign-restricted loading mean is positive, with
+    the products written out; exact zeros of the loadings stay +0.0."""
+    loadings, transition = state.loadings, state.transition
+    r = transition.mean.shape[0]
+    signs = anchor_signs(loadings.mean, restrictions, r)
+    if np.all(signs > 0):
         return state, moments
-    return vi.flip_factor_signs(state, moments, flips)
+    outer = np.outer(signs, signs)
+    free = loadings.free
+    state = vi.VariationalState(
+        loadings=replace(
+            loadings,
+            mean=np.where(free, loadings.mean * signs, 0.0) + 0.0,
+            cov=restrict_to_free(loadings.cov * outer, free) + 0.0,
+        ),
+        transition=vi.TransitionVariational(
+            mean=transition.mean * outer[:r], cov=transition.cov * outer
+        ),
+    )
+    if moments is None:
+        return state, None
+    return state, replace(
+        moments,
+        mean=moments.mean * signs,
+        cov=moments.cov * outer,
+        second_moment=moments.second_moment * outer,
+        lag_one=moments.lag_one * outer[:r],
+    )
 
 
 def run_gibbs(panel, spec, prior, config, restrictions):

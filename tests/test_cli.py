@@ -482,7 +482,7 @@ def test_forecast_from_gibbs_refuses_mismatched_artifacts(
 
 
 _MODEL_FLAGS = (
-    "--n --r --p --eta-lambda --eta-phi --ell-lambda --ell-phi --nu --tau2 "
+    "--r --p --eta-lambda --eta-phi --ell-lambda --ell-phi --nu --tau2 "
     "--no-standardize --identify"
 )
 
@@ -537,13 +537,15 @@ def test_fit_settings_by_flags_and_by_config_agree(sim_dir, tmp_path):
         "tolerance": 1e-5, "max_iters": 40,
     }
     flags = [
-        "--n", "6", "--r", "1", "--p", "1", "--eta-lambda", "0.8",
+        "--r", "1", "--p", "1", "--eta-lambda", "0.8",
         "--eta-phi", "0.7", "--ell-lambda", "2.5", "--ell-phi", "1.5",
         "--nu", "2.0", "--tau2", "1.5", "--no-standardize", "--identify", "0:0",
         "--seed", "9", "--tolerance", "1e-5", "--max-iters", "40",
     ]
+    # A config's n is a simulate setting: the fit ignores it and echoes the
+    # panel's width.
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(settings))
+    cfg_path.write_text(json.dumps({**settings, "n": 99}))
     panel = ["fit", "--panel", str(sim_dir / "panel.csv")]
     assert _run(panel + ["--out", str(tmp_path / "flags")] + flags) == 0
     assert _run(panel + ["--out", str(tmp_path / "cfg"), "--config", str(cfg_path)]) == 0
@@ -592,8 +594,8 @@ def test_fit_settings_by_flags_and_by_config_agree(sim_dir, tmp_path):
         pytest.param(["gibbs"], '{"seed": -2}', "--seed", id="config-negative-seed"),
         pytest.param(["fit", "--max-iters", "0"], None, "max_iters", id="max-iters-zero"),
         pytest.param(["fit", "--max-iters=-3"], None, "max_iters", id="max-iters-negative"),
-        pytest.param(["fit", "--n", "5"], None, "panel width", id="fit-n-not-panel-width"),
-        pytest.param(["gibbs", "--n", "5"], None, "panel width", id="gibbs-n-not-panel-width"),
+        pytest.param(["fit"], '{"n": null}', "'n'", id="fit-config-n-null"),
+        pytest.param(["gibbs"], '{"n": null}', "'n'", id="gibbs-config-n-null"),
     ],
 )
 def test_malformed_input_is_reported_without_traceback(
@@ -694,8 +696,8 @@ def test_stored_moments_equal_the_fits_bitwise(
     # alike and the start, signed by the data, loads positively on each.
     # With the anchor column negated (sign -1) the anchor loads against the
     # other five, its loading converges negative and fit_smf's final
-    # alignment (Restrictions.flips) flips the factor; with sign +1 it
-    # converges positive and nothing is flipped.
+    # alignment (Restrictions.signs, applied by model.flip) flips the factor;
+    # with sign +1 it converges positive and nothing is flipped.
     pan = panel_mod.load_csv(sim_dir / "panel.csv")
     truth = json.loads((sim_dir / "truth.json").read_text(encoding="utf-8"))
     signs = np.sign(np.asarray(truth["loadings"])[:, 0])
@@ -703,16 +705,18 @@ def test_stored_moments_equal_the_fits_bitwise(
     panel = tmp_path / "panel.csv"
     panel_mod.write_csv(panel_mod.from_arrays(signs * pan.values, pan.names), panel)
     returned, flipped = [], []
-    fit_smf, flip = vi.fit_smf, vi.flip_factor_signs
+    fit_smf, flip = vi.fit_smf, vi.flip
     monkeypatch.setattr(
         vi, "fit_smf", lambda *a, **k: returned.append(fit_smf(*a, **k)) or returned[-1]
     )
-    monkeypatch.setattr(vi, "flip_factor_signs", lambda *a: flipped.append(1) or flip(*a))
+    monkeypatch.setattr(
+        vi, "flip", lambda s, *a, **k: flipped.append(tuple(s)) or flip(s, *a, **k)
+    )
     fit = tmp_path / "fit"
     assert _run(
         ["fit", "--panel", str(panel), "--out", str(fit), "--seed", "3", "--identify", "0:0"]
     ) == 0
-    assert len(flipped) == flips
+    assert set(flipped) == ({(-1.0,)} if flips else set())
     state, manifest, moments, names, _ = cli._load_fit_run(
         argparse.Namespace(panel=str(panel), fit=str(fit)), cli.build_parser()
     )

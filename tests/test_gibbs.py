@@ -540,8 +540,8 @@ def test_two_anchors_on_one_factor_are_refused():
     pan, _, _ = random_masked_panel(spec, T=10, seed=72, missing_prob=0.1)
     prior = default_prior(spec)
     config = gibbs.GibbsConfig(n_draws=20, burn_in_fraction=0.1, seed=0)
-    # identification_restrictions refuses these anchors itself; built by hand,
-    # run_gibbs must refuse them too.
+    # A factor anchored twice needs r to see, so the restrictions build and
+    # run_gibbs refuses them.
     restr = Restrictions(np.ones((spec.n, spec.s), dtype=bool), ((0, 0), (1, 0)))
     with pytest.raises(DomainError, match="factor 0 anchored more than once"):
         gibbs.run_gibbs(pan, spec, prior, config, restr)

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,7 @@ from dfmvi.model import (
     ModelSpec,
     PriorSpec,
     Restrictions,
+    check_sign_fold,
     default_prior,
     identification_restrictions,
     minnesota_prior,
@@ -23,6 +22,7 @@ from dfmvi.vi import (
     flip_factor_signs,
 )
 from tests import reference_kernels
+from tests.conftest import assert_same_bits, empty_edge_panel, point_mass_moments
 
 
 def test_spec_static_dimension():
@@ -180,8 +180,10 @@ def test_identification_restrictions_anchor_scheme():
     assert restr.free[2].tolist() == [False, True, False, False]
     assert restr.free[1].all() and restr.free[3].all()
     assert restr.positive == ((0, 0), (2, 1))
-    with pytest.raises(DomainError):
-        identification_restrictions(spec, [(0, 0), (1, 0)])
+    # A factor anchored twice needs r to see, so the fold's check refuses it.
+    twice = identification_restrictions(spec, [(0, 0), (1, 0)])
+    with pytest.raises(DomainError, match="factor 0 anchored more than once"):
+        check_sign_fold(default_prior(spec), twice, spec.r)
     with pytest.raises(DomainError):
         identification_restrictions(spec, [(9, 0)])
     with pytest.raises(DomainError, match=r"variable 0 anchors more than one"):
@@ -195,7 +197,8 @@ def test_sign_flips_preserve_fit():
     lam = rng.standard_normal((n, s))
     phi = rng.standard_normal((r, s))
     states = rng.standard_normal((4, s))
-    flips = np.array([True, False])
+    signs = np.ones(s)
+    signs[0::r] = -1.0
     state = VariationalState(
         loadings=LoadingsVariational(
             mean=lam,
@@ -206,13 +209,12 @@ def test_sign_flips_preserve_fit():
         ),
         transition=TransitionVariational(mean=phi, cov=np.eye(s)),
     )
-    flipped, _ = flip_factor_signs(state, None, flips)
+    flipped, moments = flip_factor_signs(state, point_mass_moments(states, r), signs)
     lam2, phi2 = flipped.loadings.mean, flipped.transition.mean
-    signs = np.ones(s)
-    signs[0::r] = -1.0
     # factor 0 flips at every lag: its columns change sign, nothing else
     assert_array_equal(lam2, lam * signs)
     assert_array_equal(phi2, phi * signs[:r, None] * signs)
+    assert_array_equal(moments.mean, states * signs)
     # common component and transition dynamics are unchanged
     assert_allclose(lam2 @ (states * signs).T, lam @ states.T)
     assert_allclose(
@@ -275,11 +277,15 @@ def test_restrictions_cache_read_only_masks_and_anchor_rows():
         _write_fails(mask)
     a = np.random.default_rng(6).standard_normal((4, spec.s, spec.s))
     assert_array_equal(restr.pad(a)[1:3], restr.pad(a[1:3], slice(1, 3)))
-    # one anchor row per variable, the last listed one winning (on an
-    # all-free mask: free[0] restricts coordinate 1, so (0, 1) is refused)
-    all_free = np.ones_like(free)
-    assert Restrictions(all_free, ((0, 0), (0, 1))).anchors.tolist() == [[0, 1]]
     assert Restrictions(free, ()).anchors.shape == (0, 2)
+
+
+def test_restrictions_that_anchor_one_variable_twice_are_refused_when_built():
+    # On an all-free mask both anchors index free entries; naming one
+    # variable twice is refused all the same, before any fit or chain.
+    all_free = np.ones((4, 4), dtype=bool)
+    with pytest.raises(DomainError, match="variable 0 anchors more than one factor"):
+        Restrictions(all_free, ((0, 0), (0, 1)))
 
 
 @pytest.mark.parametrize(
@@ -307,35 +313,51 @@ def test_restrictions_refuse_a_mask_that_is_not_a_matrix():
         Restrictions(np.ones(6, dtype=bool), ((0, 0),))
 
 
-def test_restrictions_flips_follow_the_reference_alignment(monkeypatch):
+def test_restrictions_flips_follow_the_reference_alignment():
     # The reference is the loop over the sign restrictions that the fit and
-    # the chain start used before; it hands its mask to flip_factor_signs.
+    # the chain start used before.
     spec = ModelSpec(n=5, r=2, p=1)
     rng = np.random.default_rng(87)
-    wanted = []
-    monkeypatch.setattr(
-        vi, "flip_factor_signs", lambda state, moments, flips: wanted.append(flips)
-    )
     seen = set()
     for anchors in ([(0, 0), (1, 1)], [(3, 1)], [(4, 0)], [(2, 1), (1, 0)]):
         restr = identification_restrictions(spec, anchors)
         for _ in range(25):
             mean = np.where(restr.free, rng.standard_normal((spec.n, spec.s)), 0.0)
-            state = VariationalState(
-                loadings=SimpleNamespace(mean=mean),
-                transition=SimpleNamespace(mean=np.zeros((spec.r, spec.s))),
-            )
-            reference_kernels._align(state, None, restr)
-            got = restr.flips(mean, spec.r)
-            if not wanted:
+            want = reference_kernels.anchor_signs(mean, restr, spec.r)
+            got = restr.signs(mean, spec.r)
+            if np.all(want > 0):
                 assert got is None
                 seen.add("none")
                 continue
-            want = wanted.pop()
-            assert got.dtype == bool and got.tolist() == want.tolist()
-            seen.add(tuple(want.tolist()))
-    assert {"none", (True, False), (False, True), (True, True)} <= seen
+            assert_same_bits(got, want)
+            seen.add(tuple(want[: spec.r].tolist()))
+    assert {"none", (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)} <= seen
     # No anchors, or no negative anchor loading: nothing folds.
     mean = -np.ones((spec.n, spec.s))
-    assert identification_restrictions(spec, []).flips(mean, spec.r) is None
-    assert identification_restrictions(spec, [(0, 0)]).flips(-mean, spec.r) is None
+    assert identification_restrictions(spec, []).signs(mean, spec.r) is None
+    assert identification_restrictions(spec, [(0, 0)]).signs(-mean, spec.r) is None
+
+
+@pytest.mark.parametrize("r, p", [(1, 0), (2, 1)], ids=["s1", "r2p1"])
+def test_folding_twice_returns_every_bit(r, p):
+    # The last series has no data, so its free loadings keep the prior's
+    # exact zeros beside the anchors' restricted ones; flipping factor 0 twice
+    # must give back every array of the fit, loadings, transition and moments.
+    spec = ModelSpec(n=6, r=r, p=p)
+    pan = empty_edge_panel(spec, T=30, seed=91 + r)
+    restr = identification_restrictions(spec, [(k, k) for k in range(r)])
+    state, moments, _ = vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
+    mean = state.loadings.mean
+    assert np.all(mean[~restr.free] == 0.0) and np.all(mean[-1] == 0.0)
+    signs = np.where(np.arange(spec.s) % r == 0, -1.0, 1.0)
+    once = flip_factor_signs(state, moments, signs)
+    twice = flip_factor_signs(*once, signs)
+
+    def arrays(fit):
+        state, moments = fit
+        return [*vars(state.loadings).values(), *vars(state.transition).values(),
+                *vars(moments).values()]
+
+    assert not np.array_equal(once[0].loadings.mean, mean)
+    for got, want in zip(arrays(twice), arrays((state, moments)), strict=True):
+        assert_same_bits(got, want)

@@ -53,8 +53,9 @@ def test_partial_sign_flip_keeps_objective(two_factor_panel):
     state, _, _ = vi.fit_smf(pan, spec, prior, tolerance=1e-6, max_iters=200)
     moments = vi.update_states(pan, state.loadings, state.transition, prior)
     elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, prior)
-    for flips in ([True, False], [False, True], [True, True]):
-        flipped, _ = vi.flip_factor_signs(state, None, np.array(flips))
+    for flips in ([-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]):
+        signs = np.tile(flips, spec.p + 1)
+        flipped, _ = vi.flip_factor_signs(state, moments, signs)
         fl_m = vi.update_states(pan, flipped.loadings, flipped.transition, prior)
         fl_elbo = vi.compute_elbo(
             pan, flipped.loadings, flipped.transition, fl_m, prior

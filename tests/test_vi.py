@@ -13,7 +13,6 @@ from dfmvi.model import (
     PriorSpec,
     Restrictions,
     default_prior,
-    factor_signs,
     identification_restrictions,
 )
 from dfmvi.panel import from_arrays, standardize
@@ -519,7 +518,7 @@ def test_rotation_invariance_sign_flip(tiny_spec, tiny_prior):
     )
     moments = vi.update_states(pan, state.loadings, state.transition, tiny_prior)
     elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, tiny_prior)
-    flipped, _ = vi.flip_factor_signs(state, moments, np.array([True]))
+    flipped, _ = vi.flip_factor_signs(state, moments, np.array([-1.0]))
     fl_moments = vi.update_states(pan, flipped.loadings, flipped.transition, tiny_prior)
     fl_elbo = vi.compute_elbo(
         pan, flipped.loadings, flipped.transition, fl_moments, tiny_prior
@@ -569,10 +568,12 @@ def test_fit_refuses_a_prior_coupling_an_anchored_factor():
     ],
 )
 def test_fit_refuses_hand_built_restrictions_that_anchor_twice(positive, match):
+    # A variable anchoring twice is refused when the restrictions are built;
+    # a factor anchored twice, which needs r, when the fit checks them.
     spec = ModelSpec(n=12, r=2, p=0)
     pan, _ = simulate_dfm(stationary_sim_config(spec, T=120, seed=0))
-    restr = Restrictions(np.ones((spec.n, spec.s), dtype=bool), positive)
     with pytest.raises(DomainError, match=match):
+        restr = Restrictions(np.ones((spec.n, spec.s), dtype=bool), positive)
         vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
 
 
@@ -589,34 +590,47 @@ def _anchors_against_the_rest(spec, negated):
     return simulate_dfm(config)[0].values * signs
 
 
+def _spy_on_flip(monkeypatch):
+    """Record the (signs, array) of every call the fit makes to the one sign
+    action, ``model.flip``."""
+    calls, flip = [], vi.flip
+    monkeypatch.setattr(
+        vi, "flip", lambda signs, a, *rest, **kw: calls.append((signs, a)) or flip(
+            signs, a, *rest, **kw
+        )
+    )
+    return calls
+
+
 def _anchored_fit_flips(monkeypatch, negated):
     """Fit the r = 2, p = 1 panel of :func:`_anchors_against_the_rest` with
     one anchor per factor, check that the restricted loadings are +0.0 and
-    the anchor loadings positive, and return the flips the fold applied."""
+    the anchor loadings positive, and return the distinct sign vectors the
+    fold applied."""
     spec = ModelSpec(n=12, r=2, p=1)
     pan, _ = standardize(from_arrays(_anchors_against_the_rest(spec, negated)))
     restr = identification_restrictions(spec, [(0, 0), (1, 1)])
-    flips, flip = [], vi.flip_factor_signs
-    monkeypatch.setattr(
-        vi, "flip_factor_signs", lambda *a: flips.append(a[2].tolist()) or flip(*a)
-    )
+    calls = _spy_on_flip(monkeypatch)
     state, _, _ = vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
     assert not np.signbit(state.loadings.mean[~restr.free]).any()
     assert not np.signbit(state.loadings.cov[~restr.free_pairs]).any()
     assert np.all(state.loadings.mean[[0, 1], [0, 1]] > 0)
-    return flips
+    return sorted({tuple(signs.tolist()) for signs, _ in calls})
 
 
 def test_fit_sign_flip_leaves_restricted_loadings_positive_zero(monkeypatch):
     # Both anchor series are negated, so both anchored factors converge with
     # negative anchor loadings and are flipped; a restricted 0.0 times -1
     # would be stored as -0.0.
-    assert _anchored_fit_flips(monkeypatch, (0, 1)) == [[True, True]]
+    assert _anchored_fit_flips(monkeypatch, (0, 1)) == [(-1.0, -1.0, -1.0, -1.0)]
 
 
 @pytest.mark.parametrize(
     "negated, expected",
-    [pytest.param((1,), [[False, True]], id="one"), pytest.param((), [], id="none")],
+    [
+        pytest.param((1,), [(1.0, -1.0, 1.0, -1.0)], id="one"),
+        pytest.param((), [], id="none"),
+    ],
 )
 def test_fit_sign_fold_flips_the_factors_of_negated_anchors_only(
     monkeypatch, negated, expected
@@ -640,19 +654,20 @@ def test_fit_sign_flip_leaves_an_empty_series_loadings_positive_zero(
     values[:, 11] = np.nan
     pan, _ = standardize(from_arrays(values))
     restr = identification_restrictions(spec, anchors)
-    calls, flip = [], vi.flip_factor_signs
-    monkeypatch.setattr(vi, "flip_factor_signs", lambda *a: calls.append(a) or flip(*a))
+    calls = _spy_on_flip(monkeypatch)
     state, _, _ = vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
-    (before, _, flips), = calls
-    assert flips.all()
-    assert np.all(before.loadings.mean[11] == 0.0)
+    signs = -np.ones(spec.s)
+    assert all(np.array_equal(got, signs) for got, _ in calls)
+    # The arrays the fold took, by shape: T + 1 = 121 state rows, n = 12.
+    before = {a.shape: a for _, a in calls}
+    before_mean, before_cov = before[(12, spec.s)], before[(12, spec.s, spec.s)]
+    assert np.all(before_mean[11] == 0.0)
     mean, cov = state.loadings.mean, state.loadings.cov
     assert not np.signbit(mean[mean == 0.0]).any()
     assert not np.signbit(cov[cov == 0.0]).any()
-    signs = factor_signs(flips, spec.s)
     outer = signs[:, None] * signs
-    assert_same_bits(mean[mean != 0.0], (before.loadings.mean * signs)[mean != 0.0])
-    assert_same_bits(cov[cov != 0.0], (before.loadings.cov * outer)[cov != 0.0])
+    assert_same_bits(mean[mean != 0.0], (before_mean * signs)[mean != 0.0])
+    assert_same_bits(cov[cov != 0.0], (before_cov * outer)[cov != 0.0])
 
 
 def test_fit_refuses_an_init_with_another_free_mask():
