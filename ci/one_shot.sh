@@ -10,9 +10,11 @@
 # the chain's start folds both factors and the sign fold runs at s > 1 from
 # the first sweep.  The second panel is also fitted and sampled at r=1 with
 # the weak anchor series 2, whose sweeps fold often; the script fails unless
-# that chain's manifest counts a folded factor.  The third panel is wider than
-# it is long (n=30, T=20), so its principal-component start iterates on xx',
-# not x'x.
+# that chain's manifest counts a folded factor.  Then the second panel is
+# fitted, sampled and compared at r=2, p=2 with the two anchors above, so the
+# smoother reads its widest blocks (s=6) and the principal-component start
+# fills two lags.  The third panel is wider than it is long (n=30, T=20), so
+# its principal-component start iterates on xx', not x'x.
 #
 # Usage: bash ci/one_shot.sh [WORKDIR]   (default: a new temporary directory)
 set -euo pipefail
@@ -32,6 +34,9 @@ compare --panel ROOT/sim2/panel.csv --fit ROOT/fit2 --gibbs ROOT/gibbs2 --out RO
 forecast --panel ROOT/sim2/panel.csv --fit ROOT/fit2 --out ROOT/forecast2 --horizons 2 --smf-draws 200
 fit --panel ROOT/sim2/panel.csv --out ROOT/fit2weak --seed 4 --identify 2:0
 gibbs --panel ROOT/sim2/panel.csv --out ROOT/gibbs2weak --seed 4 --identify 2:0 --draws 300
+fit --panel ROOT/sim2/panel.csv --out ROOT/fit2s6 --seed 4 --r 2 --p 2 --identify 4:0 --identify 0:1
+gibbs --panel ROOT/sim2/panel.csv --out ROOT/gibbs2s6 --seed 4 --r 2 --p 2 --identify 4:0 --identify 0:1 --draws 300
+compare --panel ROOT/sim2/panel.csv --fit ROOT/fit2s6 --gibbs ROOT/gibbs2s6 --out ROOT/compare2s6 --horizons 2 --smf-draws 200
 simulate --out ROOT/sim3 --n 30 --t 20 --seed 5 --missing-rate 0.1 --ragged 29:17
 fit --panel ROOT/sim3/panel.csv --out ROOT/fit3 --seed 6 --identify 0:0
 gibbs --panel ROOT/sim3/panel.csv --out ROOT/gibbs3 --seed 6 --identify 0:0 --draws 200

@@ -48,7 +48,7 @@ run t = 1..T.  ``y_star[t-1]`` refers to time t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -235,31 +235,6 @@ def lower_inverse(d: np.ndarray) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=8)
-def _block_positions(r: int, s: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where :func:`kalman_smoother` reads its blocks in a banded factor.
-
-    L[i, k] sits at band[i - k, k], position i - k + (r + s) k of the band
-    flattened column by column.  The first T (r + s) r positions are the
-    (r + s) x r column blocks L[r m + a, r m + b] of f_t, m = T - t, in the
-    order t = 1..T; the last s s are the trailing s x s block L_0.  Entries
-    above a block's diagonal are flagged False in the second array (their
-    position is 0).  Built once per (r, s, T); both arrays are read-only.
-    """
-    width = r + s
-    a, b = np.arange(width)[:, None], np.arange(r)
-    col = r * np.arange(T - 1, -1, -1)[:, None, None] + b
-    a0, b0 = np.arange(s)[:, None], np.arange(s)
-    lower = np.concatenate(
-        [np.broadcast_to(a >= b, (T, width, r)).ravel(), (a0 >= b0).ravel()]
-    )
-    where = np.concatenate(
-        [(a - b + width * col).ravel(), (a0 - b0 + width * (r * T + b0)).ravel()]
-    )
-    where[~lower] = 0
-    return read_only(where), read_only(lower)
-
-
 @dataclass(frozen=True)
 class SsmParams:
     """Path precision of the variational state density for one parameter setting.
@@ -356,15 +331,29 @@ def kalman_smoother(chol: np.ndarray, z: np.ndarray, params: SsmParams) -> State
     covariance E_t = blockdiag((D D')^-1, 0).  The covariances of x_0..x_T follow from
     Cov[x_0] = (L_0 L_0')^-1, L_0 the trailing s x s block, by
     :func:`_compose_scan`, and Cov[f_t, x_{t-1}] is the top r rows of
-    K_t Cov[x_{t-1}].  The blocks are gathered at positions built once per
-    (r, s, T) (:func:`_block_positions`), and the D are inverted by
-    :func:`lower_inverse`.  The name is the one the benchmark's tracer times.
+    K_t Cov[x_{t-1}].
+
+    L[i, k] sits at position i - k + (r + s) k of the band read column by
+    column, which is affine in a block's time step, row and column, so the
+    blocks are strided views of the factor, as the states are of z: the T
+    column blocks of f_t, in the order t = 1..T, and L_0.  Entries above a
+    block's diagonal are other entries of L; nothing reads them, since the D
+    are inverted by :func:`lower_inverse` and L_0 by ``dpotrs``, which read
+    lower triangles only.  The name is the one the benchmark's tracer times.
     """
     r, s, T = params.r, params.s, params.T
-    where, lower = _block_positions(r, s, T)
-    entries = np.where(lower, chol.ravel(order="F")[where], 0.0)
-    blocks = entries[: T * (r + s) * r].reshape(T, r + s, r)
-    origin = entries[T * (r + s) * r :].reshape(s, s)
+    width, step = r + s, chol.itemsize
+    flat = chol.ravel(order="F")
+    blocks = np.ndarray(
+        (T, width, r),
+        flat.dtype,
+        flat,
+        width * r * (T - 1) * step,
+        (-width * r * step, step, (width - 1) * step),
+    )
+    origin = np.ndarray(
+        (s, s), flat.dtype, flat, width * r * T * step, (step, (width - 1) * step)
+    )
 
     diag_inv = lower_inverse(blocks[:, :r])
     diag_inv_t = diag_inv.swapaxes(-1, -2)

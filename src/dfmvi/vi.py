@@ -494,7 +494,7 @@ def init_from_pca(
     """
     rng = np.random.default_rng(seed)
     T, n = panel.T, panel.n
-    r, p, s = spec.r, spec.p, spec.s
+    r, s = spec.r, spec.s
     x = np.where(panel.mask, panel.values, rng.standard_normal((T, n)))
     x = x - x.mean(axis=0)
     scores, weak = _leading_scores(x, r)
@@ -503,12 +503,10 @@ def init_from_pca(
         scores[:, weak] = rng.standard_normal((T, int(weak.sum())))
     scores = scores / scores.std(axis=0, ddof=1)
 
-    factors = np.zeros((T + 1, s))
-    for lag in range(p + 1):
-        src = np.arange(1, T + 1) - lag
-        ok = src >= 1
-        factors[np.arange(1, T + 1)[ok], lag * r : (lag + 1) * r] = scores[src[ok] - 1]
-
+    # The proxies laid out as a factor path, zero before t = 1: its states
+    # x_0..x_T carry the lags.
+    path = np.concatenate([scores[::-1].ravel(), np.zeros(s)])
+    factors = statespace.path_states(path, r, s).copy()
     outer = factors[:, :, None] * factors[:, None, :]
     loadings, _ = loading_posterior(panel, factors[1:], outer[1:], prior, restrictions)
     transition = transition_posterior(

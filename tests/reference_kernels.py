@@ -9,24 +9,32 @@ start's and the fit's sign alignment by a loop over the sign restrictions
 with the products written out (``_align``), the solves by
 ``scipy.linalg.cho_solve_banded`` and ``cho_solve``, the path states by
 ``sliding_window_view`` and the prior log-determinants of the objective by
-``np.linalg.slogdet`` at every iteration.  The loading regressions invert their Cholesky factors by
-``statespace.lower_inverse``, as the library does; ``test_statespace.py``
-checks that inverse against the LU one.  The library must
-reproduce these chains bit for bit.
+``np.linalg.slogdet`` at every iteration.  The principal-component start
+writes its lagged proxies by a loop over the lags (``init_from_pca``), and
+the smoother gathers its factor blocks through an index table built per call,
+with zeros above each block's diagonal (``kalman_smoother``), where the
+library reads both as strided views of the path layout.  The loading
+regressions and the smoother invert their triangular factors by
+``statespace.lower_inverse``, and the smoother composes its covariances by
+``statespace._compose_scan``, as the library does; ``test_statespace.py``
+checks that inverse against the LU one and the scan against a dense oracle.
+The principal components come from ``vi._leading_scores``, which
+``test_vi.py`` checks on its own.  The library must reproduce these chains
+bit for bit.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
-import pytest
 import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from dfmvi import statespace, vi
-from dfmvi.statespace import SsmParams
+from dfmvi.statespace import StateMoments
 
 
 def restrict_to_free(a, free):
@@ -81,11 +89,31 @@ def transition_posterior(gram, cross, prior):
 
 
 def init_from_pca(panel, spec, prior, seed, restrictions):
-    """``vi.init_from_pca`` on the reference regressions."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vi, "loading_posterior", loading_posterior)
-        mp.setattr(vi, "transition_posterior", transition_posterior)
-        return vi.init_from_pca(panel, spec, prior, seed=seed, restrictions=restrictions)
+    """``vi.init_from_pca`` on the reference regressions, with the lagged
+    proxies written in by a loop over the lags."""
+    rng = np.random.default_rng(seed)
+    T, n = panel.T, panel.n
+    r, p, s = spec.r, spec.p, spec.s
+    x = np.where(panel.mask, panel.values, rng.standard_normal((T, n)))
+    x = x - x.mean(axis=0)
+    scores, weak = vi._leading_scores(x, r)
+    if weak.any():
+        warnings.warn("panel has deficient rank; padding factor proxies with noise")
+        scores[:, weak] = rng.standard_normal((T, int(weak.sum())))
+    scores = scores / scores.std(axis=0, ddof=1)
+    factors = np.zeros((T + 1, s))
+    for lag in range(p + 1):
+        src = np.arange(1, T + 1) - lag
+        ok = src >= 1
+        factors[np.arange(1, T + 1)[ok], lag * r : (lag + 1) * r] = scores[src[ok] - 1]
+    outer = factors[:, :, None] * factors[:, None, :]
+    loadings, _ = loading_posterior(panel, factors[1:], outer[1:], prior, restrictions)
+    transition = transition_posterior(
+        outer[:-1].sum(axis=0),
+        (factors[1:, :r, None] * factors[:-1, None, :]).sum(axis=0),
+        prior,
+    )
+    return vi.VariationalState(loadings=loadings, transition=transition)
 
 
 def path_precision(panel, eq_prec, eq_info, trans_block, origin_prec):
@@ -235,13 +263,50 @@ def update_states(panel, loadings, transition, prior):
     band, info, y_star = path_precision(
         panel, eq_prec, eq_info, trans_block, np.linalg.inv(prior.init_state_cov)
     )
-    params = SsmParams(band=band, info=info, y_star=y_star, r=r)
     chol = statespace.band_cholesky(band, r)
     z = scipy.linalg.cho_solve_banded((chol, True), info, check_finite=False)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(statespace, "chol_inverse", chol_inverse)
-        mp.setattr(statespace, "path_states", path_states)
-        return statespace.kalman_smoother(chol, z, params)
+    return kalman_smoother(chol, z, info, r, y_star.shape[0])
+
+
+def kalman_smoother(chol, z, info, r, T):
+    """``statespace.kalman_smoother`` with its blocks gathered from an index
+    table built on every call, zeros above each block's diagonal."""
+    s = chol.shape[0] - r
+    width = r + s
+    a, b = np.arange(width)[:, None], np.arange(r)
+    col = r * np.arange(T - 1, -1, -1)[:, None, None] + b
+    a0, b0 = np.arange(s)[:, None], np.arange(s)
+    lower = np.concatenate(
+        [np.broadcast_to(a >= b, (T, width, r)).ravel(), (a0 >= b0).ravel()]
+    )
+    where = np.concatenate(
+        [(a - b + width * col).ravel(), (a0 - b0 + width * (r * T + b0)).ravel()]
+    )
+    where[~lower] = 0
+    entries = np.where(lower, chol.ravel(order="F")[where], 0.0)
+    blocks = entries[: T * width * r].reshape(T, width, r)
+    origin = entries[T * width * r :].reshape(s, s)
+
+    diag_inv = statespace.lower_inverse(blocks[:, :r])
+    diag_inv_t = diag_inv.swapaxes(-1, -2)
+    trans = np.zeros((T + 1, s, s))
+    trans[1:, :r] = -diag_inv_t @ blocks[:, r:].swapaxes(-1, -2)
+    trans[1:, r:, : s - r] = np.eye(s - r)
+    noise = np.zeros((T + 1, s, s))
+    noise[1:, :r, :r] = diag_inv_t @ diag_inv
+    noise[0] = chol_inverse(origin)
+    cov = statespace.symmetrize(statespace._compose_scan(trans, noise))
+    lag_cov = trans[1:, :r] @ cov[:-1]
+
+    mean = path_states(z, r, s).copy()
+    return StateMoments(
+        mean=mean,
+        cov=cov,
+        second_moment=cov + mean[:, :, None] * mean[:, None, :],
+        lag_one=lag_cov + mean[1:, :r, None] * mean[:-1, None, :],
+        prec_logdet=2.0 * float(np.log(chol[0]).sum()),
+        info_quad=float(info @ z),
+    )
 
 
 def compute_elbo(panel, loadings, transition, moments, prior):

@@ -343,10 +343,12 @@ def _assert_matches_dense_oracle(pan, loadings, transition, prior):
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 37, 64, 65])
-@pytest.mark.parametrize("r, p", [(1, 0), (1, 1), (2, 1), (3, 0), (3, 1)])
+@pytest.mark.parametrize(
+    "r, p", [(1, 0), (1, 1), (2, 1), (2, 2), (1, 3), (3, 0), (3, 1)]
+)
 def test_scan_matches_dense_oracle_across_split_levels(T, r, p):
     # Odd and even lengths at every level of the odd-even scan, with whole
-    # empty rows, the last one included.
+    # empty rows, the last one included; (2, 2) and (1, 3) have s > 2 r.
     rng = np.random.default_rng(1000 * T + 10 * r + p)
     spec = ModelSpec(n=3, r=r, p=p)
     empty = {T - 1} | set(np.flatnonzero(rng.random(T) < 0.2).tolist())
@@ -368,6 +370,20 @@ def test_lower_inverse_matches_the_lu_inverse():
         if r == 1:
             assert got.tobytes() == want.tobytes()
         assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+def test_chol_inverse_reads_the_lower_triangle_only():
+    # NaN above the diagonal, as the smoother's strided view of L_0 carries
+    # other entries of the factor there.
+    rng = np.random.default_rng(72)
+    for s in (1, 2, 3, 6):
+        a = rng.standard_normal((s, s + 2))
+        prec = a @ a.T + np.eye(s)
+        chol = np.linalg.cholesky(prec)
+        chol[np.triu_indices(s, 1)] = np.nan
+        got = statespace.chol_inverse(chol)
+        assert got.tobytes() == statespace.chol_inverse(np.tril(chol)).tobytes()
+        assert_allclose(got @ prec, np.eye(s), atol=1e-12)
 
 
 def _state_pass(p, T):
@@ -425,15 +441,17 @@ def _fit_and_chain(r, p, chain):
     ids=["desk", "long", "fit-and-chain", "s4-fit"],
 )
 def test_one_factor_moments_equal_the_lu_inverse_ones_bitwise(make, atol):
-    # With every triangular inverse taken by np.linalg.inv instead of
-    # substitution.  At r = 1 the smoother's blocks are 1 x 1, and at s = 1
-    # so are the loading regressions' factors: there the substitution is a
-    # reciprocal, and the state pass, the fit and the chain keep their bits.
-    # At s = 4 the fit moves by rounding only.
+    # With every triangular inverse taken by np.linalg.inv of the lower
+    # triangle, the part substitution reads (the smoother's blocks carry
+    # other entries of the factor above it), instead of substitution.  At
+    # r = 1 the smoother's blocks are 1 x 1, and at s = 1 so are the loading
+    # regressions' factors: there the substitution is a reciprocal, and the
+    # state pass, the fit and the chain keep their bits.  At s = 4 the fit
+    # moves by rounding only.
     run = make()
     got = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(statespace, "lower_inverse", np.linalg.inv)
+        mp.setattr(statespace, "lower_inverse", lambda d: np.linalg.inv(np.tril(d)))
         want = run()
     for a, b in zip(got, want, strict=True):
         if atol:
