@@ -16,11 +16,12 @@ parse.  The last panel parsed is kept, keyed by that digest and the
 standardization setting, so an in-process caller that fits and samples one
 panel parses it once; an edited file never matches.  ``fit`` also stores its
 final state moments, which ``forecast`` and ``compare`` read in place of
-parsing the panel and running the state pass.  Text artifacts are written as
-UTF-8 whatever the locale; the output directory is made at the first write.
-``compare`` and ``forecast --source gibbs`` refuse a Gibbs run without draws
-or manifest, or whose configuration hash differs from the fit's.  The
-computing modules (``vi``, ``gibbs``, ``forecast``, ``statespace``) are
+parsing the panel and running the state pass; only ``forecast
+--original-units`` reads its standardization record.  Text artifacts are
+written as UTF-8 whatever the locale; the output directory is made at the
+first write.  ``compare`` and ``forecast --source gibbs`` refuse a Gibbs run
+without draws or manifest, or whose configuration hash differs from the
+fit's.  The computing modules (``vi``, ``gibbs``, ``forecast``, ``statespace``) are
 imported by the commands that use them, so ``simulate`` loads numpy only.
 They load scipy only when they factor a path precision or build a fit's
 constants, so ``fit`` and ``gibbs`` load it and ``forecast`` and ``compare``
@@ -319,14 +320,12 @@ def _load_model(args, cfg):
     return sha, pan, record, spec, prior, restrictions
 
 
-def _load_fit_run(args, parser):
-    """The fit's state, manifest, state moments, panel column names and
-    standardization record (None for an unstandardized fit).
+def _load_fit_run(args):
+    """The fit's state, manifest, state moments and panel column names.
 
-    The command has checked that ``variational.json`` and ``manifest.json``
-    exist; a standardized fit without its ``standardization.json`` is a usage
-    error too.  Refuses a panel other than the fit's, and a moments file that
-    is missing or whose panel digest or seed differ from the manifest's.  The
+    The command has checked that ``variational.json``, ``manifest.json`` and
+    the moments file exist.  Refuses a panel other than the fit's, and a
+    moments file whose panel digest or seed differ from the manifest's.  The
     panel itself is only hashed: the moments are the ones ``fit_smf``
     returned, so no state pass runs here.
     """
@@ -344,8 +343,6 @@ def _load_fit_run(args, parser):
             f"run on (sha256 {fitted})"
         )
     path = os.path.join(args.fit, _MOMENTS_FILE)
-    if not os.path.exists(path):
-        raise DomainError(f"state moments file {path} not found; rerun dfmvi fit")
     with np.load(path) as data:
         stored = (str(data["panel_sha256"]), int(data["seed"]))
         if stored != (fitted, manifest["seed"]):
@@ -360,13 +357,17 @@ def _load_fit_run(args, parser):
             info_quad=float(data["info_quad"]),
         )
         names = data["names"].tolist()
-    record = None
-    if manifest["config"]["standardize"]:
-        path = os.path.join(args.fit, "standardization.json")
-        _require_file(parser, path, "fit standardization record")
-        with open(path, encoding="utf-8") as fh:
-            record = panel_mod.StandardizationRecord.from_json(fh.read())
-    return state, manifest, moments, names, record
+    return state, manifest, moments, names
+
+
+def _fit_inputs(args):
+    """The (path, description) of each fit file forecast and compare read."""
+    return (
+        (args.panel, "panel file"),
+        (os.path.join(args.fit, "variational.json"), "fit artifact"),
+        (os.path.join(args.fit, "manifest.json"), "fit manifest"),
+        (os.path.join(args.fit, _MOMENTS_FILE), "fit state moments"),
+    )
 
 
 def _load_gibbs_run(parser, run_dir, fit_manifest):
@@ -424,7 +425,8 @@ def cmd_simulate(args, parser) -> int:
         },
     )
     _write_manifest(
-        args, cfg, {"generated": True, **cfg}, time.perf_counter() - started
+        args, {**cfg, "ragged": args.ragged, "periodic": args.periodic},
+        {"generated": True, **cfg}, time.perf_counter() - started,
     )
     return 0
 
@@ -538,13 +540,14 @@ def cmd_forecast(args, parser) -> int:
 
     if args.source == "gibbs" and not args.gibbs:
         parser.error("--source gibbs requires --gibbs DIR")
-    cfg, started = _open_run(
-        args, parser, _KEYS["forecast"],
-        (args.panel, "panel file"),
-        (os.path.join(args.fit, "variational.json"), "fit artifact"),
-        (os.path.join(args.fit, "manifest.json"), "fit manifest"),
-    )
-    state, fit_manifest, moments, names, record = _load_fit_run(args, parser)
+    cfg, started = _open_run(args, parser, _KEYS["forecast"], *_fit_inputs(args))
+    state, fit_manifest, moments, names = _load_fit_run(args)
+    record = None
+    if args.original_units and fit_manifest["config"]["standardize"]:
+        path = os.path.join(args.fit, "standardization.json")
+        _require_file(parser, path, "fit standardization record")
+        with open(path, encoding="utf-8") as fh:
+            record = panel_mod.StandardizationRecord.from_json(fh.read())
     if args.source == "gibbs":
         source = _load_gibbs_run(parser, args.gibbs, fit_manifest)
         n_draws = source.n_draws
@@ -553,7 +556,7 @@ def cmd_forecast(args, parser) -> int:
     arr = forecast.draw_predictive(
         source, cfg["horizons"], n_draws=n_draws, seed=cfg["seed"]
     )
-    if args.original_units and record is not None:
+    if record is not None:
         arr = panel_mod.unstandardize(arr, record)
     np.savez(_out_path(args, "forecast_draws.npz"), draws=arr)
     mean, qs = forecast.draw_summary(arr, [0.025, 0.25, 0.5, 0.75, 0.975])
@@ -568,8 +571,8 @@ def cmd_forecast(args, parser) -> int:
         ),
     )
     _write_manifest(
-        args, {**cfg, "source": args.source}, fit_manifest["model"],
-        time.perf_counter() - started,
+        args, {**cfg, "source": args.source, "original_units": args.original_units},
+        fit_manifest["model"], time.perf_counter() - started,
     )
     return 0
 
@@ -577,13 +580,8 @@ def cmd_forecast(args, parser) -> int:
 def cmd_compare(args, parser) -> int:
     from . import forecast
 
-    cfg, started = _open_run(
-        args, parser, _KEYS["compare"],
-        (args.panel, "panel file"),
-        (os.path.join(args.fit, "variational.json"), "fit artifact"),
-        (os.path.join(args.fit, "manifest.json"), "fit manifest"),
-    )
-    state, fit_manifest, moments, _, _ = _load_fit_run(args, parser)
+    cfg, started = _open_run(args, parser, _KEYS["compare"], *_fit_inputs(args))
+    state, fit_manifest, moments, _ = _load_fit_run(args)
     store = _load_gibbs_run(parser, args.gibbs, fit_manifest)
     report = forecast.compare_posteriors(
         state, moments, store,

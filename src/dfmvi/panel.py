@@ -1,10 +1,10 @@
 """Possibly-incomplete multivariate time series panels.
 
-A panel is a T x n matrix of observations with an explicit boolean
-availability mask.  Missing cells hold NaN, but all downstream math is
-driven by the mask, never by sentinel comparisons.  Columns with zero
-available observations are retained: their parameters simply stay at
-their priors during estimation.
+A panel is a T x n matrix of observations in which a NaN cell is missing:
+its availability mask is derived from the values, so missingness is held
+once.  All downstream math is driven by that mask, never by sentinel
+comparisons.  Columns with zero available observations are retained: their
+parameters simply stay at their priors during estimation.
 """
 
 from __future__ import annotations
@@ -23,43 +23,30 @@ from .errors import DomainError, PanelFormatError
 
 @dataclass(frozen=True)
 class TimeSeriesPanel:
-    """Immutable T x n panel with per-cell availability.
+    """Immutable T x n panel; a NaN cell is missing.
 
     Attributes
     ----------
-    values : (T, n) float array, NaN where the mask is False.
-    mask : (T, n) bool array, True where the observation is available.
-    names : variable names, length n.
+    values : (T, n) float array, NaN where the observation is missing.
+    names : variable names, length n; ``var1`` to ``varn`` when None.
     """
 
     values: np.ndarray
-    mask: np.ndarray
-    names: tuple[str, ...]
+    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise DomainError("panel values must be a T x n matrix with T, n >= 1")
-        if mask.shape != values.shape:
-            raise DomainError("mask shape does not match values shape")
-        if len(self.names) != values.shape[1]:
+        default = (f"var{i + 1}" for i in range(values.shape[1]))
+        names = tuple(str(v) for v in (default if self.names is None else self.names))
+        if len(names) != values.shape[1]:
             raise DomainError("number of names does not match number of columns")
-        names = tuple(str(v) for v in self.names)
         repeated = [v for v, k in Counter(names).items() if k > 1]
         if repeated:
             raise DomainError(f"variable name {repeated[0]!r} appears more than once")
-        bad = np.argwhere(mask & ~np.isfinite(values))
-        if bad.size:
-            t, j = bad[0]
-            raise DomainError(
-                f"available cell at time step {t + 1}, column {str(self.names[j])!r} "
-                f"holds {values[t, j]}; available cells must be finite"
-            )
-        if np.any(~np.isnan(values[~mask])):
-            raise DomainError("missing cells must hold the NaN marker")
+        _refuse_non_finite(values, np.isinf(values), names)
         object.__setattr__(self, "values", read_only(values.copy()))
-        object.__setattr__(self, "mask", read_only(mask.copy()))
         object.__setattr__(self, "names", names)
 
     @property
@@ -72,6 +59,11 @@ class TimeSeriesPanel:
 
     # Panel-only arrays that every fit iteration and Gibbs sweep reads;
     # computed once per panel and read-only.
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """True where the observation is available: the cells not NaN."""
+        return read_only(~np.isnan(self.values))
 
     @cached_property
     def mask_float(self) -> np.ndarray:
@@ -100,32 +92,35 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def from_arrays(values: np.ndarray, names=None) -> TimeSeriesPanel:
-    """Build a panel from a float matrix, treating NaN cells as missing."""
-    values = np.asarray(values, dtype=float)
-    if names is None:
-        names = [f"var{i + 1}" for i in range(values.shape[1])]
-    return TimeSeriesPanel(values=values, mask=~np.isnan(values), names=tuple(names))
+def _refuse_non_finite(values: np.ndarray, bad: np.ndarray, names) -> None:
+    """Raise naming the first cell flagged in ``bad``, in row order."""
+    cells = np.argwhere(bad)
+    if cells.size:
+        t, j = cells[0]
+        raise DomainError(
+            f"available cell at time step {t + 1}, column {names[j]!r} "
+            f"holds {values[t, j]}; available cells must be finite"
+        )
 
 
-def load_csv(path, missing_token: str = "", data: bytes | None = None) -> TimeSeriesPanel:
+def load_csv(path, data: bytes | None = None) -> TimeSeriesPanel:
     """Read a panel from a UTF-8 CSV file with a header of variable names.
 
-    Each subsequent row is one time step.  Cells equal to ``missing_token``
-    (after stripping surrounding whitespace) are treated as missing.  A
-    leading UTF-8 byte-order mark is dropped.  ``data``, when given, is the
-    file's content already read; ``path`` then only names it in errors.
+    Each subsequent row is one time step.  An empty cell (after stripping
+    surrounding whitespace) is missing.  A leading UTF-8 byte-order mark is
+    dropped.  ``data``, when given, is the file's content already read;
+    ``path`` then only names it in errors.
 
     Raises
     ------
     PanelFormatError
         On bytes that are not UTF-8, an empty file, ragged rows (a blank
         line counts as a row of zero fields unless only blank lines follow
-        it), or cells that parse as neither a number nor the missing token
-        (the error names the row and column).
+        it), or non-empty cells that do not parse as a number (the error
+        names the row and column).
     DomainError
-        On a cell that parses to an infinite value (names the time step and
-        column) or a variable name that appears twice.
+        On a cell that parses to NaN or an infinite value (names the time
+        step and column) or a variable name that appears twice.
     """
     if data is None:
         with open(path, "rb") as fh:
@@ -147,22 +142,21 @@ def load_csv(path, missing_token: str = "", data: bytes | None = None) -> TimeSe
     if not body:
         raise PanelFormatError(f"{path}: no data rows after the header")
     if any(len(row) != n for row in body):
-        _raise_first_format_error(path, names, body, missing_token)
+        _raise_first_format_error(path, names, body)
     cells = [c.strip() for row in body for c in row]
-    present = [c != missing_token for c in cells]
-    parsed = map(float, [c if keep else "nan" for c, keep in zip(cells, present)])
     try:
-        values = np.fromiter(parsed, float, len(cells))
+        values = np.fromiter(map(float, [c or "nan" for c in cells]), float, len(cells))
     except ValueError:
-        _raise_first_format_error(path, names, body, missing_token)
-    return TimeSeriesPanel(
-        values=values.reshape(-1, n),
-        mask=np.fromiter(present, bool, len(cells)).reshape(-1, n),
-        names=names,
-    )
+        _raise_first_format_error(path, names, body)
+    values = values.reshape(-1, n)
+    # An empty cell reads as NaN, the missing marker, so a cell that reads as
+    # NaN itself is refused with the infinite ones, the first in file order.
+    filled = np.fromiter(map(bool, cells), bool, len(cells)).reshape(-1, n)
+    _refuse_non_finite(values, filled & ~np.isfinite(values), names)
+    return TimeSeriesPanel(values, names)
 
 
-def _raise_first_format_error(path, names, body, missing_token) -> None:
+def _raise_first_format_error(path, names, body) -> None:
     """Raise the error of the first ragged row or unparsable cell, in file order."""
     for r, row in enumerate(body, start=2):
         if len(row) != len(names):
@@ -171,7 +165,7 @@ def _raise_first_format_error(path, names, body, missing_token) -> None:
             )
         for name, cell in zip(names, row):
             cell = cell.strip()
-            if cell == missing_token:
+            if not cell:
                 continue
             try:
                 float(cell)
@@ -182,29 +176,23 @@ def _raise_first_format_error(path, names, body, missing_token) -> None:
                 ) from None
 
 
-def write_csv(panel: TimeSeriesPanel, path, missing_token: str = "") -> None:
+def write_csv(panel: TimeSeriesPanel, path) -> None:
     """Write a panel in the format read by :func:`load_csv`.
 
     Floats are written with ``repr`` so a write/load round trip reproduces
-    values bit-exactly.  The bytes are those of :class:`csv.writer`, built a
-    row at a time: the header and the missing token go through it (a token
-    holding a comma, quote or line break is quoted), and so does a row of one
-    missing cell, which it writes as a quoted empty field, not a blank line.
+    values bit-exactly, and a missing cell is empty.  The bytes are those of
+    :class:`csv.writer`, built a row at a time: the header goes through it,
+    and a row of one missing cell is written as it writes one, a quoted
+    empty field, not a blank line.
     """
-    missing = _csv_row([missing_token])[:-2] if missing_token or panel.n == 1 else ""
-    lines = [_csv_row(panel.names)]
+    missing = '""' if panel.n == 1 else ""
+    lines = []
     for values, present in zip(panel.values.tolist(), panel.mask.tolist()):
         cells = [repr(v) if ok else missing for v, ok in zip(values, present)]
         lines.append(",".join(cells) + "\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(panel.names)
         fh.write("".join(lines))
-
-
-def _csv_row(cells) -> str:
-    """One row as :class:`csv.writer` writes it, line terminator included."""
-    out = io.StringIO()
-    csv.writer(out).writerow(cells)
-    return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -244,7 +232,7 @@ def standardize(panel: TimeSeriesPanel) -> tuple[TimeSeriesPanel, Standardizatio
 
     The sample standard deviation uses denominator T_i - 1.  Columns with
     T_i <= 1 are passed through unchanged and flagged in the returned
-    record.  Missing cells are untouched.
+    record.  Missing cells stay NaN.
 
     Raises
     ------
@@ -268,13 +256,8 @@ def standardize(panel: TimeSeriesPanel) -> tuple[TimeSeriesPanel, Standardizatio
             )
         mean[i] = mu
         scale[i] = sd
-    out = (panel.values - mean) / scale
-    out = np.where(panel.mask, out, np.nan)
     record = StandardizationRecord(mean=mean, scale=scale, degenerate=degenerate)
-    return (
-        TimeSeriesPanel(values=out, mask=panel.mask, names=panel.names),
-        record,
-    )
+    return TimeSeriesPanel((panel.values - mean) / scale, panel.names), record
 
 
 def unstandardize(values: np.ndarray, record: StandardizationRecord) -> np.ndarray:

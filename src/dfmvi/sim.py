@@ -1,10 +1,13 @@
 """Synthetic panel generation: the generative model and its missingness.
 
 Draws a panel and its true state paths from given parameters, or from a
-stationary convenience configuration, and blanks cells by composable
-missingness patterns.  Needs numpy only.  The brute-force oracles that
-check the estimators against these panels are test code and live beside
-the tests (``tests/oracles.py``), outside the package.
+stationary convenience configuration, and blanks cells (sets them to NaN,
+the panel's missing marker) by composable missingness patterns.  The origin
+state is standard normal, and a given transition is used as it is: the
+convenience configuration draws one with spectral radius below 0.95.  Needs
+numpy only.  The brute-force oracles that check the estimators against these
+panels are test code and live beside the tests (``tests/oracles.py``),
+outside the package.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ class SimConfig:
     T: int
     missing: tuple = ()
     seed: int = 0
-    init_cov: np.ndarray = None
-    require_stationary: bool = False
 
 
 def companion(trans: np.ndarray) -> np.ndarray:
@@ -112,13 +113,10 @@ def simulate_dfm(config: SimConfig) -> tuple[TimeSeriesPanel, np.ndarray]:
         raise DomainError("parameter shapes inconsistent with the model spec")
     if np.any(noise_var <= 0):
         raise DomainError("noise variances must be positive")
-    if config.require_stationary and spectral_radius(trans) >= 1.0:
-        raise DomainError("transition is explosive but stationarity was requested")
-    init_cov = np.eye(s) if config.init_cov is None else np.asarray(config.init_cov)
 
     rng = np.random.default_rng(config.seed)
     states = np.zeros((config.T + 1, s))
-    states[0] = np.linalg.cholesky(init_cov) @ rng.standard_normal(s)
+    states[0] = rng.standard_normal(s)
     for t in range(1, config.T + 1):
         shock = rng.standard_normal(r)
         states[t, :r] = trans @ states[t - 1] + shock
@@ -127,12 +125,7 @@ def simulate_dfm(config: SimConfig) -> tuple[TimeSeriesPanel, np.ndarray]:
     eps = rng.standard_normal((config.T, n)) * np.sqrt(noise_var)
     values = states[1:] @ loadings.T + eps
     mask = _apply_missing(np.ones((config.T, n), dtype=bool), config.missing, rng)
-    panel = TimeSeriesPanel(
-        values=np.where(mask, values, np.nan),
-        mask=mask,
-        names=[f"var{i + 1}" for i in range(n)],
-    )
-    return panel, states
+    return TimeSeriesPanel(np.where(mask, values, np.nan)), states
 
 
 def stationary_sim_config(
@@ -178,5 +171,4 @@ def stationary_sim_config(
         T=T,
         missing=missing,
         seed=seed,
-        require_stationary=True,
     )

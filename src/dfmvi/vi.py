@@ -307,7 +307,9 @@ def compute_elbo(
     """Evidence lower bound for a consistent (parameters, state pass) pair.
 
     ``moments`` must come from :func:`update_states` under the same
-    ``loadings``/``transition`` passed here.  Terms group into a state part
+    ``loadings``/``transition`` passed here, and ``loadings.noise_df`` must
+    be the prior's plus the panel's counts (:func:`run_restrictions` checks a
+    start's).  Terms group into a state part
     (log|F0|, log|Q| and b' Q^-1 b from the moments, and the data quadratic
     sum_ti mask_ti y_ti^2 / tau_i), a loadings part and a transition part
     (negative Gaussian divergences from their priors, zero when variational
@@ -316,16 +318,10 @@ def compute_elbo(
     """
     s = loadings.mean.shape[1]
     r = transition.mean.shape[0]
-    # The closed form substitutes the identity noise_df = prior df + count;
-    # off-manifold inputs would silently evaluate the wrong quantity.  The
-    # terms that depend on the prior and the panel alone are constants of the
-    # fit, and each is the leading part of its expression.
+    # The closed form substitutes the identity noise_df = prior df + count.
+    # The terms that depend on the prior and the panel alone are constants of
+    # the fit, and each is the leading part of its expression.
     consts = _fit_constants(panel, prior, loadings.free)
-    if not np.array_equal(loadings.noise_df, consts.noise_df):
-        raise DomainError(
-            "loadings noise_df must equal prior noise_df plus the per-variable "
-            "observation counts"
-        )
 
     data_quad = float(panel.sums_of_squares @ loadings.noise_prec)
     f_terms = (
@@ -559,8 +555,10 @@ def run_restrictions(
     DomainError, naming the input and both sizes, if the panel, the prior, the
     restrictions' mask or any array of the start ``init`` do not fit ``spec``;
     DomainError too if the panel is too short for the loading lags, the sign
-    fold would not be exact (:func:`check_sign_fold`) or ``init`` has another
-    free mask.  Warns if there are fewer series than factors.
+    fold would not be exact (:func:`check_sign_fold`), or ``init`` has another
+    free mask or a ``noise_df`` other than the prior's plus the panel's
+    counts, as the objective assumes.  Warns if there are fewer series than
+    factors.
     """
     if restrictions is None:
         restrictions = identification_restrictions(spec, [])
@@ -595,6 +593,13 @@ def run_restrictions(
             "init loadings' free mask differs from the restrictions' in rows "
             f"{rows.tolist()}: init {init.loadings.free[rows].tolist()}, "
             f"restrictions {restrictions.free[rows].tolist()}"
+        )
+    if init is not None and not np.array_equal(
+        init.loadings.noise_df, prior.noise_df + panel.counts
+    ):
+        raise DomainError(
+            "init loadings' noise_df must equal the prior's noise_df plus the "
+            "panel's per-variable observation counts"
         )
     if panel.n < r:
         warnings.warn("fewer series than factors; the model is weakly identified")

@@ -3,7 +3,7 @@ import pytest
 
 from dfmvi import vi
 from dfmvi.model import ModelSpec, default_prior
-from dfmvi.panel import TimeSeriesPanel, from_arrays
+from dfmvi.panel import TimeSeriesPanel
 from dfmvi.sim import simulate_dfm, stationary_sim_config
 from dfmvi.statespace import StateMoments
 
@@ -33,11 +33,7 @@ def random_masked_panel(spec: ModelSpec, T: int, seed: int, missing_prob=0.35):
     if not mask[-1].any():
         mask[-1, int(rng.integers(spec.n))] = True
     return (
-        TimeSeriesPanel(
-            values=np.where(mask, pan.zero_filled, np.nan),
-            mask=mask,
-            names=pan.names,
-        ),
+        TimeSeriesPanel(np.where(mask, pan.zero_filled, np.nan), pan.names),
         cfg,
         states,
     )
@@ -70,7 +66,7 @@ def empty_edge_panel(spec: ModelSpec, T: int, seed: int) -> TimeSeriesPanel:
     values = pan.values.copy()
     values[-1] = np.nan
     values[:, -1] = np.nan
-    return from_arrays(values)
+    return TimeSeriesPanel(values)
 
 
 def assert_same_bits(actual, desired) -> None:

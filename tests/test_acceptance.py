@@ -16,7 +16,7 @@ from scipy import stats
 
 from dfmvi import cli, gibbs, vi
 from dfmvi.model import ModelSpec, PriorSpec, default_prior
-from dfmvi.panel import from_arrays, load_csv, standardize
+from dfmvi.panel import TimeSeriesPanel, load_csv, standardize
 from dfmvi.sim import RaggedEdge, RandomMissing, simulate_dfm, stationary_sim_config
 from tests import oracles
 from tests.conftest import point_mass_moments, random_masked_panel
@@ -259,7 +259,7 @@ def test_criterion_08_prior_reduction_for_unobserved_variable():
     pan_full, _ = simulate_dfm(cfg)
     values = pan_full.values.copy()
     values[:, 3] = np.nan
-    pan = from_arrays(values, names=pan_full.names)
+    pan = TimeSeriesPanel(values, names=pan_full.names)
     pan, _ = standardize(pan)
     prior = default_prior(spec, nu=2.0, tau2=0.5)
     state, _, report = vi.fit_smf(pan, spec, prior, tolerance=1e-7, max_iters=400)
@@ -287,7 +287,7 @@ def test_criterion_09_limit_equivalences():
     noise = np.array([0.4, 0.8])
     y = factors[1:] @ lam_true.T + rng.standard_normal((T, 2)) * np.sqrt(noise)
     mask = rng.random((T, 2)) > 0.2
-    pan = from_arrays(np.where(mask, y, np.nan))
+    pan = TimeSeriesPanel(np.where(mask, y, np.nan))
     flat = PriorSpec(
         loading_prec=1e-12 * np.eye(s),
         trans_prec=1e-12 * np.eye(s),
@@ -362,7 +362,7 @@ def test_criterion_10_gibbs_correctness():
             f[t] = phi[0, 0] * f[t - 1] + rep_rng.standard_normal()
         y = f[1:, None] * lam[:, 0][None, :]
         y = y + rep_rng.standard_normal((T, 3)) * np.sqrt(sig2)
-        pan_k = from_arrays(np.where(mask, y, np.nan))
+        pan_k = TimeSeriesPanel(np.where(mask, y, np.nan))
         cl, cs, cp = lam.copy(), sig2.copy(), phi.copy()
         chain_rng = np.random.default_rng(50_000 + k)
         kept = {"loading": [], "noise": [], "transition": []}

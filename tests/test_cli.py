@@ -102,6 +102,9 @@ def test_simulate_artifacts(sim_dir):
     assert len(truth["loadings"]) == 6
     manifest = json.loads((sim_dir / "manifest.json").read_text())
     assert manifest["seed"] == 7
+    # The missingness flags are echoed, though they are no settings.
+    assert manifest["config"]["ragged"] == "0:35,1:38"
+    assert manifest["config"]["periodic"] is None
     # ragged edge applied
     from dfmvi.panel import load_csv
 
@@ -223,12 +226,14 @@ def test_fit_rerun_byte_identical(sim_dir, fit_dir, tmp_path):
             "compare", "fit/manifest.json", "fit manifest", id="compare-fit-manifest"
         ),
         pytest.param(
-            "forecast", "fit/standardization.json", "fit standardization record",
-            id="forecast-fit-standardization",
+            "forecast", "fit/moments.npz", "fit state moments", id="forecast-fit-moments"
         ),
         pytest.param(
-            "compare", "fit/standardization.json", "fit standardization record",
-            id="compare-fit-standardization",
+            "compare", "fit/moments.npz", "fit state moments", id="compare-fit-moments"
+        ),
+        pytest.param(
+            "forecast", "fit/standardization.json", "fit standardization record",
+            id="forecast-fit-standardization",
         ),
     ],
 )
@@ -236,9 +241,10 @@ def test_missing_panel_exits_with_usage(
     sim_dir, fit_dir, gibbs_dir, tmp_path, capsys, command, missing, named
 ):
     # A missing panel, a Gibbs run directory without its draws or its
-    # manifest, or a fit directory without its state, its manifest or (the
-    # fit is standardized) its standardization record: a usage error before
-    # the output directory is made.
+    # manifest, or a fit directory without its state, its manifest, its state
+    # moments or (a forecast in original units of a standardized fit) its
+    # standardization record: a usage error before the output directory is
+    # made.
     if command == "fit":
         argv = ["fit", "--panel", str(tmp_path / missing)]
     else:
@@ -248,7 +254,7 @@ def test_missing_panel_exits_with_usage(
         argv = [
             command, "--panel", str(sim_dir / "panel.csv"), "--fit", str(tmp_path / "fit"),
             "--gibbs", str(tmp_path / "gibbs"),
-        ] + (["--source", "gibbs"] if command == "forecast" else [])
+        ] + (["--source", "gibbs", "--original-units"] if command == "forecast" else [])
     argv += ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
         _run(argv)
@@ -377,6 +383,8 @@ def test_forecast_command(sim_dir, fit_dir, tmp_path):
     assert len(rows) == 1 + 3 * 6
     draws = np.load(out / "forecast_draws.npz")["draws"]
     assert draws.shape == (1500, 3, 6)
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["source"] == "smf" and config["original_units"] is True
 
 
 def test_fit_and_forecast_with_all_missing_last_rows(sim_dir, tmp_path):
@@ -703,7 +711,7 @@ def test_stored_moments_equal_the_fits_bitwise(
     signs = np.sign(np.asarray(truth["loadings"])[:, 0])
     signs[0] = sign
     panel = tmp_path / "panel.csv"
-    panel_mod.write_csv(panel_mod.from_arrays(signs * pan.values, pan.names), panel)
+    panel_mod.write_csv(panel_mod.TimeSeriesPanel(signs * pan.values, pan.names), panel)
     returned, flipped = [], []
     fit_smf, flip = vi.fit_smf, vi.flip
     monkeypatch.setattr(
@@ -717,8 +725,8 @@ def test_stored_moments_equal_the_fits_bitwise(
         ["fit", "--panel", str(panel), "--out", str(fit), "--seed", "3", "--identify", "0:0"]
     ) == 0
     assert set(flipped) == ({(-1.0,)} if flips else set())
-    state, manifest, moments, names, _ = cli._load_fit_run(
-        argparse.Namespace(panel=str(panel), fit=str(fit)), cli.build_parser()
+    state, manifest, moments, names = cli._load_fit_run(
+        argparse.Namespace(panel=str(panel), fit=str(fit))
     )
     assert names == list(pan.names)
     # The state pass that forecast and compare ran on the stored state
@@ -734,20 +742,19 @@ def test_stored_moments_equal_the_fits_bitwise(
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
-@pytest.mark.parametrize("damage", ["missing", "panel_sha256", "seed"])
+@pytest.mark.parametrize("damage", ["panel_sha256", "seed"])
 def test_forecast_and_compare_refuse_missing_or_foreign_moments(
     sim_dir, fit_dir, gibbs_dir, tmp_path, capsys, damage
 ):
+    # Moments of another fit; a missing moments file is a usage error
+    # (test_missing_panel_exits_with_usage).
     fit = tmp_path / "fit"
     shutil.copytree(fit_dir, fit)
     path = fit / "moments.npz"
-    if damage == "missing":
-        path.unlink()
-    else:
-        with np.load(path) as data:
-            stored = dict(data)
-        stored[damage] = np.array("0" * 64 if damage == "panel_sha256" else 4)
-        np.savez(path, **stored)
+    with np.load(path) as data:
+        stored = dict(data)
+    stored[damage] = np.array("0" * 64 if damage == "panel_sha256" else 4)
+    np.savez(path, **stored)
     for command in ("forecast", "compare"):
         argv = [
             command, "--panel", str(sim_dir / "panel.csv"), "--fit", str(fit),
@@ -908,7 +915,7 @@ def test_text_artifacts_are_utf8_under_the_c_locale(tmp_path):
     # Under the C locale without UTF-8 mode, a file opened without an
     # encoding is ASCII and cannot hold the name.
     rng = np.random.default_rng(0)
-    pan = panel_mod.from_arrays(rng.standard_normal((40, 3)), ["\u00d6lpreis", "b", "c"])
+    pan = panel_mod.TimeSeriesPanel(rng.standard_normal((40, 3)), ["\u00d6lpreis", "b", "c"])
     panel_mod.write_csv(pan, tmp_path / "panel.csv")
     env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
     panel = ["--panel", str(tmp_path / "panel.csv")]
@@ -927,7 +934,7 @@ def test_a_non_ascii_anchor_name_resolves_under_the_c_locale(tmp_path):
     # The C locale cannot decode the name's UTF-8 bytes in argv, so Python
     # hands them over as lone surrogates; the anchor must still find column 1.
     rng = np.random.default_rng(0)
-    pan = panel_mod.from_arrays(rng.standard_normal((40, 3)), ["b", "Ölpreis", "c"])
+    pan = panel_mod.TimeSeriesPanel(rng.standard_normal((40, 3)), ["b", "Ölpreis", "c"])
     panel_mod.write_csv(pan, tmp_path / "panel.csv")
     env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
     proc = _fresh(

@@ -291,9 +291,9 @@ def test_insample_posterior_mean_tracks_data_when_noise_small():
         f[t] = 0.8 * f[t - 1] + rng.standard_normal()
     lam = np.array([1.0, -0.8, 0.6, 1.2])
     y = f[1:, None] * lam[None, :] + 0.02 * rng.standard_normal((T, 4))
-    from dfmvi.panel import from_arrays, standardize
+    from dfmvi.panel import TimeSeriesPanel, standardize
 
-    pan, _ = standardize(from_arrays(y))
+    pan, _ = standardize(TimeSeriesPanel(y))
     state, moments, _ = vi.fit_smf(pan, spec, prior, tolerance=1e-7, max_iters=400)
     pred = moments.mean[1:] @ state.loadings.mean.T
     corr = np.corrcoef(pred.ravel(), pan.values.ravel())[0, 1]
@@ -326,9 +326,7 @@ def lagged_fit():
     mask = pan.mask.copy()
     mask[:, 4] = False
     mask[-1, 0] = True
-    pan = type(pan)(
-        values=np.where(mask, pan.values, np.nan), mask=mask, names=pan.names
-    )
+    pan = type(pan)(np.where(mask, pan.values, np.nan), pan.names)
     state, moments, _ = vi.fit_smf(pan, spec, prior, tolerance=1e-6, max_iters=80)
     store = gibbs.run_gibbs(
         pan, spec, prior, gibbs.GibbsConfig(n_draws=80, burn_in_fraction=0.25, seed=4)

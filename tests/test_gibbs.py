@@ -14,7 +14,7 @@ from dfmvi.model import (
     default_prior,
     identification_restrictions,
 )
-from dfmvi.panel import from_arrays
+from dfmvi.panel import TimeSeriesPanel
 from tests import reference_kernels
 from tests.conftest import assert_same_bits, empty_edge_panel, random_masked_panel
 from tests.oracles import dense_fixed_moments, state_noise_cov
@@ -35,7 +35,7 @@ def test_state_draws_without_data_follow_prior_process():
     for p, phi in ((0, np.array([[0.6]])), (1, np.array([[0.6, 0.2]]))):
         spec = ModelSpec(n=2, r=1, p=p)
         prior = default_prior(spec)
-        pan = from_arrays(np.full((4, 2), np.nan))
+        pan = TimeSeriesPanel(np.full((4, 2), np.nan))
         rng = np.random.default_rng(0)
         draws = np.stack(
             [
@@ -88,7 +88,7 @@ def test_ffbs_single_step_matches_analytic_conditional():
     y = 0.9
     spec = ModelSpec(n=1, r=1, p=0)
     prior = default_prior(spec)
-    pan = from_arrays(np.array([[y]]))
+    pan = TimeSeriesPanel(np.array([[y]]))
     rng = np.random.default_rng(5)
     draws = np.stack(
         [
@@ -115,7 +115,7 @@ def test_parameter_draws_flat_prior_fixed_factors_center_on_ols():
     T = 200
     states = rng_data.standard_normal((T + 1, 1))
     y = 0.7 * states[1:, 0] + 0.3 * rng_data.standard_normal(T)
-    pan = from_arrays(y[:, None])
+    pan = TimeSeriesPanel(y[:, None])
     prior = PriorSpec(
         loading_prec=1e-10 * np.eye(1),
         trans_prec=np.eye(1),
@@ -164,7 +164,7 @@ def test_no_regressor_noise_draws_match_conjugate_posterior():
     rng_data = np.random.default_rng(9)
     T = 25
     y = rng_data.standard_normal(T)
-    pan = from_arrays(y[:, None])
+    pan = TimeSeriesPanel(y[:, None])
     states = np.zeros((T + 1, 1))
     restr = gibbs.Restrictions(free=np.zeros((1, 1), dtype=bool), positive=())
     rng = np.random.default_rng(10)
@@ -240,7 +240,7 @@ def test_run_gibbs_conjugate_submodel_matches_analytic_posterior():
     rng_data = np.random.default_rng(15)
     T = 30
     y = rng_data.standard_normal((T, 2))
-    pan = from_arrays(y)
+    pan = TimeSeriesPanel(y)
     restr = gibbs.Restrictions(free=np.zeros((2, 1), dtype=bool), positive=())
     import dfmvi.vi as vi_mod
 
@@ -277,7 +277,7 @@ def test_explosive_transition_draws_are_retained():
     spec = ModelSpec(n=2, r=1, p=0)
     rng_data = np.random.default_rng(13)
     values = np.cumsum(rng_data.standard_normal((6, 2)), axis=0)  # wandering data
-    pan = from_arrays(values)
+    pan = TimeSeriesPanel(values)
     prior = PriorSpec(
         loading_prec=np.eye(1),
         trans_prec=np.array([[1e-4]]),
@@ -318,7 +318,7 @@ def test_state_draw_matches_dense_oracle_with_empty_rows(r, p):
     pan, cfg, _ = random_masked_panel(spec, T=12, seed=50 + 10 * r + p, missing_prob=0.2)
     values = pan.values.copy()
     values[[3, -1]] = np.nan  # time step 4 and the last one hold no data
-    pan = from_arrays(values)
+    pan = TimeSeriesPanel(values)
     prior = default_prior(spec)
     oracle = dense_fixed_moments(
         pan, cfg.loadings, cfg.noise_var, cfg.trans, prior.init_state_cov
@@ -371,7 +371,7 @@ def test_state_draw_names_step_of_indefinite_precision():
     values[np.arange(8) != 4, 0] = np.nan
     with pytest.raises(NumericalError, match=r"at time step 5\b"):
         gibbs.sample_states_ffbs(
-            from_arrays(values), np.ones((2, 1)), np.array([-0.01, 1.0]),
+            TimeSeriesPanel(values), np.ones((2, 1)), np.array([-0.01, 1.0]),
             np.array([[0.5]]), default_prior(spec), np.random.default_rng(35),
         )
 
@@ -481,7 +481,7 @@ def test_anchored_chain_is_calibrated():
         if lam[0, 0] < 0:
             lam, f = -lam, -f
         y = f[1:] * lam[:, 0] + rep_rng.standard_normal((T, 3)) * np.sqrt(sig2)
-        pan = from_arrays(y)
+        pan = TimeSeriesPanel(y)
         cl, cs, cp = lam.copy(), sig2.copy(), phi.copy()
         chain_rng = np.random.default_rng(60_000 + k)
         kept = []

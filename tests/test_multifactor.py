@@ -190,9 +190,7 @@ def test_all_missing_final_row_matches_dense_oracle():
     pan, _ = simulate_dfm(cfg)
     values = pan.values.copy()
     values[-1, :] = np.nan
-    ragged = TimeSeriesPanel(
-        values=values, mask=~np.isnan(values), names=pan.names
-    )
+    ragged = TimeSeriesPanel(values, pan.names)
     prior = default_prior(spec)
     state = vi.init_from_pca(ragged, spec, prior, seed=0)
     moments = vi.update_states(ragged, state.loadings, state.transition, prior)

@@ -12,7 +12,6 @@ from dfmvi.errors import DomainError, PanelFormatError
 from dfmvi.panel import (
     StandardizationRecord,
     TimeSeriesPanel,
-    from_arrays,
     load_csv,
     standardize,
     unstandardize,
@@ -67,13 +66,6 @@ def test_load_csv_blank_line_between_rows_names_row(tmp_path):
         load_csv(path)
 
 
-def test_load_csv_custom_missing_token(tmp_path):
-    path = tmp_path / "p.csv"
-    path.write_text("a\nNA\n1.5\n")
-    pan = load_csv(path, missing_token="NA")
-    assert not pan.mask[0, 0] and pan.mask[1, 0]
-
-
 def test_load_csv_drops_a_byte_order_mark(tmp_path):
     # Excel's "CSV UTF-8" starts the file with a BOM; it is not part of the
     # first name.
@@ -106,7 +98,7 @@ def test_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     values = rng.standard_normal((7, 3)) * np.pi
     values[rng.random((7, 3)) < 0.3] = np.nan
-    pan = from_arrays(values, names=["x", "y", "z"])
+    pan = TimeSeriesPanel(values, names=["x", "y", "z"])
     path = tmp_path / "rt.csv"
     write_csv(pan, path)
     back = load_csv(path)
@@ -115,7 +107,7 @@ def test_round_trip_bit_exact(tmp_path):
     assert_array_equal(back.values[back.mask], pan.values[pan.mask])
 
 
-def _csv_writer_bytes(panel, missing_token):
+def _csv_writer_bytes(panel):
     """The panel as csv.writer writes it, one cell at a time."""
     out = io.StringIO(newline="")
     writer = csv.writer(out)
@@ -123,7 +115,7 @@ def _csv_writer_bytes(panel, missing_token):
     for t in range(panel.T):
         writer.writerow(
             [
-                repr(float(panel.values[t, j])) if panel.mask[t, j] else missing_token
+                repr(float(panel.values[t, j])) if panel.mask[t, j] else ""
                 for j in range(panel.n)
             ]
         )
@@ -133,68 +125,66 @@ def _csv_writer_bytes(panel, missing_token):
 def _ragged_panel():
     values = np.random.default_rng(4).standard_normal((6, 3)) * 1e-3
     values[4:, 0] = values[5:, 2] = values[1, 1] = np.nan
-    return from_arrays(values, names=["a,b", 'say "hi"', "c"])
+    return TimeSeriesPanel(values, names=["a,b", 'say "hi"', "c"])
 
 
 def _all_missing_row_panel():
     values = np.random.default_rng(5).standard_normal((4, 2))
     values[2] = np.nan
-    return from_arrays(values)
+    return TimeSeriesPanel(values)
 
 
 @pytest.mark.parametrize(
-    "make, token",
+    "make",
     [
-        (_ragged_panel, ""),
-        (_ragged_panel, "NA"),
-        (_ragged_panel, "n,a"),
-        (lambda: from_arrays(np.array([[1.5], [np.nan], [-2.0], [np.nan]])), ""),
-        (lambda: from_arrays(np.array([[1.5], [np.nan]]), names=['x "1"']), "NA"),
-        (_all_missing_row_panel, ""),
-        (_all_missing_row_panel, "."),
+        _ragged_panel,
+        lambda: TimeSeriesPanel(np.array([[1.5], [np.nan], [-2.0], [np.nan]])),
+        _all_missing_row_panel,
     ],
-    ids=["ragged", "ragged-token", "ragged-quoted-token", "one-column",
-         "one-column-token", "missing-row", "missing-row-token"],
+    ids=["ragged", "one-column", "missing-row"],
 )
-def test_write_csv_matches_csv_writer_bytes_and_round_trips(tmp_path, make, token):
+def test_write_csv_matches_csv_writer_bytes_and_round_trips(tmp_path, make):
     pan = make()
     path = tmp_path / "panel.csv"
-    write_csv(pan, path, missing_token=token)
-    assert path.read_bytes() == _csv_writer_bytes(pan, token)
-    back = load_csv(path, missing_token=token)
+    write_csv(pan, path)
+    assert path.read_bytes() == _csv_writer_bytes(pan)
+    back = load_csv(path)
     assert back.names == pan.names
     assert_array_equal(back.mask, pan.mask)
     assert_array_equal(back.values[back.mask], pan.values[pan.mask])
 
 
 def test_panel_invariants_enforced():
-    with pytest.raises(DomainError):
-        TimeSeriesPanel(
-            values=np.array([[1.0, np.nan]]),
-            mask=np.array([[True, True]]),
-            names=("a", "b"),
-        )
-    with pytest.raises(DomainError):
-        TimeSeriesPanel(
-            values=np.array([[1.0, 2.0]]),
-            mask=np.array([[True, False]]),
-            names=("a", "b"),
-        )
+    with pytest.raises(DomainError, match="T x n matrix"):
+        TimeSeriesPanel(np.array([1.0, 2.0]))
+    with pytest.raises(DomainError, match="number of names"):
+        TimeSeriesPanel(np.array([[1.0, 2.0]]), names=("a",))
+
+
+def test_panel_mask_is_its_values_not_nan_and_names_default():
+    # Missingness is held once, as NaN cells: there is no mask to pass.
+    values = np.array([[1.0, np.nan, -0.0], [np.nan, np.nan, 2.5]])
+    pan = TimeSeriesPanel(values)
+    assert_array_equal(pan.mask, [[True, False, True], [False, False, True]])
+    assert pan.names == ("var1", "var2", "var3")
+    with pytest.raises(TypeError):
+        TimeSeriesPanel(values, mask=~np.isnan(values))
 
 
 def test_panel_immutable():
-    pan = from_arrays(np.array([[1.0, 2.0]]))
+    pan = TimeSeriesPanel(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         pan.values[0, 0] = 9.0
 
 
 def test_panel_derived_arrays_are_computed_once_and_read_only():
-    pan = from_arrays(np.array([[1.0, np.nan], [-2.0, 3.0], [np.nan, np.nan]]))
+    pan = TimeSeriesPanel(np.array([[1.0, np.nan], [-2.0, 3.0], [np.nan, np.nan]]))
+    assert_array_equal(pan.mask, [[True, False], [True, True], [False, False]])
     assert_array_equal(pan.mask_float, [[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     assert_array_equal(pan.zero_filled, [[1.0, 0.0], [-2.0, 3.0], [0.0, 0.0]])
     assert_array_equal(pan.counts, [2.0, 1.0])
     assert_array_equal(pan.sums_of_squares, [5.0, 9.0])
-    for name in ("mask_float", "zero_filled", "counts", "sums_of_squares"):
+    for name in ("mask", "mask_float", "zero_filled", "counts", "sums_of_squares"):
         arr = getattr(pan, name)
         assert getattr(pan, name) is arr
         with pytest.raises(ValueError):
@@ -202,7 +192,7 @@ def test_panel_derived_arrays_are_computed_once_and_read_only():
 
 
 def test_standardize_three_point_column():
-    pan = from_arrays(np.array([[1.0], [2.0], [3.0]]))
+    pan = TimeSeriesPanel(np.array([[1.0], [2.0], [3.0]]))
     out, rec = standardize(pan)
     assert_allclose(out.values[:, 0], [-1.0, 0.0, 1.0])
     assert_allclose(rec.mean, [2.0])
@@ -211,14 +201,14 @@ def test_standardize_three_point_column():
 
 def test_standardize_idempotent():
     rng = np.random.default_rng(0)
-    pan = from_arrays(rng.standard_normal((40, 2)))
+    pan = TimeSeriesPanel(rng.standard_normal((40, 2)))
     once, _ = standardize(pan)
     twice, _ = standardize(once)
     assert_allclose(twice.values, once.values, atol=1e-12)
 
 
 def test_standardize_with_missing_middle_cell():
-    pan = from_arrays(np.array([[4.0], [np.nan], [6.0]]))
+    pan = TimeSeriesPanel(np.array([[4.0], [np.nan], [6.0]]))
     out, _ = standardize(pan)
     expected = 1.0 / math.sqrt(2.0)  # mean 5, sample stdev sqrt(2)
     assert_allclose(out.values[0, 0], -expected)
@@ -227,13 +217,13 @@ def test_standardize_with_missing_middle_cell():
 
 
 def test_standardize_zero_variance_names_column():
-    pan = from_arrays(np.array([[2.0, 1.0], [2.0, 4.0]]), names=["flat", "ok"])
+    pan = TimeSeriesPanel(np.array([[2.0, 1.0], [2.0, 4.0]]), names=["flat", "ok"])
     with pytest.raises(DomainError, match="flat"):
         standardize(pan)
 
 
 def test_standardize_degenerate_column_passthrough():
-    pan = from_arrays(np.array([[4.0, 1.0], [np.nan, 2.0], [np.nan, 3.0]]))
+    pan = TimeSeriesPanel(np.array([[4.0, 1.0], [np.nan, 2.0], [np.nan, 3.0]]))
     out, rec = standardize(pan)
     assert rec.degenerate[0] and not rec.degenerate[1]
     assert_allclose(out.values[0, 0], 4.0)
@@ -267,7 +257,7 @@ def test_standardize_unstandardize_identity(seed):
     # guarantee enough spread per column so standardization is defined
     for i in range(n):
         mask[:3, i] = True
-    pan = from_arrays(np.where(mask, values, np.nan))
+    pan = TimeSeriesPanel(np.where(mask, values, np.nan))
     out, rec = standardize(pan)
     restored = unstandardize(out.values, rec)
     assert_allclose(restored[mask], pan.values[mask], atol=1e-10, rtol=1e-10)
@@ -281,13 +271,14 @@ def test_availability_counts_match_mask_sums(seed):
     n = int(rng.integers(1, 6))
     mask = rng.random((T, n)) > 0.5
     values = np.where(mask, rng.standard_normal((T, n)), np.nan)
-    pan = from_arrays(values)
+    pan = TimeSeriesPanel(values)
     assert_array_equal(pan.counts, mask.sum(axis=0))
     assert_array_equal(pan.mask, mask)
 
 
-@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "nan", "NaN", "-nan"])
 def test_load_csv_rejects_non_finite_cell_naming_row_and_column(tmp_path, cell):
+    # A cell that reads as NaN would otherwise pass for a missing one.
     path = tmp_path / "p.csv"
     path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n")
     with pytest.raises(DomainError, match=r"time step 2, column 'b'"):
@@ -297,7 +288,7 @@ def test_load_csv_rejects_non_finite_cell_naming_row_and_column(tmp_path, cell):
 def test_from_arrays_rejects_infinite_cell():
     values = np.array([[1.0, np.nan], [np.inf, 2.0]])
     with pytest.raises(DomainError, match=r"time step 2, column 'x'.*finite"):
-        from_arrays(values, names=["x", "y"])
+        TimeSeriesPanel(values, names=["x", "y"])
 
 
 def test_load_csv_rejects_duplicate_variable_name(tmp_path):
@@ -309,4 +300,4 @@ def test_load_csv_rejects_duplicate_variable_name(tmp_path):
 
 def test_from_arrays_rejects_duplicate_variable_name():
     with pytest.raises(DomainError, match=r"'y' appears more than once"):
-        from_arrays(np.ones((2, 3)), names=["y", "x", "y"])
+        TimeSeriesPanel(np.ones((2, 3)), names=["y", "x", "y"])

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from dfmvi import vi
 from dfmvi.errors import DomainError
 from dfmvi.model import ModelSpec, default_prior
-from dfmvi.panel import from_arrays
+from dfmvi.panel import TimeSeriesPanel
 from dfmvi.sim import (
     PeriodicMissing,
     RaggedEdge,
@@ -78,7 +78,6 @@ def test_sample_autocovariance_matches_model_implied():
         trans=np.array([[phi]]),
         T=50_000,
         seed=9,
-        init_cov=np.array([[1.0 / (1.0 - phi**2)]]),
     )
     pan, _ = simulate_dfm(config)
     y = pan.values[:, 0]
@@ -92,24 +91,9 @@ def test_sample_autocovariance_matches_model_implied():
     assert_allclose(acov2, lam**2 * phi**2 * gamma_f, rtol=0.08)
 
 
-def test_explosive_transition_rejected_when_stationarity_requested():
-    spec = ModelSpec(n=1, r=1, p=0)
-    config = SimConfig(
-        spec=spec,
-        loadings=np.ones((1, 1)),
-        noise_var=np.ones(1),
-        trans=np.array([[1.2]]),
-        T=5,
-        require_stationary=True,
-    )
-    assert spectral_radius(config.trans) > 1.0
-    with pytest.raises(DomainError, match="explosive"):
-        simulate_dfm(config)
-
-
 def test_dense_oracle_no_data_returns_prior_process():
     values = np.full((3, 2), np.nan)
-    pan = from_arrays(values)
+    pan = TimeSeriesPanel(values)
     lam = np.array([[1.0, 0.0], [0.0, 1.0]])
     trans = np.array([[0.6, 0.1]])
     out = dense_fixed_moments(pan, lam, np.ones(2), trans, np.eye(2))
@@ -127,7 +111,7 @@ def test_dense_oracle_single_observation_rank_one_update():
     # textbook rank-one formula mean = Cov(F, z) z / Var(z).
     phi, lam, noise = 0.5, 2.0, 0.3
     values = np.array([[np.nan], [1.7]])
-    pan = from_arrays(values)
+    pan = TimeSeriesPanel(values)
     out = dense_fixed_moments(
         pan, np.array([[lam]]), np.array([noise]), np.array([[phi]]), np.eye(1)
     )
@@ -229,3 +213,17 @@ def test_random_missing_rate_outside_unit_interval_rejected(rate):
 def test_more_factors_than_series_rejected():
     with pytest.raises(DomainError, match="r <= n"):
         stationary_sim_config(ModelSpec(n=2, r=3, p=0), T=10)
+
+
+@pytest.mark.parametrize("r, p", [(1, 0), (2, 1), (3, 2)])
+def test_stationary_config_draws_a_stationary_transition(r, p):
+    for seed in range(20):
+        cfg = stationary_sim_config(ModelSpec(n=4, r=r, p=p), T=5, seed=seed)
+        assert spectral_radius(cfg.trans) < 0.95
+
+
+def test_origin_state_is_the_first_standard_normal_draw():
+    cfg = stationary_sim_config(ModelSpec(n=3, r=2, p=1), T=5, seed=6)
+    _, states = simulate_dfm(cfg)
+    want = np.random.default_rng(6).standard_normal(4)
+    assert states[0].tobytes() == want.tobytes()

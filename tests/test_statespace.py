@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from dfmvi import gibbs, statespace, vi
 from dfmvi.errors import NumericalError
 from dfmvi.model import ModelSpec, default_prior, identification_restrictions
-from dfmvi.panel import TimeSeriesPanel, from_arrays
+from dfmvi.panel import TimeSeriesPanel
 from tests import oracles
 from tests.conftest import assert_same_bits, empty_edge_panel, random_masked_panel
 from tests.conftest import random_variational
@@ -25,7 +25,7 @@ def _system(values, lam, noise_var, trans, trans_cov=None, loading_cov=None,
     trans = np.asarray(trans, dtype=float)
     n, s = lam.shape
     return statespace.build_collapsed_system(
-        from_arrays(np.asarray(values, dtype=float)),
+        TimeSeriesPanel(np.asarray(values, dtype=float)),
         lam,
         np.zeros((n, s, s)) if loading_cov is None else np.asarray(loading_cov),
         1.0 / np.asarray(noise_var, dtype=float),
@@ -143,7 +143,7 @@ def test_collapse_singular_precision_raises():
     # No data, a zero transition and a zero origin precision leave the
     # origin coordinate without precision.
     band, _, _ = statespace.path_precision(
-        from_arrays(np.array([[np.nan]])),
+        TimeSeriesPanel(np.array([[np.nan]])),
         np.ones((1, 1, 1)),
         np.ones((1, 1)),
         np.array([[1.0, 0.0], [0.0, 0.0]]),
@@ -189,7 +189,7 @@ def test_filter_names_first_non_positive_definite_innovation_step():
     values = np.ones((T, 2))
     values[[0, 1, 3, 4], 1] = np.nan
     band, _, _ = statespace.path_precision(
-        from_arrays(values),
+        TimeSeriesPanel(values),
         np.stack([0.5 * np.eye(s), -10.0 * np.eye(s)]),
         np.ones((2, s)),
         np.array([[1.0, -0.5, -0.2], [-0.5, 0.25, 0.1], [-0.2, 0.1, 0.04]]),
@@ -330,7 +330,7 @@ def _masked_panel(rng, T, n, empty_rows=(), empty_cols=()):
     mask[list(empty_rows)] = False
     mask[:, list(empty_cols)] = False
     values = np.where(mask, rng.standard_normal((T, n)), np.nan)
-    return TimeSeriesPanel(values=values, mask=mask, names=[f"v{i}" for i in range(n)])
+    return TimeSeriesPanel(values, [f"v{i}" for i in range(n)])
 
 
 def _assert_matches_dense_oracle(pan, loadings, transition, prior):

@@ -15,7 +15,7 @@ from dfmvi.model import (
     default_prior,
     identification_restrictions,
 )
-from dfmvi.panel import from_arrays, standardize
+from dfmvi.panel import TimeSeriesPanel, standardize
 from dfmvi.sim import simulate_dfm, stationary_sim_config
 from tests import reference_kernels
 from tests.conftest import assert_same_bits, empty_edge_panel
@@ -29,7 +29,7 @@ def test_update_loadings_no_data_reduces_to_prior():
     spec = ModelSpec(n=2, r=1, p=1)
     prior = default_prior(spec, nu=3.0, tau2=0.7)
     values = np.array([[1.0, np.nan], [2.0, np.nan], [0.5, np.nan]])
-    pan = from_arrays(values)
+    pan = TimeSeriesPanel(values)
     rng = np.random.default_rng(0)
     factors = rng.standard_normal((4, 2))
     loadings = vi.update_loadings(pan, _point_mass_moments(factors, 1), prior)
@@ -46,7 +46,7 @@ def test_update_loadings_flat_prior_point_mass_is_ols():
     factors = rng.standard_normal((T + 1, 2))
     lam_true = np.array([0.8, -0.4])
     y = factors[1:] @ lam_true + 0.1 * rng.standard_normal(T)
-    pan = from_arrays(y[:, None])
+    pan = TimeSeriesPanel(y[:, None])
     prior = PriorSpec(
         loading_prec=1e-12 * np.eye(2),
         trans_prec=np.eye(2),
@@ -62,7 +62,7 @@ def test_update_loadings_flat_prior_point_mass_is_ols():
 def test_update_loadings_scalar_hand_values():
     spec = ModelSpec(n=1, r=1, p=0)
     prior = default_prior(spec)
-    pan = from_arrays(np.array([[1.0], [1.0]]))
+    pan = TimeSeriesPanel(np.array([[1.0], [1.0]]))
     moments = statespace.StateMoments(
         mean=np.array([[0.0], [1.0], [2.0]]),
         cov=np.zeros((3, 1, 1)),
@@ -229,7 +229,7 @@ def test_elbo_data_quadratic_hand_values(values, noise_scale, quad):
     # The state term is the fit's constant less half of log|Q| and of the
     # data quadratic sum_ti mask_ti y_ti^2 / tau_i less b' Q^-1 b.  The same
     # expression with the quadratic worked out by hand gives the same bits.
-    pan = from_arrays(np.asarray(values, dtype=float))
+    pan = TimeSeriesPanel(np.asarray(values, dtype=float))
     spec = ModelSpec(n=pan.n, r=1, p=0)
     prior = default_prior(spec)
     loadings = vi.LoadingsVariational(
@@ -263,19 +263,22 @@ def test_elbo_matches_mc_oracle(tiny_spec, tiny_prior):
         assert abs(exact - est) < 3 * se
 
 
-def test_elbo_requires_consistent_noise_df(tiny_spec, tiny_prior):
+def test_elbo_requires_consistent_noise_df(tiny_spec, tiny_prior, monkeypatch):
+    # The objective's closed form takes noise_df = prior df + counts, which
+    # every update gives; a fit's start one count off in one row is refused
+    # where it enters, before any state pass.
     pan, _, _ = random_masked_panel(tiny_spec, T=3, seed=23, missing_prob=0.2)
     state = vi.init_from_pca(pan, tiny_spec, tiny_prior, seed=0)
-    moments = vi.update_states(pan, state.loadings, state.transition, tiny_prior)
-    broken = vi.LoadingsVariational(
-        mean=state.loadings.mean,
-        cov=state.loadings.cov,
-        noise_df=state.loadings.noise_df + 1.0,
-        noise_scale=state.loadings.noise_scale,
-        free=state.loadings.free,
-    )
-    with pytest.raises(DomainError, match="noise_df"):
-        vi.compute_elbo(pan, broken, state.transition, moments, tiny_prior)
+    noise_df = state.loadings.noise_df.copy()
+    noise_df[1] += 1.0
+    broken = replace(state, loadings=replace(state.loadings, noise_df=noise_df))
+
+    def state_pass(*args, **kwargs):
+        raise AssertionError("the state pass ran")
+
+    monkeypatch.setattr(vi, "update_states", state_pass)
+    with pytest.raises(DomainError, match="init loadings' noise_df must equal"):
+        vi.fit_smf(pan, tiny_spec, tiny_prior, init=broken)
 
 
 def test_fit_monotone_and_converges_over_seeds():
@@ -317,7 +320,7 @@ def test_fit_raises_on_objective_decrease(monkeypatch, tiny_spec, tiny_prior):
 def test_fit_rejects_too_short_panel():
     spec = ModelSpec(n=2, r=1, p=2)
     prior = default_prior(spec)
-    pan = from_arrays(np.ones((3, 2)) + np.arange(6).reshape(3, 2))
+    pan = TimeSeriesPanel(np.ones((3, 2)) + np.arange(6).reshape(3, 2))
     with pytest.raises(DomainError, match="T > p"):
         vi.fit_smf(pan, spec, prior)
 
@@ -341,7 +344,7 @@ def test_fit_warns_fewer_series_than_factors(run):
     spec = ModelSpec(n=1, r=2, p=0)
     prior = default_prior(spec)
     rng = np.random.default_rng(0)
-    pan = from_arrays(rng.standard_normal((12, 1)))
+    pan = TimeSeriesPanel(rng.standard_normal((12, 1)))
     # One series spans one principal component, so the start also pads the
     # second factor's proxy with noise and says so.
     with pytest.warns(UserWarning) as record:
@@ -414,7 +417,7 @@ def test_start_is_signed_by_the_data():
     assert np.all((x.T @ scores).sum(axis=0) >= 0.0)
     assert_same_bits(vi._leading_scores(-x, spec.r)[0], -scores)
     start = vi.init_from_pca(pan, spec, prior)
-    negated = vi.init_from_pca(from_arrays(-pan.values), spec, prior)
+    negated = vi.init_from_pca(TimeSeriesPanel(-pan.values), spec, prior)
     assert_same_bits(negated.loadings.mean, start.loadings.mean)
 
 
@@ -423,7 +426,7 @@ def test_start_warns_on_a_panel_of_deficient_rank():
     # spans two.
     spec = ModelSpec(n=2, r=2, p=0)
     column = np.random.default_rng(3).standard_normal(30)
-    pan = from_arrays(np.column_stack([column, column]))
+    pan = TimeSeriesPanel(np.column_stack([column, column]))
     with pytest.warns(UserWarning, match="panel has deficient rank"):
         vi.init_from_pca(pan, spec, default_prior(spec))
     spec = ModelSpec(n=10, r=2, p=0)
@@ -486,7 +489,7 @@ def test_leading_scores_stop_at_breakdown_on_a_rank_one_panel(monkeypatch):
     _assert_scores_match_the_oracle(scores, x, 1)
     spec = ModelSpec(n=5, r=3, p=0)
     with pytest.warns(UserWarning, match="panel has deficient rank"):
-        vi.init_from_pca(from_arrays(values), spec, default_prior(spec))
+        vi.init_from_pca(TimeSeriesPanel(values), spec, default_prior(spec))
 
 
 def test_leading_scores_of_a_single_series():
@@ -608,7 +611,7 @@ def _anchored_fit_flips(monkeypatch, negated):
     the anchor loadings positive, and return the distinct sign vectors the
     fold applied."""
     spec = ModelSpec(n=12, r=2, p=1)
-    pan, _ = standardize(from_arrays(_anchors_against_the_rest(spec, negated)))
+    pan, _ = standardize(TimeSeriesPanel(_anchors_against_the_rest(spec, negated)))
     restr = identification_restrictions(spec, [(0, 0), (1, 1)])
     calls = _spy_on_flip(monkeypatch)
     state, _, _ = vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
@@ -652,7 +655,7 @@ def test_fit_sign_flip_leaves_an_empty_series_loadings_positive_zero(
     spec = ModelSpec(n=12, r=r, p=p)
     values = _anchors_against_the_rest(spec, range(r))
     values[:, 11] = np.nan
-    pan, _ = standardize(from_arrays(values))
+    pan, _ = standardize(TimeSeriesPanel(values))
     restr = identification_restrictions(spec, anchors)
     calls = _spy_on_flip(monkeypatch)
     state, _, _ = vi.fit_smf(pan, spec, default_prior(spec), restrictions=restr)
@@ -700,8 +703,8 @@ def test_fit_refuses_an_init_for_another_spec(init_dims, fit_dims, match):
     # width; the r=1, p=1 start on an r=2, p=0 fit has the fit's s = 2.
     init_spec, spec = ModelSpec(*init_dims), ModelSpec(*fit_dims)
     values = np.random.default_rng(5).standard_normal((30, init_spec.n))
-    init = vi.init_from_pca(from_arrays(values), init_spec, default_prior(init_spec))
-    pan = from_arrays(values[:, : spec.n])
+    init = vi.init_from_pca(TimeSeriesPanel(values), init_spec, default_prior(init_spec))
+    pan = TimeSeriesPanel(values[:, : spec.n])
     with pytest.raises(DomainError, match=match):
         vi.fit_smf(pan, spec, default_prior(spec), init=init)
 
@@ -726,7 +729,7 @@ def test_fit_refuses_an_init_array_sized_for_another_spec(part, field, match):
     # A principal-component start with one array cut by its last row, as a
     # start for another spec would have it.
     spec = ModelSpec(n=5, r=2, p=0)
-    pan = from_arrays(np.random.default_rng(5).standard_normal((30, spec.n)))
+    pan = TimeSeriesPanel(np.random.default_rng(5).standard_normal((30, spec.n)))
     prior = default_prior(spec)
     init = vi.init_from_pca(pan, spec, prior)
     block = getattr(init, part)
@@ -750,7 +753,7 @@ def _restricted_three_factor_case():
     pan, _, _ = random_masked_panel(spec, T=40, seed=61, missing_prob=0.2)
     values = pan.values.copy()
     values[:, 5] = np.nan
-    pan = from_arrays(values, names=pan.names)
+    pan = TimeSeriesPanel(values, names=pan.names)
     prior = default_prior(spec, nu=2.0, tau2=0.5)
     restr = identification_restrictions(spec, [(0, 0), (1, 1), (2, 2)])
     state = vi.init_from_pca(pan, spec, prior, seed=4, restrictions=restr)
@@ -893,7 +896,7 @@ def test_loading_update_names_first_non_positive_definite_equation():
     values[1:, 1:] = np.nan
     with pytest.raises(NumericalError, match=r"equation 1$"):
         vi.loading_posterior(
-            from_arrays(values), mean, second_moment, default_prior(spec)
+            TimeSeriesPanel(values), mean, second_moment, default_prior(spec)
         )
 
 
@@ -914,7 +917,7 @@ def test_fit_and_chain_refuse_inputs_sized_for_another_spec(
 ):
     # vi.run_restrictions refuses them before any kernel indexes with them.
     spec = ModelSpec(n=6, r=1, p=1)
-    pan = from_arrays(np.random.default_rng(4).standard_normal((20, width)))
+    pan = TimeSeriesPanel(np.random.default_rng(4).standard_normal((20, width)))
     prior = default_prior(ModelSpec(*prior_spec))
     restr = Restrictions(np.ones(mask_shape, dtype=bool), ((0, 0),))
     with pytest.raises(DomainError, match=match):
