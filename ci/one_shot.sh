@@ -5,7 +5,9 @@
 # (where gibbs reuses the panel fit parsed).  Every artifact except the
 # manifests, which record wall times, must be byte-identical between the two.
 # The first panel is also forecast from its Gibbs draws in original units, so
-# the forecast reads the fit's standardization record and undoes it.
+# the forecast reads the fit's standardization record and undoes it, and it is
+# fitted, sampled and compared without an anchor, so compare reads the
+# all-free loading mask from the fit record.
 # The second panel is fitted and sampled at r=2, p=1 with one anchor per
 # factor, series 4 for factor 0 and series 0 for factor 1.  Both load against
 # the data-signed principal-component start (-0.50 and -0.51 at seed 4), so
@@ -30,6 +32,9 @@ gibbs --panel ROOT/sim/panel.csv --out ROOT/gibbs --seed 3 --identify 0:0 --draw
 compare --panel ROOT/sim/panel.csv --fit ROOT/fit --gibbs ROOT/gibbs --out ROOT/compare --horizons 2 --smf-draws 200
 forecast --panel ROOT/sim/panel.csv --fit ROOT/fit --out ROOT/forecast --horizons 2 --smf-draws 200
 forecast --panel ROOT/sim/panel.csv --fit ROOT/fit --gibbs ROOT/gibbs --source gibbs --original-units --out ROOT/forecast_gibbs --horizons 2
+fit --panel ROOT/sim/panel.csv --out ROOT/fit_free --seed 3
+gibbs --panel ROOT/sim/panel.csv --out ROOT/gibbs_free --seed 3 --draws 300
+compare --panel ROOT/sim/panel.csv --fit ROOT/fit_free --gibbs ROOT/gibbs_free --out ROOT/compare_free --horizons 2 --smf-draws 200
 simulate --out ROOT/sim2 --n 8 --r 2 --p 1 --t 60 --seed 2 --missing-rate 0.1 --ragged 6:55,7:57
 fit --panel ROOT/sim2/panel.csv --out ROOT/fit2 --seed 4 --r 2 --p 1 --identify 4:0 --identify 0:1
 gibbs --panel ROOT/sim2/panel.csv --out ROOT/gibbs2 --seed 4 --r 2 --p 1 --identify 4:0 --identify 0:1 --draws 300

@@ -186,18 +186,22 @@ def _int_pairs(text, flag) -> dict:
 
 
 def _parse_identify(items, names) -> list:
-    """Resolve VAR:FACTOR flags or [VAR, FACTOR] pairs; VAR by name or index."""
+    """Resolve VAR:FACTOR flags or [VAR, FACTOR] pairs; VAR by name or index,
+    each index an int or its digits (a float or a bool is refused)."""
     anchors = []
     for item in items:
-        if isinstance(item, (list, tuple)) and len(item) == 2:
+        var = fac = None
+        if isinstance(item, str):
+            var, _, fac = item.partition(":")
+        elif isinstance(item, (list, tuple)) and len(item) == 2:
             var, fac = item
-        else:
-            var, _, fac = str(item).partition(":")
         if isinstance(var, str) and not var.lstrip("-").isdigit():
             if var not in names:
                 raise DomainError(f"identifying variable {var!r} not in panel")
             var = names.index(var)
         try:
+            if isinstance(var, (bool, float)) or isinstance(fac, (bool, float)):
+                raise TypeError
             anchors.append([int(var), int(fac)])
         except (TypeError, ValueError):
             raise DomainError(
@@ -321,7 +325,7 @@ def _load_model(args, cfg):
 
 
 def _load_fit_run(args):
-    """The fit's state, manifest, state moments and panel column names.
+    """The fit's state, loading mask, manifest, state moments and column names.
 
     The command has checked that ``variational.json``, ``manifest.json`` and
     the moments file exist.  Refuses a panel other than the fit's, and a
@@ -333,7 +337,8 @@ def _load_fit_run(args):
     from .statespace import StateMoments
 
     with open(os.path.join(args.fit, "variational.json"), encoding="utf-8") as fh:
-        state = vi.state_from_dict(json.load(fh)["state"])
+        record = json.load(fh)["state"]
+    state, free = vi.state_from_dict(record), np.asarray(record["free"], dtype=bool)
     with open(os.path.join(args.fit, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     sha, fitted = _hashed_bytes(args.panel)[0], manifest["model"]["panel_sha256"]
@@ -357,7 +362,7 @@ def _load_fit_run(args):
             info_quad=float(data["info_quad"]),
         )
         names = data["names"].tolist()
-    return state, manifest, moments, names
+    return state, free, manifest, moments, names
 
 
 def _fit_inputs(args):
@@ -463,7 +468,7 @@ def cmd_fit(args, parser) -> int:
     _write_json(
         _out_path(args, "variational.json"),
         {
-            "state": vi.state_to_dict(state),
+            "state": {**vi.state_to_dict(state), "free": restrictions.free.tolist()},
             "elbo_trace": [float(v) for v in report.elbo_trace],
             "iterations": report.iterations,
             "converged": report.converged,
@@ -541,7 +546,7 @@ def cmd_forecast(args, parser) -> int:
     if args.source == "gibbs" and not args.gibbs:
         parser.error("--source gibbs requires --gibbs DIR")
     cfg, started = _open_run(args, parser, _KEYS["forecast"], *_fit_inputs(args))
-    state, fit_manifest, moments, names = _load_fit_run(args)
+    state, _, fit_manifest, moments, names = _load_fit_run(args)
     record = None
     if args.original_units and fit_manifest["config"]["standardize"]:
         path = os.path.join(args.fit, "standardization.json")
@@ -581,10 +586,10 @@ def cmd_compare(args, parser) -> int:
     from . import forecast
 
     cfg, started = _open_run(args, parser, _KEYS["compare"], *_fit_inputs(args))
-    state, fit_manifest, moments, _ = _load_fit_run(args)
+    state, free, fit_manifest, moments, _ = _load_fit_run(args)
     store = _load_gibbs_run(parser, args.gibbs, fit_manifest)
     report = forecast.compare_posteriors(
-        state, moments, store,
+        state, moments, store, free,
         horizons=cfg["horizons"],
         n_smf_draws=cfg["smf_draws"],
         seed=cfg["seed"],

@@ -289,6 +289,7 @@ def compare_posteriors(
     state: vi.VariationalState,
     moments,
     store: DrawStore,
+    free: np.ndarray,
     horizons: int = 6,
     n_smf_draws: int = 10_000,
     seed: int = 0,
@@ -296,12 +297,13 @@ def compare_posteriors(
 ) -> ComparisonReport:
     """Full comparison of a fit (``state``, ``moments``) against a Gibbs chain.
 
-    Blocks: transition and loading coefficients, noise variances, factor
-    paths, in-sample predictions and each out-of-sample horizon.
-    Posterior means on the variational side are analytic; coverage uses
-    equal-tailed quantile intervals from variational draws.  In-sample
-    predictions are processed in time blocks to bound memory at large draw
-    counts, each scored on a worker thread while the next one is drawn.
+    Blocks: transition coefficients, the loadings the fit's (n, s) mask
+    ``free`` leaves free, noise variances, factor paths, in-sample
+    predictions and each out-of-sample horizon.  Posterior means on the
+    variational side are analytic; coverage uses equal-tailed quantile
+    intervals from variational draws.  In-sample predictions are processed
+    in time blocks to bound memory at large draw counts, each scored on a
+    worker thread while the next one is drawn.
     """
     if horizons < 0 or n_smf_draws < 1:
         raise DomainError(
@@ -311,7 +313,6 @@ def compare_posteriors(
     loadings, transition = state.loadings, state.transition
     r = transition.mean.shape[0]
     n, T = loadings.mean.shape[0], moments.mean.shape[0] - 1
-    free = loadings.free
     pm_errors, coverage = {}, {}
 
     def add_block(block, smf_mean, mcmc_mean, smf, mcmc):

@@ -17,10 +17,10 @@ its inputs and warns of fewer series than factors the same way
 same rule and action as the fit, :meth:`Restrictions.signs` and
 :func:`model.flip`.
 
-A chain's constants are built once: its anchor rows on its
-``Restrictions``, its origin precision, masks and panel constants on the
-prior.  Draws are stored columnar, in draw order, in one ``.npz`` archive
-(:class:`DrawStore`).
+A chain's constants are built once: its masks and anchor rows on the one
+``Restrictions`` that ``run_gibbs`` resolves and every kernel of the chain
+takes, its origin precision and panel constants on the prior.  Draws are
+stored columnar, in draw order, in one ``.npz`` archive (:class:`DrawStore`).
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def sample_parameters(
     states: np.ndarray,
     spec: ModelSpec,
     prior: PriorSpec,
-    restrictions: Restrictions | None,
+    restrictions: Restrictions,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Conjugate parameter draws given a state path, folded onto the anchors.
@@ -174,7 +174,7 @@ def sample_parameters(
     trans = vi.transition_posterior(fprev.T @ fprev, f[:, :r].T @ fprev, prior)
     phi = vi.draw_transition(trans, rng)
 
-    signs = None if restrictions is None else restrictions.signs(lambdas, r)
+    signs = restrictions.signs(lambdas, r)
     if signs is None:
         return lambdas, sigma2, phi, 0
     lambdas, phi = flip(signs, lambdas, free=restrictions.free), flip(signs, phi, r)
@@ -225,9 +225,7 @@ def run_gibbs(
             "keep fewer draws with --thin"
         )
     rng = np.random.default_rng(config.seed)
-    start = vi.init_from_pca(
-        panel, spec, prior, seed=config.seed, restrictions=restrictions
-    )
+    start = vi.init_from_pca(panel, spec, prior, restrictions, seed=config.seed)
     lambdas, sigma2 = start.loadings.mean, start.loadings.noise_scale
     phi = start.transition.mean
     signs = restrictions.signs(lambdas, r)

@@ -9,7 +9,8 @@ all n loading regressions run as one batched kernel,
 :func:`loading_posterior`, which the Gibbs parameter draw shares.  The
 unconditional parameter draws, :func:`draw_loadings` and
 :func:`draw_transition`, serve the Gibbs sweep, the predictive draws and
-the Monte Carlo oracle alike.
+the Monte Carlo oracle alike.  Every kernel takes the run's one
+``Restrictions`` (:func:`run_restrictions`), the only holder of the mask.
 
 The fit ends by folding its factors onto the anchor loadings with the one
 sign rule and action of :mod:`dfmvi.model` (``Restrictions.signs``,
@@ -48,15 +49,14 @@ class LoadingsVariational:
     ``mean[i]`` and ``cov[i]`` parameterize the Gaussian over the loading
     row of variable i (scaled by its noise variance); ``noise_df`` and
     ``noise_scale`` parameterize the scaled-inverse-chi-square noise
-    variances.  ``free[i]`` marks the unrestricted loading coordinates;
-    restricted entries carry exact zeros in mean and cov.
+    variances.  The entries a run's :class:`Restrictions` hold at zero carry
+    exact zeros in mean and cov.
     """
 
     mean: np.ndarray  # (n, s)
     cov: np.ndarray  # (n, s, s)
     noise_df: np.ndarray  # (n,)
     noise_scale: np.ndarray  # (n,)
-    free: np.ndarray  # (n, s) bool
 
     @property
     def noise_prec(self) -> np.ndarray:
@@ -89,17 +89,15 @@ class FitReport:
 @dataclass(frozen=True)
 class _FitConstants:
     """Read-only constants of the loadings update and the objective for one
-    prior on one panel under one free loading mask.
+    prior on one panel under one ``Restrictions``.
 
     Each is the leading part of the expression it serves, evaluated in that
     expression's order, so every result keeps the bits of the expression
-    written out.  ``panel`` is held so that no other panel matches it, and
-    ``free_key`` holds the mask's bytes.
+    written out.  ``panel`` and ``restrictions`` are matched by identity.
     """
 
     panel: TimeSeriesPanel
-    free_key: bytes
-    masks: Restrictions  # the zero restrictions of the mask, no anchors
+    restrictions: Restrictions
     half_free: np.ndarray  # (n,) half the number of free coordinates per row
     logdet_vinv: np.ndarray  # (n,) log|V^-1| of each row's free block
     empty: np.ndarray  # (n,) equations without observations
@@ -120,14 +118,13 @@ class _FitConstants:
 
 
 def _fit_constants(
-    panel: TimeSeriesPanel, prior: PriorSpec, free: np.ndarray
+    panel: TimeSeriesPanel, prior: PriorSpec, restrictions: Restrictions
 ) -> _FitConstants:
-    """The prior's constants on this panel under the (n, s) free mask, built
-    on the first call and kept on the prior for the last (panel, mask) pair
-    passed: a fit or a chain passes the same pair at every iteration."""
+    """The prior's constants on this panel under these restrictions, built on
+    the first call and kept on the prior for the last pair passed (compared
+    by identity): a fit or a chain passes the same pair at every iteration."""
     kept = prior.__dict__.get("_fit_constants")
-    key = free.tobytes()  # the shape is the prior's and the panel's
-    if kept is None or kept.panel is not panel or kept.free_key != key:
+    if kept is None or kept.panel is not panel or kept.restrictions is not restrictions:
         from scipy.special import gammaln
 
         counts = panel.counts
@@ -135,17 +132,15 @@ def _fit_constants(
         empty = counts == 0
         noise_df = nu_0 + counts
         prior_ss = nu_0 * tau_0
-        masks = Restrictions(free, ())
-        empty_cov = np.linalg.inv(masks.pad(prior.loading_prec, empty))
+        empty_cov = np.linalg.inv(restrictions.pad(prior.loading_prec, empty))
         kept = _FitConstants(
             panel=panel,
-            free_key=key,
-            masks=masks,
-            half_free=0.5 * masks.free.sum(axis=1),
-            logdet_vinv=np.linalg.slogdet(masks.pad(prior.loading_prec))[1],
+            restrictions=restrictions,
+            half_free=0.5 * restrictions.free.sum(axis=1),
+            logdet_vinv=np.linalg.slogdet(restrictions.pad(prior.loading_prec))[1],
             empty=empty,
             observed=~empty,
-            empty_cov=masks.restrict(statespace.symmetrize(empty_cov), empty),
+            empty_cov=restrictions.restrict(statespace.symmetrize(empty_cov), empty),
             noise_df=noise_df,
             noise_ss=prior_ss + panel.sums_of_squares,
             state_terms=-0.5 * counts.sum() * _LNPI - 0.5 * prior.init_state_logdet,
@@ -164,19 +159,18 @@ def loading_posterior(
     mean: np.ndarray,
     second_moment: np.ndarray,
     prior: PriorSpec,
-    restrictions: Restrictions | None = None,
+    restrictions: Restrictions,
 ) -> tuple[LoadingsVariational, np.ndarray]:
     """Conjugate regressions of all n equations on the states, batched.
 
     ``mean`` (T, s) and ``second_moment`` (T, s, s) are the state moments of
     times 1..T.  Zero restrictions enter as identity rows and columns with a
-    zero right-hand side (the masks that :func:`_fit_constants` keeps for
-    the free mask of ``restrictions``; None leaves every loading free); one
-    batched Cholesky factor L, inverted by the smoother's substitution
-    (:func:`statespace.lower_inverse`), solves every equation, and
-    equations without observations take their prior exactly.  Returns the
-    posterior (exact zeros on restricted entries) and roots R = L^-T,
-    R R' = cov.
+    zero right-hand side (the masks of ``restrictions``, with the constants
+    :func:`_fit_constants` keeps for them); one batched Cholesky factor L,
+    inverted by the smoother's substitution (:func:`statespace.lower_inverse`),
+    solves every equation, and equations without observations take their
+    prior exactly.  Returns the posterior (exact zeros on restricted entries)
+    and roots R = L^-T, R R' = cov.
 
     Raises
     ------
@@ -186,17 +180,15 @@ def loading_posterior(
     """
     s = mean.shape[1]
     T, n = panel.values.shape
-    free = np.ones((n, s), dtype=bool) if restrictions is None else restrictions.free
-    consts = _fit_constants(panel, prior, free)
-    masks, free = consts.masks, consts.masks.free
+    consts = _fit_constants(panel, prior, restrictions)
     gram = (panel.mask_float.T @ second_moment.reshape(T, s * s)).reshape(n, s, s)
-    rhs = np.where(free, panel.zero_filled.T @ mean, 0.0)
+    rhs = np.where(restrictions.free, panel.zero_filled.T @ mean, 0.0)
 
-    prec = masks.pad(gram + prior.loading_prec)
+    prec = restrictions.pad(gram + prior.loading_prec)
     chol = statespace.chol_factor(prec, "loading posterior, equation")
     chol_inv = statespace.lower_inverse(chol)
-    root = masks.restrict(chol_inv.swapaxes(-1, -2))
-    cov = masks.restrict(statespace.symmetrize(root @ chol_inv))
+    root = restrictions.restrict(chol_inv.swapaxes(-1, -2))
+    cov = restrictions.restrict(statespace.symmetrize(root @ chol_inv))
     mu = np.einsum("iab,ib->ia", cov, rhs)
     quad = np.einsum("ia,iab,ib->i", mu, prec, mu)
 
@@ -210,11 +202,10 @@ def loading_posterior(
     empty = consts.empty
     cov[empty] = consts.empty_cov
     posterior = LoadingsVariational(
-        mean=np.where(free & consts.observed[:, None], mu, 0.0),
+        mean=np.where(restrictions.free & consts.observed[:, None], mu, 0.0),
         cov=cov,
         noise_df=consts.noise_df,
         noise_scale=np.where(empty, prior.noise_scale, scale),
-        free=free,
     )
     return posterior, root
 
@@ -238,7 +229,7 @@ def update_loadings(
     panel: TimeSeriesPanel,
     moments: StateMoments,
     prior: PriorSpec,
-    restrictions: Restrictions | None = None,
+    restrictions: Restrictions,
 ) -> LoadingsVariational:
     """Loading/noise update: :func:`loading_posterior` on the smoothed moments."""
     posterior, _ = loading_posterior(
@@ -302,14 +293,16 @@ def compute_elbo(
     transition: TransitionVariational,
     moments: StateMoments,
     prior: PriorSpec,
+    restrictions: Restrictions,
     return_terms: bool = False,
 ):
     """Evidence lower bound for a consistent (parameters, state pass) pair.
 
     ``moments`` must come from :func:`update_states` under the same
-    ``loadings``/``transition`` passed here, and ``loadings.noise_df`` must
-    be the prior's plus the panel's counts (:func:`run_restrictions` checks a
-    start's).  Terms group into a state part
+    ``loadings``/``transition`` passed here, ``loadings`` must be zero off
+    the free mask of ``restrictions`` and ``loadings.noise_df`` the prior's
+    plus the panel's counts (:func:`run_restrictions` checks a start's).
+    Terms group into a state part
     (log|F0|, log|Q| and b' Q^-1 b from the moments, and the data quadratic
     sum_ti mask_ti y_ti^2 / tau_i), a loadings part and a transition part
     (negative Gaussian divergences from their priors, zero when variational
@@ -321,7 +314,7 @@ def compute_elbo(
     # The closed form substitutes the identity noise_df = prior df + count.
     # The terms that depend on the prior and the panel alone are constants of
     # the fit, and each is the leading part of its expression.
-    consts = _fit_constants(panel, prior, loadings.free)
+    consts = _fit_constants(panel, prior, restrictions)
 
     data_quad = float(panel.sums_of_squares @ loadings.noise_prec)
     f_terms = (
@@ -333,10 +326,10 @@ def compute_elbo(
     # Restricted entries are exact zeros, and identity padding leaves each
     # log-determinant that of the free block; the mean quadratic is scaled
     # by the expected noise precision (averaging over the noise variance).
-    # The masks and the prior's log-determinants are constants of the fit.
+    # The prior's log-determinants are constants of the fit.
     cov, mu = loadings.cov, loadings.mean
     v_inv = prior.loading_prec
-    _, logdet_cov = np.linalg.slogdet(consts.masks.pad(cov))
+    _, logdet_cov = np.linalg.slogdet(restrictions.pad(cov))
     lam_terms = float(
         np.sum(
             consts.half_free
@@ -466,15 +459,15 @@ def init_from_pca(
     panel: TimeSeriesPanel,
     spec: ModelSpec,
     prior: PriorSpec,
+    restrictions: Restrictions,
     seed: int = 0,
-    restrictions: Restrictions | None = None,
 ) -> VariationalState:
     """Starting parameters from principal components of the filled panel.
 
     Missing cells are filled with seeded standard-normal draws, the first r
     principal components (unit sample variance) and their lags form factor
-    proxies, and the conjugate regressions on these proxies yield the
-    initial loading, noise and transition parameters.
+    proxies, and the conjugate regressions on these proxies under
+    ``restrictions`` yield the initial loading, noise and transition parameters.
 
     The components are the leading eigenpairs of the smaller of x'x and xx'
     (:func:`_leading_scores`), found by Lanczos iteration that stops once
@@ -514,7 +507,7 @@ def init_from_pca(
 
 
 def flip_factor_signs(
-    state: VariationalState, moments: StateMoments, signs: np.ndarray
+    state: VariationalState, moments: StateMoments, signs, restrictions: Restrictions
 ) -> tuple[VariationalState, StateMoments]:
     """The variational state and its moments with the factors flipped by the
     (s,) ``signs`` of :meth:`Restrictions.signs`, through :func:`model.flip`.
@@ -525,13 +518,13 @@ def flip_factor_signs(
     and the free ones of a series with no observations, which keep the
     prior's zeros.
     """
-    loadings, transition, free = state.loadings, state.transition, state.loadings.free
+    loadings, transition = state.loadings, state.transition
     r, s = transition.mean.shape
     new_state = VariationalState(
         loadings=replace(
             loadings,
-            mean=flip(signs, loadings.mean, free=free),
-            cov=flip(signs, loadings.cov, s, free[:, :, None] & free[:, None, :]),
+            mean=flip(signs, loadings.mean, free=restrictions.free),
+            cov=flip(signs, loadings.cov, s, restrictions.free_pairs),
         ),
         transition=TransitionVariational(
             mean=flip(signs, transition.mean, r), cov=flip(signs, transition.cov, s)
@@ -555,16 +548,16 @@ def run_restrictions(
     DomainError, naming the input and both sizes, if the panel, the prior, the
     restrictions' mask or any array of the start ``init`` do not fit ``spec``;
     DomainError too if the panel is too short for the loading lags, the sign
-    fold would not be exact (:func:`check_sign_fold`), or ``init`` has another
-    free mask or a ``noise_df`` other than the prior's plus the panel's
-    counts, as the objective assumes.  Warns if there are fewer series than
-    factors.
+    fold would not be exact (:func:`check_sign_fold`), or ``init`` has a
+    loading mean or covariance entry that is nonzero outside the restrictions'
+    free mask (naming the rows) or a ``noise_df`` other than the prior's plus
+    the panel's counts, as the objective assumes.  Warns if there are fewer
+    series than factors.
     """
     if restrictions is None:
         restrictions = identification_restrictions(spec, [])
     n, r, s = spec.n, spec.r, spec.s
     starts = () if init is None else (
-        ("init loadings' free mask shape", init.loadings.free.shape, (n, s)),
         ("init loadings' mean shape", init.loadings.mean.shape, (n, s)),
         ("init loadings' covariance shape", init.loadings.cov.shape, (n, s, s)),
         ("init loadings' noise_df shape", init.loadings.noise_df.shape, (n,)),
@@ -585,22 +578,23 @@ def run_restrictions(
     if panel.T <= spec.p + 1:
         raise DomainError(f"need T > p + 1 = {spec.p + 1}, got T = {panel.T}")
     check_sign_fold(prior, restrictions, r)
-    if init is not None and not np.array_equal(init.loadings.free, restrictions.free):
-        # The first objective would be taken under init's mask and every
-        # later one under the restrictions', so the ascent would not hold.
-        rows = np.flatnonzero(np.any(init.loadings.free != restrictions.free, axis=1))
-        raise DomainError(
-            "init loadings' free mask differs from the restrictions' in rows "
-            f"{rows.tolist()}: init {init.loadings.free[rows].tolist()}, "
-            f"restrictions {restrictions.free[rows].tolist()}"
-        )
-    if init is not None and not np.array_equal(
-        init.loadings.noise_df, prior.noise_df + panel.counts
-    ):
-        raise DomainError(
-            "init loadings' noise_df must equal the prior's noise_df plus the "
-            "panel's per-variable observation counts"
-        )
+    if init is not None:
+        # The objective takes restricted loadings to be exact zeros.
+        for name, value, free in (
+            ("mean", init.loadings.mean, restrictions.free),
+            ("covariance", init.loadings.cov, restrictions.free_pairs),
+        ):
+            rows = np.flatnonzero(((value != 0.0) & ~free).reshape(n, -1).any(axis=1))
+            if rows.size:
+                raise DomainError(
+                    f"init loadings' {name} is nonzero outside the restrictions' "
+                    f"free mask in rows {rows.tolist()}"
+                )
+        if not np.array_equal(init.loadings.noise_df, prior.noise_df + panel.counts):
+            raise DomainError(
+                "init loadings' noise_df must equal the prior's noise_df plus the "
+                "panel's per-variable observation counts"
+            )
     if panel.n < r:
         warnings.warn("fewer series than factors; the model is weakly identified")
     return restrictions
@@ -638,10 +632,12 @@ def fit_smf(
 
     start = time.perf_counter()
     state = init if init is not None else init_from_pca(
-        panel, spec, prior, seed=seed, restrictions=restrictions
+        panel, spec, prior, restrictions, seed=seed
     )
     moments = update_states(panel, state.loadings, state.transition, prior)
-    elbo = compute_elbo(panel, state.loadings, state.transition, moments, prior)
+    elbo = compute_elbo(
+        panel, state.loadings, state.transition, moments, prior, restrictions
+    )
     trace = [elbo]
     converged = False
     for iterations in range(1, max_iters + 1):
@@ -649,7 +645,9 @@ def fit_smf(
         transition = update_transition(moments, prior)
         state = VariationalState(loadings=loadings, transition=transition)
         moments = update_states(panel, loadings, transition, prior)
-        elbo_new = compute_elbo(panel, loadings, transition, moments, prior)
+        elbo_new = compute_elbo(
+            panel, loadings, transition, moments, prior, restrictions
+        )
         if elbo_new < elbo - 1e-8 * abs(elbo):
             raise NumericalError(
                 f"objective decreased at iteration {iterations}: "
@@ -665,7 +663,7 @@ def fit_smf(
 
     signs = restrictions.signs(state.loadings.mean, spec.r)
     if signs is not None:
-        state, moments = flip_factor_signs(state, moments, signs)
+        state, moments = flip_factor_signs(state, moments, signs, restrictions)
 
     report = FitReport(
         elbo_trace=np.asarray(trace),
@@ -683,7 +681,6 @@ def state_to_dict(state: VariationalState) -> dict:
         "loading_cov": state.loadings.cov.tolist(),
         "noise_df": state.loadings.noise_df.tolist(),
         "noise_scale": state.loadings.noise_scale.tolist(),
-        "free": state.loadings.free.tolist(),
         "trans_mean": state.transition.mean.tolist(),
         "trans_cov": state.transition.cov.tolist(),
     }
@@ -696,7 +693,6 @@ def state_from_dict(obj: dict) -> VariationalState:
             cov=np.asarray(obj["loading_cov"], dtype=float),
             noise_df=np.asarray(obj["noise_df"], dtype=float),
             noise_scale=np.asarray(obj["noise_scale"], dtype=float),
-            free=np.asarray(obj["free"], dtype=bool),
         ),
         transition=TransitionVariational(
             mean=np.asarray(obj["trans_mean"], dtype=float),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfmvi import vi
-from dfmvi.model import ModelSpec, default_prior
+from dfmvi.model import ModelSpec, default_prior, identification_restrictions
 from dfmvi.panel import TimeSeriesPanel
 from dfmvi.sim import simulate_dfm, stationary_sim_config
 from dfmvi.statespace import StateMoments
@@ -22,6 +22,11 @@ def point_mass_moments(factors: np.ndarray, r: int) -> StateMoments:
         prec_logdet=0.0,
         info_quad=0.0,
     )
+
+
+def unanchored(spec: ModelSpec):
+    """The restrictions of an unanchored run: every loading free, no anchor."""
+    return identification_restrictions(spec, [])
 
 
 def random_masked_panel(spec: ModelSpec, T: int, seed: int, missing_prob=0.35):
@@ -50,7 +55,6 @@ def random_variational(rng, pan, spec, trans_mean=None):
         cov=0.1 * (a @ a.swapaxes(1, 2)) / s + 0.05 * np.eye(s),
         noise_df=prior.noise_df + pan.counts,
         noise_scale=rng.uniform(0.3, 1.0, n),
-        free=np.ones((n, s), dtype=bool),
     )
     if trans_mean is None:
         trans_mean = rng.uniform(-0.4, 0.6, (r, s)) / (spec.p + 1)

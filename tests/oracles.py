@@ -440,11 +440,11 @@ def _log_joint_and_logq_theta(panel, state, prior, sig2, lam, phi, f_paths):
     return log_joint, log_q_theta
 
 
-def _mc_terms(panel, state, prior, n_samples, seed):
+def _mc_terms(panel, state, prior, restrictions, n_samples, seed):
     r, s = state.transition.mean.shape
     if s != r:
         raise DomainError("Monte Carlo oracle supports p = 0 models only")
-    if not np.all(state.loadings.free):
+    if not np.all(restrictions.free):
         raise DomainError("Monte Carlo oracle does not support loading restrictions")
     dense = dense_variational_moments(panel, state.loadings, state.transition, prior)
     T = panel.T
@@ -467,26 +467,34 @@ def _mc_terms(panel, state, prior, n_samples, seed):
     return log_joint, log_q_theta, log_q_f
 
 
-def mc_elbo_oracle(panel, state, prior, n_samples: int = 100_000, seed: int = 0):
+def mc_elbo_oracle(
+    panel, state, prior, restrictions, n_samples: int = 100_000, seed: int = 0
+):
     """Monte Carlo estimate of the evidence lower bound under q.
 
     Samples (parameters, state paths) from the variational densities and
     averages log joint minus log q.  Returns (estimate, standard error).
-    Tiny (p = 0) models only; the state density is evaluated through the
-    dense joint-Gaussian oracle.
+    Tiny (p = 0) models with every loading free under ``restrictions`` only;
+    the state density is evaluated through the dense joint-Gaussian oracle.
     """
-    log_joint, log_q_theta, log_q_f = _mc_terms(panel, state, prior, n_samples, seed)
+    log_joint, log_q_theta, log_q_f = _mc_terms(
+        panel, state, prior, restrictions, n_samples, seed
+    )
     draws = log_joint - log_q_theta - log_q_f
     return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(n_samples))
 
 
-def mc_log_marginal(panel, state, prior, n_samples: int = 100_000, seed: int = 0):
+def mc_log_marginal(
+    panel, state, prior, restrictions, n_samples: int = 100_000, seed: int = 0
+):
     """Importance-sampling estimate of the log marginal likelihood.
 
     Uses q as the proposal; returns (estimate, approximate standard error
     of the log estimate via the delta method).
     """
-    log_joint, log_q_theta, log_q_f = _mc_terms(panel, state, prior, n_samples, seed)
+    log_joint, log_q_theta, log_q_f = _mc_terms(
+        panel, state, prior, restrictions, n_samples, seed
+    )
     log_w = log_joint - log_q_theta - log_q_f
     log_est = float(logsumexp(log_w) - math.log(n_samples))
     w = np.exp(log_w - log_w.max())

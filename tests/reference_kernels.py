@@ -45,9 +45,9 @@ def pad_restricted(a, free):
     return restrict_to_free(a, free) + np.eye(free.shape[1]) * ~free[:, None, :]
 
 
-def loading_posterior(panel, mean, second_moment, prior, restrictions=None):
+def loading_posterior(panel, mean, second_moment, prior, restrictions):
     s = mean.shape[1]
-    free = np.ones((panel.n, s), dtype=bool) if restrictions is None else restrictions.free
+    free = restrictions.free
     T, n = panel.values.shape
     counts = panel.counts
     empty = counts == 0
@@ -72,7 +72,6 @@ def loading_posterior(panel, mean, second_moment, prior, restrictions=None):
         cov=cov,
         noise_df=noise_df,
         noise_scale=np.where(empty, prior.noise_scale, scale),
-        free=free,
     )
     return posterior, root
 
@@ -173,7 +172,7 @@ def sample_parameters(panel, states, spec, prior, restrictions, rng):
     fprev = states[:-1]
     trans = transition_posterior(fprev.T @ fprev, f[:, :r].T @ fprev, prior)
     phi = vi.draw_transition(trans, rng)
-    anchors = {} if restrictions is None else dict(restrictions.positive)
+    anchors = dict(restrictions.positive)
     signs = np.ones(spec.s)
     flips = 0
     for var, coord in anchors.items():
@@ -207,7 +206,7 @@ def _align(state, moments, restrictions):
     if np.all(signs > 0):
         return state, moments
     outer = np.outer(signs, signs)
-    free = loadings.free
+    free = restrictions.free
     state = vi.VariationalState(
         loadings=replace(
             loadings,
@@ -234,8 +233,7 @@ def run_gibbs(panel, spec, prior, config, restrictions):
     states) tuples, and the total count of folded factors."""
     rng = np.random.default_rng(config.seed)
     start = init_from_pca(panel, spec, prior, config.seed, restrictions)
-    if restrictions is not None:
-        start, _ = _align(start, None, restrictions)
+    start, _ = _align(start, None, restrictions)
     lambdas = start.loadings.mean.copy()
     sigma2 = start.loadings.noise_scale.copy()
     phi = start.transition.mean.copy()
@@ -309,7 +307,7 @@ def kalman_smoother(chol, z, info, r, T):
     )
 
 
-def compute_elbo(panel, loadings, transition, moments, prior):
+def compute_elbo(panel, loadings, transition, moments, prior, restrictions):
     counts = panel.counts
     s = loadings.mean.shape[1]
     r = transition.mean.shape[0]
@@ -321,7 +319,7 @@ def compute_elbo(panel, loadings, transition, moments, prior):
         - 0.5 * moments.prec_logdet
         - 0.5 * (data_quad - moments.info_quad)
     )
-    free, cov, mu = loadings.free, loadings.cov, loadings.mean
+    free, cov, mu = restrictions.free, loadings.cov, loadings.mean
     v_inv = prior.loading_prec
     _, logdet_vinv = np.linalg.slogdet(pad_restricted(v_inv, free))
     _, logdet_cov = np.linalg.slogdet(pad_restricted(cov, free))
@@ -360,7 +358,9 @@ def fit_smf(panel, spec, prior, restrictions, tolerance=1e-7, max_iters=500, see
     """The CAVI loop of ``vi.fit_smf``: (state, moments, ELBO trace)."""
     state = init_from_pca(panel, spec, prior, seed, restrictions)
     moments = update_states(panel, state.loadings, state.transition, prior)
-    elbo = compute_elbo(panel, state.loadings, state.transition, moments, prior)
+    elbo = compute_elbo(
+        panel, state.loadings, state.transition, moments, prior, restrictions
+    )
     trace = [elbo]
     for _ in range(max_iters):
         f = moments.mean[1:]
@@ -372,7 +372,9 @@ def fit_smf(panel, spec, prior, restrictions, tolerance=1e-7, max_iters=500, see
         )
         state = vi.VariationalState(loadings=loadings, transition=transition)
         moments = update_states(panel, loadings, transition, prior)
-        elbo_new = compute_elbo(panel, loadings, transition, moments, prior)
+        elbo_new = compute_elbo(
+            panel, loadings, transition, moments, prior, restrictions
+        )
         criteria = (elbo_new - elbo) / max(
             0.5 * (abs(elbo_new) + abs(elbo)), np.finfo(float).tiny
         )
@@ -380,6 +382,5 @@ def fit_smf(panel, spec, prior, restrictions, tolerance=1e-7, max_iters=500, see
         elbo = elbo_new
         if criteria <= tolerance:
             break
-    if restrictions is not None and restrictions.positive:
-        state, moments = _align(state, moments, restrictions)
+    state, moments = _align(state, moments, restrictions)
     return state, moments, np.asarray(trace)

@@ -15,11 +15,11 @@ import pytest
 from scipy import stats
 
 from dfmvi import cli, gibbs, vi
-from dfmvi.model import ModelSpec, PriorSpec, default_prior
+from dfmvi.model import ModelSpec, PriorSpec, default_prior, identification_restrictions
 from dfmvi.panel import TimeSeriesPanel, load_csv, standardize
 from dfmvi.sim import RaggedEdge, RandomMissing, simulate_dfm, stationary_sim_config
 from tests import oracles
-from tests.conftest import point_mass_moments, random_masked_panel
+from tests.conftest import point_mass_moments, random_masked_panel, unanchored
 from tests.oracles import dense_fixed_moments, dense_gaussian_oracle, mc_elbo_oracle
 
 RAGGED_CUTOFFS = {18: 196, 19: 194, 20: 192, 21: 190, 22: 188, 23: 186, 24: 184}
@@ -123,7 +123,7 @@ def _random_instances(count):
             spec, T=T, seed=5000 + k, missing_prob=float(rng.uniform(0.1, 0.6))
         )
         prior = default_prior(spec)
-        state = vi.init_from_pca(pan, spec, prior, seed=k)
+        state = vi.init_from_pca(pan, spec, prior, unanchored(spec), seed=k)
         out.append((pan, spec, prior, state))
     return out
 
@@ -181,6 +181,7 @@ def test_criterion_04_elbo_formula_against_mc_oracle():
     """Analytic bound within 3 MC standard errors on 10 tiny instances."""
     spec = ModelSpec(n=2, r=1, p=0)
     prior = default_prior(spec)
+    restr = unanchored(spec)
     zs = []
     start = time.perf_counter()
     for k in range(10):
@@ -189,8 +190,10 @@ def test_criterion_04_elbo_formula_against_mc_oracle():
             pan, spec, prior, tolerance=1e-9, max_iters=3 + k, seed=k
         )
         moments = vi.update_states(pan, state.loadings, state.transition, prior)
-        exact = vi.compute_elbo(pan, state.loadings, state.transition, moments, prior)
-        est, se = mc_elbo_oracle(pan, state, prior, n_samples=1_000_000, seed=k)
+        exact = vi.compute_elbo(
+            pan, state.loadings, state.transition, moments, prior, restr
+        )
+        est, se = mc_elbo_oracle(pan, state, prior, restr, n_samples=1_000_000, seed=k)
         zs.append((exact - est) / se)
         assert abs(exact - est) < 3 * se, f"instance {k}: z = {zs[-1]:.2f}"
     elapsed = time.perf_counter() - start
@@ -240,11 +243,14 @@ def test_criterion_07_rotation_invariance(small_run):
     pan, _ = standardize(load_csv(small_run["panel"]))
     spec = ModelSpec(n=25, r=1, p=0)
     prior = default_prior(spec)
+    restr = identification_restrictions(spec, [(0, 0)])
     moments = vi.update_states(pan, state.loadings, state.transition, prior)
-    elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, prior)
-    flipped, _ = vi.flip_factor_signs(state, moments, np.array([-1.0]))
+    elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, prior, restr)
+    flipped, _ = vi.flip_factor_signs(state, moments, np.array([-1.0]), restr)
     fl_m = vi.update_states(pan, flipped.loadings, flipped.transition, prior)
-    fl_elbo = vi.compute_elbo(pan, flipped.loadings, flipped.transition, fl_m, prior)
+    fl_elbo = vi.compute_elbo(
+        pan, flipped.loadings, flipped.transition, fl_m, prior, restr
+    )
     assert abs(fl_elbo - elbo) < 1e-8, f"objective moved by {fl_elbo - elbo:.2e}"
     print(
         f"ACCEPTANCE 7 [rotation invariance]: PASS "
@@ -296,7 +302,7 @@ def test_criterion_09_limit_equivalences():
         noise_scale=np.ones(2),
     )
     point = point_mass_moments(factors, r)
-    loadings = vi.update_loadings(pan, point, flat)
+    loadings = vi.update_loadings(pan, point, flat, unanchored(ModelSpec(2, r, p)))
     worst = 0.0
     for i in range(2):
         rows = mask[:, i]
@@ -338,6 +344,7 @@ def test_criterion_10_gibbs_correctness():
 
     # part 2: simulation-based calibration rank test on a tiny model
     sbc_spec = ModelSpec(n=3, r=1, p=0)
+    sbc_restr = unanchored(sbc_spec)
     nu0, tau0 = 5.0, 1.0
     sbc_prior = PriorSpec(
         loading_prec=np.eye(1),
@@ -369,7 +376,7 @@ def test_criterion_10_gibbs_correctness():
         for d in range(burn + L * thin):
             states = gibbs.sample_states_ffbs(pan_k, cl, cs, cp, sbc_prior, chain_rng)
             cl, cs, cp, _ = gibbs.sample_parameters(
-                pan_k, states, sbc_spec, sbc_prior, None, chain_rng
+                pan_k, states, sbc_spec, sbc_prior, sbc_restr, chain_rng
             )
             if d >= burn and (d - burn) % thin == 0:
                 kept["loading"].append(cl[0, 0])

@@ -573,6 +573,12 @@ def test_fit_settings_by_flags_and_by_config_agree(sim_dir, tmp_path):
         pytest.param(["simulate", "--ragged=0:-5"], None, "ragged", id="ragged-negative-cut"),
         pytest.param(["simulate", "--periodic", "0:0"], None, "periodic", id="periodic-zero"),
         pytest.param(["fit", "--identify", "0:x"], None, "--identify", id="identify-text"),
+        pytest.param(["fit"], '{"identification": [[0.7, 0]]}', "expects VAR:FACTOR",
+                     id="config-identify-float"),
+        pytest.param(["fit"], '{"identification": [[0, true]]}', "expects VAR:FACTOR",
+                     id="config-identify-bool"),
+        pytest.param(["fit"], '{"identification": [[0, 0, 1]]}', "expects VAR:FACTOR",
+                     id="config-identify-triple"),
         pytest.param(["fit"], '{"r": 1,', "config file", id="config-broken-json"),
         pytest.param(["fit"], '{"r": "two"}', "'r'", id="config-int-as-text"),
         pytest.param(["compare"], '{"levels": 5}', "'levels'", id="config-list-as-int"),
@@ -725,10 +731,12 @@ def test_stored_moments_equal_the_fits_bitwise(
         ["fit", "--panel", str(panel), "--out", str(fit), "--seed", "3", "--identify", "0:0"]
     ) == 0
     assert set(flipped) == ({(-1.0,)} if flips else set())
-    state, manifest, moments, names = cli._load_fit_run(
+    state, free, manifest, moments, names = cli._load_fit_run(
         argparse.Namespace(panel=str(panel), fit=str(fit))
     )
     assert names == list(pan.names)
+    # The anchor leaves a one-factor, no-lag mask free: the record's mask.
+    assert free.dtype == bool and free.shape == (pan.n, 1) and free.all()
     # The state pass that forecast and compare ran on the stored state
     # before the moments were stored gives the same bits.
     std, _ = panel_mod.standardize(panel_mod.load_csv(panel))

@@ -9,7 +9,7 @@ from dfmvi import forecast, gibbs, vi
 from dfmvi.errors import DomainError
 from dfmvi.model import ModelSpec, default_prior
 from dfmvi.sim import companion
-from tests.conftest import random_masked_panel
+from tests.conftest import random_masked_panel, unanchored
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,6 @@ def test_point_forecast_in_degenerate_limit(small_fit):
             cov=state.loadings.cov * 1e-18,
             noise_df=state.loadings.noise_df,
             noise_scale=state.loadings.noise_scale * 1e-18,
-            free=state.loadings.free,
         ),
         transition=vi.TransitionVariational(
             mean=state.transition.mean, cov=state.transition.cov * 1e-18
@@ -255,7 +254,8 @@ def test_compare_posterior_with_itself(small_fit):
         seed=0, thin=1, burn_in=0, sign_flips=0,
     )
     report = forecast.compare_posteriors(
-        state, moments, store, horizons=1, n_smf_draws=30_000, seed=3
+        state, moments, store, unanchored(spec).free,
+        horizons=1, n_smf_draws=30_000, seed=3,
     )
     for block in ("transition", "loadings", "noise", "factors", "insample"):
         assert report.pm_errors[block]["mae"] < 0.05, block
@@ -392,8 +392,9 @@ def test_compare_pipeline_equals_serial_block_loop_bitwise(
     else:
         state, moments, store = lagged_fit
     levels, n_draws, seed = (50, 80, 95), 300, 12
+    free = np.ones_like(state.loadings.mean, dtype=bool)
     report = forecast.compare_posteriors(
-        state, moments, store, horizons=2, n_smf_draws=n_draws, seed=seed,
+        state, moments, store, free, horizons=2, n_smf_draws=n_draws, seed=seed,
         levels=levels,
     )
     pm_want, cov_want = _serial_insample(state, moments, store, n_draws, seed, levels)
@@ -404,7 +405,7 @@ def test_compare_pipeline_equals_serial_block_loop_bitwise(
     # Chunks of a few values (one draw, one element) move no bit of any block.
     monkeypatch.setattr(forecast, "_CHUNK_VALUES", 7)
     chunked = forecast.compare_posteriors(
-        state, moments, store, horizons=2, n_smf_draws=n_draws, seed=seed,
+        state, moments, store, free, horizons=2, n_smf_draws=n_draws, seed=seed,
         levels=levels,
     )
     _assert_reports_equal_bitwise(report, chunked)
@@ -412,8 +413,9 @@ def test_compare_pipeline_equals_serial_block_loop_bitwise(
 
 def test_compare_worker_error_reaches_caller_and_thread_exits(lagged_fit, monkeypatch):
     state, moments, store = lagged_fit
+    free = np.ones_like(state.loadings.mean, dtype=bool)
     before = threading.active_count()
-    forecast.compare_posteriors(state, moments, store, horizons=1, n_smf_draws=50)
+    forecast.compare_posteriors(state, moments, store, free, horizons=1, n_smf_draws=50)
     assert threading.active_count() == before
 
     # A non-finite lagged state coordinate (s > r) reaches only the in-sample
@@ -437,7 +439,7 @@ def test_compare_worker_error_reaches_caller_and_thread_exits(lagged_fit, monkey
 
     monkeypatch.setattr(forecast, "coverage_probability", spy)
     with pytest.raises(DomainError, match="MCMC draw set") as excinfo:
-        forecast.compare_posteriors(state, moments, bad, horizons=1, n_smf_draws=50)
+        forecast.compare_posteriors(state, moments, bad, free, horizons=1, n_smf_draws=50)
     [(thread, exc)] = raised
     assert thread is not threading.main_thread()
     assert excinfo.value is exc

@@ -123,10 +123,11 @@ def test_parameter_draws_flat_prior_fixed_factors_center_on_ols():
         noise_df=np.array([1e-8]),
         noise_scale=np.array([1.0]),
     )
+    restr = identification_restrictions(spec, [])
     rng = np.random.default_rng(4)
     lam_draws = np.array(
         [
-            gibbs.sample_parameters(pan, states, spec, prior, None, rng)[0][0, 0]
+            gibbs.sample_parameters(pan, states, spec, prior, restr, rng)[0][0, 0]
             for _ in range(6000)
         ]
     )
@@ -244,7 +245,7 @@ def test_run_gibbs_conjugate_submodel_matches_analytic_posterior():
     restr = gibbs.Restrictions(free=np.zeros((2, 1), dtype=bool), positive=())
     import dfmvi.vi as vi_mod
 
-    start = vi_mod.init_from_pca(pan, spec, prior, seed=5, restrictions=restr)
+    start = vi_mod.init_from_pca(pan, spec, prior, restr, seed=5)
     rng = np.random.default_rng(5)
     sig_draws = []
     lam, sig2, phi = (
@@ -559,7 +560,10 @@ def test_run_gibbs_equals_the_reference_chain_bitwise(r, p, anchored):
         identification_restrictions(spec, [(k, k) for k in range(r)]) if anchored else None
     )
     store = gibbs.run_gibbs(pan, spec, prior, config, restr)
-    sweeps, sign_flips = reference_kernels.run_gibbs(pan, spec, prior, config, restr)
+    # The reference takes the restrictions the chain resolves None to.
+    sweeps, sign_flips = reference_kernels.run_gibbs(
+        pan, spec, prior, config, restr or identification_restrictions(spec, [])
+    )
     kept = sweeps[config.burn_in():]
     for k, got in enumerate((store.lambdas, store.sigma2, store.phi, store.states)):
         assert_same_bits(got, np.stack([sweep[k] for sweep in kept]))

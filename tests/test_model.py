@@ -205,11 +205,13 @@ def test_sign_flips_preserve_fit():
             cov=np.zeros((n, s, s)),
             noise_df=np.ones(n),
             noise_scale=np.ones(n),
-            free=np.ones((n, s), dtype=bool),
         ),
         transition=TransitionVariational(mean=phi, cov=np.eye(s)),
     )
-    flipped, moments = flip_factor_signs(state, point_mass_moments(states, r), signs)
+    flipped, moments = flip_factor_signs(
+        state, point_mass_moments(states, r), signs,
+        identification_restrictions(ModelSpec(n, r, p), []),
+    )
     lam2, phi2 = flipped.loadings.mean, flipped.transition.mean
     # factor 0 flips at every lag: its columns change sign, nothing else
     assert_array_equal(lam2, lam * signs)
@@ -350,8 +352,8 @@ def test_folding_twice_returns_every_bit(r, p):
     mean = state.loadings.mean
     assert np.all(mean[~restr.free] == 0.0) and np.all(mean[-1] == 0.0)
     signs = np.where(np.arange(spec.s) % r == 0, -1.0, 1.0)
-    once = flip_factor_signs(state, moments, signs)
-    twice = flip_factor_signs(*once, signs)
+    once = flip_factor_signs(state, moments, signs, restr)
+    twice = flip_factor_signs(*once, signs, restr)
 
     def arrays(fit):
         state, moments = fit

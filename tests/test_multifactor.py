@@ -14,7 +14,7 @@ from dfmvi.sim import (
     stationary_sim_config,
 )
 from tests import oracles
-from tests.conftest import random_masked_panel
+from tests.conftest import random_masked_panel, unanchored
 from tests.oracles import dense_gaussian_oracle
 
 
@@ -51,14 +51,15 @@ def test_partial_sign_flip_keeps_objective(two_factor_panel):
     pan, spec = two_factor_panel
     prior = default_prior(spec)
     state, _, _ = vi.fit_smf(pan, spec, prior, tolerance=1e-6, max_iters=200)
+    restr = unanchored(spec)
     moments = vi.update_states(pan, state.loadings, state.transition, prior)
-    elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, prior)
+    elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, prior, restr)
     for flips in ([-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]):
         signs = np.tile(flips, spec.p + 1)
-        flipped, _ = vi.flip_factor_signs(state, moments, signs)
+        flipped, _ = vi.flip_factor_signs(state, moments, signs, restr)
         fl_m = vi.update_states(pan, flipped.loadings, flipped.transition, prior)
         fl_elbo = vi.compute_elbo(
-            pan, flipped.loadings, flipped.transition, fl_m, prior
+            pan, flipped.loadings, flipped.transition, fl_m, prior, restr
         )
         assert abs(fl_elbo - elbo) < 1e-8, flips
 
@@ -68,7 +69,7 @@ def test_smoother_exactness_two_factors_two_lags():
     prior = default_prior(spec)
     for seed in range(5):
         pan, _, _ = random_masked_panel(spec, T=8, seed=400 + seed, missing_prob=0.3)
-        state = vi.init_from_pca(pan, spec, prior, seed=seed)
+        state = vi.init_from_pca(pan, spec, prior, unanchored(spec), seed=seed)
         moments = vi.update_states(pan, state.loadings, state.transition, prior)
         oracle = dense_gaussian_oracle(pan, state, prior)
         assert_allclose(moments.mean, oracle.mean, atol=1e-8)
@@ -173,7 +174,8 @@ def test_lagged_model_posteriors_agree_across_methods():
         gibbs.GibbsConfig(n_draws=8_000, burn_in_fraction=0.2, seed=3),
     )
     rep = forecast.compare_posteriors(
-        state, moments, store, horizons=2, n_smf_draws=15_000, seed=9
+        state, moments, store, unanchored(spec).free,
+        horizons=2, n_smf_draws=15_000, seed=9,
     )
     summary = rep.coverage_summary()
     assert rep.pm_errors["insample"]["mae"] <= 0.02
@@ -192,7 +194,7 @@ def test_all_missing_final_row_matches_dense_oracle():
     values[-1, :] = np.nan
     ragged = TimeSeriesPanel(values, pan.names)
     prior = default_prior(spec)
-    state = vi.init_from_pca(ragged, spec, prior, seed=0)
+    state = vi.init_from_pca(ragged, spec, prior, unanchored(spec), seed=0)
     moments = vi.update_states(ragged, state.loadings, state.transition, prior)
     oracle = dense_gaussian_oracle(ragged, state, prior)
     assert_allclose(moments.mean, oracle.mean, atol=1e-8)

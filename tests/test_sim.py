@@ -18,7 +18,7 @@ from dfmvi.sim import (
     spectral_radius,
     stationary_sim_config,
 )
-from tests.conftest import random_masked_panel
+from tests.conftest import random_masked_panel, unanchored
 from tests.oracles import (
     dense_fixed_moments,
     dense_gaussian_oracle,
@@ -134,7 +134,7 @@ def test_dense_oracle_size_cap():
     spec = ModelSpec(n=2, r=1, p=0)
     pan, _, _ = random_masked_panel(spec, T=600, seed=0)
     prior = default_prior(spec)
-    state = vi.init_from_pca(pan, spec, prior, seed=0)
+    state = vi.init_from_pca(pan, spec, prior, unanchored(spec), seed=0)
     with pytest.raises(DomainError, match="capped"):
         dense_gaussian_oracle(pan, state, prior)
 
@@ -142,8 +142,9 @@ def test_dense_oracle_size_cap():
 def test_mc_oracle_se_scaling(tiny_spec, tiny_prior):
     pan, _, _ = random_masked_panel(tiny_spec, T=3, seed=5, missing_prob=0.2)
     state, _, _ = vi.fit_smf(pan, tiny_spec, tiny_prior, tolerance=1e-8, max_iters=50)
-    _, se_small = mc_elbo_oracle(pan, state, tiny_prior, n_samples=20_000, seed=3)
-    _, se_big = mc_elbo_oracle(pan, state, tiny_prior, n_samples=80_000, seed=3)
+    restr = unanchored(tiny_spec)
+    _, se_small = mc_elbo_oracle(pan, state, tiny_prior, restr, n_samples=20_000, seed=3)
+    _, se_big = mc_elbo_oracle(pan, state, tiny_prior, restr, n_samples=80_000, seed=3)
     assert_allclose(se_small / se_big, 2.0, rtol=0.25)
 
 
@@ -158,17 +159,19 @@ def test_mc_oracle_near_point_mass_parameters(tiny_spec, tiny_prior):
             cov=state.loadings.cov * 1e-6,
             noise_df=state.loadings.noise_df,
             noise_scale=state.loadings.noise_scale,
-            free=state.loadings.free,
         ),
         transition=vi.TransitionVariational(
             mean=state.transition.mean, cov=state.transition.cov * 1e-6
         ),
     )
-    est1, se1 = mc_elbo_oracle(pan, tight, tiny_prior, n_samples=50_000, seed=0)
-    est2, se2 = mc_elbo_oracle(pan, tight, tiny_prior, n_samples=50_000, seed=99)
+    restr = unanchored(tiny_spec)
+    est1, se1 = mc_elbo_oracle(pan, tight, tiny_prior, restr, n_samples=50_000, seed=0)
+    est2, se2 = mc_elbo_oracle(pan, tight, tiny_prior, restr, n_samples=50_000, seed=99)
     assert abs(est1 - est2) < 6 * (se1 + se2)
     moments = vi.update_states(pan, tight.loadings, tight.transition, tiny_prior)
-    exact = vi.compute_elbo(pan, tight.loadings, tight.transition, moments, tiny_prior)
+    exact = vi.compute_elbo(
+        pan, tight.loadings, tight.transition, moments, tiny_prior, restr
+    )
     assert abs(exact - est1) < 4 * se1
 
 
@@ -189,9 +192,12 @@ def test_mc_log_marginal_bounds_elbo(tiny_spec, tiny_prior):
     state, _, report = vi.fit_smf(
         pan, tiny_spec, tiny_prior, tolerance=1e-9, max_iters=200
     )
+    restr = unanchored(tiny_spec)
     moments = vi.update_states(pan, state.loadings, state.transition, tiny_prior)
-    elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, tiny_prior)
-    logml, se = mc_log_marginal(pan, state, tiny_prior, n_samples=200_000, seed=2)
+    elbo = vi.compute_elbo(
+        pan, state.loadings, state.transition, moments, tiny_prior, restr
+    )
+    logml, se = mc_log_marginal(pan, state, tiny_prior, restr, n_samples=200_000, seed=2)
     assert elbo <= logml + 3 * se
 
 

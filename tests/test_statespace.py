@@ -14,7 +14,7 @@ from dfmvi.model import ModelSpec, default_prior, identification_restrictions
 from dfmvi.panel import TimeSeriesPanel
 from tests import oracles
 from tests.conftest import assert_same_bits, empty_edge_panel, random_masked_panel
-from tests.conftest import random_variational
+from tests.conftest import random_variational, unanchored
 from tests.oracles import dense_gaussian_oracle
 
 
@@ -234,7 +234,8 @@ def test_build_system_matches_per_step_ops():
     spec = ModelSpec(n=3, r=1, p=1)
     pan, cfg, _ = random_masked_panel(spec, T=5, seed=3)
     prior = default_prior(spec)
-    state = vi.init_from_pca(pan, spec, prior, seed=1)
+    restr = unanchored(spec)
+    state = vi.init_from_pca(pan, spec, prior, restr, seed=1)
     loadings, transition = state.loadings, state.transition
     params = statespace.build_collapsed_system(
         pan, loadings.mean, loadings.cov, loadings.noise_prec,
@@ -266,9 +267,9 @@ def test_build_system_matches_per_step_ops():
     # The objective's state term reads the data quadratic summed cell by cell.
     moments = vi.update_states(pan, loadings, transition, prior)
     _, terms = vi.compute_elbo(
-        pan, loadings, transition, moments, prior, return_terms=True
+        pan, loadings, transition, moments, prior, restr, return_terms=True
     )
-    state_terms = vi._fit_constants(pan, prior, loadings.free).state_terms
+    state_terms = vi._fit_constants(pan, prior, restr).state_terms
     want = state_terms - 0.5 * moments.prec_logdet - 0.5 * (quad - moments.info_quad)
     assert_allclose(terms["state"], want, rtol=1e-12)
 
@@ -279,7 +280,7 @@ def test_smoother_matches_dense_oracle_random_instances():
         spec = ModelSpec(n=int(rng.integers(2, 5)), r=1, p=int(rng.integers(0, 2)))
         pan, cfg, _ = random_masked_panel(spec, T=int(rng.integers(3, 7)), seed=30 + k)
         prior = default_prior(spec)
-        state = vi.init_from_pca(pan, spec, prior, seed=k)
+        state = vi.init_from_pca(pan, spec, prior, unanchored(spec), seed=k)
         moments = vi.update_states(pan, state.loadings, state.transition, prior)
         oracle = dense_gaussian_oracle(pan, state, prior)
         assert_allclose(moments.mean, oracle.mean, atol=1e-8)
@@ -298,7 +299,7 @@ def test_collapsed_matches_augmented_and_decomposition():
         spec = ModelSpec(n=int(rng.integers(2, 5)), r=1, p=int(rng.integers(0, 2)))
         pan, cfg, _ = random_masked_panel(spec, T=int(rng.integers(3, 7)), seed=60 + k)
         prior = default_prior(spec)
-        state = vi.init_from_pca(pan, spec, prior, seed=k)
+        state = vi.init_from_pca(pan, spec, prior, unanchored(spec), seed=k)
         loadings, transition = state.loadings, state.transition
         moments = vi.update_states(pan, loadings, transition, prior)
         aug_mean, aug_cov, aug_lag, aug_ll = oracles.augmented_moments(
@@ -319,7 +320,7 @@ def test_returned_covariances_symmetric():
     spec = ModelSpec(n=3, r=1, p=1)
     pan, _, _ = random_masked_panel(spec, T=6, seed=77)
     prior = default_prior(spec)
-    state = vi.init_from_pca(pan, spec, prior, seed=0)
+    state = vi.init_from_pca(pan, spec, prior, unanchored(spec), seed=0)
     moments = vi.update_states(pan, state.loadings, state.transition, prior)
     for arr in (moments.cov, moments.second_moment):
         assert np.abs(arr - arr.swapaxes(-1, -2)).max() <= 1e-12
@@ -391,7 +392,7 @@ def _state_pass(p, T):
     spec = ModelSpec(n=25, r=1, p=p)
     pan, _, _ = random_masked_panel(spec, T=T, seed=17 + p, missing_prob=0.1)
     prior = default_prior(spec)
-    state = vi.init_from_pca(pan, spec, prior, seed=3)
+    state = vi.init_from_pca(pan, spec, prior, unanchored(spec), seed=3)
 
     def run():
         moments = vi.update_states(pan, state.loadings, state.transition, prior)

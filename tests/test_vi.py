@@ -20,7 +20,7 @@ from dfmvi.sim import simulate_dfm, stationary_sim_config
 from tests import reference_kernels
 from tests.conftest import assert_same_bits, empty_edge_panel
 from tests.conftest import point_mass_moments as _point_mass_moments
-from tests.conftest import random_masked_panel, random_variational
+from tests.conftest import random_masked_panel, random_variational, unanchored
 from tests.oracles import dense_fixed_moments, dense_gaussian_oracle, leading_scores
 from tests.oracles import mc_elbo_oracle
 
@@ -32,7 +32,8 @@ def test_update_loadings_no_data_reduces_to_prior():
     pan = TimeSeriesPanel(values)
     rng = np.random.default_rng(0)
     factors = rng.standard_normal((4, 2))
-    loadings = vi.update_loadings(pan, _point_mass_moments(factors, 1), prior)
+    moments = _point_mass_moments(factors, 1)
+    loadings = vi.update_loadings(pan, moments, prior, unanchored(spec))
     assert_array_equal(loadings.mean[1], np.zeros(2))
     assert_array_equal(loadings.cov[1], np.linalg.inv(prior.loading_prec))
     assert loadings.noise_df[1] == prior.noise_df[1]
@@ -54,7 +55,8 @@ def test_update_loadings_flat_prior_point_mass_is_ols():
         noise_df=np.array([1e-12]),
         noise_scale=np.array([1.0]),
     )
-    loadings = vi.update_loadings(pan, _point_mass_moments(factors, 1), prior)
+    moments = _point_mass_moments(factors, 1)
+    loadings = vi.update_loadings(pan, moments, prior, unanchored(spec))
     ols = np.linalg.lstsq(factors[1:], y, rcond=None)[0]
     assert_allclose(loadings.mean[0], ols, atol=1e-6)
 
@@ -71,7 +73,7 @@ def test_update_loadings_scalar_hand_values():
         prec_logdet=0.0,
         info_quad=0.0,
     )
-    loadings = vi.update_loadings(pan, moments, prior)
+    loadings = vi.update_loadings(pan, moments, prior, unanchored(spec))
     assert_allclose(loadings.cov[0], [[1.0 / 7.0]], atol=1e-14)
     assert_allclose(loadings.mean[0], [3.0 / 7.0], atol=1e-14)
     assert loadings.noise_df[0] == 3.0
@@ -131,13 +133,12 @@ def test_update_states_tight_parameters_approach_fixed_smoother():
     cfg = stationary_sim_config(spec, T=5, seed=4)
     pan, _ = simulate_dfm(cfg)
     prior = default_prior(spec)
-    state = vi.init_from_pca(pan, spec, prior, seed=0)
+    state = vi.init_from_pca(pan, spec, prior, unanchored(spec), seed=0)
     tight_loadings = vi.LoadingsVariational(
         mean=state.loadings.mean,
         cov=state.loadings.cov * 1e-9,
         noise_df=state.loadings.noise_df,
         noise_scale=state.loadings.noise_scale,
-        free=state.loadings.free,
     )
     tight_trans = vi.TransitionVariational(
         mean=state.transition.mean, cov=state.transition.cov * 1e-9
@@ -159,7 +160,7 @@ def test_update_states_parameter_uncertainty_shrinks_states():
     cfg = stationary_sim_config(spec, T=6, seed=5)
     pan, _ = simulate_dfm(cfg)
     prior = default_prior(spec)
-    state = vi.init_from_pca(pan, spec, prior, seed=0)
+    state = vi.init_from_pca(pan, spec, prior, unanchored(spec), seed=0)
     norms = []
     for scale in (1e-6, 1.0, 50.0):
         loadings = vi.LoadingsVariational(
@@ -167,7 +168,6 @@ def test_update_states_parameter_uncertainty_shrinks_states():
             cov=state.loadings.cov * scale,
             noise_df=state.loadings.noise_df,
             noise_scale=state.loadings.noise_scale,
-            free=state.loadings.free,
         )
         moments = vi.update_states(pan, loadings, state.transition, prior)
         norms.append(np.linalg.norm(moments.mean))
@@ -178,7 +178,7 @@ def test_update_states_pipeline_matches_dense_oracle():
     spec = ModelSpec(n=2, r=1, p=0)
     pan, _, _ = random_masked_panel(spec, T=4, seed=11, missing_prob=0.25)
     prior = default_prior(spec)
-    state = vi.init_from_pca(pan, spec, prior, seed=3)
+    state = vi.init_from_pca(pan, spec, prior, unanchored(spec), seed=3)
     moments = vi.update_states(pan, state.loadings, state.transition, prior)
     oracle = dense_gaussian_oracle(pan, state, prior)
     assert_allclose(moments.mean, oracle.mean, atol=1e-8)
@@ -197,7 +197,6 @@ def test_elbo_zero_divergence_at_prior(tiny_spec, tiny_prior):
         cov=np.stack([np.linalg.inv(tiny_prior.loading_prec)] * tiny_spec.n),
         noise_df=tiny_prior.noise_df + counts,
         noise_scale=tiny_prior.noise_scale,
-        free=np.ones((tiny_spec.n, s), dtype=bool),
     )
     transition = vi.TransitionVariational(
         mean=np.zeros((tiny_spec.r, s)),
@@ -205,7 +204,8 @@ def test_elbo_zero_divergence_at_prior(tiny_spec, tiny_prior):
     )
     moments = vi.update_states(pan, loadings, transition, tiny_prior)
     _, terms = vi.compute_elbo(
-        pan, loadings, transition, moments, tiny_prior, return_terms=True
+        pan, loadings, transition, moments, tiny_prior, unanchored(tiny_spec),
+        return_terms=True,
     )
     assert_allclose(terms["loadings"], 0.0, atol=1e-12)
     assert_allclose(terms["transition"], 0.0, atol=1e-12)
@@ -237,19 +237,20 @@ def test_elbo_data_quadratic_hand_values(values, noise_scale, quad):
         cov=np.full((pan.n, 1, 1), 0.1),
         noise_df=prior.noise_df + pan.counts,
         noise_scale=np.asarray(noise_scale),
-        free=np.ones((pan.n, 1), dtype=bool),
     )
     transition = vi.TransitionVariational(mean=np.array([[0.5]]), cov=np.array([[0.2]]))
     moments = vi.update_states(pan, loadings, transition, prior)
+    restr = unanchored(spec)
     _, terms = vi.compute_elbo(
-        pan, loadings, transition, moments, prior, return_terms=True
+        pan, loadings, transition, moments, prior, restr, return_terms=True
     )
-    state_terms = vi._fit_constants(pan, prior, loadings.free).state_terms
+    state_terms = vi._fit_constants(pan, prior, restr).state_terms
     want = state_terms - 0.5 * moments.prec_logdet - 0.5 * (quad - moments.info_quad)
     assert terms["state"] == want
 
 
 def test_elbo_matches_mc_oracle(tiny_spec, tiny_prior):
+    restr = unanchored(tiny_spec)
     for k in range(3):
         pan, _, _ = random_masked_panel(tiny_spec, T=3, seed=20 + k, missing_prob=0.3)
         state, _, _ = vi.fit_smf(
@@ -257,9 +258,9 @@ def test_elbo_matches_mc_oracle(tiny_spec, tiny_prior):
         )
         moments = vi.update_states(pan, state.loadings, state.transition, tiny_prior)
         exact = vi.compute_elbo(
-            pan, state.loadings, state.transition, moments, tiny_prior
+            pan, state.loadings, state.transition, moments, tiny_prior, restr
         )
-        est, se = mc_elbo_oracle(pan, state, tiny_prior, n_samples=200_000, seed=k)
+        est, se = mc_elbo_oracle(pan, state, tiny_prior, restr, n_samples=200_000, seed=k)
         assert abs(exact - est) < 3 * se
 
 
@@ -268,7 +269,8 @@ def test_elbo_requires_consistent_noise_df(tiny_spec, tiny_prior, monkeypatch):
     # every update gives; a fit's start one count off in one row is refused
     # where it enters, before any state pass.
     pan, _, _ = random_masked_panel(tiny_spec, T=3, seed=23, missing_prob=0.2)
-    state = vi.init_from_pca(pan, tiny_spec, tiny_prior, seed=0)
+    restr = unanchored(tiny_spec)
+    state = vi.init_from_pca(pan, tiny_spec, tiny_prior, restr, seed=0)
     noise_df = state.loadings.noise_df.copy()
     noise_df[1] += 1.0
     broken = replace(state, loadings=replace(state.loadings, noise_df=noise_df))
@@ -361,8 +363,8 @@ def test_fit_warns_fewer_series_than_factors(run):
 
 def test_init_from_pca_deterministic(tiny_spec, tiny_prior):
     pan, _, _ = random_masked_panel(tiny_spec, T=10, seed=60, missing_prob=0.3)
-    a = vi.init_from_pca(pan, tiny_spec, tiny_prior, seed=9)
-    b = vi.init_from_pca(pan, tiny_spec, tiny_prior, seed=9)
+    a = vi.init_from_pca(pan, tiny_spec, tiny_prior, unanchored(tiny_spec), seed=9)
+    b = vi.init_from_pca(pan, tiny_spec, tiny_prior, unanchored(tiny_spec), seed=9)
     assert_array_equal(a.loadings.mean, b.loadings.mean)
     assert_array_equal(a.loadings.cov, b.loadings.cov)
     assert_array_equal(a.transition.mean, b.transition.mean)
@@ -372,8 +374,8 @@ def test_init_from_pca_deterministic(tiny_spec, tiny_prior):
 def test_init_from_pca_complete_data_ignores_seed(tiny_spec, tiny_prior):
     cfg = stationary_sim_config(tiny_spec, T=15, seed=3)
     pan, _ = simulate_dfm(cfg)
-    a = vi.init_from_pca(pan, tiny_spec, tiny_prior, seed=1)
-    b = vi.init_from_pca(pan, tiny_spec, tiny_prior, seed=2)
+    a = vi.init_from_pca(pan, tiny_spec, tiny_prior, unanchored(tiny_spec), seed=1)
+    b = vi.init_from_pca(pan, tiny_spec, tiny_prior, unanchored(tiny_spec), seed=2)
     assert_array_equal(a.loadings.mean, b.loadings.mean)
     assert_array_equal(a.transition.mean, b.transition.mean)
 
@@ -383,9 +385,12 @@ def test_init_from_pca_finite_initial_elbo():
     prior = default_prior(spec)
     for seed in range(4):
         pan, _, _ = random_masked_panel(spec, T=12, seed=70 + seed, missing_prob=0.3)
-        state = vi.init_from_pca(pan, spec, prior, seed=seed)
+        restr = unanchored(spec)
+        state = vi.init_from_pca(pan, spec, prior, restr, seed=seed)
         moments = vi.update_states(pan, state.loadings, state.transition, prior)
-        elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, prior)
+        elbo = vi.compute_elbo(
+            pan, state.loadings, state.transition, moments, prior, restr
+        )
         assert np.isfinite(elbo)
 
 
@@ -416,8 +421,10 @@ def test_start_is_signed_by_the_data():
     scores, _ = vi._leading_scores(x, spec.r)
     assert np.all((x.T @ scores).sum(axis=0) >= 0.0)
     assert_same_bits(vi._leading_scores(-x, spec.r)[0], -scores)
-    start = vi.init_from_pca(pan, spec, prior)
-    negated = vi.init_from_pca(TimeSeriesPanel(-pan.values), spec, prior)
+    start = vi.init_from_pca(pan, spec, prior, unanchored(spec))
+    negated = vi.init_from_pca(
+        TimeSeriesPanel(-pan.values), spec, prior, unanchored(spec)
+    )
     assert_same_bits(negated.loadings.mean, start.loadings.mean)
 
 
@@ -428,12 +435,12 @@ def test_start_warns_on_a_panel_of_deficient_rank():
     column = np.random.default_rng(3).standard_normal(30)
     pan = TimeSeriesPanel(np.column_stack([column, column]))
     with pytest.warns(UserWarning, match="panel has deficient rank"):
-        vi.init_from_pca(pan, spec, default_prior(spec))
+        vi.init_from_pca(pan, spec, default_prior(spec), unanchored(spec))
     spec = ModelSpec(n=10, r=2, p=0)
     pan, _ = simulate_dfm(stationary_sim_config(spec, T=60, seed=4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vi.init_from_pca(pan, spec, default_prior(spec))
+        vi.init_from_pca(pan, spec, default_prior(spec), unanchored(spec))
 
 
 def _count_applications(monkeypatch) -> list[int]:
@@ -489,7 +496,9 @@ def test_leading_scores_stop_at_breakdown_on_a_rank_one_panel(monkeypatch):
     _assert_scores_match_the_oracle(scores, x, 1)
     spec = ModelSpec(n=5, r=3, p=0)
     with pytest.warns(UserWarning, match="panel has deficient rank"):
-        vi.init_from_pca(TimeSeriesPanel(values), spec, default_prior(spec))
+        vi.init_from_pca(
+            TimeSeriesPanel(values), spec, default_prior(spec), unanchored(spec)
+        )
 
 
 def test_leading_scores_of_a_single_series():
@@ -520,11 +529,14 @@ def test_rotation_invariance_sign_flip(tiny_spec, tiny_prior):
         pan, tiny_spec, tiny_prior, tolerance=1e-8, max_iters=300
     )
     moments = vi.update_states(pan, state.loadings, state.transition, tiny_prior)
-    elbo = vi.compute_elbo(pan, state.loadings, state.transition, moments, tiny_prior)
-    flipped, _ = vi.flip_factor_signs(state, moments, np.array([-1.0]))
+    restr = unanchored(tiny_spec)
+    elbo = vi.compute_elbo(
+        pan, state.loadings, state.transition, moments, tiny_prior, restr
+    )
+    flipped, _ = vi.flip_factor_signs(state, moments, np.array([-1.0]), restr)
     fl_moments = vi.update_states(pan, flipped.loadings, flipped.transition, tiny_prior)
     fl_elbo = vi.compute_elbo(
-        pan, flipped.loadings, flipped.transition, fl_moments, tiny_prior
+        pan, flipped.loadings, flipped.transition, fl_moments, tiny_prior, restr
     )
     assert abs(fl_elbo - elbo) < 1e-8
 
@@ -673,27 +685,42 @@ def test_fit_sign_flip_leaves_an_empty_series_loadings_positive_zero(
     assert_same_bits(cov[cov != 0.0], (before_cov * outer)[cov != 0.0])
 
 
-def test_fit_refuses_an_init_with_another_free_mask():
-    # An unanchored start would have its first objective evaluated under a
-    # mask the restrictions do not share.
-    spec = ModelSpec(n=4, r=1, p=1)
+@pytest.mark.parametrize(
+    "field, index, match",
+    [
+        ("mean", (4, slice(1, None)), r"init loadings' mean is nonzero outside the "
+         r"restrictions' free mask in rows \[4\]"),
+        ("cov", (0, 3, 3), r"init loadings' covariance is nonzero outside the "
+         r"restrictions' free mask in rows \[0\]"),
+    ],
+    ids=["mean", "covariance"],
+)
+def test_fit_refuses_an_init_nonzero_outside_the_free_mask(field, index, match):
+    # The objective takes restricted loadings to be exact zeros, so a start
+    # that is not would have its first bound taken outside the restricted
+    # family.  The start without the stray entry is accepted.
+    spec = ModelSpec(n=8, r=2, p=1)
     prior = default_prior(spec)
-    pan, _, _ = random_masked_panel(spec, T=30, seed=90, missing_prob=0.1)
-    restr = identification_restrictions(spec, [(0, 0)])
-    init = vi.init_from_pca(pan, spec, prior, seed=0)
-    match = r"rows \[0\]: init \[\[True, True\]\], restrictions \[\[True, False\]\]"
+    pan, _, _ = random_masked_panel(spec, T=60, seed=2, missing_prob=0.1)
+    restr = identification_restrictions(spec, [(4, 0), (0, 1)])
+    init = vi.init_from_pca(pan, spec, prior, restrictions=restr)
+    value = getattr(init.loadings, field).copy()
+    assert np.all(value[index] == 0.0)
+    value[index] = 3.0 if field == "mean" else 0.5
+    broken = replace(init, loadings=replace(init.loadings, **{field: value}))
     with pytest.raises(DomainError, match=match):
-        vi.fit_smf(pan, spec, prior, init=init, restrictions=restr)
+        vi.fit_smf(pan, spec, prior, init=broken, restrictions=restr, max_iters=1)
+    vi.fit_smf(pan, spec, prior, init=init, restrictions=restr, max_iters=1)
 
 
 @pytest.mark.parametrize(
     "init_dims, fit_dims, match",
     [
-        ((6, 1, 0), (5, 1, 0), "init loadings' free mask shape is 6 x 1 but the spec "
+        ((6, 1, 0), (5, 1, 0), "init loadings' mean shape is 6 x 1 but the spec "
          "needs 5 x 1"),
         ((5, 1, 1), (5, 2, 0), "init transition mean shape is 1 x 2 but the spec "
          "needs 2 x 2"),
-        ((5, 1, 0), (5, 1, 1), "init loadings' free mask shape is 5 x 1 but the spec "
+        ((5, 1, 0), (5, 1, 1), "init loadings' mean shape is 5 x 1 but the spec "
          "needs 5 x 2"),
     ],
     ids=["more-series", "r1-p1-on-r2-p0", "p0-on-p1"],
@@ -703,7 +730,9 @@ def test_fit_refuses_an_init_for_another_spec(init_dims, fit_dims, match):
     # width; the r=1, p=1 start on an r=2, p=0 fit has the fit's s = 2.
     init_spec, spec = ModelSpec(*init_dims), ModelSpec(*fit_dims)
     values = np.random.default_rng(5).standard_normal((30, init_spec.n))
-    init = vi.init_from_pca(TimeSeriesPanel(values), init_spec, default_prior(init_spec))
+    init = vi.init_from_pca(
+        TimeSeriesPanel(values), init_spec, default_prior(init_spec), unanchored(init_spec)
+    )
     pan = TimeSeriesPanel(values[:, : spec.n])
     with pytest.raises(DomainError, match=match):
         vi.fit_smf(pan, spec, default_prior(spec), init=init)
@@ -731,7 +760,7 @@ def test_fit_refuses_an_init_array_sized_for_another_spec(part, field, match):
     spec = ModelSpec(n=5, r=2, p=0)
     pan = TimeSeriesPanel(np.random.default_rng(5).standard_normal((30, spec.n)))
     prior = default_prior(spec)
-    init = vi.init_from_pca(pan, spec, prior)
+    init = vi.init_from_pca(pan, spec, prior, unanchored(spec))
     block = getattr(init, part)
     init = replace(init, **{part: replace(block, **{field: getattr(block, field)[:-1]})})
     with pytest.raises(DomainError, match=match):
@@ -756,7 +785,7 @@ def _restricted_three_factor_case():
     pan = TimeSeriesPanel(values, names=pan.names)
     prior = default_prior(spec, nu=2.0, tau2=0.5)
     restr = identification_restrictions(spec, [(0, 0), (1, 1), (2, 2)])
-    state = vi.init_from_pca(pan, spec, prior, seed=4, restrictions=restr)
+    state = vi.init_from_pca(pan, spec, prior, restr, seed=4)
     moments = vi.update_states(pan, state.loadings, state.transition, prior)
     return spec, pan, prior, restr, moments
 
@@ -865,10 +894,12 @@ def test_batched_elbo_loadings_term_matches_per_equation_reference():
     loadings = vi.update_loadings(pan, moments, prior, restr)
     transition = vi.update_transition(moments, prior)
     moments = vi.update_states(pan, loadings, transition, prior)
-    _, terms = vi.compute_elbo(pan, loadings, transition, moments, prior, return_terms=True)
+    _, terms = vi.compute_elbo(
+        pan, loadings, transition, moments, prior, restr, return_terms=True
+    )
     want = 0.0
     for i in range(spec.n):
-        idx = np.flatnonzero(loadings.free[i])
+        idx = np.flatnonzero(restr.free[i])
         v_inv = prior.loading_prec[np.ix_(idx, idx)]
         cov = loadings.cov[i][np.ix_(idx, idx)]
         mu = loadings.mean[i][idx]
@@ -896,7 +927,8 @@ def test_loading_update_names_first_non_positive_definite_equation():
     values[1:, 1:] = np.nan
     with pytest.raises(NumericalError, match=r"equation 1$"):
         vi.loading_posterior(
-            TimeSeriesPanel(values), mean, second_moment, default_prior(spec)
+            TimeSeriesPanel(values), mean, second_moment, default_prior(spec),
+            unanchored(spec),
         )
 
 
@@ -941,8 +973,9 @@ def test_fit_equals_the_reference_fit_bitwise(r, p, anchored):
     state, moments, report = vi.fit_smf(
         pan, spec, prior, restrictions=restr, max_iters=60, seed=71
     )
+    # The reference takes the restrictions the fit resolves None to.
     want_state, want_moments, want_trace = reference_kernels.fit_smf(
-        pan, spec, prior, restr, max_iters=60, seed=71
+        pan, spec, prior, restr or unanchored(spec), max_iters=60, seed=71
     )
     assert_same_bits(report.elbo_trace, want_trace)
     for name in ("mean", "cov", "second_moment", "lag_one", "prec_logdet", "info_quad"):
@@ -993,28 +1026,30 @@ def test_fit_constants_are_read_only_and_kept_per_panel():
     prior = default_prior(spec)
     pan = random_masked_panel(spec, T=20, seed=85)[0]
     other = random_masked_panel(spec, T=20, seed=85)[0]
-    free = identification_restrictions(spec, [(0, 0), (2, 1)]).free
-    consts = vi._fit_constants(pan, prior, free)
-    # an equal mask that is another array matches
-    assert vi._fit_constants(pan, prior, free.copy()) is consts
-    # an equal panel that is another object gets its own constants
-    assert vi._fit_constants(other, prior, free) is not consts
-    assert vi._fit_constants(other, prior, free).panel is other
+    restr = identification_restrictions(spec, [(0, 0), (2, 1)])
+    consts = vi._fit_constants(pan, prior, restr)
+    # the same restrictions on the same panel keep them
+    assert vi._fit_constants(pan, prior, restr) is consts
+    assert consts.panel is pan and consts.restrictions is restr
+    # equal restrictions that are another object get their own constants
+    equal = identification_restrictions(spec, [(0, 0), (2, 1)])
+    assert_array_equal(equal.free, restr.free)
+    rebuilt = vi._fit_constants(pan, prior, equal)
+    assert rebuilt is not consts and rebuilt.restrictions is equal
+    # so does an equal panel that is another object
+    on_other = vi._fit_constants(other, prior, equal)
+    assert on_other is not rebuilt and on_other.panel is other
     assert_array_equal(consts.noise_df, prior.noise_df + pan.counts)
-    # the masks, and log|V^-1| of each free block bit for bit
-    assert_array_equal(consts.masks.free, free)
-    assert consts.masks.positive == ()
+    # log|V^-1| of each free block bit for bit
+    free = restr.free
     block = np.where(free[:, :, None] & free[:, None, :], prior.loading_prec, 0.0)
     padded = block + np.eye(spec.s) * ~free[:, None, :]
-    assert consts.logdet_vinv.tobytes() == np.linalg.slogdet(padded)[1].tobytes()
-    # a new mask on the same panel rebuilds them
-    rebuilt = vi._fit_constants(pan, prior, np.ones_like(free))
-    assert rebuilt is not consts and rebuilt.masks is not consts.masks
-    assert_array_equal(rebuilt.masks.free, np.ones_like(free))
-    for name, value in vars(consts).items():
-        if isinstance(value, np.ndarray):
-            with pytest.raises(ValueError, match="read-only"):
-                value[...] = 0
+    for kept in (consts, rebuilt, on_other):
+        assert kept.logdet_vinv.tobytes() == np.linalg.slogdet(padded)[1].tobytes()
+        for value in vars(kept).values():
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    value[...] = 0
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 20))
@@ -1037,8 +1072,9 @@ def test_objective_equals_the_reference_objective_bitwise(seed):
         )
         loadings = replace(loadings, noise_df=prior.noise_df + pan.counts)
         moments = vi.update_states(pan, loadings, transition, prior)
-        got = vi.compute_elbo(pan, loadings, transition, moments, prior)
+        restr = unanchored(spec)
+        got = vi.compute_elbo(pan, loadings, transition, moments, prior, restr)
         want = reference_kernels.compute_elbo(
-            pan, loadings, transition, moments, prior
+            pan, loadings, transition, moments, prior, restr
         )
         assert_same_bits(got, want)
